@@ -4,6 +4,7 @@
 
 #include "util/logging.hpp"
 #include "util/stats_registry.hpp"
+#include "util/trace.hpp"
 
 namespace otft::arch {
 
@@ -43,6 +44,8 @@ CoreModel::flushAfter(std::uint64_t serial)
         if (rob.back().op == OpClass::Load ||
             rob.back().op == OpClass::Store)
             --memInFlight;
+        if (rob.back().state == State::Waiting)
+            --waitingCount;
         rob.pop_back();
     }
     fetchQueue.clear();
@@ -54,11 +57,32 @@ CoreModel::flushAfter(std::uint64_t serial)
                 entry.serial;
 }
 
-void
+std::uint64_t
+CoreModel::nextEventCycle() const
+{
+    std::uint64_t next = UINT64_MAX;
+    const auto consider = [&](std::uint64_t t) {
+        if (t >= cycle && t < next)
+            next = t;
+    };
+    consider(nextDoneCycle);
+    consider(fetchResumeCycle);
+    if (!fetchQueue.empty())
+        consider(fetchQueue.front().readyCycle);
+    for (std::uint64_t busy : aluBusyUntil)
+        consider(busy);
+    for (const RobEntry &entry : rob)
+        if (entry.state == State::Waiting)
+            consider(entry.earliestIssue);
+    return next;
+}
+
+bool
 CoreModel::doCommit()
 {
     const int commit_width = std::max(cfg.fetchWidth,
                                       cfg.backendWidth());
+    bool committed = false;
     for (int k = 0; k < commit_width && !rob.empty(); ++k) {
         RobEntry &head = rob.front();
         if (head.state != State::Done || head.doneCycle > cycle)
@@ -68,31 +92,48 @@ CoreModel::doCommit()
         ++stats.instructions;
         ++headSerial;
         rob.pop_front();
+        committed = true;
     }
+    return committed;
 }
 
-void
+bool
 CoreModel::doComplete()
 {
+    if (cycle < nextDoneCycle)
+        return false;
+    bool completed = false;
+    std::uint64_t next_done = UINT64_MAX;
     for (RobEntry &entry : rob) {
-        if (entry.state != State::Issued || entry.doneCycle > cycle)
+        if (entry.state != State::Issued)
             continue;
+        if (entry.doneCycle > cycle) {
+            next_done = std::min(next_done, entry.doneCycle);
+            continue;
+        }
         entry.state = State::Done;
+        completed = true;
         if (entry.isBranch) {
             predictor.recordOutcome(entry.mispredicted);
             ++stats.branches;
             if (entry.mispredicted) {
                 ++stats.mispredicts;
-                // Redirect: squash younger work, restart fetch.
+                // Redirect: squash younger work, restart fetch. No
+                // younger entry survives the flush, so the walk ends
+                // here; continuing would also compare against the
+                // range's end iterator, which pop_back invalidates.
                 flushAfter(entry.serial);
                 fetchResumeCycle = cycle + 1;
                 fetchBlocked = false;
+                break;
             }
         }
     }
+    nextDoneCycle = next_done;
+    return completed;
 }
 
-void
+bool
 CoreModel::doIssue()
 {
     int alu_free = 0;
@@ -103,6 +144,7 @@ CoreModel::doIssue()
     int branch_free = cfg.branchPipes;
 
     const int wakeup = cfg.wakeupPenalty();
+    bool issued = false;
     int window = 0;
     for (RobEntry &entry : rob) {
         if (alu_free + mem_free + branch_free == 0)
@@ -188,24 +230,24 @@ CoreModel::doIssue()
             break;
         }
         entry.state = State::Issued;
+        nextDoneCycle = std::min(nextDoneCycle, entry.doneCycle);
+        --waitingCount;
+        issued = true;
     }
+    return issued;
 }
 
-void
+bool
 CoreModel::doDispatch()
 {
-    int waiting = 0;
-    for (const RobEntry &entry : rob)
-        if (entry.state == State::Waiting)
-            ++waiting;
-
+    bool dispatched = false;
     for (int k = 0; k < cfg.fetchWidth; ++k) {
         if (fetchQueue.empty() ||
             fetchQueue.front().readyCycle > cycle)
             break;
         if (static_cast<int>(rob.size()) >= cfg.robSize)
             break;
-        if (waiting >= cfg.iqSize)
+        if (waitingCount >= cfg.iqSize)
             break;
         const FetchedInst &fetched = fetchQueue.front();
         const bool is_mem = fetched.inst.op == OpClass::Load ||
@@ -241,16 +283,18 @@ CoreModel::doDispatch()
         if (is_mem)
             ++memInFlight;
         rob.push_back(entry);
-        ++waiting;
+        ++waitingCount;
         fetchQueue.pop_front();
+        dispatched = true;
     }
+    return dispatched;
 }
 
-void
+bool
 CoreModel::doFetch()
 {
     if (cycle < fetchResumeCycle || fetchBlocked)
-        return;
+        return false;
 
     for (int k = 0; k < cfg.fetchWidth; ++k) {
         workload::TraceInst inst = trace.next();
@@ -276,24 +320,32 @@ CoreModel::doFetch()
             fetchQueue.push_back(fetched);
         }
     }
+    return true;
 }
 
 SimStats
 CoreModel::run(std::uint64_t instruction_count,
                std::uint64_t warmup_instructions)
 {
+    OTFT_TRACE_SCOPE("arch.core.run");
     // Safety valve: no workload should need more than this many
     // cycles per instruction even at width 1.
     const std::uint64_t max_cycles =
         (warmup_instructions + instruction_count) * 400 + 100000;
 
     auto step = [&] {
-        doCommit();
-        doComplete();
-        doIssue();
-        doDispatch();
-        doFetch();
+        bool progressed = doCommit();
+        progressed |= doComplete();
+        progressed |= doIssue();
+        progressed |= doDispatch();
+        progressed |= doFetch();
         ++cycle;
+        // A cycle in which no stage moved leaves the state unchanged,
+        // so every cycle up to the next time-triggered event would
+        // repeat it exactly: jump there instead of stepping through.
+        if (!progressed)
+            cycle = std::max(cycle,
+                             std::min(nextEventCycle(), max_cycles));
     };
 
     // Warmup: train the predictor and caches, then discard counters

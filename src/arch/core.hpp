@@ -19,6 +19,12 @@
  * IPC depends only on the core configuration — not on the technology
  * library — exactly as in the paper, where one AnyCore simulation
  * serves both processes.
+ *
+ * Idle cycles are skipped, not stepped: after a cycle in which no
+ * stage committed, completed, issued, dispatched or fetched, the clock
+ * jumps to the next time-triggered event (see nextEventCycle()). The
+ * skipped cycles still count in SimStats::cycles, and every statistic
+ * is identical to stepping through them one by one.
  */
 
 #ifndef OTFT_ARCH_CORE_HPP
@@ -116,11 +122,20 @@ class CoreModel
     /** Squash everything younger than the given serial. */
     void flushAfter(std::uint64_t serial);
 
-    void doCommit();
-    void doComplete();
-    void doIssue();
-    void doDispatch();
-    void doFetch();
+    /**
+     * Earliest cycle at or after `cycle` at which a time-triggered
+     * event (a completion, an issue becoming eligible, a divide
+     * freeing its pipe, a fetched group reaching dispatch, fetch
+     * resuming) can let a stage make progress; UINT64_MAX if none.
+     */
+    std::uint64_t nextEventCycle() const;
+
+    /** Pipeline stages; each returns true if it changed any state. */
+    bool doCommit();
+    bool doComplete();
+    bool doIssue();
+    bool doDispatch();
+    bool doFetch();
 
     CoreConfig cfg;
     workload::TraceGenerator &trace;
@@ -146,6 +161,10 @@ class CoreModel
     std::vector<std::uint64_t> aluBusyUntil;
     /** In-flight memory operations (LSQ occupancy). */
     int memInFlight = 0;
+    /** ROB entries still Waiting (issue-queue occupancy). */
+    int waitingCount = 0;
+    /** Lower bound on the doneCycle of every Issued entry. */
+    std::uint64_t nextDoneCycle = UINT64_MAX;
 };
 
 } // namespace otft::arch

@@ -15,40 +15,30 @@ namespace otft::core {
 
 namespace {
 
-/**
- * Flatten a DesignPoint into the cache payload format. The config is
- * part of the key, so only the derived quantities are stored.
- */
+/** Flatten a CoreTiming into the timing-tier payload format. */
 std::vector<double>
-packDesignPoint(const DesignPoint &p)
+packTiming(const CoreTiming &t)
 {
     std::vector<double> v;
-    v.push_back(p.timing.clockPeriod);
-    v.push_back(p.timing.frequency);
-    v.push_back(p.timing.area);
-    v.push_back(static_cast<double>(
-        static_cast<int>(p.timing.critical)));
-    v.push_back(static_cast<double>(p.timing.complexAluStages));
-    v.push_back(static_cast<double>(p.timing.regions.size()));
-    for (const RegionTiming &r : p.timing.regions) {
+    v.push_back(t.clockPeriod);
+    v.push_back(t.frequency);
+    v.push_back(t.area);
+    v.push_back(static_cast<double>(static_cast<int>(t.critical)));
+    v.push_back(static_cast<double>(t.complexAluStages));
+    v.push_back(static_cast<double>(t.regions.size()));
+    for (const RegionTiming &r : t.regions) {
         v.push_back(static_cast<double>(static_cast<int>(r.region)));
         v.push_back(static_cast<double>(r.stages));
         v.push_back(r.clockPeriod);
         v.push_back(r.area);
         v.push_back(static_cast<double>(r.cells));
     }
-    v.push_back(static_cast<double>(p.ipc.size()));
-    for (double ipc : p.ipc)
-        v.push_back(ipc);
-    v.push_back(p.meanIpc);
-    v.push_back(p.performance);
     return v;
 }
 
-/** Inverse of packDesignPoint. @return false on a malformed payload. */
+/** Inverse of packTiming. @return false on a malformed payload. */
 bool
-unpackDesignPoint(const std::vector<double> &v,
-                  const arch::CoreConfig &config, DesignPoint &out)
+unpackTiming(const std::vector<double> &v, CoreTiming &out)
 {
     std::size_t i = 0;
     const auto next = [&](double &dst) {
@@ -57,19 +47,16 @@ unpackDesignPoint(const std::vector<double> &v,
         dst = v[i++];
         return true;
     };
-    DesignPoint p;
-    p.config = config;
+    CoreTiming t;
     double critical = 0.0, alu_stages = 0.0, n_regions = 0.0;
-    if (!next(p.timing.clockPeriod) || !next(p.timing.frequency) ||
-        !next(p.timing.area) || !next(critical) ||
-        !next(alu_stages) || !next(n_regions))
+    if (!next(t.clockPeriod) || !next(t.frequency) || !next(t.area) ||
+        !next(critical) || !next(alu_stages) || !next(n_regions))
         return false;
     if (critical < 0.0 || critical >= arch::numRegions ||
         n_regions < 0.0 || n_regions > arch::numRegions)
         return false;
-    p.timing.critical =
-        static_cast<arch::Region>(static_cast<int>(critical));
-    p.timing.complexAluStages = static_cast<int>(alu_stages);
+    t.critical = static_cast<arch::Region>(static_cast<int>(critical));
+    t.complexAluStages = static_cast<int>(alu_stages);
     for (int k = 0; k < static_cast<int>(n_regions); ++k) {
         RegionTiming r;
         double region = 0.0, stages = 0.0, cells = 0.0;
@@ -81,19 +68,27 @@ unpackDesignPoint(const std::vector<double> &v,
         r.region = static_cast<arch::Region>(static_cast<int>(region));
         r.stages = static_cast<int>(stages);
         r.cells = static_cast<std::size_t>(cells);
-        p.timing.regions.push_back(r);
+        t.regions.push_back(r);
     }
-    double n_ipc = 0.0;
-    if (!next(n_ipc) || n_ipc < 0.0 || n_ipc > 1e6)
+    if (i != v.size())
         return false;
-    p.ipc.resize(static_cast<std::size_t>(n_ipc));
-    for (double &ipc : p.ipc)
-        if (!next(ipc))
-            return false;
-    if (!next(p.meanIpc) || !next(p.performance) || i != v.size())
-        return false;
-    out = std::move(p);
+    out = std::move(t);
     return true;
+}
+
+/** Hash every field of a core configuration into a cache key. */
+void
+addConfig(cache::KeyHasher &key, const arch::CoreConfig &config)
+{
+    key.add(config.fetchWidth).add(config.aluPipes);
+    key.add(config.memPipes).add(config.branchPipes);
+    for (int s : config.stages)
+        key.add(s);
+    key.add(config.robSize).add(config.iqSize).add(config.lsqSize);
+    key.add(config.predictorBits);
+    key.add(config.mulLatency).add(config.divLatency);
+    key.add(config.l1Latency).add(config.l2Latency);
+    key.add(config.memLatency);
 }
 
 } // namespace
@@ -157,44 +152,49 @@ ArchExplorer::evaluateWith(CoreSynthesizer &synthesizer,
             : std::string());
     ++stat_points;
 
-    // Key on everything that determines the result: library content,
-    // STA + exploration config, and the full core configuration.
-    cache::KeyHasher key;
-    key.add("explorer.point-v1").add(libraryHash);
-    const sta::StaConfig &sta = synthesizer.staConfig();
-    key.add(sta.wireEnabled).add(sta.extraSpanPerNet);
-    key.add(sta.registerInputs).add(sta.registerOutputs);
-    key.add(sta.noWireMarginFraction).add(sta.spanCoefficient);
-    key.add(synthesizer.loopSpanCoefficient);
-    key.add(config_.instructions).add(config_.seed);
-    key.add(config.fetchWidth).add(config.aluPipes);
-    key.add(config.memPipes).add(config.branchPipes);
-    for (int s : config.stages)
-        key.add(s);
-    key.add(config.robSize).add(config.iqSize).add(config.lsqSize);
-    key.add(config.predictorBits);
-    key.add(config.mulLatency).add(config.divLatency);
-    key.add(config.l1Latency).add(config.l2Latency);
-    key.add(config.memLatency);
-
+    // Two cache tiers, keyed on exactly what determines each half.
+    // Timing depends on the library, the STA set-up and the core, but
+    // not on the workloads; IPC depends on the core and the workloads,
+    // but not on the technology (one simulation serves both
+    // libraries, as in the paper).
     DesignPoint point;
-    std::vector<double> payload;
-    if (config_.useCache &&
-        cache::lookup("explorer.point", key.digest(), payload) &&
-        unpackDesignPoint(payload, config, point))
-        return point;
-
     point.config = config;
-    {
+    std::vector<double> payload;
+
+    cache::KeyHasher timing_key;
+    timing_key.add("explorer.timing-v1").add(libraryHash);
+    const sta::StaConfig &sta = synthesizer.staConfig();
+    timing_key.add(sta.wireEnabled).add(sta.extraSpanPerNet);
+    timing_key.add(sta.registerInputs).add(sta.registerOutputs);
+    timing_key.add(sta.noWireMarginFraction).add(sta.spanCoefficient);
+    timing_key.add(synthesizer.loopSpanCoefficient);
+    addConfig(timing_key, config);
+    if (!config_.useCache ||
+        !cache::lookup("explorer.timing", timing_key.digest(), payload) ||
+        !unpackTiming(payload, point.timing)) {
         stats::ScopedTimer timer(stat_synth_time);
         point.timing = synthesizer.synthesize(config);
+        if (config_.useCache)
+            cache::store("explorer.timing", timing_key.digest(),
+                         packTiming(point.timing));
     }
-    point.ipc = measureIpc(config);
+
+    cache::KeyHasher ipc_key;
+    ipc_key.add("explorer.ipc-v1");
+    ipc_key.add(config_.instructions).add(config_.seed);
+    addConfig(ipc_key, config);
+    if (config_.useCache &&
+        cache::lookup("explorer.ipc", ipc_key.digest(), payload) &&
+        payload.size() == workloads.size()) {
+        point.ipc = std::move(payload);
+    } else {
+        point.ipc = measureIpc(config);
+        if (config_.useCache)
+            cache::store("explorer.ipc", ipc_key.digest(), point.ipc);
+    }
+
     point.meanIpc = mean(point.ipc);
     point.performance = point.meanIpc * point.timing.frequency;
-    if (config_.useCache)
-        cache::store("explorer.point", key.digest(),
-                     packDesignPoint(point));
     return point;
 }
 

@@ -73,9 +73,13 @@ struct ExplorerConfig
     sta::StaConfig sta = {};
     /**
      * Memoize design-point evaluations in the process-wide result
-     * cache, keyed on the library content hash plus the full core and
-     * solver configuration. Hits are returned verbatim, so sweeps are
-     * bit-identical with the cache cold or warm.
+     * cache, in two tiers: `explorer.timing` (keyed on the library
+     * content hash, the STA configuration and the full core
+     * configuration) and `explorer.ipc` (keyed on the core
+     * configuration, instruction count and seed, with no technology
+     * input, so one simulation serves every library). Hits are
+     * returned verbatim, so sweeps are bit-identical with the cache
+     * cold, warm or off. measureIpc() itself never caches.
      */
     bool useCache = true;
 };
@@ -103,7 +107,7 @@ class ArchExplorer
     /** ALU pipeline depth sweep (complex ALU standalone, Fig. 12). */
     std::vector<AluPoint> aluDepthSweep(const std::vector<int> &stages);
 
-    /** IPC of a configuration on every paper workload. */
+    /** IPC of a configuration on every paper workload (uncached). */
     std::vector<double> measureIpc(const arch::CoreConfig &config);
 
     CoreSynthesizer &synthesizer() { return synth; }

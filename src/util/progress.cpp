@@ -21,6 +21,13 @@ constexpr std::size_t maxDurations = 4096;
 /** Minimum window folded into the rate EWMA (jitter floor). */
 constexpr double minRateWindowS = 0.05;
 
+/**
+ * The watchdog never flags a task shorter than this, however far past
+ * the median: among sub-second tasks (cache hits, tiny grid points) a
+ * large multiple is scheduler noise, not a pathological task.
+ */
+constexpr double watchdogFloorS = 0.5;
+
 enum class Policy { Off, ForcedOn, TtyOnly };
 
 Policy
@@ -113,13 +120,13 @@ Reporter::itemDone(double duration_s)
     if (duration_s > 0.0 && options_.watchdogMultiple > 0.0) {
         if (durations_.size() >= options_.watchdogMinSamples) {
             const double median = medianLocked();
-            if (median > 0.0 &&
+            if (median > 0.0 && duration_s > watchdogFloorS &&
                 duration_s > options_.watchdogMultiple * median) {
                 ++watchdogFlags_;
                 static stats::Counter &stat_flags = stats::counter(
                     "progress.watchdog_flags",
-                    "tasks slower than the watchdog multiple of the "
-                    "median task time");
+                    "tasks slower than both the watchdog multiple of "
+                    "the median task time and the absolute floor");
                 ++stat_flags;
                 warn(options_.label, ": slow task: ", duration_s,
                      " s vs median ", median, " s (item ", completed_,

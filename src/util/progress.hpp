@@ -17,10 +17,10 @@
  *    decile instead so logs stay greppable.
  *
  * The watchdog needs no configuration in the common case: once
- * `watchdogMinSamples` durations are in, any task slower than
- * `watchdogMultiple` x median is warned about and counted in the
- * `progress.watchdog_flags` stat. `OTFT_WATCHDOG_MULT` overrides the
- * multiple process-wide.
+ * `watchdogMinSamples` durations are in, any task slower than both
+ * `watchdogMultiple` x median and a fixed half-second floor is warned
+ * about and counted in the `progress.watchdog_flags` stat.
+ * `OTFT_WATCHDOG_MULT` overrides the multiple process-wide.
  */
 
 #ifndef OTFT_UTIL_PROGRESS_HPP

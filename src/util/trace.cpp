@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <fstream>
+#include <iomanip>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -167,8 +168,11 @@ stop()
     }
     os << "[";
     // Chrome trace_event JSON array of complete events; timestamps
-    // and durations are microseconds. tid distinguishes the emitting
-    // worker thread in the timeline view.
+    // and durations are microseconds, written with nanosecond
+    // resolution (fixed, not significant digits, so late spans keep
+    // their precision). tid distinguishes the emitting worker thread
+    // in the timeline view.
+    os << std::fixed << std::setprecision(3);
     bool first = true;
     for (const Merged &m : merged) {
         if (!first)

@@ -229,13 +229,18 @@ TraceGenerator::nextAddress(bool &chased)
     return 0x10000 + (rng.next() % profile_.workingSetBytes) / 8 * 8;
 }
 
-TraceInst
-TraceGenerator::next()
+TraceGenerator::~TraceGenerator()
 {
     static stats::Counter &stat_insts = stats::counter(
         "workload.instructions.generated",
         "synthetic trace instructions generated");
-    ++stat_insts;
+    stat_insts += generated;
+}
+
+TraceInst
+TraceGenerator::next()
+{
+    ++generated;
 
     TraceInst inst;
     inst.pc = pc;

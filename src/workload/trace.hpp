@@ -120,6 +120,12 @@ class TraceGenerator
   public:
     TraceGenerator(BenchmarkProfile profile, std::uint64_t seed = 1);
 
+    /** Adds the instructions generated to the stats registry. */
+    ~TraceGenerator();
+
+    TraceGenerator(const TraceGenerator &) = delete;
+    TraceGenerator &operator=(const TraceGenerator &) = delete;
+
     /** Generate the next dynamic instruction. */
     TraceInst next();
 
@@ -149,6 +155,12 @@ class TraceGenerator
     /** Streaming pointers. */
     std::uint64_t streamAddr = 0;
     int lastLoadDest = noReg;
+    /**
+     * Instructions generated so far. Counted here and published once
+     * by the destructor: a shared counter bumped per instruction makes
+     * concurrent generators contend on one cache line.
+     */
+    std::uint64_t generated = 0;
 };
 
 } // namespace otft::workload

@@ -107,6 +107,110 @@ TEST(CoreModel, ZeroWarmupWorks)
     EXPECT_GT(stats.cycles, 5000u);
 }
 
+/**
+ * Golden statistics: every SimStats field, bit for bit, for cases that
+ * exercise each stall the simulator can skip over (wide issue, the
+ * wakeup penalty, a deep front end, blocking divides, long memory
+ * misses, a cold start). Any change to the model's timing must show
+ * up here as a deliberate golden update.
+ */
+struct GoldenCase
+{
+    const char *name;
+    CoreConfig config;
+    workload::BenchmarkProfile profile;
+    std::uint64_t instructions;
+    std::uint64_t warmup;
+    SimStats expected;
+};
+
+SimStats
+golden(std::uint64_t cycles, std::uint64_t instructions,
+       std::uint64_t branches, std::uint64_t mispredicts,
+       std::uint64_t loads, std::uint64_t stores, std::uint64_t l1_misses,
+       std::uint64_t l2_misses)
+{
+    SimStats s;
+    s.cycles = cycles;
+    s.instructions = instructions;
+    s.branches = branches;
+    s.mispredicts = mispredicts;
+    s.loads = loads;
+    s.stores = stores;
+    s.l1Misses = l1_misses;
+    s.l2Misses = l2_misses;
+    return s;
+}
+
+std::vector<GoldenCase>
+goldenCases()
+{
+    std::vector<GoldenCase> cases;
+    CoreConfig wide = baselineConfig();
+    wide.fetchWidth = 6;
+    wide.aluPipes = 5;
+    cases.push_back({"wide", wide, workload::profileByName("gzip"), 20000,
+                     8000,
+                     golden(32957, 20000, 1986, 644, 4122, 1549, 1127,
+                            527)});
+
+    CoreConfig deep_issue = baselineConfig();
+    deep_issue.fetchWidth = 2;
+    deep_issue.aluPipes = 2;
+    deep_issue.stagesIn(Region::Issue) = 3;
+    cases.push_back({"deep_issue", deep_issue,
+                     workload::profileByName("gzip"), 20000, 8000,
+                     golden(44248, 20000, 1986, 644, 4122, 1549, 1132,
+                            527)});
+
+    CoreConfig deep_fetch = baselineConfig();
+    deep_fetch.fetchWidth = 2;
+    deep_fetch.aluPipes = 2;
+    deep_fetch.stagesIn(Region::Fetch) += 3;
+    deep_fetch.stagesIn(Region::Decode) += 2;
+    cases.push_back({"deep_fetch", deep_fetch,
+                     workload::profileByName("parser"), 20000, 8000,
+                     golden(87911, 20003, 3285, 906, 4654, 1700, 4695,
+                            2017)});
+
+    CoreConfig div_core = baselineConfig();
+    div_core.fetchWidth = 3;
+    div_core.aluPipes = 2;
+    workload::BenchmarkProfile div_heavy =
+        workload::profileByName("dhrystone");
+    div_heavy.divFraction = 0.05;
+    div_heavy.mulFraction = 0.05;
+    cases.push_back({"div_heavy", div_core, div_heavy, 20000, 8000,
+                     golden(20089, 20000, 3509, 708, 4395, 2281, 0, 0)});
+
+    cases.push_back({"mcf", baselineConfig(),
+                     workload::profileByName("mcf"), 20000, 8000,
+                     golden(263138, 20002, 3762, 1022, 6248, 1785, 10025,
+                            7301)});
+
+    cases.push_back({"zero_warmup", baselineConfig(),
+                     workload::profileByName("bzip"), 5000, 0,
+                     golden(24171, 5000, 511, 292, 1246, 458, 567, 530)});
+    return cases;
+}
+
+TEST(CoreModel, GoldenStatsAreBitExact)
+{
+    for (const GoldenCase &c : goldenCases()) {
+        workload::TraceGenerator gen(c.profile, 7);
+        CoreModel core(c.config, gen);
+        const SimStats s = core.run(c.instructions, c.warmup);
+        EXPECT_EQ(s.cycles, c.expected.cycles) << c.name;
+        EXPECT_EQ(s.instructions, c.expected.instructions) << c.name;
+        EXPECT_EQ(s.branches, c.expected.branches) << c.name;
+        EXPECT_EQ(s.mispredicts, c.expected.mispredicts) << c.name;
+        EXPECT_EQ(s.loads, c.expected.loads) << c.name;
+        EXPECT_EQ(s.stores, c.expected.stores) << c.name;
+        EXPECT_EQ(s.l1Misses, c.expected.l1Misses) << c.name;
+        EXPECT_EQ(s.l2Misses, c.expected.l2Misses) << c.name;
+    }
+}
+
 /** Sweep: every paper workload runs on a mid-size config. */
 class AllWorkloadsRun : public ::testing::TestWithParam<const char *>
 {

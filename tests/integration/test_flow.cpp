@@ -21,6 +21,7 @@
 #include "netlist/generators.hpp"
 #include "sta/pipeline.hpp"
 #include "util/logging.hpp"
+#include "util/result_cache.hpp"
 #include "util/stats_registry.hpp"
 
 namespace otft {
@@ -192,6 +193,9 @@ TEST_F(FullFlow, TelemetryCoversEveryLayer)
     // circuit solver up through the architecture explorer.
     stats::Registry &reg = stats::Registry::instance();
     reg.reset();
+    // Earlier tests may have cached this point's timing or IPC tier;
+    // start cold so every layer does its work.
+    cache::ResultCache::instance().clear();
 
     // STA + explorer + arch: evaluate one design point on the silicon
     // library (fast) with a small instruction budget.

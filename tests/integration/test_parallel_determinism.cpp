@@ -110,6 +110,9 @@ TEST(ParallelDeterminism, ExplorerSweepByteIdentical)
         parallel::JobsOverride pin(jobs_count);
         core::ExplorerConfig config;
         config.instructions = 2000;
+        // Uncached, so the 8-job sweep computes every point instead
+        // of reading back what the serial sweep stored.
+        config.useCache = false;
         core::ArchExplorer explorer(silicon, config);
         const auto grid = explorer.widthSweep(1, 2, 3, 4);
         std::string out;

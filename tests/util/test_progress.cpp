@@ -76,6 +76,36 @@ TEST(Progress, WatchdogFlagsOutliersPastTheMedian)
     EXPECT_EQ(reporter.watchdogFlags(), 1u);
 }
 
+TEST(Progress, WatchdogIgnoresOutliersBelowTheFloor)
+{
+    Options o = quietOptions(0);
+    o.watchdogMultiple = 8.0;
+    o.watchdogMinSamples = 4;
+    Reporter reporter(o);
+    // Microsecond tasks: a 200 ms straggler is 10000x the median but
+    // still under the absolute floor, so it is not worth a warning.
+    for (int i = 0; i < 6; ++i)
+        reporter.itemDone(20e-6);
+    reporter.itemDone(0.2);
+    EXPECT_EQ(reporter.watchdogFlags(), 0u);
+    // Past both the floor and the multiple it flags.
+    reporter.itemDone(2.0);
+    EXPECT_EQ(reporter.watchdogFlags(), 1u);
+}
+
+TEST(Progress, WatchdogFloorDoesNotReplaceTheMultiple)
+{
+    Options o = quietOptions(0);
+    o.watchdogMultiple = 8.0;
+    o.watchdogMinSamples = 4;
+    Reporter reporter(o);
+    // Long tasks: 3 s is past the floor but only 1.5x a 2 s median.
+    for (int i = 0; i < 6; ++i)
+        reporter.itemDone(2.0);
+    reporter.itemDone(3.0);
+    EXPECT_EQ(reporter.watchdogFlags(), 0u);
+}
+
 TEST(Progress, WatchdogWaitsForMinSamples)
 {
     Options o = quietOptions(0);

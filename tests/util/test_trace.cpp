@@ -8,6 +8,7 @@
 #include <sstream>
 #include <string>
 
+#include "util/json.hpp"
 #include "util/stats_registry.hpp"
 #include "util/trace.hpp"
 
@@ -90,6 +91,36 @@ TEST(Trace, TimelineCollectionWritesChromeTraceJson)
     EXPECT_NE(text.find("\"test.span.inner\""), std::string::npos);
     EXPECT_NE(text.find("\"ph\": \"X\""), std::string::npos);
     EXPECT_NE(text.find("\"dur\""), std::string::npos);
+    std::remove(path.c_str());
+}
+
+TEST(Trace, LateSpansKeepSubMicrosecondTimestamps)
+{
+    const std::string path = "test_trace_late.json";
+    trace::start(path);
+    // Two sibling spans 12 s into the collection, 1.5 us apart: with
+    // significant-digit formatting both starts round to the same
+    // 10 us step and the earlier span appears to contain the later.
+    const std::int64_t base = stats::monotonicNowNs() + 12'000'000'000;
+    trace::recordEvent("test.late.a", base, base + 1'000);
+    trace::recordEvent("test.late.b", base + 1'500, base + 2'250);
+    trace::stop();
+
+    std::ifstream in(path);
+    ASSERT_TRUE(in.good());
+    std::stringstream ss;
+    ss << in.rdbuf();
+    const json::Value doc = json::parse(ss.str());
+    ASSERT_EQ(doc.asArray().size(), 2u);
+    const json::Value &a = doc.asArray()[0];
+    const json::Value &b = doc.asArray()[1];
+    EXPECT_EQ(a.string("name"), "test.late.a");
+    EXPECT_GT(a.number("ts"), 1e6);
+    EXPECT_NEAR(b.number("ts") - a.number("ts"), 1.5, 1e-3);
+    EXPECT_NEAR(a.number("dur"), 1.0, 1e-3);
+    EXPECT_NEAR(b.number("dur"), 0.75, 1e-3);
+    // The earlier span ends before its sibling starts.
+    EXPECT_LT(a.number("ts") + a.number("dur"), b.number("ts"));
     std::remove(path.c_str());
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "util/logging.hpp"
+#include "util/stats_registry.hpp"
 #include "workload/trace.hpp"
 
 namespace otft::workload {
@@ -42,6 +43,19 @@ TEST(TraceGenerator, Deterministic)
         EXPECT_EQ(ia.taken, ib.taken);
         EXPECT_EQ(ia.address, ib.address);
     }
+}
+
+TEST(TraceGenerator, DestroyedGeneratorAddsExactCount)
+{
+    const stats::Counter &generated =
+        stats::counter("workload.instructions.generated");
+    const std::uint64_t before = generated.value();
+    {
+        TraceGenerator gen(profileByName("mcf"), 3);
+        for (int i = 0; i < 1234; ++i)
+            gen.next();
+    }
+    EXPECT_EQ(generated.value() - before, 1234u);
 }
 
 TEST(TraceGenerator, MixMatchesProfile)
