@@ -13,7 +13,6 @@
 
 #include "arch/core.hpp"
 #include "cells/topologies.hpp"
-#include "circuit/batch_solver.hpp"
 #include "circuit/dc.hpp"
 #include "circuit/linear_solver.hpp"
 #include "circuit/transient.hpp"
@@ -43,27 +42,23 @@ BM_DcOperatingPoint(benchmark::State &state)
 }
 BENCHMARK(BM_DcOperatingPoint);
 
-constexpr std::size_t kLuLanes = 8;
+constexpr std::size_t kLuSystems = 8;
 
-/** Deterministic diagonally-dominant lane systems for the LU pair. */
+/** Deterministic diagonally-dominant systems for the LU kernel. */
 void
-fillLaneSystems(std::size_t n, circuit::BatchedMatrix &batched,
-                std::vector<circuit::Matrix> &scalar,
-                std::vector<double> &rhs)
+fillLuSystems(std::size_t n, std::vector<circuit::Matrix> &systems,
+              std::vector<std::vector<double>> &rhs)
 {
     Rng rng(42);
-    scalar.assign(kLuLanes, circuit::Matrix(n));
-    rhs.assign(n * kLuLanes, 0.0);
-    for (std::size_t lane = 0; lane < kLuLanes; ++lane) {
+    systems.assign(kLuSystems, circuit::Matrix(n));
+    rhs.assign(kLuSystems, std::vector<double>(n, 0.0));
+    for (std::size_t k = 0; k < kLuSystems; ++k) {
         for (std::size_t r = 0; r < n; ++r) {
-            for (std::size_t c = 0; c < n; ++c) {
-                const double v =
+            for (std::size_t c = 0; c < n; ++c)
+                systems[k].at(r, c) =
                     rng.uniform(-1.0, 1.0) +
                     (r == c ? static_cast<double>(n) : 0.0);
-                batched.at(r, c, lane) = v;
-                scalar[lane].at(r, c) = v;
-            }
-            rhs[r * kLuLanes + lane] = rng.uniform(-5.0, 5.0);
+            rhs[k][r] = rng.uniform(-5.0, 5.0);
         }
     }
 }
@@ -72,90 +67,24 @@ void
 BM_ScalarLuFactorSolve(benchmark::State &state)
 {
     const auto n = static_cast<std::size_t>(state.range(0));
-    circuit::BatchedMatrix batched(n, kLuLanes);
     std::vector<circuit::Matrix> systems;
-    std::vector<double> rhs;
-    fillLaneSystems(n, batched, systems, rhs);
+    std::vector<std::vector<double>> rhs;
+    fillLuSystems(n, systems, rhs);
     std::vector<double> b(n);
     for (auto _ : state) {
-        for (std::size_t lane = 0; lane < kLuLanes; ++lane) {
+        for (std::size_t k = 0; k < kLuSystems; ++k) {
             circuit::LuFactors lu;
-            benchmark::DoNotOptimize(lu.factor(systems[lane]));
-            for (std::size_t i = 0; i < n; ++i)
-                b[i] = rhs[i * kLuLanes + lane];
+            benchmark::DoNotOptimize(lu.factor(systems[k]));
+            b = rhs[k];
             lu.solve(b);
             benchmark::DoNotOptimize(b.data());
         }
     }
     state.SetItemsProcessed(
         static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(kLuLanes));
+        static_cast<std::int64_t>(kLuSystems));
 }
 BENCHMARK(BM_ScalarLuFactorSolve)->Arg(8)->Arg(16)->Arg(32);
-
-void
-BM_BatchedLuFactorSolve(benchmark::State &state)
-{
-    const auto n = static_cast<std::size_t>(state.range(0));
-    circuit::BatchedMatrix batched(n, kLuLanes);
-    std::vector<circuit::Matrix> systems;
-    std::vector<double> rhs;
-    fillLaneSystems(n, batched, systems, rhs);
-    std::vector<std::size_t> all_lanes;
-    for (std::size_t lane = 0; lane < kLuLanes; ++lane)
-        all_lanes.push_back(lane);
-    circuit::BatchedLu lu(n, kLuLanes);
-    std::vector<std::uint8_t> ok(kLuLanes, 0);
-    std::vector<double> b(rhs.size());
-    for (auto _ : state) {
-        lu.factor(batched, all_lanes, ok);
-        b = rhs;
-        lu.solve(b.data(), all_lanes);
-        benchmark::DoNotOptimize(b.data());
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(kLuLanes));
-}
-BENCHMARK(BM_BatchedLuFactorSolve)->Arg(8)->Arg(16)->Arg(32);
-
-void
-BM_BatchNewtonDc(benchmark::State &state)
-{
-    setQuiet(true);
-    cells::CellFactory factory;
-    const double vdd = factory.supply().vdd;
-    std::vector<cells::BuiltCell> cells;
-    for (std::size_t lane = 0; lane < kLuLanes; ++lane) {
-        cells.push_back(factory.inverter(
-            cells::InverterKind::PseudoE,
-            20e-12 * static_cast<double>(1 + lane)));
-        cells.back().ckt.setSourceWave(
-            cells.back().inputSources[0],
-            circuit::Pwl::constant(vdd * static_cast<double>(lane) /
-                                   7.0));
-    }
-    std::vector<const circuit::Circuit *> lanes;
-    for (const auto &cell : cells)
-        lanes.push_back(&cell.ckt);
-    circuit::BatchedMna mna(lanes);
-    std::vector<circuit::BatchNewtonLane> lane_state(kLuLanes);
-    for (auto _ : state) {
-        for (std::size_t lane = 0; lane < kLuLanes; ++lane) {
-            mna.setLaneX(lane,
-                         circuit::Solution(mna.numUnknowns(), 0.0));
-            mna.setLaneStep(lane, 0.0, 1.0, 0.0);
-            lane_state[lane] = circuit::BatchNewtonLane{};
-            lane_state[lane].active = true;
-        }
-        mna.solveNewtonAll(lane_state);
-        benchmark::DoNotOptimize(lane_state.data());
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()) *
-        static_cast<std::int64_t>(kLuLanes));
-}
-BENCHMARK(BM_BatchNewtonDc);
 
 void
 BM_VtcSweep(benchmark::State &state)

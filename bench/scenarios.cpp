@@ -8,7 +8,6 @@
 #include "arch/core.hpp"
 #include "cells/topologies.hpp"
 #include "cells/vtc.hpp"
-#include "circuit/batch_solver.hpp"
 #include "circuit/dc.hpp"
 #include "circuit/transient.hpp"
 #include "core/explorer.hpp"
@@ -45,8 +44,6 @@ struct Fixtures
     std::optional<cells::BuiltCell> vtcInverter;
     std::optional<cells::BuiltCell> loadedInverter;
     std::optional<std::vector<device::TransferCurve>> curves;
-    /** 8 pseudo-E inverters with per-lane loads and input biases. */
-    std::optional<std::vector<cells::BuiltCell>> batchLanes;
 
     cells::CellFactory &
     getFactory()
@@ -62,26 +59,6 @@ struct Fixtures
         if (!silicon)
             silicon.emplace(liberty::makeSiliconLibrary());
         return *silicon;
-    }
-
-    std::vector<cells::BuiltCell> &
-    getBatchLanes()
-    {
-        if (!batchLanes) {
-            auto &f = getFactory();
-            const double vdd = f.supply().vdd;
-            batchLanes.emplace();
-            for (std::size_t lane = 0; lane < 8; ++lane) {
-                batchLanes->push_back(f.inverter(
-                    cells::InverterKind::PseudoE,
-                    20e-12 * static_cast<double>(1 + lane)));
-                batchLanes->back().ckt.setSourceWave(
-                    batchLanes->back().inputSources[0],
-                    circuit::Pwl::constant(
-                        vdd * static_cast<double>(lane) / 7.0));
-            }
-        }
-        return *batchLanes;
     }
 
     netlist::Netlist &
@@ -114,22 +91,6 @@ miniGrid()
     mini.slewAxis = {4e-6, 64e-6};
     mini.loadMultipliers = {0.5, 6.0};
     return mini;
-}
-
-/**
- * The 8x8 grid used by the batched-engine scenario: 64 arc points
- * fill eight 8-wide lane groups, so at --jobs 8 both the scalar and
- * the batched engine keep every worker busy (the comparison stays
- * engine-vs-engine, not occupancy-vs-occupancy).
- */
-liberty::CharacterizerConfig
-wideGrid()
-{
-    liberty::CharacterizerConfig wide;
-    wide.slewAxis = {2e-6, 4e-6, 8e-6, 16e-6,
-                     32e-6, 64e-6, 128e-6, 256e-6};
-    wide.loadMultipliers = {0.25, 0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0};
-    return wide;
 }
 
 void
@@ -300,16 +261,14 @@ addNldmCharacterize(perf::ScenarioSuite &suite)
         "inverter on the minimal 2x2 slew/load grid",
         [] { fixtures().getFactory(); },
         []() -> std::uint64_t {
-            // Pinned serial and scalar-engine so this trajectory
-            // stays comparable with reports recorded before the
-            // parallel layer and the batched engine landed; the _par
-            // variant below measures the threaded path and _batched
-            // the lane engine. The result cache is cleared every rep
-            // so the scenario keeps measuring real transient work
-            // (nldm_cached_resweep measures the memoized path).
+            // Pinned serial so this trajectory stays comparable with
+            // reports recorded before the parallel layer landed; the
+            // _par variant below measures the threaded path. The
+            // result cache is cleared every rep so the scenario keeps
+            // measuring real transient work (nldm_cached_resweep
+            // measures the memoized path).
             cache::ResultCache::instance().clear();
             parallel::JobsOverride pin(1);
-            parallel::BatchLanesOverride scalar_engine(0);
             liberty::Characterizer chr(fixtures().getFactory(),
                                        miniGrid());
             const auto cell = chr.characterizeCombinational("inv");
@@ -327,7 +286,6 @@ addNldmCharacterize(perf::ScenarioSuite &suite)
         []() -> std::uint64_t {
             cache::ResultCache::instance().clear();
             parallel::JobsOverride pin(parallel::hardwareJobs());
-            parallel::BatchLanesOverride scalar_engine(0);
             liberty::Characterizer chr(fixtures().getFactory(),
                                        miniGrid());
             const auto cell = chr.characterizeCombinational("inv");
@@ -346,75 +304,18 @@ addNldmCharacterize(perf::ScenarioSuite &suite)
             // timed body then re-sweeps the identical grid.
             cache::ResultCache::instance().clear();
             parallel::JobsOverride pin(1);
-            parallel::BatchLanesOverride scalar_engine(0);
             liberty::Characterizer chr(fixtures().getFactory(),
                                        miniGrid());
             (void)chr.characterizeCombinational("inv");
         },
         []() -> std::uint64_t {
             parallel::JobsOverride pin(1);
-            parallel::BatchLanesOverride scalar_engine(0);
             liberty::Characterizer chr(fixtures().getFactory(),
                                        miniGrid());
             const auto cell = chr.characterizeCombinational("inv");
             (void)cell;
             const auto &grid = miniGrid();
             return grid.slewAxis.size() * grid.loadMultipliers.size();
-        },
-    });
-    suite.add({
-        "liberty.nldm_characterize_batched",
-        "liberty",
-        "inverter NLDM characterization on the 8x8 slew/load grid "
-        "across all hardware threads; the lane width follows the "
-        "session --batch-lanes setting (default 8, 0 = scalar), so "
-        "scripts/verify.sh --bench can diff the two engines on "
-        "byte-identical workloads",
-        [] { fixtures().getFactory(); },
-        []() -> std::uint64_t {
-            cache::ResultCache::instance().clear();
-            parallel::JobsOverride pin(parallel::hardwareJobs());
-            liberty::Characterizer chr(fixtures().getFactory(),
-                                       wideGrid());
-            const auto cell = chr.characterizeCombinational("inv");
-            (void)cell;
-            const auto &grid = wideGrid();
-            return grid.slewAxis.size() * grid.loadMultipliers.size();
-        },
-    });
-}
-
-void
-addBatchNewton(perf::ScenarioSuite &suite)
-{
-    suite.add({
-        "circuit.batch_newton",
-        "circuit",
-        "raw batched-Newton kernel: 8 inverter lanes (distinct loads "
-        "and input biases) DC-solved in lockstep, 32 rounds of cold "
-        "starts per rep",
-        [] { fixtures().getBatchLanes(); },
-        []() -> std::uint64_t {
-            auto &cells = fixtures().getBatchLanes();
-            std::vector<const circuit::Circuit *> lanes;
-            for (const auto &cell : cells)
-                lanes.push_back(&cell.ckt);
-            circuit::BatchedMna mna(lanes);
-            constexpr std::uint64_t repeats = 32;
-            std::vector<circuit::BatchNewtonLane> state(lanes.size());
-            for (std::uint64_t k = 0; k < repeats; ++k) {
-                for (std::size_t lane = 0; lane < lanes.size();
-                     ++lane) {
-                    mna.setLaneX(
-                        lane,
-                        circuit::Solution(mna.numUnknowns(), 0.0));
-                    mna.setLaneStep(lane, 0.0, 1.0, 0.0);
-                    state[lane] = circuit::BatchNewtonLane{};
-                    state[lane].active = true;
-                }
-                mna.solveNewtonAll(state);
-            }
-            return repeats * lanes.size();
         },
     });
 }
@@ -612,7 +513,6 @@ registerAllScenarios(perf::ScenarioSuite &suite)
     addTransientModes(suite);
     addVtcSweep(suite);
     addNldmCharacterize(suite);
-    addBatchNewton(suite);
     addNetlistGenerate(suite);
     addStaPipeline(suite);
     addWorkloadTrace(suite);

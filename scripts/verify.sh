@@ -14,12 +14,6 @@
 #            the committed bench-results/BENCH_seed.json baseline
 #            (informational timings, hard-fails only on crashes or a
 #            malformed report). Off by default; tier-1 stays perf-free.
-#            Also runs the batched-vs-scalar engine check: the
-#            liberty.nldm_characterize_batched scenario is measured
-#            at --batch-lanes 0 and --batch-lanes 8 and the two
-#            reports go through perf_diff's MAD noise gate — the lane
-#            fails if the batched engine is slower than the scalar
-#            one beyond measurement noise.
 #   --diag   observability smoke lane: run a short perf_suite pass
 #            with --diag-json and --metrics-jsonl enabled, then
 #            validate both artifacts with `diag_replay --check-diag`
@@ -96,23 +90,6 @@ if [[ "${PERF_SMOKE}" == "1" ]]; then
     else
         echo "warning: ${BASELINE} missing; recorded smoke run only"
     fi
-    # Batched-vs-scalar engine gate: the same characterization
-    # workload measured with the lane engine off and on. Scenario
-    # names match across the two reports, so perf_diff's MAD noise
-    # gate applies; a batched run slower than scalar beyond noise
-    # fails the lane (the engines produce byte-identical tables, so
-    # time is the only difference).
-    ENGINE_FILTER="liberty.nldm_characterize_batched"
-    SCALAR_OUT="${BUILD_DIR}/BENCH_engine_scalar.json"
-    BATCHED_OUT="${BUILD_DIR}/BENCH_engine_batched.json"
-    "${BUILD_DIR}/bench/perf_suite" --reps 5 --warmup 1 \
-        --filter "${ENGINE_FILTER}" --batch-lanes 0 \
-        --out "${SCALAR_OUT}"
-    "${BUILD_DIR}/bench/perf_suite" --reps 5 --warmup 1 \
-        --filter "${ENGINE_FILTER}" --batch-lanes 8 \
-        --out "${BATCHED_OUT}"
-    echo "batched engine vs scalar engine (gated):"
-    "${BUILD_DIR}/bench/perf_diff" "${SCALAR_OUT}" "${BATCHED_OUT}"
     exit 0
 fi
 

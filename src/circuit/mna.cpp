@@ -10,6 +10,16 @@
 
 namespace otft::circuit {
 
+namespace {
+
+/**
+ * The Jacobian sparsity pattern of a circuit: every flattened entry
+ * (row * n + col, n = nodes - 1 + voltage sources) that an MNA
+ * assembly can write — gmin diagonals, conductance quads for
+ * resistors/capacitors, source coupling entries, FET stamps — sorted
+ * and deduplicated. Used for pattern-aware zeroing between Newton
+ * stamps (Matrix::zeroEntries).
+ */
 std::vector<std::uint32_t>
 stampPattern(const Circuit &circuit)
 {
@@ -84,6 +94,8 @@ stampPattern(const Circuit &circuit)
                   entries.end());
     return entries;
 }
+
+} // namespace
 
 Mna::Mna(const Circuit &circuit, NewtonConfig config)
     : ckt(circuit), cfg(config),

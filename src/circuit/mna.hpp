@@ -59,17 +59,6 @@ struct NewtonConfig
 using Solution = std::vector<double>;
 
 /**
- * The Jacobian sparsity pattern of a circuit: every flattened entry
- * (row * n + col, n = nodes - 1 + voltage sources) that an MNA
- * assembly can write — gmin diagonals, conductance quads for
- * resistors/capacitors, source coupling entries, FET stamps — sorted
- * and deduplicated. Used for pattern-aware zeroing between Newton
- * stamps (Matrix::zeroEntries) in both the scalar and the batched
- * engine.
- */
-std::vector<std::uint32_t> stampPattern(const Circuit &circuit);
-
-/**
  * Full per-iteration telemetry for one Newton solve, filled when a
  * caller passes it to solveNewton(). Unlike the diag::SolveProbe ring
  * (last 64 iterations, published to the process-wide collector), this

@@ -21,29 +21,4 @@ Level1Model::forwardCurrent(double vgs, double vds) const
     return 0.5 * kp * vov * vov * clm;
 }
 
-void
-Level1Model::evalBatch(const double *vgs, const double *vds, double *id,
-                       double *gm_out, double *gds_out,
-                       std::size_t n) const
-{
-    const Polarity pol = polarity();
-    const auto fwd = [this](double g, double d) {
-        return Level1Model::forwardCurrent(g, d);
-    };
-    constexpr double h = fdStep;
-    for (std::size_t k = 0; k < n; ++k) {
-        const double g = vgs[k];
-        const double d = vds[k];
-        id[k] = mappedCurrent(pol, fwd, g, d);
-        if (gm_out != nullptr)
-            gm_out[k] = (mappedCurrent(pol, fwd, g + h, d) -
-                         mappedCurrent(pol, fwd, g - h, d)) /
-                        (2.0 * h);
-        if (gds_out != nullptr)
-            gds_out[k] = (mappedCurrent(pol, fwd, g, d + h) -
-                          mappedCurrent(pol, fwd, g, d - h)) /
-                         (2.0 * h);
-    }
-}
-
 } // namespace otft::device

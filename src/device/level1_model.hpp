@@ -42,15 +42,6 @@ class Level1Model : public TransistorModel
 
     const Level1Params &params() const { return params_; }
 
-    /**
-     * Fused lane evaluation: statically-bound forwardCurrent probes
-     * instead of virtual dispatch per call. Bit-identical to the
-     * scalar drainCurrent()/gm()/gds() chain.
-     */
-    void evalBatch(const double *vgs, const double *vds, double *id,
-                   double *gm_out, double *gds_out,
-                   std::size_t n) const override;
-
   protected:
     double forwardCurrent(double vgs, double vds) const override;
 

@@ -60,34 +60,4 @@ Level61Model::forwardCurrent(double vgs, double vds) const
     return channel + leak;
 }
 
-void
-Level61Model::evalBatch(const double *vgs, const double *vds, double *id,
-                        double *gm_out, double *gds_out,
-                        std::size_t n) const
-{
-    // The frame mapping and the five current probes are the exact
-    // expressions of the scalar drainCurrent()/gm()/gds() chain; the
-    // only change is the statically-bound forwardCurrent call, which
-    // shares the vtable dispatch and the polarity branch across the
-    // whole batch without touching any per-lane arithmetic.
-    const Polarity pol = polarity();
-    const auto fwd = [this](double g, double d) {
-        return Level61Model::forwardCurrent(g, d);
-    };
-    constexpr double h = fdStep;
-    for (std::size_t k = 0; k < n; ++k) {
-        const double g = vgs[k];
-        const double d = vds[k];
-        id[k] = mappedCurrent(pol, fwd, g, d);
-        if (gm_out != nullptr)
-            gm_out[k] = (mappedCurrent(pol, fwd, g + h, d) -
-                         mappedCurrent(pol, fwd, g - h, d)) /
-                        (2.0 * h);
-        if (gds_out != nullptr)
-            gds_out[k] = (mappedCurrent(pol, fwd, g, d + h) -
-                          mappedCurrent(pol, fwd, g, d - h)) /
-                         (2.0 * h);
-    }
-}
-
 } // namespace otft::device

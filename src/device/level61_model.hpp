@@ -95,15 +95,6 @@ class Level61Model : public TransistorModel
     /** Effective threshold at the given forward VDS (DIBL applied). */
     double effectiveVt(double vds) const;
 
-    /**
-     * Fused lane evaluation: one statically-bound forwardCurrent per
-     * finite-difference probe instead of five virtual drainCurrent
-     * dispatches per lane. Bit-identical to the scalar path.
-     */
-    void evalBatch(const double *vgs, const double *vds, double *id,
-                   double *gm_out, double *gds_out,
-                   std::size_t n) const override;
-
   protected:
     double forwardCurrent(double vgs, double vds) const override;
 

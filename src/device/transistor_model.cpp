@@ -14,10 +14,19 @@ double
 TransistorModel::drainCurrent(double vgs, double vds) const
 {
     // Map the device frame onto the forward (n-type, vds >= 0) frame.
-    return mappedCurrent(
-        polarity_,
-        [this](double g, double d) { return forwardCurrent(g, d); },
-        vgs, vds);
+    double vgs_f = vgs;
+    double vds_f = vds;
+    double sign = 1.0;
+    if (polarity_ == Polarity::PType) {
+        vgs_f = -vgs;
+        vds_f = -vds;
+        sign = -1.0;
+    }
+    if (vds_f < 0.0) {
+        // Source/drain exchange: gate references the other terminal.
+        return sign * -forwardCurrent(vgs_f - vds_f, -vds_f);
+    }
+    return sign * forwardCurrent(vgs_f, vds_f);
 }
 
 double
@@ -34,21 +43,6 @@ TransistorModel::gds(double vgs, double vds) const
     constexpr double h = fdStep;
     return (drainCurrent(vgs, vds + h) - drainCurrent(vgs, vds - h)) /
            (2.0 * h);
-}
-
-void
-TransistorModel::evalBatch(const double *vgs, const double *vds,
-                           double *id, double *gm_out, double *gds_out,
-                           std::size_t n) const
-{
-    // Scalar reference loop: correct for any model, no fusion.
-    for (std::size_t k = 0; k < n; ++k) {
-        id[k] = drainCurrent(vgs[k], vds[k]);
-        if (gm_out != nullptr)
-            gm_out[k] = gm(vgs[k], vds[k]);
-        if (gds_out != nullptr)
-            gds_out[k] = gds(vgs[k], vds[k]);
-    }
 }
 
 } // namespace otft::device

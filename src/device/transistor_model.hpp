@@ -15,7 +15,6 @@
 #ifndef OTFT_DEVICE_TRANSISTOR_MODEL_HPP
 #define OTFT_DEVICE_TRANSISTOR_MODEL_HPP
 
-#include <cstddef>
 #include <memory>
 #include <string>
 
@@ -79,25 +78,6 @@ class TransistorModel
     /** Output conductance dId/dVds by central finite difference. */
     double gds(double vgs, double vds) const;
 
-    /**
-     * Fused batched operating-point evaluation for the lane-parallel
-     * solver engine: for each k in [0, n) compute the drain current
-     * and (when gm_out/gds_out are non-null, always together) the
-     * finite-difference conductances at (vgs[k], vds[k]).
-     *
-     * Contract: every output is bit-identical to the scalar
-     * drainCurrent()/gm()/gds() calls at the same point — the batched
-     * Newton engine relies on this for its lockstep determinism
-     * guarantee. The base implementation is the scalar loop;
-     * subclasses may override with a fused evaluation that shares the
-     * polarity/frame mapping across the five underlying current
-     * evaluations and skips the virtual dispatch per call, as long as
-     * the per-lane arithmetic is unchanged.
-     */
-    virtual void evalBatch(const double *vgs, const double *vds,
-                           double *id, double *gm_out, double *gds_out,
-                           std::size_t n) const;
-
     Polarity polarity() const { return polarity_; }
     const Geometry &geometry() const { return geometry_; }
 
@@ -108,34 +88,6 @@ class TransistorModel
      * @param vds forward drain-source voltage (non-negative).
      */
     virtual double forwardCurrent(double vgs, double vds) const = 0;
-
-    /**
-     * The polarity + source/drain-exchange frame mapping of
-     * drainCurrent(), applied around an arbitrary forward-frame
-     * current `fwd`. evalBatch overrides call this with a
-     * statically-bound forwardCurrent so the frame arithmetic — and
-     * therefore every output bit — matches the virtual scalar path.
-     */
-    template <typename Forward>
-    static double
-    mappedCurrent(Polarity polarity, const Forward &fwd, double vgs,
-                  double vds)
-    {
-        double vgs_f = vgs;
-        double vds_f = vds;
-        double sign = 1.0;
-        if (polarity == Polarity::PType) {
-            vgs_f = -vgs;
-            vds_f = -vds;
-            sign = -1.0;
-        }
-        if (vds_f < 0.0) {
-            // Source/drain exchange: gate references the other
-            // terminal.
-            return sign * -fwd(vgs_f - vds_f, -vds_f);
-        }
-        return sign * fwd(vgs_f, vds_f);
-    }
 
   private:
     Polarity polarity_;

@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <utility>
 
-#include "circuit/batch_transient.hpp"
 #include "circuit/dc.hpp"
 #include "circuit/transient.hpp"
 #include "liberty/serialize.hpp"
@@ -115,17 +113,17 @@ Characterizer::instantiate(const std::string &name, double load_cap) const
     fatal("Characterizer: unknown cell ", name);
 }
 
-std::vector<Characterizer::ArcPoint>
-Characterizer::measurePoints(
-    const std::string &name, int pin,
-    const std::vector<std::pair<double, double>> &coords) const
+Characterizer::ArcPoint
+Characterizer::measurePoint(const std::string &name, int pin,
+                            double slew, double load_cap) const
 {
     static stats::Counter &stat_points = stats::counter(
         "liberty.points.measured",
         "NLDM grid points measured (one transient each)");
     OTFT_TRACE_SCOPE("liberty.point.measure");
+    ProgressTick tick(progress_);
 
-    // Aggregate these points' solver telemetry under their arc; the
+    // Aggregate this point's solver telemetry under its arc; the
     // label string is only built when some consumer wants it.
     diag::ScopedContext diag_ctx(
         diag::labelsWanted()
@@ -133,201 +131,121 @@ Characterizer::measurePoints(
             : std::string());
 
     const double vdd = factory.supply().vdd;
-    const std::size_t n_points = coords.size();
-    std::vector<ArcPoint> points(n_points);
 
-    // Per-point measurement plan: timing windows, transient config,
-    // and cache key, all derived exactly as the scalar single-point
-    // flow did (the batch never changes what is measured, only how
-    // many transients share one solver pass).
-    struct Plan
-    {
-        double slew = 0.0;
-        double loadCap = 0.0;
-        double tEdge = 0.0;
-        double settle = 0.0;
-        double t1 = 0.0;
-        double t2 = 0.0;
-        circuit::TransientConfig config;
-        std::uint64_t arcDigest = 0;
-        bool hit = false;
-    };
-    std::vector<Plan> plans(n_points);
-    const std::int64_t group_start = stats::monotonicNowNs();
+    // Ramp time for the requested 20-80% transition time.
+    const double t_edge = slew / (config_.slewHigh - config_.slewLow);
+    // Settling window: generous relative to the slowest organic arcs,
+    // and scaled up for heavy loads (a 16x fanout NOR rise can take
+    // tens of milliseconds through the series pull-up).
+    const double load_mult = load_cap / factory.inputCap();
+    const double settle =
+        config_.settleScale *
+        std::max(8.0 * t_edge, 0.4e-3 * (1.0 + 0.5 * load_mult));
+    const double t1 = 15e-6;
+    const double t2 = t1 + t_edge + settle;
 
-    for (std::size_t p = 0; p < n_points; ++p) {
-        Plan &plan = plans[p];
-        plan.slew = coords[p].first;
-        plan.loadCap = coords[p].second;
+    circuit::TransientConfig config;
+    config.dt =
+        std::min(config_.dt * 50.0, std::max(config_.dt, t_edge / 16.0));
+    config.tStop = t2 + t_edge + settle;
 
-        // Ramp time for the requested 20-80% transition time.
-        plan.tEdge =
-            plan.slew / (config_.slewHigh - config_.slewLow);
-        // Settling window: generous relative to the slowest organic
-        // arcs, and scaled up for heavy loads (a 16x fanout NOR rise
-        // can take tens of milliseconds through the series pull-up).
-        const double load_mult = plan.loadCap / factory.inputCap();
-        plan.settle =
-            config_.settleScale *
-            std::max(8.0 * plan.tEdge,
-                     0.4e-3 * (1.0 + 0.5 * load_mult));
-        plan.t1 = 15e-6;
-        plan.t2 = plan.t1 + plan.tEdge + plan.settle;
-
-        plan.config.dt =
-            std::min(config_.dt * 50.0,
-                     std::max(config_.dt, plan.tEdge / 16.0));
-        plan.config.tStop = plan.t2 + plan.tEdge + plan.settle;
-
-        // Memoized arc point: the key covers every input of the
-        // measurement, so a hit is the exact result a cold run
-        // produces. Batch width is deliberately absent from the key.
-        cache::KeyHasher arc_key;
-        arc_key.add("arcpoint-v1").add(name).add(pin).add(plan.slew);
-        arc_key.add(plan.loadCap);
-        hashMeasurementContext(arc_key, factory, config_, plan.config);
-        plan.arcDigest = arc_key.digest();
-        std::vector<double> payload;
-        if (config_.useCache &&
-            cache::lookup("liberty.arcpoint", plan.arcDigest,
-                          payload) &&
-            payload.size() == 4) {
-            points[p].delayFall = payload[0];
-            points[p].delayRise = payload[1];
-            points[p].slewFall = payload[2];
-            points[p].slewRise = payload[3];
-            plan.hit = true;
-        }
+    // Memoized arc point: the key covers every input of the
+    // measurement, so a hit is the exact result a cold run produces.
+    cache::KeyHasher arc_key;
+    arc_key.add("arcpoint-v1").add(name).add(pin).add(slew);
+    arc_key.add(load_cap);
+    hashMeasurementContext(arc_key, factory, config_, config);
+    const std::uint64_t arc_digest = arc_key.digest();
+    ArcPoint point;
+    std::vector<double> payload;
+    if (config_.useCache &&
+        cache::lookup("liberty.arcpoint", arc_digest, payload) &&
+        payload.size() == 4) {
+        point.delayFall = payload[0];
+        point.delayRise = payload[1];
+        point.slewFall = payload[2];
+        point.slewRise = payload[3];
+        return point;
     }
+    ++stat_points;
 
-    // Build the cache-miss lanes: instantiate, sensitize, and solve
-    // (or fetch) the t = 0 operating point, in coordinate order so
-    // the dcop cache fills in the same sequence as the scalar sweep.
-    std::vector<std::size_t> miss;
-    std::vector<cells::BuiltCell> lane_cells;
-    std::vector<circuit::BatchTransientSpec> specs;
-    for (std::size_t p = 0; p < n_points; ++p)
-        if (!plans[p].hit)
-            miss.push_back(p);
-    lane_cells.reserve(miss.size());
-    specs.reserve(miss.size());
-
-    for (const std::size_t p : miss) {
-        const Plan &plan = plans[p];
-        ++stat_points;
-        lane_cells.push_back(instantiate(name, plan.loadCap));
-        cells::BuiltCell &cell = lane_cells.back();
-
-        // Sensitize the side inputs: NAND side pins high, NOR side
-        // pins low, so the output follows (inverted) the driven pin.
-        const bool is_nor = name.rfind("nor", 0) == 0;
-        const double side = is_nor ? 0.0 : vdd;
-        for (std::size_t i = 0; i < cell.inputSources.size(); ++i) {
-            if (static_cast<int>(i) != pin)
-                cell.ckt.setSourceWave(cell.inputSources[i],
-                                       circuit::Pwl::constant(side));
-        }
-        cell.ckt.setSourceWave(
-            cell.inputSources[static_cast<std::size_t>(pin)],
-            circuit::Pwl::points({0.0, plan.t1, plan.t1 + plan.tEdge,
-                                  plan.t2, plan.t2 + plan.tEdge},
-                                 {0.0, 0.0, vdd, vdd, 0.0}));
-
-        // The t = 0 operating point is shared by every slew at the
-        // same (cell, pin, load), so memoize it too. The cached state
-        // is used verbatim as the initial condition — exactly the
-        // bits the cold DC solve produced.
-        cache::KeyHasher dc_key;
-        dc_key.add("dcop-v1").add(name).add(pin).add(plan.loadCap);
-        hashMeasurementContext(dc_key, factory, config_, plan.config);
-        const std::size_t n_unknowns =
-            cell.ckt.numNodes() - 1 + cell.ckt.voltageSources().size();
-        circuit::Solution x0;
-        if (!(config_.useCache &&
-              cache::lookup("circuit.dcop", dc_key.digest(), x0) &&
-              x0.size() == n_unknowns)) {
-            circuit::DcAnalysis dc(cell.ckt, plan.config.newton);
-            x0 = dc.operatingPoint();
-            if (config_.useCache)
-                cache::store("circuit.dcop", dc_key.digest(), x0);
-        }
-        circuit::BatchTransientSpec spec;
-        spec.circuit = &cell.ckt;
-        spec.config = plan.config;
-        spec.initial = std::move(x0);
-        specs.push_back(std::move(spec));
+    cells::BuiltCell cell = instantiate(name, load_cap);
+    // Sensitize the side inputs: NAND side pins high, NOR side pins
+    // low, so the output follows (inverted) the driven pin.
+    const bool is_nor = name.rfind("nor", 0) == 0;
+    const double side = is_nor ? 0.0 : vdd;
+    for (std::size_t i = 0; i < cell.inputSources.size(); ++i) {
+        if (static_cast<int>(i) != pin)
+            cell.ckt.setSourceWave(cell.inputSources[i],
+                                   circuit::Pwl::constant(side));
     }
+    cell.ckt.setSourceWave(
+        cell.inputSources[static_cast<std::size_t>(pin)],
+        circuit::Pwl::points({0.0, t1, t1 + t_edge, t2, t2 + t_edge},
+                             {0.0, 0.0, vdd, vdd, 0.0}));
 
-    // All cache-miss transients in one lane-parallel call (a single
-    // miss degrades to the scalar engine inside runTransientBatch).
-    const std::vector<circuit::TransientResult> lane_results =
-        circuit::runTransientBatch(std::move(specs));
-
-    for (std::size_t m = 0; m < miss.size(); ++m) {
-        const std::size_t p = miss[m];
-        const Plan &plan = plans[p];
-        const cells::BuiltCell &cell = lane_cells[m];
-        const circuit::TransientResult &result = lane_results[m];
-        const auto in =
-            result.node(cell.inputs[static_cast<std::size_t>(pin)]);
-        const auto out = result.node(cell.out);
-
-        // Settled output levels define the measured swing.
-        const double v_hi = out.value.front();
-        const double v_lo = out.at(plan.t2 - 0.05 * plan.settle);
-
-        // Delay = input 50% crossing to output 50% crossing. The
-        // output crossing is searched from its edge start (not from
-        // the input reference): a sample whose switching threshold
-        // sits past the 50% mark — routine under Monte Carlo VT
-        // shifts — completes the output transition at a slow slew
-        // *before* the input reference crossing, which is a
-        // zero-delay arc, not a failure. Nominal arcs cross after the
-        // reference, so their measured values are unchanged; early
-        // crossings clamp to zero.
-        const auto delay = [&](bool in_rising, bool out_rising,
-                               double in_from, double out_from) {
-            const double t_in =
-                in.firstCrossing(0.5 * vdd, in_rising, in_from);
-            const double t_out = out.firstCrossing(
-                0.5 * (v_lo + v_hi), out_rising, out_from);
-            if (t_in < 0.0 || t_out < 0.0)
-                return -1.0;
-            return std::max(t_out - t_in, 0.0);
-        };
-        ArcPoint &point = points[p];
-        point.delayFall = delay(true, false, 0.0, plan.t1);
-        point.delayRise = delay(false, true, plan.t2, plan.t2);
-        point.slewFall =
-            circuit::measureSlew(out, v_lo, v_hi, config_.slewLow,
-                                 config_.slewHigh, false, plan.t1);
-        point.slewRise =
-            circuit::measureSlew(out, v_lo, v_hi, config_.slewLow,
-                                 config_.slewHigh, true, plan.t2);
-
-        if (point.delayFall < 0.0 || point.delayRise < 0.0 ||
-            point.slewFall < 0.0 || point.slewRise < 0.0) {
-            fatal("Characterizer: cell ", name, " pin ", pin,
-                  " failed to switch at slew ", plan.slew, ", load ",
-                  plan.loadCap);
-        }
+    // The t = 0 operating point is shared by every slew at the same
+    // (cell, pin, load), so memoize it too. The cached state is used
+    // verbatim as the initial condition — exactly the bits the cold
+    // DC solve produced.
+    cache::KeyHasher dc_key;
+    dc_key.add("dcop-v1").add(name).add(pin).add(load_cap);
+    hashMeasurementContext(dc_key, factory, config_, config);
+    const std::size_t n_unknowns =
+        cell.ckt.numNodes() - 1 + cell.ckt.voltageSources().size();
+    circuit::Solution x0;
+    if (!(config_.useCache &&
+          cache::lookup("circuit.dcop", dc_key.digest(), x0) &&
+          x0.size() == n_unknowns)) {
+        circuit::DcAnalysis dc(cell.ckt, config.newton);
+        x0 = dc.operatingPoint();
         if (config_.useCache)
-            cache::store("liberty.arcpoint", plan.arcDigest,
-                         {point.delayFall, point.delayRise,
-                          point.slewFall, point.slewRise});
+            cache::store("circuit.dcop", dc_key.digest(), x0);
     }
 
-    // Progress: each coordinate is one reporter item (cache hits
-    // included); charge every item an equal share of the group time.
-    if (progress_ != nullptr && n_points > 0) {
-        const double share =
-            static_cast<double>(stats::monotonicNowNs() -
-                                group_start) *
-            1e-9 / static_cast<double>(n_points);
-        for (std::size_t p = 0; p < n_points; ++p)
-            progress_->itemDone(share);
+    const circuit::TransientResult result =
+        circuit::TransientAnalysis(cell.ckt).run(config, x0);
+    const auto in = result.node(cell.inputs[static_cast<std::size_t>(pin)]);
+    const auto out = result.node(cell.out);
+
+    // Settled output levels define the measured swing.
+    const double v_hi = out.value.front();
+    const double v_lo = out.at(t2 - 0.05 * settle);
+
+    // Delay = input 50% crossing to output 50% crossing. The output
+    // crossing is searched from its edge start (not from the input
+    // reference): a sample whose switching threshold sits past the
+    // 50% mark — routine under Monte Carlo VT shifts — completes the
+    // output transition at a slow slew *before* the input reference
+    // crossing, which is a zero-delay arc, not a failure. Nominal arcs
+    // cross after the reference, so their measured values are
+    // unchanged; early crossings clamp to zero.
+    const auto delay = [&](bool in_rising, bool out_rising,
+                           double in_from, double out_from) {
+        const double t_in = in.firstCrossing(0.5 * vdd, in_rising, in_from);
+        const double t_out =
+            out.firstCrossing(0.5 * (v_lo + v_hi), out_rising, out_from);
+        if (t_in < 0.0 || t_out < 0.0)
+            return -1.0;
+        return std::max(t_out - t_in, 0.0);
+    };
+    point.delayFall = delay(true, false, 0.0, t1);
+    point.delayRise = delay(false, true, t2, t2);
+    point.slewFall = circuit::measureSlew(out, v_lo, v_hi, config_.slewLow,
+                                          config_.slewHigh, false, t1);
+    point.slewRise = circuit::measureSlew(out, v_lo, v_hi, config_.slewLow,
+                                          config_.slewHigh, true, t2);
+
+    if (point.delayFall < 0.0 || point.delayRise < 0.0 ||
+        point.slewFall < 0.0 || point.slewRise < 0.0) {
+        fatal("Characterizer: cell ", name, " pin ", pin,
+              " failed to switch at slew ", slew, ", load ", load_cap);
     }
-    return points;
+    if (config_.useCache)
+        cache::store("liberty.arcpoint", arc_digest,
+                     {point.delayFall, point.delayRise, point.slewFall,
+                      point.slewRise});
+    return point;
 }
 
 double
@@ -377,17 +295,6 @@ Characterizer::characterizeCombinational(const std::string &name) const
         "liberty.arcs.characterized", "timing arcs characterized");
     const std::size_t n_load = load_axis.size();
     const std::size_t n_grid = config_.slewAxis.size() * n_load;
-    // Grid points are packed lane_width at a time into one batched
-    // solver call; a width of 1 is exactly the historical per-point
-    // scalar flow. Lane results are bit-identical either way, so the
-    // NLDM tables don't depend on the width (test_batch_determinism).
-    const int lanes_setting = config_.batchLanes >= 0
-                                  ? config_.batchLanes
-                                  : parallel::batchLanes();
-    const std::size_t lane_width = std::max(
-        std::size_t{1}, static_cast<std::size_t>(lanes_setting));
-    const std::size_t n_groups =
-        (n_grid + lane_width - 1) / lane_width;
     for (int pin = 0; pin < cell.fanIn; ++pin) {
         ++stat_arcs;
         TimingArc arc;
@@ -396,22 +303,11 @@ Characterizer::characterizeCombinational(const std::string &name) const
         // own circuit instance; orderedMap keeps the slot order equal
         // to the serial nested loop, so the NLDM tables are
         // bit-identical at any job count.
-        const auto groups =
-            parallel::orderedMap<std::vector<ArcPoint>>(
-                n_groups, [&](std::size_t g) {
-                    std::vector<std::pair<double, double>> coords;
-                    const std::size_t hi = std::min(
-                        n_grid, (g + 1) * lane_width);
-                    for (std::size_t k = g * lane_width; k < hi; ++k)
-                        coords.emplace_back(
-                            config_.slewAxis[k / n_load],
-                            load_axis[k % n_load]);
-                    return measurePoints(name, pin, coords);
-                });
-        std::vector<ArcPoint> grid;
-        grid.reserve(n_grid);
-        for (const std::vector<ArcPoint> &g : groups)
-            grid.insert(grid.end(), g.begin(), g.end());
+        const auto grid = parallel::orderedMap<ArcPoint>(
+            n_grid, [&](std::size_t k) {
+                return measurePoint(name, pin, config_.slewAxis[k / n_load],
+                                    load_axis[k % n_load]);
+            });
         std::vector<double> d_rise, d_fall, s_rise, s_fall;
         for (const ArcPoint &p : grid) {
             d_rise.push_back(p.delayRise);

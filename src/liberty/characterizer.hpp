@@ -51,17 +51,6 @@ struct CharacterizerConfig
      * or disabled.
      */
     bool useCache = true;
-    /**
-     * Grid points per batched-solver call: measurements are packed
-     * into lanes of one circuit::BatchedMna (see batch_solver.hpp)
-     * inside each per-cell worker task. Lane results — and therefore
-     * the cache keys and the NLDM tables — are bit-identical to the
-     * scalar engine at any width, so this is purely a throughput
-     * knob. -1 resolves parallel::batchLanes() (the --batch-lanes /
-     * OTFT_BATCH_LANES session setting); 0 forces the scalar engine.
-     * Deliberately NOT hashed into result-cache keys.
-     */
-    int batchLanes = -1;
 };
 
 /** Characterizes the six-cell organic library. */
@@ -101,16 +90,12 @@ class Characterizer
         double slewFall = 0.0;
     };
     /**
-     * Measure a group of (slew, load) coordinates of one pin, one
-     * batched-solver call wide: cache probes first, then the misses
-     * run as lanes of one batched transient. Every coordinate's
-     * numbers (and cache entries) are bit-identical to measuring it
-     * alone.
+     * Measure one (pin, slew, load) point: a cache probe, then on a
+     * miss the t = 0 operating point (itself memoized per load) and
+     * one transient.
      */
-    std::vector<ArcPoint>
-    measurePoints(const std::string &name, int pin,
-                  const std::vector<std::pair<double, double>> &coords)
-        const;
+    ArcPoint measurePoint(const std::string &name, int pin, double slew,
+                          double load_cap) const;
 
     /** Average static power over all input states of a cell. */
     double averageStaticPower(const std::string &name) const;

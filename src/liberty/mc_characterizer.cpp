@@ -286,11 +286,8 @@ McCharacterizer::run() const
     // its own Characterizer bound to the sampled device parameters;
     // the per-arc transients memoize in the result cache under keys
     // that include those parameters, so a re-run with the same seed
-    // is a pure cache replay. Inside each task, the grid points run
-    // through the lane-batched solver at config_.grid.batchLanes
-    // (default: the session --batch-lanes setting) — lane packing
-    // happens below the per-lane cache keys, so sample results are
-    // byte-identical at any lane width.
+    // is a pure cache replay. Inside a worker the per-arc grid maps
+    // run inline, so the two levels never deadlock.
     auto flat = parallel::orderedMap<StdCell>(
         n_tasks, [&](std::size_t k) {
             const int sample = static_cast<int>(k / n_cells);

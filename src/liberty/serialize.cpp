@@ -35,6 +35,14 @@ readTable(std::istream &is, const std::string &expected_tag)
     if (!is || tag != expected_tag)
         fatal("liberty: expected table tag ", expected_tag, ", got ",
               tag);
+    // The counts come from a file that may be corrupt: bound them
+    // before allocating, so a garbage header is a parse error (and a
+    // rebuild in tryLoadLibrary) instead of a bad_alloc/length_error.
+    // Each bound also keeps n_slew * n_load from wrapping.
+    constexpr std::size_t max_axis = 1024;
+    if (n_slew > max_axis || n_load > max_axis)
+        fatal("liberty: table ", expected_tag, " axis counts ", n_slew,
+              " x ", n_load, " exceed ", max_axis);
     std::vector<double> slews(n_slew), loads(n_load),
         values(n_slew * n_load);
     for (auto &v : slews)

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 
 #include "util/diag.hpp"
 #include "util/logging.hpp"
@@ -46,7 +47,11 @@ validateWritable(const std::string &path, const char *flag)
               ")");
 }
 
-/** Parse a strictly positive decimal integer; fatal otherwise. */
+/**
+ * Parse a strictly positive decimal integer that fits in an int;
+ * fatal otherwise (a silent narrowing would wrap 3000000000 negative
+ * or turn 4294967298 into 2).
+ */
 int
 parsePositiveInt(const std::string &text, const char *source)
 {
@@ -63,6 +68,9 @@ parsePositiveInt(const std::string &text, const char *source)
               text, "'");
     if (value < 1)
         fatal("cli: ", source, " must be >= 1, got ", value);
+    if (value > std::numeric_limits<int>::max())
+        fatal("cli: ", source, " must be <= ",
+              std::numeric_limits<int>::max(), ", got ", value);
     return static_cast<int>(value);
 }
 
@@ -103,30 +111,6 @@ parseYield(const std::string &text, const char *source)
 }
 
 /**
- * Parse a --batch-lanes/OTFT_BATCH_LANES value: a non-negative
- * decimal integer (0 selects the scalar solver engine). Negative or
- * non-numeric input is fatal.
- */
-int
-parseBatchLanes(const std::string &text, const char *source)
-{
-    std::size_t consumed = 0;
-    long value = 0;
-    try {
-        value = std::stol(text, &consumed);
-    } catch (const std::exception &) {
-        fatal("cli: ", source, " must be a non-negative integer, "
-              "got '", text, "'");
-    }
-    if (consumed != text.size())
-        fatal("cli: ", source, " must be a non-negative integer, "
-              "got '", text, "'");
-    if (value < 0)
-        fatal("cli: ", source, " must be >= 0, got ", value);
-    return static_cast<int>(value);
-}
-
-/**
  * Parse and validate a --jobs/OTFT_JOBS value: a positive decimal
  * integer, clamped to the hardware concurrency. 0, negative, or
  * non-numeric input is fatal (a silent fallback would quietly run a
@@ -155,7 +139,6 @@ Session::Session(std::string name_in, int &argc, char **argv,
     bool mc_samples_set = false;
     bool mc_seed_set = false;
     bool mc_yield_set = false;
-    bool batch_lanes_set = false;
     int i = 1;
     while (i < argc) {
         const char *arg = argv[i];
@@ -177,13 +160,6 @@ Session::Session(std::string name_in, int &argc, char **argv,
             if (!has_value)
                 fatal("cli: --jobs requires a count");
             jobs_ = parseJobs(argv[i + 1], "--jobs");
-            consumeArgs(argc, argv, i, 2);
-        } else if (std::strcmp(arg, "--batch-lanes") == 0) {
-            if (!has_value)
-                fatal("cli: --batch-lanes requires a count");
-            batchLanes_ =
-                parseBatchLanes(argv[i + 1], "--batch-lanes");
-            batch_lanes_set = true;
             consumeArgs(argc, argv, i, 2);
         } else if (std::strcmp(arg, "--cache-dir") == 0) {
             if (!has_value)
@@ -300,19 +276,9 @@ Session::Session(std::string name_in, int &argc, char **argv,
         if (std::strcmp(env, "0") == 0)
             cache::ResultCache::instance().setEnabled(false);
 
-    if (!batch_lanes_set)
-        if (const char *env = std::getenv("OTFT_BATCH_LANES")) {
-            batchLanes_ = parseBatchLanes(env, "OTFT_BATCH_LANES");
-            batch_lanes_set = true;
-        }
-
     if (jobs_ == 0)
         jobs_ = parallel::hardwareJobs();
     parallel::setJobs(jobs_);
-    if (batch_lanes_set)
-        parallel::setBatchLanes(batchLanes_);
-    else
-        batchLanes_ = parallel::batchLanes();
 
     if (!cacheDir.empty())
         cache::ResultCache::instance().setDirectory(cacheDir);

@@ -10,8 +10,6 @@
  *   --stats               print the stats text table to stderr on exit
  *   --trace-json <path>   collect a Chrome trace_event timeline
  *   --jobs <n>            worker threads for the parallel layers
- *   --batch-lanes <n>     lane width for the batched solver engine
- *                         (0 = scalar engine; default 8)
  *   --cache-dir <dir>     persist the result cache as JSON under dir
  *   --diag-json <path>    write solver convergence telemetry on exit
  *   --diag-dir <dir>      write failure forensics dumps under dir
@@ -32,7 +30,6 @@
  *   OTFT_STATS_JSON=path  same as --stats-json
  *   OTFT_TRACE_JSON=path  same as --trace-json
  *   OTFT_JOBS=n           same as --jobs
- *   OTFT_BATCH_LANES=n    same as --batch-lanes
  *   OTFT_CACHE_DIR=dir    same as --cache-dir
  *   OTFT_CACHE=0          disable result-cache memoization entirely
  *   OTFT_DIAG_JSON=path   same as --diag-json
@@ -115,12 +112,6 @@ class Session
     /** The worker count installed into parallel::setJobs(). */
     int jobs() const { return jobs_; }
 
-    /**
-     * The batch lane width installed into parallel::setBatchLanes()
-     * (0 = scalar engine).
-     */
-    int batchLanes() const { return batchLanes_; }
-
     /** The result-cache persistence directory ("" = memory only). */
     const std::string &cacheDirectory() const { return cacheDir; }
 
@@ -148,7 +139,6 @@ class Session
     bool footer;
     bool statsText = false;
     int jobs_ = 0;
-    int batchLanes_ = 0;
     int metricsPeriod = 100;
     std::string statsJsonPath;
     std::string traceJsonPath;

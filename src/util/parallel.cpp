@@ -17,8 +17,6 @@ namespace {
 
 std::atomic<int> g_jobs{0}; // 0 = not yet initialized
 
-std::atomic<int> g_batch_lanes{8}; // solver lane width; 0 = scalar
-
 thread_local bool t_inside_worker = false;
 
 /**
@@ -377,30 +375,6 @@ JobsOverride::JobsOverride(int n) : prev(jobs())
 JobsOverride::~JobsOverride()
 {
     setJobs(prev);
-}
-
-void
-setBatchLanes(int n)
-{
-    if (n < 0)
-        fatal("parallel: batch lane width must be >= 0, got ", n);
-    g_batch_lanes.store(n, std::memory_order_relaxed);
-}
-
-int
-batchLanes()
-{
-    return g_batch_lanes.load(std::memory_order_relaxed);
-}
-
-BatchLanesOverride::BatchLanesOverride(int n) : prev(batchLanes())
-{
-    setBatchLanes(n);
-}
-
-BatchLanesOverride::~BatchLanesOverride()
-{
-    setBatchLanes(prev);
 }
 
 bool

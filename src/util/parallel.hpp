@@ -62,33 +62,6 @@ class JobsOverride
 };
 
 /**
- * Set the process-wide default lane width for the batched solver
- * engine (circuit/batch_solver.hpp). Characterization packs up to
- * this many same-topology solves into one lockstep SIMD batch;
- * 0 selects the scalar engine everywhere. Fatal on negative values.
- * Installed at startup by cli::Session from
- * `--batch-lanes`/`OTFT_BATCH_LANES`; the built-in default is 8.
- */
-void setBatchLanes(int n);
-
-/** Current process-wide batch lane width (0 = scalar engine). */
-int batchLanes();
-
-/** RAII scope that overrides the batch lane width (tests, benches). */
-class BatchLanesOverride
-{
-  public:
-    explicit BatchLanesOverride(int n);
-    ~BatchLanesOverride();
-
-    BatchLanesOverride(const BatchLanesOverride &) = delete;
-    BatchLanesOverride &operator=(const BatchLanesOverride &) = delete;
-
-  private:
-    int prev;
-};
-
-/**
  * Cooperative cancellation token. Cancellation is checked between
  * chunks: indices already started still complete, indices not yet
  * started are skipped, and parallelFor reports the early exit.

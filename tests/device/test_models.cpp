@@ -137,6 +137,85 @@ TEST(GmGds, FiniteDifferencesArePositiveOn)
     EXPECT_GT(std::abs(gm), 1e-9);
 }
 
+/**
+ * Derivative-consistency oracle: gm()/gds() against a fourth-order
+ * five-point stencil of drainCurrent() with a step ten times the
+ * model's own (so neither the formula nor the step is shared).
+ *
+ * Tolerances: |got - ref| <= 1e-6 * |ref| + 1e-10 * |id| / V. The
+ * truncation error of both differences at these biases is below
+ * 1e-7 relative (the smallest feature scale is the ~0.23 V
+ * subthreshold softplus width). The absolute term covers round-off,
+ * about eps * |id| / h ~ 2e-12 * |id| / V for the 1e-4 V central
+ * difference; it is what lets gm in the leakage floor (~0) pass,
+ * where the channel term is tens of decades below the leak current.
+ * A factor-of-two slip in either derivative fails every on and
+ * subthreshold bias by a wide margin.
+ */
+void
+expectDerivativesConsistent(const TransistorModel &m, double vgs,
+                            double vds)
+{
+    constexpr double step = 10.0 * TransistorModel::fdStep;
+    const auto stencil = [](const auto &f) {
+        return (f(-2.0 * step) - 8.0 * f(-step) + 8.0 * f(step) -
+                f(2.0 * step)) /
+               (12.0 * step);
+    };
+    const double ref_gm = stencil(
+        [&](double d) { return m.drainCurrent(vgs + d, vds); });
+    const double ref_gds = stencil(
+        [&](double d) { return m.drainCurrent(vgs, vds + d); });
+    const double floor = 1e-10 * std::abs(m.drainCurrent(vgs, vds));
+    EXPECT_LE(std::abs(m.gm(vgs, vds) - ref_gm),
+              1e-6 * std::abs(ref_gm) + floor)
+        << m.name() << " gm at vgs=" << vgs << " vds=" << vds;
+    EXPECT_LE(std::abs(m.gds(vgs, vds) - ref_gds),
+              1e-6 * std::abs(ref_gds) + floor)
+        << m.name() << " gds at vgs=" << vgs << " vds=" << vds;
+}
+
+TEST(GmGds, Level1NTypeMatchesStencil)
+{
+    // vt = 1.3 V. Every bias sits >= 10 mV from vds = 0, from the
+    // threshold (vov = 0) and from the triode/saturation boundary
+    // (vds = vov), in both the vgs and the vds direction.
+    const Level1Model m(Polarity::NType, pentaceneGeometry(),
+                        Level1Params{});
+    const double biases[][2] = {
+        {5.0, 1.0},   // on, triode
+        {3.0, 4.0},   // on, saturation
+        {6.0, 0.05},  // on, near the origin
+        {4.0, -1.5},  // on, source/drain exchanged
+        {0.5, 2.0},   // off: gm = gds = 0 exactly
+    };
+    for (const auto &b : biases)
+        expectDerivativesConsistent(m, b[0], b[1]);
+}
+
+TEST(GmGds, Level61PTypeMatchesStencil)
+{
+    // Golden pentacene, native p-type frame. The effectiveVt clamp
+    // kinks sit at |vds| = vdsRef = 1 V and vdsRef + diblVmax = 10 V;
+    // every |vds| here is >= 10 mV from them and from 0.
+    const auto m = makePentaceneGolden();
+    const double biases[][2] = {
+        {-6.0, -3.0},  // on, saturation
+        {-8.0, -0.5},  // on, triode
+        {-6.0, -0.05}, // on, near the origin
+        {-5.0, -12.0}, // on, past the DIBL clamp
+        {-6.0, 2.0},   // on, source/drain exchanged
+        {0.0, -0.5},   // subthreshold
+        {0.5, -2.0},   // subthreshold, DIBL-shifted
+        {-1.0, -1.5},  // threshold onset
+        {6.0, -1.5},   // leakage floor
+        {8.0, -5.0},   // leakage floor, deep off
+        {3.0, 2.0},    // leakage, source/drain exchanged
+    };
+    for (const auto &b : biases)
+        expectDerivativesConsistent(*m, b[0], b[1]);
+}
+
 TEST(SiliconMosfet, OnOffContrast)
 {
     const auto nmos = makeSilicon45Nmos();

@@ -20,6 +20,7 @@
 #include "liberty/mc_characterizer.hpp"
 #include "liberty/serialize.hpp"
 #include "util/parallel.hpp"
+#include "util/result_cache.hpp"
 
 namespace otft {
 namespace {
@@ -39,11 +40,13 @@ smallConfig()
 
 /** Serialized triple of the statistical library at a jobs count. */
 std::string
-statDumpAtJobs(int jobs)
+statDumpAtJobs(int jobs, bool use_cache)
 {
     parallel::JobsOverride guard(jobs);
+    liberty::McConfig config = smallConfig();
+    config.grid.useCache = use_cache;
     const liberty::StatLibrary stat =
-        liberty::McCharacterizer(smallConfig()).run();
+        liberty::McCharacterizer(config).run();
     std::ostringstream out;
     liberty::writeLibrary(out, stat.mean);
     liberty::writeLibrary(out, stat.slow);
@@ -53,27 +56,24 @@ statDumpAtJobs(int jobs)
 
 TEST(McDeterminism, StatLibraryBytesIdenticalAcrossJobCounts)
 {
-    const std::string serial = statDumpAtJobs(1);
-    const std::string parallel8 = statDumpAtJobs(8);
+    // Uncached, so the 8-job run computes every transient instead of
+    // reading back what the serial run stored.
+    cache::ResultCache::instance().clear();
+    const std::string serial = statDumpAtJobs(1, false);
+    const std::string parallel8 = statDumpAtJobs(8, false);
     EXPECT_EQ(serial, parallel8);
+    EXPECT_EQ(cache::ResultCache::instance().size(), 0u);
 }
 
 TEST(McDeterminism, StatLibraryBytesIdenticalWithCacheDisabled)
 {
-    // The second run above hits the process result cache; this run
-    // recomputes every transient from scratch. Cache hits must be
-    // byte-equivalent to cold computation even for sampled devices.
-    const std::string cached = statDumpAtJobs(4);
-    parallel::JobsOverride guard(4);
-    liberty::McConfig config = smallConfig();
-    config.grid.useCache = false;
-    const liberty::StatLibrary stat =
-        liberty::McCharacterizer(config).run();
-    std::ostringstream out;
-    liberty::writeLibrary(out, stat.mean);
-    liberty::writeLibrary(out, stat.slow);
-    liberty::writeLibrary(out, stat.fast);
-    EXPECT_EQ(cached, out.str());
+    // A cached run (cold, then warm) against a run that recomputes
+    // every transient from scratch. Cache hits must be byte-equivalent
+    // to cold computation even for sampled devices.
+    const std::string cold = statDumpAtJobs(4, true);
+    const std::string warm = statDumpAtJobs(4, true);
+    EXPECT_EQ(cold, warm);
+    EXPECT_EQ(cold, statDumpAtJobs(4, false));
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 #include "liberty/characterizer.hpp"
 #include "liberty/silicon.hpp"
 #include "util/parallel.hpp"
+#include "util/result_cache.hpp"
 
 namespace otft {
 namespace {
@@ -81,12 +82,13 @@ dumpPoint(const core::DesignPoint &point)
 
 TEST(ParallelDeterminism, NldmCharacterizationByteIdentical)
 {
-    // The 2x2 grid keeps the transient budget small; the parallel
-    // fan-out (one task per grid point and cell arc) is exercised all
-    // the same.
+    // 2x3 grid: six points per arc, so the 8-job fan-out has idle
+    // workers and an uneven split. Uncached, so the 8-job run computes
+    // every point instead of reading back what the serial run stored.
     liberty::CharacterizerConfig mini;
     mini.slewAxis = {4e-6, 64e-6};
-    mini.loadMultipliers = {0.5, 6.0};
+    mini.loadMultipliers = {0.5, 2.0, 6.0};
+    mini.useCache = false;
 
     const auto characterize = [&mini](int jobs_count) {
         parallel::JobsOverride pin(jobs_count);
@@ -95,10 +97,12 @@ TEST(ParallelDeterminism, NldmCharacterizationByteIdentical)
                dumpCell(chr.characterizeCombinational("inv"));
     };
 
+    cache::ResultCache::instance().clear();
     const std::string serial = characterize(1);
     const std::string parallel8 = characterize(8);
     EXPECT_FALSE(serial.empty());
     EXPECT_EQ(serial, parallel8);
+    EXPECT_EQ(cache::ResultCache::instance().size(), 0u);
 }
 
 TEST(ParallelDeterminism, ExplorerSweepByteIdentical)

@@ -66,9 +66,9 @@ std::vector<perf::ScenarioResult> ProfileSmoke::results;
 
 TEST_F(ProfileSmoke, ScenariosStillProduceResultsWhenProfiled)
 {
-    // The serial, fanned-out, and lane-batched variants all match
-    // the substring filter.
-    ASSERT_EQ(results.size(), 3u);
+    // The serial and fanned-out variants both match the substring
+    // filter.
+    ASSERT_EQ(results.size(), 2u);
     for (const auto &r : results) {
         SCOPED_TRACE(r.name);
         EXPECT_GT(r.points, 0u);
@@ -112,17 +112,9 @@ TEST_F(ProfileSmoke, ParallelVariantWritesItsOwnArtifact)
     EXPECT_FALSE(stacks.empty());
 }
 
-TEST_F(ProfileSmoke, BatchedVariantWritesItsOwnArtifact)
-{
-    std::ifstream is(foldedPath("liberty_nldm_characterize_batched"));
-    ASSERT_TRUE(is) << "missing folded artifact";
-    const auto stacks = prof::parseFolded(is);
-    EXPECT_FALSE(stacks.empty());
-}
-
 TEST_F(ProfileSmoke, FooterSectionParsesAsOtftProf1)
 {
-    // The profiler keeps the last collection (the _batched scenario).
+    // The profiler keeps the last collection (the _par scenario).
     auto &profiler = prof::Profiler::instance();
     EXPECT_FALSE(profiler.running());
     const json::Value doc = json::parse(profiler.footerSection(5));

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -77,6 +78,39 @@ TEST(Serialize, TryLoadCorruptFile)
         os << "this is not a library\n";
     }
     EXPECT_FALSE(tryLoadLibrary(path).has_value());
+    std::remove(path.c_str());
+    setQuiet(false);
+}
+
+/**
+ * A valid serialized silicon library whose first table header is
+ * replaced by `header` (e.g. "delay_rise 4 4").
+ */
+std::string
+libraryWithTableHeader(const std::string &header)
+{
+    std::ostringstream os;
+    writeLibrary(os, makeSiliconLibrary());
+    std::string text = os.str();
+    const std::size_t at = text.find("delay_rise ");
+    const std::size_t eol = text.find('\n', at);
+    return text.replace(at, eol - at, header);
+}
+
+TEST(Serialize, TryLoadHugeTableCountsRebuilds)
+{
+    setQuiet(true);
+    const std::string path = "test_serialize_huge.lib";
+    // One absurd axis, and two axes whose product wraps to 0 in 64
+    // bits: both must be rejected before anything is allocated.
+    for (const char *header : {"delay_rise 4611686018427387904 2",
+                               "delay_rise 4294967296 4294967296"}) {
+        {
+            std::ofstream os(path);
+            os << libraryWithTableHeader(header);
+        }
+        EXPECT_FALSE(tryLoadLibrary(path).has_value()) << header;
+    }
     std::remove(path.c_str());
     setQuiet(false);
 }

@@ -53,7 +53,7 @@ class CleanEnv : public ::testing::Test
         unsetenv("OTFT_STATS_JSON");
         unsetenv("OTFT_TRACE_JSON");
         unsetenv("OTFT_JOBS");
-        unsetenv("OTFT_BATCH_LANES");
+        unsetenv("OTFT_MC_SAMPLES");
     }
 
     void
@@ -63,7 +63,7 @@ class CleanEnv : public ::testing::Test
         unsetenv("OTFT_STATS_JSON");
         unsetenv("OTFT_TRACE_JSON");
         unsetenv("OTFT_JOBS");
-        unsetenv("OTFT_BATCH_LANES");
+        unsetenv("OTFT_MC_SAMPLES");
         setQuiet(false);
     }
 
@@ -235,73 +235,34 @@ TEST_F(CliSession, JobsEnvironmentValueIsValidatedToo)
                  FatalError);
 }
 
-TEST_F(CliSession, BatchLanesFlagParsedConsumedAndInstalled)
+TEST_F(CliSession, CountsAboveIntMaxAreFatalNotTruncated)
 {
-    // Restore the session-wide lane width once the test body exits.
-    parallel::BatchLanesOverride restore(parallel::batchLanes());
-    Args args({"prog", "--batch-lanes", "4", "positional"});
-    {
-        Session session("test", args.argc(), args.argv());
-        EXPECT_EQ(session.batchLanes(), 4);
-        // The resolved width is installed process-wide.
-        EXPECT_EQ(parallel::batchLanes(), 4);
+    // 3000000000 used to wrap to a negative int and 4294967298 (2^32
+    // + 2) to 2; both must be rejected, not silently narrowed.
+    for (const char *flag : {"--mc-samples", "--jobs"}) {
+        for (const char *big : {"2147483648", "3000000000",
+                                "4294967298"}) {
+            Args args({"prog", flag, big});
+            EXPECT_THROW(Session("test", args.argc(), args.argv()),
+                         FatalError)
+                << flag << " " << big;
+        }
     }
-    ASSERT_EQ(args.argc(), 2);
-    EXPECT_STREQ(args.at(0), "prog");
-    EXPECT_STREQ(args.at(1), "positional");
 }
 
-TEST_F(CliSession, BatchLanesZeroSelectsScalarEngine)
+TEST_F(CliSession, McSamplesAcceptsIntMax)
 {
-    parallel::BatchLanesOverride restore(parallel::batchLanes());
-    Args args({"prog", "--batch-lanes", "0"});
+    Args args({"prog", "--mc-samples", "2147483647"});
     Session session("test", args.argc(), args.argv());
-    EXPECT_EQ(session.batchLanes(), 0);
-    EXPECT_EQ(parallel::batchLanes(), 0);
+    EXPECT_EQ(session.mcSamples(), 2147483647);
 }
 
-TEST_F(CliSession, BatchLanesDefaultsToSessionSetting)
+TEST_F(CliSession, McSamplesEnvironmentAboveIntMaxIsFatal)
 {
+    setenv("OTFT_MC_SAMPLES", "3000000000", 1);
     Args args({"prog"});
-    Session session("test", args.argc(), args.argv());
-    EXPECT_EQ(session.batchLanes(), parallel::batchLanes());
-}
-
-TEST_F(CliSession, BatchLanesRejectsNegativeAndGarbage)
-{
-    for (const char *bad : {"-1", "-8", "abc", "3x", "", "2.5"}) {
-        Args args({"prog", "--batch-lanes", bad});
-        EXPECT_THROW(Session("test", args.argc(), args.argv()),
-                     FatalError)
-            << "--batch-lanes " << bad;
-    }
-}
-
-TEST_F(CliSession, BatchLanesMissingValueIsFatal)
-{
-    Args args({"prog", "--batch-lanes"});
     EXPECT_THROW(Session("test", args.argc(), args.argv()),
                  FatalError);
-}
-
-TEST_F(CliSession, BatchLanesEnvironmentFallback)
-{
-    parallel::BatchLanesOverride restore(parallel::batchLanes());
-    setenv("OTFT_BATCH_LANES", "2", 1);
-    Args args({"prog"});
-    Session session("test", args.argc(), args.argv());
-    EXPECT_EQ(session.batchLanes(), 2);
-    EXPECT_EQ(parallel::batchLanes(), 2);
-}
-
-TEST_F(CliSession, BatchLanesFlagBeatsEnvironment)
-{
-    parallel::BatchLanesOverride restore(parallel::batchLanes());
-    setenv("OTFT_BATCH_LANES", "2", 1);
-    Args args({"prog", "--batch-lanes", "16"});
-    Session session("test", args.argc(), args.argv());
-    EXPECT_EQ(session.batchLanes(), 16);
-    EXPECT_EQ(parallel::batchLanes(), 16);
 }
 
 TEST_F(CliSession, JobsFlagBeatsEnvironment)

@@ -42,27 +42,6 @@ TEST(Parallel, SetJobsRejectsZeroAndNegative)
     EXPECT_THROW(parallel::setJobs(-4), FatalError);
 }
 
-TEST(Parallel, SetBatchLanesRoundTripsAndOverrideRestores)
-{
-    const int before = parallel::batchLanes();
-    {
-        parallel::BatchLanesOverride pin(4);
-        EXPECT_EQ(parallel::batchLanes(), 4);
-        {
-            // 0 is valid: it selects the scalar solver engine.
-            parallel::BatchLanesOverride nested(0);
-            EXPECT_EQ(parallel::batchLanes(), 0);
-        }
-        EXPECT_EQ(parallel::batchLanes(), 4);
-    }
-    EXPECT_EQ(parallel::batchLanes(), before);
-}
-
-TEST(Parallel, SetBatchLanesRejectsNegative)
-{
-    EXPECT_THROW(parallel::setBatchLanes(-1), FatalError);
-}
-
 TEST(Parallel, DynamicChunkingRunsEveryIndexOnce)
 {
     parallel::JobsOverride pin(8);
