@@ -402,6 +402,25 @@ addCoreSimulation(perf::ScenarioSuite &suite)
             return model.run(30000, 3000).instructions;
         },
     });
+    // Dhrystone on the baseline core rarely fills its ROB; the widest
+    // fig13 core on mcf keeps the ROB and issue queue full of
+    // long-latency misses, so the per-cycle issue/complete cost shows.
+    suite.add({
+        "arch.core_simulation_wide",
+        "arch",
+        "cycle-level simulation of the widest fig13 core (fe 6 / alu 5) "
+        "on 30k mcf instructions after 3k warmup",
+        [] {},
+        []() -> std::uint64_t {
+            workload::TraceGenerator gen(workload::profileByName("mcf"),
+                                         11);
+            arch::CoreConfig config = arch::baselineConfig();
+            config.fetchWidth = 6;
+            config.aluPipes = 5;
+            arch::CoreModel model(config, gen);
+            return model.run(30000, 3000).instructions;
+        },
+    });
 }
 
 void

@@ -1,6 +1,8 @@
 #include "arch/core.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 
 #include "util/logging.hpp"
 #include "util/stats_registry.hpp"
@@ -17,44 +19,18 @@ CoreModel::CoreModel(CoreConfig config, workload::TraceGenerator &trace)
 {
     if (cfg.fetchWidth < 1 || cfg.aluPipes < 1)
         fatal("CoreModel: invalid widths");
+    const std::size_t ring = std::bit_ceil(
+        static_cast<std::size_t>(std::max(cfg.robSize, 1)));
+    rob.resize(ring);
+    robMask = ring - 1;
+    readyQueue.reserve(static_cast<std::size_t>(std::max(cfg.iqSize, 0)));
+    completions.reserve(ring);
 }
 
 bool
-CoreModel::operandReady(std::uint64_t producer_serial) const
+CoreModel::laterCompletion(const Completion &a, const Completion &b)
 {
-    if (producer_serial == 0 || producer_serial < headSerial)
-        return true; // no producer, or producer already committed
-    const std::size_t idx =
-        static_cast<std::size_t>(producer_serial - headSerial);
-    if (idx >= rob.size())
-        return true; // squashed producer: value is architectural
-    return rob[idx].state == State::Done;
-}
-
-CoreModel::RobEntry &
-CoreModel::entryOf(std::uint64_t serial)
-{
-    return rob[static_cast<std::size_t>(serial - headSerial)];
-}
-
-void
-CoreModel::flushAfter(std::uint64_t serial)
-{
-    while (!rob.empty() && rob.back().serial > serial) {
-        if (rob.back().op == OpClass::Load ||
-            rob.back().op == OpClass::Store)
-            --memInFlight;
-        if (rob.back().state == State::Waiting)
-            --waitingCount;
-        rob.pop_back();
-    }
-    fetchQueue.clear();
-    // Rebuild the rename map from the surviving in-flight producers.
-    std::fill(renameMap.begin(), renameMap.end(), 0);
-    for (const RobEntry &entry : rob)
-        if (entry.dest != workload::noReg)
-            renameMap[static_cast<std::size_t>(entry.dest)] =
-                entry.serial;
+    return a.cycle != b.cycle ? a.cycle > b.cycle : a.serial > b.serial;
 }
 
 std::uint64_t
@@ -65,15 +41,17 @@ CoreModel::nextEventCycle() const
         if (t >= cycle && t < next)
             next = t;
     };
-    consider(nextDoneCycle);
+    if (!completions.empty())
+        consider(completions.front().cycle);
     consider(fetchResumeCycle);
     if (!fetchQueue.empty())
         consider(fetchQueue.front().readyCycle);
     for (std::uint64_t busy : aluBusyUntil)
         consider(busy);
-    for (const RobEntry &entry : rob)
-        if (entry.state == State::Waiting)
-            consider(entry.earliestIssue);
+    // Entries still waiting on an operand need a completion (itself
+    // an event) before their earliestIssue matters.
+    for (std::uint64_t serial : readyQueue)
+        consider(slot(serial).earliestIssue);
     return next;
 }
 
@@ -83,53 +61,63 @@ CoreModel::doCommit()
     const int commit_width = std::max(cfg.fetchWidth,
                                       cfg.backendWidth());
     bool committed = false;
-    for (int k = 0; k < commit_width && !rob.empty(); ++k) {
-        RobEntry &head = rob.front();
-        if (head.state != State::Done || head.doneCycle > cycle)
+    for (int k = 0; k < commit_width && headSerial < nextSerial; ++k) {
+        const RobEntry &head = slot(headSerial);
+        if (!head.done)
             break;
         if (head.op == OpClass::Load || head.op == OpClass::Store)
             --memInFlight;
         ++stats.instructions;
         ++headSerial;
-        rob.pop_front();
         committed = true;
     }
     return committed;
 }
 
+void
+CoreModel::wakeConsumers(const RobEntry &producer)
+{
+    for (std::uint64_t ref = producer.firstConsumer; ref != 0;) {
+        const std::uint64_t serial = ref >> 1;
+        RobEntry &consumer = slot(serial);
+        ref = consumer.nextConsumer[ref & 1];
+        if (--consumer.pendingOperands == 0)
+            readyQueue.insert(std::upper_bound(readyQueue.begin(),
+                                               readyQueue.end(), serial),
+                              serial);
+    }
+}
+
 bool
 CoreModel::doComplete()
 {
-    if (cycle < nextDoneCycle)
-        return false;
+    // Every due completion is due exactly this cycle (the clock never
+    // skips past the heap top), so the heap yields them oldest first.
     bool completed = false;
-    std::uint64_t next_done = UINT64_MAX;
-    for (RobEntry &entry : rob) {
-        if (entry.state != State::Issued)
-            continue;
-        if (entry.doneCycle > cycle) {
-            next_done = std::min(next_done, entry.doneCycle);
-            continue;
-        }
-        entry.state = State::Done;
+    while (!completions.empty() && completions.front().cycle <= cycle) {
+        std::pop_heap(completions.begin(), completions.end(),
+                      laterCompletion);
+        const std::uint64_t serial = completions.back().serial;
+        completions.pop_back();
+        RobEntry &entry = slot(serial);
+        entry.done = true;
         completed = true;
-        if (entry.isBranch) {
-            predictor.recordOutcome(entry.mispredicted);
-            ++stats.branches;
-            if (entry.mispredicted) {
-                ++stats.mispredicts;
-                // Redirect: squash younger work, restart fetch. No
-                // younger entry survives the flush, so the walk ends
-                // here; continuing would also compare against the
-                // range's end iterator, which pop_back invalidates.
-                flushAfter(entry.serial);
-                fetchResumeCycle = cycle + 1;
-                fetchBlocked = false;
-                break;
-            }
+        wakeConsumers(entry);
+        if (entry.op != OpClass::Branch)
+            continue;
+        predictor.recordOutcome(entry.mispredicted);
+        ++stats.branches;
+        if (entry.mispredicted) {
+            ++stats.mispredicts;
+            // Redirect. Fetch stopped behind this branch, so nothing
+            // younger exists to squash (see the file comment).
+            assert(serial + 1 == nextSerial && fetchQueue.empty() &&
+                   "mispredicted branch must be the youngest in flight");
+            fetchResumeCycle = cycle + 1;
+            fetchBlocked = false;
+            break;
         }
     }
-    nextDoneCycle = next_done;
     return completed;
 }
 
@@ -145,47 +133,46 @@ CoreModel::doIssue()
 
     const int wakeup = cfg.wakeupPenalty();
     bool issued = false;
-    int window = 0;
-    for (RobEntry &entry : rob) {
+    // Oldest first over the Waiting entries whose operands are ready.
+    // Dispatch keeps the issue queue within iqSize, so all of it is
+    // the issue window. Entries that stay Waiting are compacted toward
+    // the front in the same pass.
+    std::size_t kept = 0;
+    std::size_t i = 0;
+    for (; i < readyQueue.size(); ++i) {
         if (alu_free + mem_free + branch_free == 0)
             break;
-        if (entry.state != State::Waiting)
-            continue;
-        if (++window > cfg.iqSize)
-            break; // outside the issue window
+        const std::uint64_t serial = readyQueue[i];
+        readyQueue[kept++] = serial; // dropped again below if it issues
+        RobEntry &entry = slot(serial);
         if (entry.earliestIssue > cycle)
             continue;
-        if (!operandReady(entry.prod1) || !operandReady(entry.prod2))
-            continue;
 
+        std::uint64_t done = 0;
         switch (entry.op) {
           case OpClass::IntAlu:
             if (alu_free == 0)
                 continue;
             --alu_free;
-            entry.doneCycle = cycle +
-                              static_cast<std::uint64_t>(
-                                  cfg.aluLatency() + wakeup);
+            done = cycle + static_cast<std::uint64_t>(cfg.aluLatency() +
+                                                      wakeup);
             break;
           case OpClass::IntMul:
             if (alu_free == 0)
                 continue;
             --alu_free;
-            entry.doneCycle =
-                cycle + static_cast<std::uint64_t>(
-                            cfg.mulLatency + cfg.aluLatency() - 1 +
-                            wakeup);
+            done = cycle + static_cast<std::uint64_t>(
+                               cfg.mulLatency + cfg.aluLatency() - 1 +
+                               wakeup);
             break;
-          case OpClass::IntDiv: {
+          case OpClass::IntDiv:
             if (alu_free == 0)
                 continue;
             --alu_free;
             // Divide blocks its pipe until completion.
-            const std::uint64_t done =
-                cycle + static_cast<std::uint64_t>(
-                            cfg.divLatency + cfg.aluLatency() - 1 +
-                            wakeup);
-            entry.doneCycle = done;
+            done = cycle + static_cast<std::uint64_t>(
+                               cfg.divLatency + cfg.aluLatency() - 1 +
+                               wakeup);
             for (std::uint64_t &busy : aluBusyUntil) {
                 if (busy <= cycle) {
                     busy = done;
@@ -193,7 +180,6 @@ CoreModel::doIssue()
                 }
             }
             break;
-          }
           case OpClass::Load: {
             if (mem_free == 0)
                 continue;
@@ -204,10 +190,8 @@ CoreModel::doIssue()
             stats.l1Misses += memory.l1().misses() - l1m;
             stats.l2Misses += memory.l2().misses() - l2m;
             ++stats.loads;
-            entry.doneCycle = cycle +
-                              static_cast<std::uint64_t>(
-                                  latency + cfg.aluLatency() - 1 +
-                                  wakeup);
+            done = cycle + static_cast<std::uint64_t>(
+                               latency + cfg.aluLatency() - 1 + wakeup);
             break;
           }
           case OpClass::Store:
@@ -216,24 +200,29 @@ CoreModel::doIssue()
             --mem_free;
             memory.store(entry.address);
             ++stats.stores;
-            entry.doneCycle = cycle + 1;
+            done = cycle + 1;
             break;
           case OpClass::Branch:
             if (branch_free == 0)
                 continue;
             --branch_free;
             // Resolution at the end of the execute region.
-            entry.doneCycle =
-                cycle + static_cast<std::uint64_t>(
-                            cfg.stagesIn(Region::RegRead) +
-                            cfg.stagesIn(Region::Execute));
+            done = cycle + static_cast<std::uint64_t>(
+                               cfg.stagesIn(Region::RegRead) +
+                               cfg.stagesIn(Region::Execute));
             break;
         }
-        entry.state = State::Issued;
-        nextDoneCycle = std::min(nextDoneCycle, entry.doneCycle);
+        --kept;
         --waitingCount;
+        completions.push_back({done, serial});
+        std::push_heap(completions.begin(), completions.end(),
+                       laterCompletion);
         issued = true;
     }
+    // Close the gap left by issued entries; any entries behind an
+    // early exit stay queued, in order.
+    readyQueue.erase(readyQueue.begin() + static_cast<std::ptrdiff_t>(kept),
+                     readyQueue.begin() + static_cast<std::ptrdiff_t>(i));
     return issued;
 }
 
@@ -245,7 +234,7 @@ CoreModel::doDispatch()
         if (fetchQueue.empty() ||
             fetchQueue.front().readyCycle > cycle)
             break;
-        if (static_cast<int>(rob.size()) >= cfg.robSize)
+        if (static_cast<int>(nextSerial - headSerial) >= cfg.robSize)
             break;
         if (waitingCount >= cfg.iqSize)
             break;
@@ -255,35 +244,43 @@ CoreModel::doDispatch()
         if (is_mem && memInFlight >= cfg.lsqSize)
             break;
 
-        RobEntry entry;
+        const std::uint64_t serial = nextSerial++;
+        RobEntry &entry = slot(serial);
         entry.op = fetched.inst.op;
-        entry.serial = nextSerial++;
+        entry.done = false;
         entry.earliestIssue =
             cycle + static_cast<std::uint64_t>(
                         cfg.stagesIn(Region::Issue));
         entry.address = fetched.inst.address;
-        entry.isBranch = fetched.inst.op == OpClass::Branch;
         entry.mispredicted = fetched.mispredicted;
-        entry.pc = fetched.inst.pc;
-        entry.taken = fetched.inst.taken;
+        entry.firstConsumer = 0;
+        entry.pendingOperands = 0;
 
-        // Rename: newest in-flight producer per source register.
-        auto producer = [&](int reg) -> std::uint64_t {
-            if (reg == workload::noReg)
-                return 0;
-            return renameMap[static_cast<std::size_t>(reg)];
-        };
-        entry.prod1 = producer(fetched.inst.src1);
-        entry.prod2 = producer(fetched.inst.src2);
-        entry.dest = fetched.inst.dest;
-        if (entry.dest != workload::noReg)
-            renameMap[static_cast<std::size_t>(entry.dest)] =
-                entry.serial;
+        // Rename: newest producer per source register. A source whose
+        // producer is still executing links this entry onto the
+        // producer's consumer list; completion wakes it.
+        const int sources[2] = {fetched.inst.src1, fetched.inst.src2};
+        for (std::uint64_t src = 0; src < 2; ++src) {
+            if (sources[src] == workload::noReg)
+                continue;
+            const std::uint64_t producer =
+                renameMap[static_cast<std::size_t>(sources[src])];
+            if (operandReady(producer))
+                continue;
+            RobEntry &prod = slot(producer);
+            entry.nextConsumer[src] = prod.firstConsumer;
+            prod.firstConsumer = serial << 1 | src;
+            ++entry.pendingOperands;
+        }
+        if (fetched.inst.dest != workload::noReg)
+            renameMap[static_cast<std::size_t>(fetched.inst.dest)] =
+                serial;
 
         if (is_mem)
             ++memInFlight;
-        rob.push_back(entry);
         ++waitingCount;
+        if (entry.pendingOperands == 0)
+            readyQueue.push_back(serial); // youngest: stays age-ordered
         fetchQueue.pop_front();
         dispatched = true;
     }

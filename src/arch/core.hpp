@@ -25,6 +25,30 @@
  * jumps to the next time-triggered event (see nextEventCycle()). The
  * skipped cycles still count in SimStats::cycles, and every statistic
  * is identical to stepping through them one by one.
+ *
+ * Event-driven bookkeeping: no stage walks the ROB.
+ *  - ROB: in-flight instructions carry consecutive serials and live in
+ *    a power-of-two ring indexed by `serial & robMask`.
+ *  - Issue queue: dispatch links an instruction whose source producer
+ *    is still executing onto that producer's consumer list, and counts
+ *    its pending operands. When the count reaches zero it joins
+ *    readyQueue, an age-ordered list of Waiting serials with every
+ *    operand ready; that list is all doIssue() scans. Waiting entries
+ *    off the list cannot issue, so the issue order is that of an
+ *    oldest-first scan over the whole issue queue. waitingCount is
+ *    the issue-queue occupancy.
+ *  - Completions: Issued instructions sit in a min-heap keyed on
+ *    (done cycle, serial), so doComplete() pops exactly the
+ *    instructions that finish this cycle, oldest first.
+ *
+ * Contiguous-serial invariant: fetch stops behind a mispredicted
+ * branch (wrong-path work is not modeled), so when such a branch
+ * completes it is the youngest instruction in flight and the fetch
+ * queue is empty. A redirect therefore never squashes anything, the
+ * in-flight serials always form one contiguous range [headSerial,
+ * nextSerial), and every ring slot in that range is live. A producer
+ * serial below headSerial has committed, so it (and 0, "no producer")
+ * reads as ready without any rename-map repair.
  */
 
 #ifndef OTFT_ARCH_CORE_HPP
@@ -32,6 +56,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <vector>
 
 #include "arch/config.hpp"
 #include "arch/memory.hpp"
@@ -86,25 +111,36 @@ class CoreModel
     const CoreConfig &config() const { return cfg; }
 
   private:
-    enum class State : std::uint8_t { Waiting, Issued, Done };
-
+    /** One in-flight instruction, stored in ring slot serial & robMask. */
     struct RobEntry
     {
-        workload::OpClass op = workload::OpClass::IntAlu;
-        State state = State::Waiting;
-        /** Producer serials for the two sources (0 = ready). */
-        std::uint64_t prod1 = 0;
-        std::uint64_t prod2 = 0;
-        std::uint64_t serial = 0;
         std::uint64_t earliestIssue = 0;
-        std::uint64_t doneCycle = 0;
         std::uint64_t address = 0;
-        int dest = workload::noReg;
-        bool isBranch = false;
+        /**
+         * Consumers waiting on this entry's result, as an intrusive
+         * list of (consumer serial << 1 | source slot) references:
+         * the head is here, the link out of each consumer is in its
+         * nextConsumer[slot]. 0 ends the list.
+         */
+        std::uint64_t firstConsumer = 0;
+        std::uint64_t nextConsumer[2] = {0, 0};
+        workload::OpClass op = workload::OpClass::IntAlu;
+        /** Completed: the result is available to consumers. */
+        bool done = false;
         bool mispredicted = false;
-        std::uint64_t pc = 0;
-        bool taken = false;
+        /** Sources whose producer has not completed yet. */
+        std::uint8_t pendingOperands = 0;
     };
+
+    /** An issued instruction's completion, ordered by cycle then age. */
+    struct Completion
+    {
+        std::uint64_t cycle = 0;
+        std::uint64_t serial = 0;
+    };
+
+    /** Heap order: the top completes first, oldest first on a tie. */
+    static bool laterCompletion(const Completion &a, const Completion &b);
 
     struct FetchedInst
     {
@@ -113,14 +149,21 @@ class CoreModel
         std::uint64_t readyCycle = 0;
     };
 
-    /** Is the producer with this serial complete? */
-    bool operandReady(std::uint64_t producer_serial) const;
+    RobEntry &slot(std::uint64_t serial) { return rob[serial & robMask]; }
+    const RobEntry &slot(std::uint64_t serial) const
+    {
+        return rob[serial & robMask];
+    }
 
-    /** Entry lookup by serial (must be in flight). */
-    RobEntry &entryOf(std::uint64_t serial);
+    /** Count this operand off each consumer of `producer`; consumers
+     *  left with no pending operand join readyQueue in age order. */
+    void wakeConsumers(const RobEntry &producer);
 
-    /** Squash everything younger than the given serial. */
-    void flushAfter(std::uint64_t serial);
+    /** Is the producer with this serial complete (0 = no producer)? */
+    bool operandReady(std::uint64_t producer_serial) const
+    {
+        return producer_serial < headSerial || slot(producer_serial).done;
+    }
 
     /**
      * Earliest cycle at or after `cycle` at which a time-triggered
@@ -144,27 +187,33 @@ class CoreModel
     SimStats stats;
 
     std::uint64_t cycle = 0;
+    /** Serial the next dispatched instruction gets. */
     std::uint64_t nextSerial = 1;
     /** Serial of the ROB head entry (oldest in flight). */
     std::uint64_t headSerial = 1;
-    std::deque<RobEntry> rob;
+    /** ROB ring: power-of-two capacity >= robSize. */
+    std::vector<RobEntry> rob;
+    std::uint64_t robMask = 0;
+    /** Waiting entries (issue-queue occupancy). */
+    int waitingCount = 0;
+    /** Serials of the Waiting entries with every operand ready, oldest
+     *  first; the rest wait on their producers' consumer lists. */
+    std::vector<std::uint64_t> readyQueue;
+    /** Min-heap of the Issued entries' completions. */
+    std::vector<Completion> completions;
     std::deque<FetchedInst> fetchQueue;
     /** Fetch stalls until this cycle after a misprediction. */
     std::uint64_t fetchResumeCycle = 0;
     /** Fetch is blocked behind an unresolved mispredicted branch. */
     bool fetchBlocked = false;
-    /** Newest in-flight producer serial per architectural register
-     *  (0 = the architectural value is ready). */
+    /** Newest producer serial per architectural register (0 or a
+     *  committed serial = the architectural value is ready). */
     std::vector<std::uint64_t> renameMap =
         std::vector<std::uint64_t>(workload::numArchRegs, 0);
     /** Per-ALU-pipe busy horizon (divide blocks its pipe). */
     std::vector<std::uint64_t> aluBusyUntil;
     /** In-flight memory operations (LSQ occupancy). */
     int memInFlight = 0;
-    /** ROB entries still Waiting (issue-queue occupancy). */
-    int waitingCount = 0;
-    /** Lower bound on the doneCycle of every Issued entry. */
-    std::uint64_t nextDoneCycle = UINT64_MAX;
 };
 
 } // namespace otft::arch

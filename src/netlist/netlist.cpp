@@ -131,21 +131,38 @@ Netlist::countKind(GateKind kind) const
                       [&](const Gate &g) { return g.kind == kind; }));
 }
 
-std::vector<std::vector<GateId>>
+FanoutTable
 Netlist::fanouts() const
 {
-    std::vector<std::vector<GateId>> out(gates_.size());
-    for (std::size_t i = 0; i < gates_.size(); ++i) {
-        const Gate &g = gates_[i];
-        const int fan_in = fanInOf(g.kind) + (g.kind == GateKind::Dff);
-        for (int k = 0; k < fan_in; ++k) {
-            if (g.fanin[static_cast<std::size_t>(k)] != nullGate)
-                out[static_cast<std::size_t>(
-                        g.fanin[static_cast<std::size_t>(k)])]
-                    .push_back(static_cast<GateId>(i));
+    // Two passes over the fanin pins: count each driver's sinks, then
+    // fill. Visiting sinks in gate-id order keeps every row ascending.
+    const auto for_each_pin = [&](auto &&visit) {
+        for (std::size_t i = 0; i < gates_.size(); ++i) {
+            const Gate &g = gates_[i];
+            // fanInOf(Dff) is 1, its D pin.
+            const int fan_in = fanInOf(g.kind);
+            for (int k = 0; k < fan_in; ++k) {
+                const GateId driver = g.fanin[static_cast<std::size_t>(k)];
+                if (driver != nullGate)
+                    visit(static_cast<std::size_t>(driver),
+                          static_cast<GateId>(i));
+            }
         }
-    }
-    return out;
+    };
+    FanoutTable table;
+    table.offsets.assign(gates_.size() + 1, 0);
+    for_each_pin([&](std::size_t driver, GateId) {
+        ++table.offsets[driver + 1];
+    });
+    for (std::size_t g = 0; g < gates_.size(); ++g)
+        table.offsets[g + 1] += table.offsets[g];
+    table.sinks.resize(table.offsets.back());
+    std::vector<std::uint32_t> fill(table.offsets.begin(),
+                                    table.offsets.end() - 1);
+    for_each_pin([&](std::size_t driver, GateId sink) {
+        table.sinks[fill[driver]++] = sink;
+    });
+    return table;
 }
 
 std::vector<GateId>

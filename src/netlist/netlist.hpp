@@ -15,6 +15,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -60,6 +61,24 @@ struct OutputPort
     GateId gate = nullGate;
 };
 
+/**
+ * Fanout table in compressed-sparse-row form: the sinks of gate g are
+ * sinks[offsets[g] .. offsets[g + 1]), in ascending gate-id order (a
+ * sink that uses the same net on two pins appears twice). Two flat
+ * arrays keep the table of a 200k-gate block to two allocations.
+ */
+struct FanoutTable
+{
+    std::vector<std::uint32_t> offsets;
+    std::vector<GateId> sinks;
+
+    std::span<const GateId>
+    operator[](std::size_t g) const
+    {
+        return {sinks.data() + offsets[g], sinks.data() + offsets[g + 1]};
+    }
+};
+
 /** The gate-level netlist. */
 class Netlist
 {
@@ -94,7 +113,7 @@ class Netlist
     std::size_t countKind(GateKind kind) const;
 
     /** Fanout gate lists, indexed by gate id (computed on demand). */
-    std::vector<std::vector<GateId>> fanouts() const;
+    FanoutTable fanouts() const;
 
     /**
      * Gate ids in topological order (fanins before fanouts). DFF

@@ -188,7 +188,6 @@ TraceGenerator::TraceGenerator(BenchmarkProfile profile,
             site.takenProb = 0.3 + 0.4 * rng.uniform();
         }
     }
-    recentDests.reserve(64);
     streamAddr = 0x10000;
 }
 
@@ -247,17 +246,16 @@ TraceGenerator::next()
     pc += 4;
 
     auto pick_src = [&]() -> int {
-        if (recentDests.empty())
+        if (destWrites == 0)
             return static_cast<int>(1 + rng.uniformInt(numArchRegs - 1));
-        const std::uint64_t back =
-            std::min<std::uint64_t>(rng.geometric(profile_.depDistance),
-                                    recentDests.size());
-        return recentDests[recentDests.size() - back];
+        const std::uint64_t back = std::min<std::uint64_t>(
+            rng.geometric(profile_.depDistance),
+            std::min<std::uint64_t>(destWrites, recentDestSlots));
+        return recentDests[(destWrites - back) % recentDestSlots];
     };
     auto push_dest = [&](int reg) {
-        recentDests.push_back(reg);
-        if (recentDests.size() > 64)
-            recentDests.erase(recentDests.begin());
+        recentDests[destWrites % recentDestSlots] = reg;
+        ++destWrites;
     };
     auto fresh_reg = [&]() {
         return static_cast<int>(1 + rng.uniformInt(numArchRegs - 1));

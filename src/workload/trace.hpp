@@ -16,6 +16,7 @@
 #ifndef OTFT_WORKLOAD_TRACE_HPP
 #define OTFT_WORKLOAD_TRACE_HPP
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -150,8 +151,14 @@ class TraceGenerator
     Rng rng;
     std::vector<BranchSite> sites;
     std::uint64_t pc = 0x1000;
-    /** Recently written registers, newest last (dependency pool). */
-    std::vector<int> recentDests;
+    /**
+     * Dependency pool: the last recentDestSlots destination registers
+     * in a ring. The n-th newest (n >= 1) of the `destWrites` written
+     * so far sits at (destWrites - n) % recentDestSlots.
+     */
+    static constexpr std::size_t recentDestSlots = 64;
+    std::array<int, recentDestSlots> recentDests{};
+    std::uint64_t destWrites = 0;
     /** Streaming pointers. */
     std::uint64_t streamAddr = 0;
     int lastLoadDest = noReg;

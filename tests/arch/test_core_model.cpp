@@ -211,6 +211,44 @@ TEST(CoreModel, GoldenStatsAreBitExact)
     }
 }
 
+/** One FNV-1a step over a 64-bit word. */
+std::uint64_t
+fnv1a(std::uint64_t hash, std::uint64_t word)
+{
+    return (hash ^ word) * 1099511628211ull;
+}
+
+/**
+ * The whole Fig. 13 IPC grid at reduced length: every front-end width
+ * (1-6) x back-end width (3-7) on every paper workload, hashing all
+ * eight SimStats fields of each run in (back-end, front-end, workload)
+ * order. Any timing change on any configuration moves the hash.
+ */
+TEST(CoreModel, Fig13GridHashIsBitExact)
+{
+    std::uint64_t hash = 1469598103934665603ull; // FNV offset basis
+    std::uint64_t cycles = 0;
+    for (int be = 3; be <= 7; ++be) {
+        for (int fe = 1; fe <= 6; ++fe) {
+            for (const auto &profile : workload::paperWorkloads()) {
+                CoreConfig config = baselineConfig();
+                config.fetchWidth = fe;
+                config.aluPipes =
+                    be - config.memPipes - config.branchPipes;
+                workload::TraceGenerator gen(profile, 7);
+                const SimStats s = CoreModel(config, gen).run(5000, 2000);
+                for (std::uint64_t field :
+                     {s.cycles, s.instructions, s.branches, s.mispredicts,
+                      s.loads, s.stores, s.l1Misses, s.l2Misses})
+                    hash = fnv1a(hash, field);
+                cycles += s.cycles;
+            }
+        }
+    }
+    EXPECT_EQ(cycles, 5575431u);
+    EXPECT_EQ(hash, 0xd3f3fcd9176f1090ull);
+}
+
 /** Sweep: every paper workload runs on a mid-size config. */
 class AllWorkloadsRun : public ::testing::TestWithParam<const char *>
 {

@@ -148,6 +148,36 @@ TEST(TraceGenerator, McfLeastLocal)
     EXPECT_GT(mcf.pointerChaseFraction, dhry.pointerChaseFraction);
 }
 
+/**
+ * Bit-exact trace streams: the first 50k instructions of every paper
+ * workload at seed 7, every TraceInst field hashed (FNV-1a over 64-bit
+ * words). Every IPC number depends on these streams, so a generator
+ * change that alters any of them must show up here as a deliberate
+ * golden update.
+ */
+TEST(TraceGenerator, PaperTracesAreBitExact)
+{
+    std::uint64_t hash = 1469598103934665603ull; // FNV offset basis
+    const auto mix = [&](std::uint64_t word) {
+        hash = (hash ^ word) * 1099511628211ull;
+    };
+    for (const auto &profile : paperWorkloads()) {
+        TraceGenerator gen(profile, 7);
+        for (int i = 0; i < 50000; ++i) {
+            const TraceInst inst = gen.next();
+            mix(static_cast<std::uint64_t>(inst.op));
+            mix(static_cast<std::uint64_t>(inst.src1));
+            mix(static_cast<std::uint64_t>(inst.src2));
+            mix(static_cast<std::uint64_t>(inst.dest));
+            mix(inst.pc);
+            mix(inst.taken ? 1 : 0);
+            mix(inst.target);
+            mix(inst.address);
+        }
+    }
+    EXPECT_EQ(hash, 0xa63b199f009ee64cull);
+}
+
 /** Sweep: every paper workload generates well-formed traces. */
 class AllWorkloads : public ::testing::TestWithParam<const char *>
 {
