@@ -484,8 +484,10 @@ addIpcFanout(perf::ScenarioSuite &suite)
 }
 
 /**
- * A reduced width-sweep grid as a serial/parallel pair; exercises the
- * task-local-synthesizer path of ArchExplorer::widthSweep.
+ * A reduced width-sweep grid as a serial/parallel pair; exercises
+ * ArchExplorer::widthSweep with every point synthesizing through the
+ * explorer's one shared synthesizer (each explorer is fresh per rep,
+ * so its block memo starts cold).
  */
 void
 addExplorerSweep(perf::ScenarioSuite &suite)

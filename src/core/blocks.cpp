@@ -490,6 +490,35 @@ buildRegionBlock(Region region, const CoreConfig &config)
     fatal("buildRegionBlock: bad region");
 }
 
+RegionBlockKey
+regionBlockKey(Region region, const CoreConfig &config)
+{
+    const int r = static_cast<int>(region);
+    const int fe = config.fetchWidth;
+    const int rob = config.robSize;
+    const int iq = config.iqSize;
+    const int be = config.backendWidth();
+    const int alu = config.aluPipes;
+    switch (region) {
+      case Region::Fetch:
+      case Region::Decode:
+        return {r, fe, 0, 0, 0, 0};
+      case Region::Rename:
+        return {r, fe, rob, 0, 0, 0};
+      case Region::Dispatch:
+        return {r, fe, 0, iq, 0, 0};
+      case Region::Issue:
+        return {r, 0, rob, iq, be, alu};
+      case Region::RegRead:
+        return {r, 0, 0, 0, be, 0};
+      case Region::Execute:
+        return {r, 0, rob, 0, be, alu};
+      case Region::Retire:
+        return {r, 0, rob, 0, 0, 0};
+    }
+    fatal("regionBlockKey: bad region");
+}
+
 Netlist
 buildWakeupLoop(const CoreConfig &config)
 {

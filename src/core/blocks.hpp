@@ -27,6 +27,8 @@
 #ifndef OTFT_CORE_BLOCKS_HPP
 #define OTFT_CORE_BLOCKS_HPP
 
+#include <array>
+
 #include "arch/config.hpp"
 #include "netlist/netlist.hpp"
 
@@ -41,6 +43,23 @@ inline constexpr int physRegs = 64;
 /** Build the combinational block of one pipeline region. */
 netlist::Netlist buildRegionBlock(arch::Region region,
                                   const arch::CoreConfig &config);
+
+/**
+ * {region, fetchWidth, robSize, iqSize, backendWidth, aluPipes}, with
+ * every field the region's builder does not read set to zero.
+ */
+using RegionBlockKey = std::array<int, 6>;
+
+/**
+ * The configuration fields buildRegionBlock(region, config) reads:
+ * two configurations with equal keys build gate-for-gate identical
+ * blocks, so the key memoizes a block across design points (a
+ * front-end block depends only on front-end fields, a back-end block
+ * only on back-end ones). The wakeup loop reads a subset of the Issue
+ * key and the bypass loop a subset of the Execute key.
+ */
+RegionBlockKey regionBlockKey(arch::Region region,
+                              const arch::CoreConfig &config);
 
 /**
  * Build the complex ALU: a dataWidth x dataWidth multiplier plus a

@@ -131,13 +131,6 @@ ArchExplorer::measureIpc(const arch::CoreConfig &config)
 DesignPoint
 ArchExplorer::evaluate(const arch::CoreConfig &config)
 {
-    return evaluateWith(synth, config);
-}
-
-DesignPoint
-ArchExplorer::evaluateWith(CoreSynthesizer &synthesizer,
-                           const arch::CoreConfig &config)
-{
     static stats::Counter &stat_points = stats::counter(
         "explorer.points.evaluated",
         "design points synthesized and simulated");
@@ -163,17 +156,17 @@ ArchExplorer::evaluateWith(CoreSynthesizer &synthesizer,
 
     cache::KeyHasher timing_key;
     timing_key.add("explorer.timing-v1").add(libraryHash);
-    const sta::StaConfig &sta = synthesizer.staConfig();
+    const sta::StaConfig &sta = synth.staConfig();
     timing_key.add(sta.wireEnabled).add(sta.extraSpanPerNet);
     timing_key.add(sta.registerInputs).add(sta.registerOutputs);
     timing_key.add(sta.noWireMarginFraction).add(sta.spanCoefficient);
-    timing_key.add(synthesizer.loopSpanCoefficient);
+    timing_key.add(synth.loopSpanCoefficient);
     addConfig(timing_key, config);
     if (!config_.useCache ||
         !cache::lookup("explorer.timing", timing_key.digest(), payload) ||
         !unpackTiming(payload, point.timing)) {
         stats::ScopedTimer timer(stat_synth_time);
-        point.timing = synthesizer.synthesize(config);
+        point.timing = synth.synthesize(config);
         if (config_.useCache)
             cache::store("explorer.timing", timing_key.digest(),
                          packTiming(point.timing));
@@ -238,10 +231,10 @@ ArchExplorer::widthSweep(int fe_min, int fe_max, int be_min, int be_max)
             fatal("widthSweep: back-end width ", be,
                   " leaves no ALU pipes");
 
-    // One task per flattened (be, fe) point. CoreSynthesizer keeps
-    // internal memo caches, so each task synthesizes through its own
-    // instance; the caches only skip recomputation, so the values
-    // match the shared-synthesizer serial path bit for bit.
+    // One task per flattened (be, fe) point, all synthesizing through
+    // the shared synthesizer: a front-end block is built and timed
+    // once per fetch width and a back-end block once per back-end
+    // width, whichever task asks first.
     const std::size_t n_fe =
         static_cast<std::size_t>(fe_max - fe_min + 1);
     const std::size_t n_be =
@@ -258,9 +251,8 @@ ArchExplorer::widthSweep(int fe_min, int fe_max, int be_min, int be_max)
             config.fetchWidth = fe;
             config.aluPipes =
                 be - config.memPipes - config.branchPipes;
-            CoreSynthesizer local(library, config_.sta);
             const std::int64_t t0 = stats::monotonicNowNs();
-            DesignPoint point = evaluateWith(local, config);
+            DesignPoint point = evaluate(config);
             reporter.itemDone(
                 static_cast<double>(stats::monotonicNowNs() - t0) *
                 1e-9);

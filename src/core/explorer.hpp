@@ -8,7 +8,9 @@
  * frequency/area from the core synthesizer under a given technology
  * library. Depth sweeps deepen the baseline by repeatedly cutting the
  * critical stage under each library; width sweeps cover the paper's
- * front-end 1-6 x back-end 3-7 grid.
+ * front-end 1-6 x back-end 3-7 grid, evaluating the points in
+ * parallel through the explorer's one synthesizer so that each region
+ * block is synthesized once per sweep, not once per design point.
  */
 
 #ifndef OTFT_CORE_EXPLORER_HPP
@@ -91,7 +93,11 @@ class ArchExplorer
     ArchExplorer(const liberty::CellLibrary &library,
                  ExplorerConfig config = {});
 
-    /** Synthesize + simulate one configuration. */
+    /**
+     * Synthesize + simulate one configuration. Safe to call
+     * concurrently: every call synthesizes through the one shared
+     * synthesizer, whose memo tables are compute-once.
+     */
     DesignPoint evaluate(const arch::CoreConfig &config);
 
     /**
@@ -113,15 +119,6 @@ class ArchExplorer
     CoreSynthesizer &synthesizer() { return synth; }
 
   private:
-    /**
-     * evaluate() against an explicit synthesizer. Parallel sweeps
-     * evaluate through task-local CoreSynthesizer instances (its memo
-     * caches are not concurrency-safe); caching only skips repeated
-     * work, so the numbers match the shared-instance serial path.
-     */
-    DesignPoint evaluateWith(CoreSynthesizer &synthesizer,
-                             const arch::CoreConfig &config);
-
     const liberty::CellLibrary &library;
     ExplorerConfig config_;
     CoreSynthesizer synth;

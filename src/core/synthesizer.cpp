@@ -1,10 +1,8 @@
 #include "core/synthesizer.hpp"
 
 #include <algorithm>
-
 #include <cmath>
 
-#include "core/blocks.hpp"
 #include "netlist/bufferize.hpp"
 #include "util/logging.hpp"
 #include "util/stats_registry.hpp"
@@ -25,17 +23,36 @@ CoreSynthesizer::CoreSynthesizer(const liberty::CellLibrary &library,
 const netlist::Netlist &
 CoreSynthesizer::block(Region region, const CoreConfig &config)
 {
-    const auto key = std::make_tuple(static_cast<int>(region),
-                                     config.fetchWidth,
-                                     config.aluPipes);
-    auto it = blockCache.find(key);
-    if (it == blockCache.end()) {
-        it = blockCache
-                 .emplace(key, netlist::bufferize(
-                                   buildRegionBlock(region, config), 6))
-                 .first;
-    }
-    return it->second;
+    return blockCache.get(regionBlockKey(region, config), [&] {
+        OTFT_TRACE_SCOPE("synth.block.build");
+        return netlist::bufferize(buildRegionBlock(region, config), 6);
+    });
+}
+
+const netlist::Netlist &
+CoreSynthesizer::loopNetlist(Region region, const CoreConfig &config)
+{
+    return loopCache.get(regionBlockKey(region, config), [&] {
+        OTFT_TRACE_SCOPE("synth.block.build");
+        return netlist::bufferize(region == Region::Issue
+                                      ? buildWakeupLoop(config)
+                                      : buildBypassLoop(config),
+                                  6);
+    });
+}
+
+std::pair<double, double>
+CoreSynthesizer::complexAluTiming(int stages)
+{
+    return aluTimingCache.get(stages, [&] {
+        const netlist::Netlist &alu = aluCache.get(0, [] {
+            OTFT_TRACE_SCOPE("synth.block.build");
+            return netlist::bufferize(buildComplexAlu(), 6);
+        });
+        const auto report = pipeliner.pipeline(alu, stages);
+        const auto sta = engine.analyze(report.netlist);
+        return std::make_pair(sta.minClockPeriod, sta.area);
+    });
 }
 
 CoreTiming
@@ -43,6 +60,12 @@ CoreSynthesizer::synthesize(const CoreConfig &config)
 {
     static stats::Counter &stat_calls = stats::counter(
         "synth.cores.synthesized", "core configurations synthesized");
+    static stats::Counter &stat_hits = stats::counter(
+        "synth.region_cache.hits",
+        "region timings served from the cache");
+    static stats::Counter &stat_misses = stats::counter(
+        "synth.region_cache.misses",
+        "region timings computed (pipeline + STA)");
     OTFT_TRACE_SCOPE("synth.core.synthesize");
     ++stat_calls;
 
@@ -55,36 +78,25 @@ CoreSynthesizer::synthesize(const CoreConfig &config)
     };
 
     for (Region region : all_regions) {
-        const auto key = std::make_tuple(static_cast<int>(region),
-                                         config.fetchWidth,
-                                         config.aluPipes,
-                                         config.stagesIn(region));
-        static stats::Counter &stat_hits = stats::counter(
-            "synth.region_cache.hits",
-            "region timings served from the cache");
-        static stats::Counter &stat_misses = stats::counter(
-            "synth.region_cache.misses",
-            "region timings computed (pipeline + STA)");
-        auto cached = timingCache.find(key);
-        if (cached != timingCache.end()) {
-            ++stat_hits;
-        } else {
-            ++stat_misses;
-            OTFT_TRACE_SCOPE("synth.region.time");
-            const netlist::Netlist &comb = block(region, config);
-            const auto report =
-                pipeliner.pipeline(comb, config.stagesIn(region));
-            const auto sta = engine.analyze(report.netlist);
-
-            RegionTiming rt;
-            rt.region = region;
-            rt.stages = config.stagesIn(region);
-            rt.clockPeriod = sta.minClockPeriod;
-            rt.area = sta.area;
-            rt.cells = sta.cellCount;
-            cached = timingCache.emplace(key, rt).first;
-        }
-        const RegionTiming &rt = cached->second;
+        const int stages = config.stagesIn(region);
+        bool computed = false;
+        const RegionTiming &rt = timingCache.get(
+            {regionBlockKey(region, config), stages},
+            [&] {
+                OTFT_TRACE_SCOPE("synth.region.time");
+                const auto report =
+                    pipeliner.pipeline(block(region, config), stages);
+                const auto sta = engine.analyze(report.netlist);
+                RegionTiming value;
+                value.region = region;
+                value.stages = stages;
+                value.clockPeriod = sta.minClockPeriod;
+                value.area = sta.area;
+                value.cells = sta.cellCount;
+                return value;
+            },
+            &computed);
+        ++(computed ? stat_misses : stat_hits);
         timing.regions.push_back(rt);
         timing.area += rt.area;
     }
@@ -106,14 +118,14 @@ CoreSynthesizer::synthesize(const CoreConfig &config)
         loop_cfg.extraSpanPerNet = span;
         const double wakeup_floor =
             sta::StaEngine(library, loop_cfg)
-                .analyze(loopNetlist(LoopKind::Wakeup, config))
+                .analyze(loopNetlist(Region::Issue, config))
                 .minClockPeriod;
 
         loop_cfg.extraSpanPerNet =
             span * static_cast<double>(config.backendWidth()) / 3.0;
         const double bypass_floor =
             sta::StaEngine(library, loop_cfg)
-                .analyze(loopNetlist(LoopKind::Bypass, config))
+                .analyze(loopNetlist(Region::Execute, config))
                 .minClockPeriod;
 
         for (RegionTiming &rt : timing.regions) {
@@ -138,37 +150,15 @@ CoreSynthesizer::synthesize(const CoreConfig &config)
 
     // Complex ALU: pipeline just deep enough to meet the core clock
     // (stallable DesignWare-style unit; it never sets the clock).
+    // Start from a period-ratio estimate and grow until the unit
+    // meets the core clock.
     {
-        auto it = aluCache.find(0);
-        if (it == aluCache.end()) {
-            it = aluCache
-                     .emplace(0, netlist::bufferize(buildComplexAlu(),
-                                                    6))
-                     .first;
-        }
-        const netlist::Netlist &alu = it->second;
-        auto alu_at = [&](int stages) -> std::pair<double, double> {
-            auto hit = aluTimingCache.find(stages);
-            if (hit == aluTimingCache.end()) {
-                const auto report = pipeliner.pipeline(alu, stages);
-                const auto sta = engine.analyze(report.netlist);
-                hit = aluTimingCache
-                          .emplace(stages,
-                                   std::make_pair(sta.minClockPeriod,
-                                                  sta.area))
-                          .first;
-            }
-            return hit->second;
-        };
-
-        // Start from a period-ratio estimate and grow until the unit
-        // meets the core clock.
-        const double comb_period = alu_at(1).first;
+        const double comb_period = complexAluTiming(1).first;
         int stages = std::max(
             1, static_cast<int>(comb_period / timing.clockPeriod));
-        std::pair<double, double> result = alu_at(stages);
+        std::pair<double, double> result = complexAluTiming(stages);
         while (result.first > timing.clockPeriod && stages < 48)
-            result = alu_at(++stages);
+            result = complexAluTiming(++stages);
         timing.complexAluStages = stages;
         timing.area += result.second;
     }
@@ -176,22 +166,6 @@ CoreSynthesizer::synthesize(const CoreConfig &config)
     timing.frequency =
         timing.clockPeriod > 0.0 ? 1.0 / timing.clockPeriod : 0.0;
     return timing;
-}
-
-const netlist::Netlist &
-CoreSynthesizer::loopNetlist(LoopKind kind, const CoreConfig &config)
-{
-    const auto key = std::make_tuple(static_cast<int>(kind),
-                                     config.fetchWidth,
-                                     config.aluPipes);
-    auto it = loopCache.find(key);
-    if (it == loopCache.end()) {
-        netlist::Netlist loop =
-            kind == LoopKind::Wakeup ? buildWakeupLoop(config)
-                                     : buildBypassLoop(config);
-        it = loopCache.emplace(key, netlist::bufferize(loop, 6)).first;
-    }
-    return it->second;
 }
 
 CoreConfig

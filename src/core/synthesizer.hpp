@@ -11,6 +11,17 @@
  * structures and the complex ALU (pipelined just deep enough to meet
  * the core clock, as a stallable DesignWare unit would be).
  *
+ * Every intermediate result is memoized per synthesizer: bufferized
+ * region blocks and loop netlists by regionBlockKey() (the
+ * configuration fields their builders read), region timings by
+ * (block key, stages), and the complex ALU by stage count. A width
+ * sweep therefore synthesizes each front-end block once per fetch
+ * width and each back-end block once per back-end width, not once per
+ * design point. The memo tables are compute-once and thread-safe, so
+ * one synthesizer may serve concurrent synthesize() calls; a value is
+ * a pure function of its key, the library and the STA configuration,
+ * so sharing never changes a result.
+ *
  * Deepening reproduces the paper's methodology: "we synthesize the
  * baseline design and cut the stage which is on the critical path"
  * (Sec. 5.1) — deepen() adds one stage to whichever region currently
@@ -22,10 +33,15 @@
 #ifndef OTFT_CORE_SYNTHESIZER_HPP
 #define OTFT_CORE_SYNTHESIZER_HPP
 
+#include <exception>
+#include <future>
 #include <map>
+#include <mutex>
+#include <utility>
 #include <vector>
 
 #include "arch/config.hpp"
+#include "core/blocks.hpp"
 #include "liberty/library.hpp"
 #include "sta/pipeline.hpp"
 #include "sta/sta.hpp"
@@ -66,7 +82,7 @@ class CoreSynthesizer
     CoreSynthesizer(const liberty::CellLibrary &library,
                     sta::StaConfig sta_config = {});
 
-    /** Synthesize a configuration. */
+    /** Synthesize a configuration. Safe to call concurrently. */
     CoreTiming synthesize(const arch::CoreConfig &config);
 
     /**
@@ -85,28 +101,75 @@ class CoreSynthesizer
     double loopSpanCoefficient = 0.09;
 
   private:
-    /** Bufferized combinational block, cached by (region, widths). */
+    /**
+     * Compute-once memo table. The first caller of a key computes the
+     * value outside the lock; concurrent callers of the same key wait
+     * on its shared_future instead of recomputing. Entries are never
+     * evicted, so returned references live as long as the table.
+     */
+    template <typename Key, typename Value>
+    class Memo
+    {
+      public:
+        /** @param computed out: whether this call ran `compute`. */
+        template <typename Compute>
+        const Value &
+        get(const Key &key, Compute &&compute, bool *computed = nullptr)
+        {
+            std::unique_lock<std::mutex> lock(mutex);
+            const auto it = table.find(key);
+            if (computed)
+                *computed = it == table.end();
+            if (it != table.end()) {
+                const std::shared_future<Value> done = it->second;
+                lock.unlock();
+                return done.get();
+            }
+            std::promise<Value> promise;
+            const std::shared_future<Value> done =
+                promise.get_future().share();
+            table.emplace(key, done);
+            lock.unlock();
+            try {
+                promise.set_value(compute());
+            } catch (...) {
+                promise.set_exception(std::current_exception());
+                throw;
+            }
+            return done.get();
+        }
+
+      private:
+        std::mutex mutex;
+        std::map<Key, std::shared_future<Value>> table;
+    };
+
+    /** Bufferized combinational block of a region. */
     const netlist::Netlist &block(arch::Region region,
                                   const arch::CoreConfig &config);
 
-    enum class LoopKind { Wakeup, Bypass };
-
-    /** Bufferized loop netlist, cached by (kind, widths). */
-    const netlist::Netlist &loopNetlist(LoopKind kind,
+    /**
+     * Bufferized single-cycle loop flooring `region`: the
+     * wakeup-select loop for Issue, the bypass loop for Execute.
+     */
+    const netlist::Netlist &loopNetlist(arch::Region region,
                                         const arch::CoreConfig &config);
+
+    /** Pipelined (min clock period, area) of the complex ALU. */
+    std::pair<double, double> complexAluTiming(int stages);
 
     const liberty::CellLibrary &library;
     sta::StaConfig staConfig_;
     sta::StaEngine engine;
     sta::Pipeliner pipeliner;
-    std::map<std::tuple<int, int, int>, netlist::Netlist> blockCache;
-    std::map<std::tuple<int, int, int>, netlist::Netlist> loopCache;
-    /** Region timing cached by (region, fetchWidth, aluPipes, stages). */
-    std::map<std::tuple<int, int, int, int>, RegionTiming> timingCache;
-    /** Complex ALU comb block (width-independent). */
-    std::map<int, netlist::Netlist> aluCache;
-    /** Complex ALU pipelined timing by stage count. */
-    std::map<int, std::pair<double, double>> aluTimingCache;
+    Memo<RegionBlockKey, netlist::Netlist> blockCache;
+    /** Keyed by the block key of the region the loop floors. */
+    Memo<RegionBlockKey, netlist::Netlist> loopCache;
+    Memo<std::pair<RegionBlockKey, int>, RegionTiming> timingCache;
+    /** Complex ALU comb block (one entry: it is width-independent). */
+    Memo<int, netlist::Netlist> aluCache;
+    /** Complex ALU pipelined (period, area) by stage count. */
+    Memo<int, std::pair<double, double>> aluTimingCache;
 };
 
 } // namespace otft::core

@@ -40,6 +40,10 @@ enum class GateKind : std::uint8_t {
     Dff,
 };
 
+/** Number of GateKind values. */
+inline constexpr std::size_t numGateKinds =
+    static_cast<std::size_t>(GateKind::Dff) + 1;
+
 /** @return number of logic inputs for a gate kind. */
 int fanInOf(GateKind kind);
 

@@ -1,6 +1,7 @@
 #include "sta/pipeline.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/logging.hpp"
 #include "util/stats_registry.hpp"
@@ -19,32 +20,35 @@ namespace {
  * Greedy stage assignment under a per-stage delay budget: walk the
  * netlist in topological order tracking each gate's within-stage
  * arrival; when adding a gate would blow the budget, push it to the
- * next stage (its inputs will be registered). Returns the number of
- * stages used. This is the balanced min-max partition underlying
- * "cut the stage on the critical path": bisecting on the budget finds
- * the most balanced N-stage slicing.
+ * next stage (its inputs will be registered). This is the balanced
+ * min-max partition underlying "cut the stage on the critical path":
+ * bisecting on the budget finds the most balanced N-stage slicing.
  */
 struct StageAssigner
 {
     const Netlist &nl;
-    const liberty::CellLibrary &library;
     /** Per-gate incremental delay (arc at its net load + net wire). */
     const std::vector<double> &gateDelay;
     /** Delay from a stage-entry register to a gate's inputs. */
     double launchDelay;
 
-    /** stage[g] and intra-stage arrival out parameters. */
+    /**
+     * Fill stage[g] for every gate and return the number of stages
+     * used, or stop early and return a count above `limit` as soon as
+     * the slicing needs more than `limit` stages (stage[] is then
+     * incomplete).
+     */
     int
-    assign(double budget, std::vector<int> &stage) const
+    assign(double budget, int limit, std::vector<int> &stage) const
     {
         const std::size_t n = nl.numGates();
         stage.assign(n, 0);
         std::vector<double> intra(n, 0.0);
         int max_stage = 0;
 
-        for (GateId id : nl.topoOrder()) {
-            const std::size_t g = static_cast<std::size_t>(id);
-            const Gate &gate = nl.gate(id);
+        // Gate ids ascend in topological order (Netlist::topoOrder).
+        for (std::size_t g = 0; g < n; ++g) {
+            const Gate &gate = nl.gates()[g];
             const int fan_in = netlist::fanInOf(gate.kind);
             if (fan_in == 0) {
                 stage[g] = 0;
@@ -73,6 +77,8 @@ struct StageAssigner
                 // Start a new stage with this gate.
                 ++st;
                 t = launchDelay + gateDelay[g];
+                if (st >= limit)
+                    return st + 1;
             }
             stage[g] = st;
             intra[g] = t;
@@ -137,7 +143,7 @@ Pipeliner::pipeline(const Netlist &comb, int stages) const
         }
 
         const liberty::FlopTiming &flop = library.cell("dff").flop;
-        StageAssigner assigner{comb, library, gate_delay, flop.clkToQ};
+        StageAssigner assigner{comb, gate_delay, flop.clkToQ};
 
         // Parametric search: smallest per-stage budget that fits in
         // the requested stage count.
@@ -148,12 +154,12 @@ Pipeliner::pipeline(const Netlist &comb, int stages) const
                     flop.clkToQ;
         for (int it = 0; it < 40; ++it) {
             const double mid = 0.5 * (lo + hi);
-            if (assigner.assign(mid, stage) <= stages)
+            if (assigner.assign(mid, stages, stage) <= stages)
                 hi = mid;
             else
                 lo = mid;
         }
-        assigner.assign(hi, stage);
+        assigner.assign(hi, std::numeric_limits<int>::max(), stage);
     }
 
     // Rebuild with register ranks on stage-crossing nets. DFF chains

@@ -14,6 +14,18 @@ using netlist::GateId;
 using netlist::GateKind;
 using netlist::Netlist;
 
+StaEngine::StaEngine(const liberty::CellLibrary &library,
+                     StaConfig config)
+    : library(library), config_(config),
+      wireModel(library.wire(), config.wireEnabled)
+{
+    for (std::size_t k = 0; k < netlist::numGateKinds; ++k) {
+        const char *name = netlist::cellNameOf(static_cast<GateKind>(k));
+        if (name && library.hasCell(name))
+            kindCells[k] = &library.cell(name);
+    }
+}
+
 StaEngine::Propagation
 StaEngine::propagate(const Netlist &nl) const
 {
@@ -37,7 +49,7 @@ StaEngine::propagate(const Netlist &nl) const
 
     const std::size_t n = nl.numGates();
     const auto fanouts = nl.fanouts();
-    const liberty::StdCell &dff_cell = library.cell("dff");
+    const liberty::StdCell &dff_cell = *cellOf(GateKind::Dff);
 
     Propagation p;
     p.arrival.assign(n, 0.0);
@@ -49,23 +61,18 @@ StaEngine::propagate(const Netlist &nl) const
     // Block-span term of the wireload model: nets in a bigger block
     // route farther.
     double cell_area = 0.0;
-    for (const Gate &gate : nl.gates()) {
-        const char *cn = netlist::cellNameOf(gate.kind);
-        if (cn)
-            cell_area += library.cell(cn).area;
-    }
+    for (const Gate &gate : nl.gates())
+        if (const liberty::StdCell *cell = cellOf(gate.kind))
+            cell_area += cell->area;
     const double span = config_.extraSpanPerNet +
                         config_.spanCoefficient * std::sqrt(cell_area);
 
     // --- Per-net loads: sink pin caps + wire cap; per-net wire delay.
     for (std::size_t g = 0; g < n; ++g) {
         double sink_cap = 0.0;
-        for (GateId s : fanouts[g]) {
-            const Gate &sink = nl.gate(s);
-            const char *cell_name = netlist::cellNameOf(sink.kind);
-            if (cell_name)
-                sink_cap += library.cell(cell_name).inputCap;
-        }
+        for (GateId s : fanouts[g])
+            if (const liberty::StdCell *cell = cellOf(nl.gate(s).kind))
+                sink_cap += cell->inputCap;
         ++stat_wires;
         const WireEstimate wire = wireModel.estimate(
             static_cast<int>(fanouts[g].size()), sink_cap, span);
@@ -105,8 +112,7 @@ StaEngine::propagate(const Netlist &nl) const
             break;
         }
 
-        const char *cell_name = netlist::cellNameOf(gate.kind);
-        const liberty::StdCell &cell = library.cell(cell_name);
+        const liberty::StdCell &cell = *cellOf(gate.kind);
         double best = neg_inf;
         double best_slew = library.defaultSlew();
         GateId best_pred = netlist::nullGate;
@@ -153,7 +159,7 @@ StaEngine::analyze(const Netlist &nl) const
     ++stat_analyses;
 
     const Propagation p = propagate(nl);
-    const liberty::StdCell &dff_cell = library.cell("dff");
+    const liberty::StdCell &dff_cell = *cellOf(GateKind::Dff);
 
     StaResult result;
     GateId worst_endpoint = netlist::nullGate;
@@ -207,12 +213,11 @@ StaEngine::analyze(const Netlist &nl) const
 
     // --- Area and leakage.
     for (const Gate &gate : nl.gates()) {
-        const char *cell_name = netlist::cellNameOf(gate.kind);
-        if (!cell_name)
+        const liberty::StdCell *cell = cellOf(gate.kind);
+        if (!cell)
             continue;
-        const liberty::StdCell &cell = library.cell(cell_name);
-        result.area += cell.area;
-        result.leakage += cell.leakage;
+        result.area += cell->area;
+        result.leakage += cell->leakage;
         ++result.cellCount;
         if (gate.kind == GateKind::Dff)
             ++result.flopCount;

@@ -18,6 +18,7 @@
 #ifndef OTFT_STA_STA_HPP
 #define OTFT_STA_STA_HPP
 
+#include <array>
 #include <vector>
 
 #include "liberty/library.hpp"
@@ -85,10 +86,7 @@ struct StaResult
 class StaEngine
 {
   public:
-    StaEngine(const liberty::CellLibrary &library, StaConfig config = {})
-        : library(library), config_(config),
-          wireModel(library.wire(), config.wireEnabled)
-    {}
+    StaEngine(const liberty::CellLibrary &library, StaConfig config = {});
 
     /** Analyze a netlist. */
     StaResult analyze(const netlist::Netlist &netlist) const;
@@ -115,9 +113,29 @@ class StaEngine
 
     Propagation propagate(const netlist::Netlist &nl) const;
 
+    /**
+     * The library cell of a gate kind: nullptr for kinds that are not
+     * cells (inputs, constants); fatal if the library lacks the cell.
+     */
+    const liberty::StdCell *
+    cellOf(netlist::GateKind kind) const
+    {
+        const liberty::StdCell *cell =
+            kindCells[static_cast<std::size_t>(kind)];
+        if (!cell && netlist::cellNameOf(kind))
+            return &library.cell(netlist::cellNameOf(kind));
+        return cell;
+    }
+
     const liberty::CellLibrary &library;
     StaConfig config_;
     WireModel wireModel;
+    /**
+     * Library cell per GateKind, resolved once at construction
+     * (nullptr for non-cell kinds and cells the library lacks).
+     */
+    std::array<const liberty::StdCell *, netlist::numGateKinds>
+        kindCells{};
 };
 
 } // namespace otft::sta

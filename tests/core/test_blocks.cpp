@@ -1,5 +1,7 @@
 /** @file Unit tests for the pipeline region block generators. */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/blocks.hpp"
@@ -48,6 +50,76 @@ TEST(Blocks, BackEndBlocksScaleWithAluPipes)
         const auto wide = buildRegionBlock(r, config(2, 5));
         EXPECT_GT(wide.numGates(), 1.4 * narrow.numGates())
             << arch::toString(r);
+    }
+}
+
+/** Gate-for-gate equality: kinds, fanins, ports and input names. */
+bool
+sameNetlist(const netlist::Netlist &a, const netlist::Netlist &b)
+{
+    if (a.numGates() != b.numGates() ||
+        a.inputNames() != b.inputNames() ||
+        a.outputs().size() != b.outputs().size())
+        return false;
+    for (std::size_t g = 0; g < a.numGates(); ++g)
+        if (a.gates()[g].kind != b.gates()[g].kind ||
+            a.gates()[g].fanin != b.gates()[g].fanin)
+            return false;
+    for (std::size_t o = 0; o < a.outputs().size(); ++o)
+        if (a.outputs()[o].name != b.outputs()[o].name ||
+            a.outputs()[o].gate != b.outputs()[o].gate)
+            return false;
+    return true;
+}
+
+TEST(Blocks, EqualBlockKeysBuildIdenticalNetlists)
+{
+    // Variants of one configuration, each changing fields that some
+    // regions read and others ignore.
+    std::vector<arch::CoreConfig> configs(8, config(2, 2));
+    configs[1].lsqSize = 16;
+    configs[1].predictorBits = 10;
+    configs[1].stages[0] = 3;
+    configs[1].mulLatency = 5;
+    configs[2].memPipes = 2; // same back-end width, one ALU pipe fewer
+    configs[2].aluPipes = 1;
+    configs[3].robSize = 256;
+    configs[4].iqSize = 16;
+    configs[5].fetchWidth = 3;
+    configs[6].branchPipes = 2; // wider back end, same ALU pipes
+    configs[7].fetchWidth = 1;
+    configs[7].robSize = 64;
+    configs[7].aluPipes = 3;
+
+    for (int r = 0; r < arch::numRegions; ++r) {
+        const auto region = static_cast<arch::Region>(r);
+        int equal_pairs = 0;
+        for (std::size_t i = 0; i < configs.size(); ++i) {
+            for (std::size_t j = i + 1; j < configs.size(); ++j) {
+                if (regionBlockKey(region, configs[i]) !=
+                    regionBlockKey(region, configs[j]))
+                    continue;
+                ++equal_pairs;
+                EXPECT_TRUE(
+                    sameNetlist(buildRegionBlock(region, configs[i]),
+                                buildRegionBlock(region, configs[j])))
+                    << arch::toString(region) << " configs " << i
+                    << " and " << j;
+                // The loops flooring Issue and Execute share their
+                // region's key.
+                if (region == arch::Region::Issue) {
+                    EXPECT_TRUE(
+                        sameNetlist(buildWakeupLoop(configs[i]),
+                                    buildWakeupLoop(configs[j])));
+                }
+                if (region == arch::Region::Execute) {
+                    EXPECT_TRUE(
+                        sameNetlist(buildBypassLoop(configs[i]),
+                                    buildBypassLoop(configs[j])));
+                }
+            }
+        }
+        EXPECT_GT(equal_pairs, 0) << arch::toString(region);
     }
 }
 

@@ -1,5 +1,8 @@
 /** @file Tests for the architecture exploration drivers. */
 
+#include <bit>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "core/explorer.hpp"
@@ -87,6 +90,57 @@ TEST(Explorer, IpcIndependentOfLibrary)
     for (std::size_t i = 0; i < pa.ipc.size(); ++i)
         EXPECT_DOUBLE_EQ(pa.ipc[i], pb.ipc[i]);
     EXPECT_NE(pa.timing.frequency, pb.timing.frequency);
+}
+
+/** One FNV-1a step over a 64-bit word. */
+std::uint64_t
+fnv1a(std::uint64_t hash, std::uint64_t word)
+{
+    return (hash ^ word) * 1099511628211ull;
+}
+
+/** FNV-1a over every CoreTiming and RegionTiming field. */
+std::uint64_t
+hashTiming(std::uint64_t hash, const CoreTiming &t)
+{
+    hash = fnv1a(hash, std::bit_cast<std::uint64_t>(t.clockPeriod));
+    hash = fnv1a(hash, std::bit_cast<std::uint64_t>(t.frequency));
+    hash = fnv1a(hash, std::bit_cast<std::uint64_t>(t.area));
+    hash = fnv1a(hash, static_cast<std::uint64_t>(t.critical));
+    hash = fnv1a(hash, static_cast<std::uint64_t>(t.complexAluStages));
+    for (const RegionTiming &r : t.regions) {
+        hash = fnv1a(hash, static_cast<std::uint64_t>(r.region));
+        hash = fnv1a(hash, static_cast<std::uint64_t>(r.stages));
+        hash = fnv1a(hash, std::bit_cast<std::uint64_t>(r.clockPeriod));
+        hash = fnv1a(hash, std::bit_cast<std::uint64_t>(r.area));
+        hash = fnv1a(hash, static_cast<std::uint64_t>(r.cells));
+    }
+    return hash;
+}
+
+/**
+ * Golden timing of the silicon fe 1-3 x be 3-5 width sweep with the
+ * wire model on and off, every CoreTiming field hashed in (back-end,
+ * front-end) order. The hash was captured with one synthesizer per
+ * design point, so sharing synthesis work across points must not move
+ * a single bit.
+ */
+TEST(Explorer, WidthSweepTimingHashIsBitExact)
+{
+    const auto lib = liberty::makeSiliconLibrary();
+    std::uint64_t hash = 1469598103934665603ull; // FNV offset basis
+    for (bool wire : {true, false}) {
+        ExplorerConfig config;
+        config.instructions = 1000;
+        config.useCache = false;
+        config.sta.wireEnabled = wire;
+        ArchExplorer explorer(lib, config);
+        const auto sweep = explorer.widthSweep(1, 3, 3, 5);
+        for (const auto &row : sweep.points)
+            for (const auto &point : row)
+                hash = hashTiming(hash, point.timing);
+    }
+    EXPECT_EQ(hash, 0x26d8f7f6e275182eull);
 }
 
 } // namespace

@@ -1,5 +1,7 @@
 /** @file Tests for core synthesis (timing/area per configuration). */
 
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/synthesizer.hpp"
@@ -85,6 +87,42 @@ TEST_F(Synthesis, CachingIsConsistent)
     const auto b = synth.synthesize(arch::baselineConfig());
     EXPECT_DOUBLE_EQ(a.clockPeriod, b.clockPeriod);
     EXPECT_DOUBLE_EQ(a.area, b.area);
+}
+
+/** Every CoreTiming and RegionTiming field compared exactly. */
+void
+expectSameTiming(const CoreTiming &a, const CoreTiming &b)
+{
+    EXPECT_EQ(a.clockPeriod, b.clockPeriod);
+    EXPECT_EQ(a.frequency, b.frequency);
+    EXPECT_EQ(a.area, b.area);
+    EXPECT_EQ(a.critical, b.critical);
+    EXPECT_EQ(a.complexAluStages, b.complexAluStages);
+    ASSERT_EQ(a.regions.size(), b.regions.size());
+    for (std::size_t i = 0; i < a.regions.size(); ++i) {
+        const std::string region = arch::toString(a.regions[i].region);
+        EXPECT_EQ(a.regions[i].region, b.regions[i].region) << region;
+        EXPECT_EQ(a.regions[i].stages, b.regions[i].stages) << region;
+        EXPECT_EQ(a.regions[i].clockPeriod, b.regions[i].clockPeriod)
+            << region;
+        EXPECT_EQ(a.regions[i].area, b.regions[i].area) << region;
+        EXPECT_EQ(a.regions[i].cells, b.regions[i].cells) << region;
+    }
+}
+
+TEST_F(Synthesis, ReusedSynthesizerMatchesFreshOne)
+{
+    // The memo tables must key on every field the block builders
+    // read: after the baseline, a larger ROB and IQ change the
+    // rename, dispatch, issue, execute and retire blocks.
+    arch::CoreConfig big = arch::baselineConfig();
+    big.robSize = 256;
+    big.iqSize = 64;
+
+    CoreSynthesizer reused(library);
+    reused.synthesize(arch::baselineConfig());
+    CoreSynthesizer fresh(library);
+    expectSameTiming(reused.synthesize(big), fresh.synthesize(big));
 }
 
 TEST_F(Synthesis, WireOffRaisesFrequency)

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "arch/config.hpp"
 #include "core/explorer.hpp"
@@ -80,6 +81,26 @@ dumpPoint(const core::DesignPoint &point)
     return out;
 }
 
+/** Full-precision text dump of every CoreTiming field. */
+std::string
+dumpTiming(const core::CoreTiming &timing)
+{
+    std::string out;
+    append(out, "clockPeriod", timing.clockPeriod);
+    append(out, "frequency", timing.frequency);
+    append(out, "area", timing.area);
+    append(out, "critical", static_cast<int>(timing.critical));
+    append(out, "complexAluStages", timing.complexAluStages);
+    for (const core::RegionTiming &r : timing.regions) {
+        out += std::string("region ") + arch::toString(r.region) + "\n";
+        append(out, "stages", r.stages);
+        append(out, "clockPeriod", r.clockPeriod);
+        append(out, "area", r.area);
+        append(out, "cells", static_cast<double>(r.cells));
+    }
+    return out;
+}
+
 TEST(ParallelDeterminism, NldmCharacterizationByteIdentical)
 {
     // 2x3 grid: six points per arc, so the 8-job fan-out has idle
@@ -130,6 +151,45 @@ TEST(ParallelDeterminism, ExplorerSweepByteIdentical)
     const std::string parallel8 = sweep(8);
     EXPECT_FALSE(serial.empty());
     EXPECT_EQ(serial, parallel8);
+}
+
+TEST(ParallelDeterminism, SharedSynthesizerMatchesFreshSerial)
+{
+    // One synthesizer hit from 8 jobs over a grid whose block keys
+    // repeat (fe 1-3 x be 3-5, each point twice), so tasks race to
+    // compute the same memo entries and wait on each other's.
+    const liberty::CellLibrary silicon =
+        liberty::makeSiliconLibrary();
+    std::vector<arch::CoreConfig> grid;
+    for (int pass = 0; pass < 2; ++pass) {
+        for (int be = 3; be <= 5; ++be) {
+            for (int fe = 1; fe <= 3; ++fe) {
+                arch::CoreConfig config = arch::baselineConfig();
+                config.fetchWidth = fe;
+                config.aluPipes =
+                    be - config.memPipes - config.branchPipes;
+                grid.push_back(config);
+            }
+        }
+    }
+
+    std::vector<std::string> shared(grid.size());
+    {
+        parallel::JobsOverride pin(8);
+        core::CoreSynthesizer synth(silicon);
+        parallel::parallelFor(grid.size(), [&](std::size_t i) {
+            shared[i] = dumpTiming(synth.synthesize(grid[i]));
+        });
+    }
+
+    const std::size_t distinct = grid.size() / 2;
+    for (std::size_t i = 0; i < distinct; ++i) {
+        core::CoreSynthesizer fresh(silicon);
+        const std::string expected =
+            dumpTiming(fresh.synthesize(grid[i]));
+        EXPECT_EQ(shared[i], expected) << "point " << i;
+        EXPECT_EQ(shared[i + distinct], expected) << "point " << i;
+    }
 }
 
 TEST(ParallelDeterminism, IpcFanOutByteIdentical)
