@@ -12,13 +12,32 @@ namespace otft::arch {
 
 using workload::OpClass;
 
+CoreModel::CoreModel(CoreConfig config, FrontEndStream &stream)
+    : CoreModel(config, &stream, nullptr)
+{
+}
+
 CoreModel::CoreModel(CoreConfig config, workload::TraceGenerator &trace)
-    : cfg(config), trace(trace), predictor(config.predictorBits),
+    : CoreModel(config, nullptr,
+                std::make_unique<FrontEndStream>(trace,
+                                                 config.predictorBits))
+{
+}
+
+CoreModel::CoreModel(CoreConfig config, FrontEndStream *shared,
+                     std::unique_ptr<FrontEndStream> own)
+    : cfg(config), ownStream(std::move(own)),
+      frontEnd(shared ? *shared : *ownStream),
+      fetchDelay(static_cast<std::uint64_t>(
+          std::max(config.frontEndDepth(), 1))),
       memory(config.l1Latency, config.l2Latency, config.memLatency),
       aluBusyUntil(static_cast<std::size_t>(config.aluPipes), 0)
 {
     if (cfg.fetchWidth < 1 || cfg.aluPipes < 1)
         fatal("CoreModel: invalid widths");
+    if (shared && shared->predictorBits() != cfg.predictorBits)
+        fatal("CoreModel: stream predicted with ", shared->predictorBits(),
+              " predictor bits, config has ", cfg.predictorBits);
     const std::size_t ring = std::bit_ceil(
         static_cast<std::size_t>(std::max(cfg.robSize, 1)));
     rob.resize(ring);
@@ -43,9 +62,8 @@ CoreModel::nextEventCycle() const
     };
     if (!completions.empty())
         consider(completions.front().cycle);
-    consider(fetchResumeCycle);
-    if (!fetchQueue.empty())
-        consider(fetchQueue.front().readyCycle);
+    if (!fetchBlocked)
+        consider(fetchCycle + fetchDelay);
     for (std::uint64_t busy : aluBusyUntil)
         consider(busy);
     // Entries still waiting on an operand need a completion (itself
@@ -105,15 +123,16 @@ CoreModel::doComplete()
         wakeConsumers(entry);
         if (entry.op != OpClass::Branch)
             continue;
-        predictor.recordOutcome(entry.mispredicted);
         ++stats.branches;
         if (entry.mispredicted) {
             ++stats.mispredicts;
             // Redirect. Fetch stopped behind this branch, so nothing
-            // younger exists to squash (see the file comment).
-            assert(serial + 1 == nextSerial && fetchQueue.empty() &&
+            // younger exists to squash (see the file comment). Fetch
+            // resumes next cycle with a new group.
+            assert(serial + 1 == nextSerial && fetchBlocked &&
                    "mispredicted branch must be the youngest in flight");
-            fetchResumeCycle = cycle + 1;
+            fetchCycle = cycle + 1;
+            fetchSlot = 0;
             fetchBlocked = false;
             break;
         }
@@ -231,35 +250,34 @@ CoreModel::doDispatch()
 {
     bool dispatched = false;
     for (int k = 0; k < cfg.fetchWidth; ++k) {
-        if (fetchQueue.empty() ||
-            fetchQueue.front().readyCycle > cycle)
+        if (fetchBlocked || fetchCycle + fetchDelay > cycle)
             break;
         if (static_cast<int>(nextSerial - headSerial) >= cfg.robSize)
             break;
         if (waitingCount >= cfg.iqSize)
             break;
-        const FetchedInst &fetched = fetchQueue.front();
-        const bool is_mem = fetched.inst.op == OpClass::Load ||
-                            fetched.inst.op == OpClass::Store;
+        const FrontEndInst &inst = frontEnd.front();
+        const bool is_mem =
+            inst.op == OpClass::Load || inst.op == OpClass::Store;
         if (is_mem && memInFlight >= cfg.lsqSize)
             break;
 
         const std::uint64_t serial = nextSerial++;
         RobEntry &entry = slot(serial);
-        entry.op = fetched.inst.op;
+        entry.op = inst.op;
         entry.done = false;
         entry.earliestIssue =
             cycle + static_cast<std::uint64_t>(
                         cfg.stagesIn(Region::Issue));
-        entry.address = fetched.inst.address;
-        entry.mispredicted = fetched.mispredicted;
+        entry.address = inst.address;
+        entry.mispredicted = inst.mispredicted;
         entry.firstConsumer = 0;
         entry.pendingOperands = 0;
 
         // Rename: newest producer per source register. A source whose
         // producer is still executing links this entry onto the
         // producer's consumer list; completion wakes it.
-        const int sources[2] = {fetched.inst.src1, fetched.inst.src2};
+        const int sources[2] = {inst.src1, inst.src2};
         for (std::uint64_t src = 0; src < 2; ++src) {
             if (sources[src] == workload::noReg)
                 continue;
@@ -272,52 +290,29 @@ CoreModel::doDispatch()
             prod.firstConsumer = serial << 1 | src;
             ++entry.pendingOperands;
         }
-        if (fetched.inst.dest != workload::noReg)
-            renameMap[static_cast<std::size_t>(fetched.inst.dest)] =
-                serial;
+        if (inst.dest != workload::noReg)
+            renameMap[static_cast<std::size_t>(inst.dest)] = serial;
 
         if (is_mem)
             ++memInFlight;
         ++waitingCount;
         if (entry.pendingOperands == 0)
             readyQueue.push_back(serial); // youngest: stays age-ordered
-        fetchQueue.pop_front();
+
+        // Fetch cycle of the next instruction: none until a
+        // mispredicted branch resolves (wrong-path work is not
+        // modeled); the next cycle after a taken branch (one per
+        // group) or a full group; else this instruction's cycle.
+        if (inst.mispredicted) {
+            fetchBlocked = true;
+        } else if (inst.taken || ++fetchSlot == cfg.fetchWidth) {
+            ++fetchCycle;
+            fetchSlot = 0;
+        }
+        frontEnd.pop();
         dispatched = true;
     }
     return dispatched;
-}
-
-bool
-CoreModel::doFetch()
-{
-    if (cycle < fetchResumeCycle || fetchBlocked)
-        return false;
-
-    for (int k = 0; k < cfg.fetchWidth; ++k) {
-        workload::TraceInst inst = trace.next();
-        FetchedInst fetched;
-        fetched.inst = inst;
-        fetched.readyCycle =
-            cycle + static_cast<std::uint64_t>(cfg.frontEndDepth());
-
-        if (inst.op == OpClass::Branch) {
-            const bool predicted = predictor.predict(inst.pc);
-            predictor.update(inst.pc, inst.taken);
-            fetched.mispredicted = predicted != inst.taken;
-            fetchQueue.push_back(fetched);
-            if (fetched.mispredicted) {
-                // Trace-driven recovery: stop fetching until the
-                // branch resolves (wrong-path work is not modeled).
-                fetchBlocked = true;
-                break;
-            }
-            if (inst.taken)
-                break; // one taken branch per fetch group
-        } else {
-            fetchQueue.push_back(fetched);
-        }
-    }
-    return true;
 }
 
 SimStats
@@ -335,7 +330,6 @@ CoreModel::run(std::uint64_t instruction_count,
         progressed |= doComplete();
         progressed |= doIssue();
         progressed |= doDispatch();
-        progressed |= doFetch();
         ++cycle;
         // A cycle in which no stage moved leaves the state unchanged,
         // so every cycle up to the next time-triggered event would
@@ -345,8 +339,9 @@ CoreModel::run(std::uint64_t instruction_count,
                              std::min(nextEventCycle(), max_cycles));
     };
 
-    // Warmup: train the predictor and caches, then discard counters
-    // while keeping all microarchitectural state.
+    // Warmup: train the caches (the stream's predictor has trained on
+    // the same instructions), then discard counters while keeping all
+    // microarchitectural state.
     stats = SimStats{};
     while (stats.instructions < warmup_instructions &&
            cycle < max_cycles)

@@ -12,6 +12,22 @@
  * two-level data cache, and misprediction recovery timed by the
  * branch resolution depth plus front-end refill.
  *
+ * Fetch is not a stage of the cycle loop. The instructions, their
+ * branch outcomes and their gshare mispredict flags come precomputed
+ * from a FrontEndStream (arch/front_end.hpp), read through a cursor.
+ * The fetch queue has no capacity limit, so the only timing input of
+ * fetch is the cycle it resumes after a misprediction, and dispatch
+ * computes the fetch cycle of its next instruction on demand:
+ *  - fetch groups of fetchWidth instructions go out on consecutive
+ *    cycles, and a group ends after a taken branch;
+ *  - fetch stops behind a mispredicted branch and resumes the cycle
+ *    after the branch completes, with a new group;
+ *  - an instruction fetched in cycle f may dispatch from cycle
+ *    f + frontEndDepth() on (and never in f itself).
+ * This is exactly the schedule of a per-cycle fetch stage that runs
+ * after dispatch. Several cores may share one stream: fig13 generates
+ * and predicts each workload once for the whole width grid.
+ *
  * Trace-driven simplification: wrong-path instructions are not
  * fetched; the misprediction cost is modeled as fetch-stall until
  * resolution plus the refill latency of the correct-path fetch group,
@@ -21,8 +37,8 @@
  * serves both processes.
  *
  * Idle cycles are skipped, not stepped: after a cycle in which no
- * stage committed, completed, issued, dispatched or fetched, the clock
- * jumps to the next time-triggered event (see nextEventCycle()). The
+ * stage committed, completed, issued or dispatched, the clock jumps
+ * to the next time-triggered event (see nextEventCycle()). The
  * skipped cycles still count in SimStats::cycles, and every statistic
  * is identical to stepping through them one by one.
  *
@@ -43,8 +59,8 @@
  *
  * Contiguous-serial invariant: fetch stops behind a mispredicted
  * branch (wrong-path work is not modeled), so when such a branch
- * completes it is the youngest instruction in flight and the fetch
- * queue is empty. A redirect therefore never squashes anything, the
+ * completes it is the youngest instruction in flight and fetch is
+ * blocked. A redirect therefore never squashes anything, the
  * in-flight serials always form one contiguous range [headSerial,
  * nextSerial), and every ring slot in that range is live. A producer
  * serial below headSerial has committed, so it (and 0, "no producer")
@@ -55,12 +71,12 @@
 #define OTFT_ARCH_CORE_HPP
 
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <vector>
 
 #include "arch/config.hpp"
+#include "arch/front_end.hpp"
 #include "arch/memory.hpp"
-#include "arch/predictor.hpp"
 #include "workload/trace.hpp"
 
 namespace otft::arch {
@@ -98,6 +114,18 @@ struct SimStats
 class CoreModel
 {
   public:
+    /**
+     * Read `stream` from its start. The stream must have been
+     * predicted with config.predictorBits and outlive the model.
+     */
+    CoreModel(CoreConfig config, FrontEndStream &stream);
+
+    /**
+     * Read a private stream drawn from `trace` (which must outlive the
+     * model) from the generator's current position on. The stream
+     * draws whole chunks, so the generator may end up ahead of the
+     * last instruction the model read.
+     */
     CoreModel(CoreConfig config, workload::TraceGenerator &trace);
 
     /**
@@ -111,6 +139,10 @@ class CoreModel
     const CoreConfig &config() const { return cfg; }
 
   private:
+    /** Reads `shared` if set, else `own`. */
+    CoreModel(CoreConfig config, FrontEndStream *shared,
+              std::unique_ptr<FrontEndStream> own);
+
     /** One in-flight instruction, stored in ring slot serial & robMask. */
     struct RobEntry
     {
@@ -142,13 +174,6 @@ class CoreModel
     /** Heap order: the top completes first, oldest first on a tie. */
     static bool laterCompletion(const Completion &a, const Completion &b);
 
-    struct FetchedInst
-    {
-        workload::TraceInst inst;
-        bool mispredicted = false;
-        std::uint64_t readyCycle = 0;
-    };
-
     RobEntry &slot(std::uint64_t serial) { return rob[serial & robMask]; }
     const RobEntry &slot(std::uint64_t serial) const
     {
@@ -168,8 +193,8 @@ class CoreModel
     /**
      * Earliest cycle at or after `cycle` at which a time-triggered
      * event (a completion, an issue becoming eligible, a divide
-     * freeing its pipe, a fetched group reaching dispatch, fetch
-     * resuming) can let a stage make progress; UINT64_MAX if none.
+     * freeing its pipe, the next instruction reaching dispatch) can
+     * let a stage make progress; UINT64_MAX if none.
      */
     std::uint64_t nextEventCycle() const;
 
@@ -178,11 +203,14 @@ class CoreModel
     bool doComplete();
     bool doIssue();
     bool doDispatch();
-    bool doFetch();
 
     CoreConfig cfg;
-    workload::TraceGenerator &trace;
-    GsharePredictor predictor;
+    /** The stream of the generator constructor; null otherwise. */
+    std::unique_ptr<FrontEndStream> ownStream;
+    /** The next instruction to dispatch. */
+    FrontEndCursor frontEnd;
+    /** Cycles from fetch to the earliest dispatch (at least one). */
+    std::uint64_t fetchDelay = 1;
     MemoryModel memory;
     SimStats stats;
 
@@ -201,10 +229,12 @@ class CoreModel
     std::vector<std::uint64_t> readyQueue;
     /** Min-heap of the Issued entries' completions. */
     std::vector<Completion> completions;
-    std::deque<FetchedInst> fetchQueue;
-    /** Fetch stalls until this cycle after a misprediction. */
-    std::uint64_t fetchResumeCycle = 0;
-    /** Fetch is blocked behind an unresolved mispredicted branch. */
+    /** Fetch cycle of frontEnd.front() (unless fetchBlocked). */
+    std::uint64_t fetchCycle = 0;
+    /** frontEnd.front()'s position in its fetch group. */
+    int fetchSlot = 0;
+    /** Fetch is blocked behind an unresolved mispredicted branch, so
+     *  frontEnd.front() has no fetch cycle yet. */
     bool fetchBlocked = false;
     /** Newest producer serial per architectural register (0 or a
      *  committed serial = the architectural value is ready). */

@@ -48,12 +48,4 @@ GsharePredictor::update(std::uint64_t pc, bool taken)
     history = ((history << 1) | (taken ? 1 : 0)) & historyMask;
 }
 
-void
-GsharePredictor::recordOutcome(bool mispredicted)
-{
-    ++lookups_;
-    if (mispredicted)
-        ++mispredicts_;
-}
-
 } // namespace otft::arch

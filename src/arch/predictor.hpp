@@ -36,16 +36,6 @@ class GsharePredictor
     /** Train with the actual outcome and update global history. */
     void update(std::uint64_t pc, bool taken);
 
-    /** Predictions made / mispredictions observed. */
-    std::uint64_t lookups() const { return lookups_; }
-    std::uint64_t mispredicts() const { return mispredicts_; }
-
-    /**
-     * Record a resolved prediction (bookkeeping only; update() trains
-     * the tables).
-     */
-    void recordOutcome(bool mispredicted);
-
   private:
     std::size_t index(std::uint64_t pc) const;
 
@@ -54,8 +44,6 @@ class GsharePredictor
     std::uint64_t mask;
     std::uint64_t historyMask;
     int pcBits = 0;
-    std::uint64_t lookups_ = 0;
-    std::uint64_t mispredicts_ = 0;
 };
 
 } // namespace otft::arch

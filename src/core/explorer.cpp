@@ -107,6 +107,15 @@ ArchExplorer::ArchExplorer(const liberty::CellLibrary &library,
             "explorer.seed", static_cast<double>(config_.seed));
 }
 
+arch::FrontEndStream &
+ArchExplorer::stream(std::size_t index, int predictor_bits)
+{
+    return *streams.get({index, predictor_bits}, [&] {
+        return std::make_unique<arch::FrontEndStream>(
+            workloads[index], config_.seed, predictor_bits);
+    });
+}
+
 std::vector<double>
 ArchExplorer::measureIpc(const arch::CoreConfig &config)
 {
@@ -116,14 +125,14 @@ ArchExplorer::measureIpc(const arch::CoreConfig &config)
     OTFT_TRACE_SCOPE("explorer.point.simulate");
     stats::ScopedTimer timer(stat_sim_time);
 
-    // Each workload simulates on its own generator + core model, so
-    // the seven IPC runs fan out; slots land in paperWorkloads()
-    // order, identical to the serial loop.
+    // Each workload simulates on its own core model, reading its own
+    // cursor on the shared stream, so the seven IPC runs fan out;
+    // slots land in paperWorkloads() order, identical to the serial
+    // loop.
     return parallel::orderedMap<double>(
         workloads.size(), [&](std::size_t i) {
-            workload::TraceGenerator trace(workloads[i],
-                                           config_.seed);
-            arch::CoreModel core(config, trace);
+            arch::CoreModel core(config,
+                                 stream(i, config.predictorBits));
             return core.run(config_.instructions).ipc();
         });
 }
@@ -141,7 +150,8 @@ ArchExplorer::evaluate(const arch::CoreConfig &config)
     diag::ScopedContext diag_ctx(
         diag::labelsWanted()
             ? "explorer.point.fe" + std::to_string(config.fetchWidth) +
-                  ".alu" + std::to_string(config.aluPipes)
+                  ".alu" + std::to_string(config.aluPipes) + ".s" +
+                  std::to_string(config.totalStages())
             : std::string());
     ++stat_points;
 

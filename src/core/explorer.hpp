@@ -16,11 +16,15 @@
 #ifndef OTFT_CORE_EXPLORER_HPP
 #define OTFT_CORE_EXPLORER_HPP
 
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/core.hpp"
+#include "arch/front_end.hpp"
 #include "core/synthesizer.hpp"
+#include "util/memo.hpp"
 #include "workload/trace.hpp"
 
 namespace otft::core {
@@ -113,16 +117,28 @@ class ArchExplorer
     /** ALU pipeline depth sweep (complex ALU standalone, Fig. 12). */
     std::vector<AluPoint> aluDepthSweep(const std::vector<int> &stages);
 
-    /** IPC of a configuration on every paper workload (uncached). */
+    /**
+     * IPC of a configuration on every paper workload (uncached). Each
+     * core reads the explorer's shared front-end stream of its
+     * workload, so the sweeps generate and predict each workload once.
+     */
     std::vector<double> measureIpc(const arch::CoreConfig &config);
 
     CoreSynthesizer &synthesizer() { return synth; }
 
   private:
+    /** The front-end stream of workloads[index] at `predictor_bits`,
+     *  created on first use. */
+    arch::FrontEndStream &stream(std::size_t index, int predictor_bits);
+
     const liberty::CellLibrary &library;
     ExplorerConfig config_;
     CoreSynthesizer synth;
     std::vector<workload::BenchmarkProfile> workloads;
+    /** Keyed by (workload index, predictorBits); the seed is
+     *  config_.seed. */
+    Memo<std::pair<std::size_t, int>, std::unique_ptr<arch::FrontEndStream>>
+        streams;
     /** library.contentHash(), computed once at construction. */
     std::uint64_t libraryHash = 0;
 };

@@ -33,10 +33,6 @@
 #ifndef OTFT_CORE_SYNTHESIZER_HPP
 #define OTFT_CORE_SYNTHESIZER_HPP
 
-#include <exception>
-#include <future>
-#include <map>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -45,6 +41,7 @@
 #include "liberty/library.hpp"
 #include "sta/pipeline.hpp"
 #include "sta/sta.hpp"
+#include "util/memo.hpp"
 
 namespace otft::core {
 
@@ -101,49 +98,6 @@ class CoreSynthesizer
     double loopSpanCoefficient = 0.09;
 
   private:
-    /**
-     * Compute-once memo table. The first caller of a key computes the
-     * value outside the lock; concurrent callers of the same key wait
-     * on its shared_future instead of recomputing. Entries are never
-     * evicted, so returned references live as long as the table.
-     */
-    template <typename Key, typename Value>
-    class Memo
-    {
-      public:
-        /** @param computed out: whether this call ran `compute`. */
-        template <typename Compute>
-        const Value &
-        get(const Key &key, Compute &&compute, bool *computed = nullptr)
-        {
-            std::unique_lock<std::mutex> lock(mutex);
-            const auto it = table.find(key);
-            if (computed)
-                *computed = it == table.end();
-            if (it != table.end()) {
-                const std::shared_future<Value> done = it->second;
-                lock.unlock();
-                return done.get();
-            }
-            std::promise<Value> promise;
-            const std::shared_future<Value> done =
-                promise.get_future().share();
-            table.emplace(key, done);
-            lock.unlock();
-            try {
-                promise.set_value(compute());
-            } catch (...) {
-                promise.set_exception(std::current_exception());
-                throw;
-            }
-            return done.get();
-        }
-
-      private:
-        std::mutex mutex;
-        std::map<Key, std::shared_future<Value>> table;
-    };
-
     /** Bufferized combinational block of a region. */
     const netlist::Netlist &block(arch::Region region,
                                   const arch::CoreConfig &config);

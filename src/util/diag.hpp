@@ -10,7 +10,7 @@
  * nothing. When `--diag-json`/`--diag-dir` turn the collector on:
  *
  *  - callers label their work with ScopedContext ("liberty.inv.pin0",
- *    "explorer.point.fe2.alu2"); the label is thread-local, so every
+ *    "explorer.point.fe2.alu2.s9"); the label is thread-local, so every
  *    worker of the parallel pool aggregates under its own task;
  *  - circuit::Mna::solveNewton opens a SolveProbe per solve and feeds
  *    it per-iteration residual/update norms (ring-buffered) and

@@ -230,10 +230,17 @@ TraceGenerator::nextAddress(bool &chased)
 
 TraceGenerator::~TraceGenerator()
 {
+    publishGenerated();
+}
+
+void
+TraceGenerator::publishGenerated()
+{
     static stats::Counter &stat_insts = stats::counter(
         "workload.instructions.generated",
         "synthetic trace instructions generated");
     stat_insts += generated;
+    generated = 0;
 }
 
 TraceInst

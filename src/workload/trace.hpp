@@ -121,7 +121,8 @@ class TraceGenerator
   public:
     TraceGenerator(BenchmarkProfile profile, std::uint64_t seed = 1);
 
-    /** Adds the instructions generated to the stats registry. */
+    /** Publishes the instructions not yet published (see
+     *  publishGenerated()). */
     ~TraceGenerator();
 
     TraceGenerator(const TraceGenerator &) = delete;
@@ -129,6 +130,14 @@ class TraceGenerator
 
     /** Generate the next dynamic instruction. */
     TraceInst next();
+
+    /**
+     * Add the instructions generated since the last call to the
+     * `workload.instructions.generated` counter. A generator that
+     * lives as long as its consumer (a shared front-end stream) calls
+     * this per batch, so the count is current while the run goes on.
+     */
+    void publishGenerated();
 
     const BenchmarkProfile &profile() const { return profile_; }
 
@@ -163,9 +172,9 @@ class TraceGenerator
     std::uint64_t streamAddr = 0;
     int lastLoadDest = noReg;
     /**
-     * Instructions generated so far. Counted here and published once
-     * by the destructor: a shared counter bumped per instruction makes
-     * concurrent generators contend on one cache line.
+     * Instructions generated and not yet published. Counted here and
+     * published in batches: a shared counter bumped per instruction
+     * makes concurrent generators contend on one cache line.
      */
     std::uint64_t generated = 0;
 };

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "arch/core.hpp"
 #include "util/logging.hpp"
 
@@ -95,6 +97,45 @@ TEST(CoreModel, RejectsInvalidWidths)
     auto profile = workload::profileByName("gzip");
     workload::TraceGenerator gen(profile, 7);
     EXPECT_THROW(CoreModel(config, gen), FatalError);
+}
+
+TEST(CoreModel, RejectsStreamWithOtherPredictorBits)
+{
+    FrontEndStream stream(workload::profileByName("gzip"), 7, 10);
+    EXPECT_THROW(CoreModel(baselineConfig(), stream), FatalError);
+}
+
+/**
+ * Cores reading one shared stream, one after another and at different
+ * widths and depths, match cores on private generators field for
+ * field: sharing the front end never changes a result.
+ */
+TEST(CoreModel, SharedStreamMatchesGenerator)
+{
+    std::vector<CoreConfig> configs(3, baselineConfig());
+    configs[1].fetchWidth = 6;
+    configs[1].aluPipes = 5;
+    configs[2].fetchWidth = 2;
+    configs[2].aluPipes = 2;
+    configs[2].stagesIn(Region::Fetch) += 3;
+    configs[2].stagesIn(Region::Issue) = 3;
+    for (const char *name : {"parser", "mcf"}) {
+        const auto profile = workload::profileByName(name);
+        FrontEndStream stream(profile, 7, baselineConfig().predictorBits);
+        for (const CoreConfig &config : configs) {
+            workload::TraceGenerator gen(profile, 7);
+            const SimStats a = CoreModel(config, gen).run(20000, 4000);
+            const SimStats b = CoreModel(config, stream).run(20000, 4000);
+            EXPECT_EQ(a.cycles, b.cycles) << name;
+            EXPECT_EQ(a.instructions, b.instructions) << name;
+            EXPECT_EQ(a.branches, b.branches) << name;
+            EXPECT_EQ(a.mispredicts, b.mispredicts) << name;
+            EXPECT_EQ(a.loads, b.loads) << name;
+            EXPECT_EQ(a.stores, b.stores) << name;
+            EXPECT_EQ(a.l1Misses, b.l1Misses) << name;
+            EXPECT_EQ(a.l2Misses, b.l2Misses) << name;
+        }
+    }
 }
 
 TEST(CoreModel, ZeroWarmupWorks)
@@ -247,6 +288,44 @@ TEST(CoreModel, Fig13GridHashIsBitExact)
     }
     EXPECT_EQ(cycles, 5575431u);
     EXPECT_EQ(hash, 0xd3f3fcd9176f1090ull);
+}
+
+/**
+ * Front-end depth grid: the Fig. 13 hash above only varies width at
+ * baseline depth. Here every paper workload runs on fetch widths
+ * {1, 2, 4, 6} x extra Fetch/Decode stages {0, 2, 5} x Issue stages
+ * {1, 3}, so the fetch-to-dispatch delay, the misprediction refill and
+ * the wakeup penalty all move the hash.
+ */
+TEST(CoreModel, DepthGridHashIsBitExact)
+{
+    std::uint64_t hash = 1469598103934665603ull; // FNV offset basis
+    std::uint64_t cycles = 0;
+    for (int fe : {1, 2, 4, 6}) {
+        for (int extra : {0, 2, 5}) {
+            for (int issue : {1, 3}) {
+                for (const auto &profile : workload::paperWorkloads()) {
+                    CoreConfig config = baselineConfig();
+                    config.fetchWidth = fe;
+                    config.aluPipes = std::max(1, fe - 1);
+                    config.stagesIn(Region::Fetch) += extra - extra / 2;
+                    config.stagesIn(Region::Decode) += extra / 2;
+                    config.stagesIn(Region::Issue) = issue;
+                    workload::TraceGenerator gen(profile, 7);
+                    const SimStats s =
+                        CoreModel(config, gen).run(5000, 2000);
+                    for (std::uint64_t field :
+                         {s.cycles, s.instructions, s.branches,
+                          s.mispredicts, s.loads, s.stores, s.l1Misses,
+                          s.l2Misses})
+                        hash = fnv1a(hash, field);
+                    cycles += s.cycles;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(cycles, 4784305u);
+    EXPECT_EQ(hash, 0x5137d63b8b7d90dbull);
 }
 
 /** Sweep: every paper workload runs on a mid-size config. */

@@ -71,16 +71,6 @@ TEST(Predictor, AchievesLowMispredictOnDhrystone)
     EXPECT_LT(static_cast<double>(misses) / branches, 0.15);
 }
 
-TEST(Predictor, OutcomeBookkeeping)
-{
-    GsharePredictor p(10);
-    p.recordOutcome(false);
-    p.recordOutcome(true);
-    p.recordOutcome(true);
-    EXPECT_EQ(p.lookups(), 3u);
-    EXPECT_EQ(p.mispredicts(), 2u);
-}
-
 TEST(Predictor, ValidatesConfiguration)
 {
     EXPECT_THROW(GsharePredictor(2), FatalError);

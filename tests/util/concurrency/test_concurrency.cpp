@@ -1,8 +1,9 @@
 /**
  * @file
- * Concurrency stress harness for the instrumentation subsystem and
- * the parallel layer. Every test hammers one shared structure from
- * many threads and then asserts *exact* totals — races that drop or
+ * Concurrency stress harness for the instrumentation subsystem, the
+ * parallel layer and the shared front-end stream. Every test hammers
+ * one shared structure from many threads and then asserts *exact*
+ * totals — races that drop or
  * double-count updates fail the assertion, and the data races
  * themselves are caught when this binary runs under ThreadSanitizer
  * (scripts/verify.sh --tsan).
@@ -19,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "arch/front_end.hpp"
 #include "util/json.hpp"
 #include "util/parallel.hpp"
 #include "util/stats_registry.hpp"
@@ -248,6 +250,46 @@ TEST(ConcurrencyStress, ScopedTimersAggregateExactCounts)
     EXPECT_EQ(acc.count(), static_cast<std::uint64_t>(kThreads) *
                                per_thread);
     EXPECT_GE(acc.min(), 0.0);
+}
+
+/** FNV-1a digest of the first `count` instructions of a cursor. */
+std::uint64_t
+digestStream(arch::FrontEndStream &stream, std::size_t count)
+{
+    arch::FrontEndCursor cursor(stream);
+    std::uint64_t hash = 1469598103934665603ull;
+    for (std::size_t i = 0; i < count; ++i, cursor.pop()) {
+        const arch::FrontEndInst &inst = cursor.front();
+        for (std::uint64_t word :
+             {static_cast<std::uint64_t>(inst.op),
+              static_cast<std::uint64_t>(inst.src1 + 1) << 16 |
+                  static_cast<std::uint64_t>(inst.src2 + 1) << 8 |
+                  static_cast<std::uint64_t>(inst.dest + 1),
+              static_cast<std::uint64_t>(inst.taken) << 1 |
+                  static_cast<std::uint64_t>(inst.mispredicted),
+              inst.address})
+            hash = (hash ^ word) * 1099511628211ull;
+    }
+    return hash;
+}
+
+TEST(ConcurrencyStress, FrontEndCursorsReadIdenticalSequences)
+{
+    // Every cursor races the others to extend the stream, chunk by
+    // chunk, and must read exactly what a stream read alone yields.
+    const auto profile = workload::profileByName("mcf");
+    constexpr std::size_t count =
+        3 * arch::FrontEndStream::chunkInsts + 777;
+    arch::FrontEndStream alone(profile, 7, 12);
+    const std::uint64_t want = digestStream(alone, count);
+
+    arch::FrontEndStream shared(profile, 7, 12);
+    std::vector<std::uint64_t> got(kThreads, 0);
+    onThreads([&](int t) {
+        got[static_cast<std::size_t>(t)] = digestStream(shared, count);
+    });
+    for (int t = 0; t < kThreads; ++t)
+        EXPECT_EQ(got[static_cast<std::size_t>(t)], want) << "cursor " << t;
 }
 
 } // namespace
