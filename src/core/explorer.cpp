@@ -1,7 +1,5 @@
 #include "core/explorer.hpp"
 
-#include "core/blocks.hpp"
-#include "netlist/bufferize.hpp"
 #include "util/diag.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
@@ -218,7 +216,9 @@ ArchExplorer::depthSweep(int max_stages)
         sweep.points.push_back(evaluate(config));
         if (config.totalStages() >= max_stages)
             break;
-        config = synth.deepen(config);
+        // Cut the critical stage of the point just timed (what
+        // synth.deepen(config) would re-synthesize to find).
+        ++config.stagesIn(sweep.points.back().timing.critical);
     }
     return sweep;
 }
@@ -284,22 +284,15 @@ ArchExplorer::widthSweep(int fe_min, int fe_max, int be_min, int be_max)
 std::vector<AluPoint>
 ArchExplorer::aluDepthSweep(const std::vector<int> &stages)
 {
-    const netlist::Netlist alu = netlist::bufferize(buildComplexAlu(),
-                                                    6);
-    sta::Pipeliner pipeliner(library, config_.sta);
-    sta::StaEngine engine(library, config_.sta);
-
-    // Pipeliner::pipeline and StaEngine::analyze are const, so the
-    // stage-count tasks share both engines safely.
+    // The synthesizer's complex-ALU memo is compute-once, so the
+    // stage-count tasks share one ALU build and propagation.
     return parallel::orderedMap<AluPoint>(
         stages.size(), [&](std::size_t i) {
-            const int n = stages[i];
-            const auto report = pipeliner.pipeline(alu, n);
-            const auto sta = engine.analyze(report.netlist);
+            const auto [period, area] = synth.complexAluTiming(stages[i]);
             AluPoint p;
-            p.stages = n;
-            p.frequency = sta.maxFrequency;
-            p.area = sta.area;
+            p.stages = stages[i];
+            p.frequency = period > 0.0 ? 1.0 / period : 0.0;
+            p.area = area;
             return p;
         });
 }

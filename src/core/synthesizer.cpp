@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "netlist/bufferize.hpp"
 #include "util/logging.hpp"
@@ -20,12 +21,33 @@ CoreSynthesizer::CoreSynthesizer(const liberty::CellLibrary &library,
 {
 }
 
-const netlist::Netlist &
+CoreSynthesizer::TimedBlock
+CoreSynthesizer::timeBlock(netlist::Netlist comb) const
+{
+    TimedBlock timed;
+    timed.netlist = std::move(comb);
+    std::vector<double> arrival;
+    timed.oneStage = engine.analyze(timed.netlist, &arrival);
+    timed.delays = pipeliner.combDelays(timed.netlist, arrival);
+    return timed;
+}
+
+sta::StaResult
+CoreSynthesizer::analyzeAt(const TimedBlock &block, int stages) const
+{
+    if (stages == 1)
+        return block.oneStage;
+    return engine.analyze(
+        pipeliner.pipeline(block.netlist, block.delays, stages).netlist);
+}
+
+const CoreSynthesizer::TimedBlock &
 CoreSynthesizer::block(Region region, const CoreConfig &config)
 {
     return blockCache.get(regionBlockKey(region, config), [&] {
         OTFT_TRACE_SCOPE("synth.block.build");
-        return netlist::bufferize(buildRegionBlock(region, config), 6);
+        return timeBlock(
+            netlist::bufferize(buildRegionBlock(region, config), 6));
     });
 }
 
@@ -45,12 +67,11 @@ std::pair<double, double>
 CoreSynthesizer::complexAluTiming(int stages)
 {
     return aluTimingCache.get(stages, [&] {
-        const netlist::Netlist &alu = aluCache.get(0, [] {
+        const TimedBlock &alu = aluCache.get(0, [&] {
             OTFT_TRACE_SCOPE("synth.block.build");
-            return netlist::bufferize(buildComplexAlu(), 6);
+            return timeBlock(netlist::bufferize(buildComplexAlu(), 6));
         });
-        const auto report = pipeliner.pipeline(alu, stages);
-        const auto sta = engine.analyze(report.netlist);
+        const sta::StaResult sta = analyzeAt(alu, stages);
         return std::make_pair(sta.minClockPeriod, sta.area);
     });
 }
@@ -84,9 +105,8 @@ CoreSynthesizer::synthesize(const CoreConfig &config)
             {regionBlockKey(region, config), stages},
             [&] {
                 OTFT_TRACE_SCOPE("synth.region.time");
-                const auto report =
-                    pipeliner.pipeline(block(region, config), stages);
-                const auto sta = engine.analyze(report.netlist);
+                const sta::StaResult sta =
+                    analyzeAt(block(region, config), stages);
                 RegionTiming value;
                 value.region = region;
                 value.stages = stages;

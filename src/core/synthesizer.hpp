@@ -14,7 +14,10 @@
  * Every intermediate result is memoized per synthesizer: bufferized
  * region blocks and loop netlists by regionBlockKey() (the
  * configuration fields their builders read), region timings by
- * (block key, stages), and the complex ALU by stage count. A width
+ * (block key, stages), and the complex ALU by stage count. A block is
+ * propagated once, when it is built: that one analysis is its
+ * one-stage timing (the block is timed in place, not as a copy) and
+ * yields the cut delays every deeper stage count reuses. A width
  * sweep therefore synthesizes each front-end block once per fetch
  * width and each back-end block once per back-end width, not once per
  * design point. The memo tables are compute-once and thread-safe, so
@@ -88,6 +91,12 @@ class CoreSynthesizer
      */
     arch::CoreConfig deepen(const arch::CoreConfig &config);
 
+    /**
+     * Pipelined (min clock period, area) of the complex ALU at
+     * `stages` stages. Safe to call concurrently.
+     */
+    std::pair<double, double> complexAluTiming(int stages);
+
     const liberty::CellLibrary &lib() const { return library; }
     const sta::StaConfig &staConfig() const { return staConfig_; }
 
@@ -98,9 +107,25 @@ class CoreSynthesizer
     double loopSpanCoefficient = 0.09;
 
   private:
-    /** Bufferized combinational block of a region. */
-    const netlist::Netlist &block(arch::Region region,
-                                  const arch::CoreConfig &config);
+    /** A bufferized comb block and the facts of its one propagation. */
+    struct TimedBlock
+    {
+        netlist::Netlist netlist;
+        /** The block timed as one stage. */
+        sta::StaResult oneStage;
+        /** What the pipeliner cuts it by at every deeper stage count. */
+        sta::CombDelays delays;
+    };
+
+    /** Propagate a bufferized comb block once for its TimedBlock. */
+    TimedBlock timeBlock(netlist::Netlist comb) const;
+
+    /** STA of `block` cut into `stages` stages. */
+    sta::StaResult analyzeAt(const TimedBlock &block, int stages) const;
+
+    /** Bufferized combinational block of a region, timed. */
+    const TimedBlock &block(arch::Region region,
+                            const arch::CoreConfig &config);
 
     /**
      * Bufferized single-cycle loop flooring `region`: the
@@ -109,19 +134,16 @@ class CoreSynthesizer
     const netlist::Netlist &loopNetlist(arch::Region region,
                                         const arch::CoreConfig &config);
 
-    /** Pipelined (min clock period, area) of the complex ALU. */
-    std::pair<double, double> complexAluTiming(int stages);
-
     const liberty::CellLibrary &library;
     sta::StaConfig staConfig_;
     sta::StaEngine engine;
     sta::Pipeliner pipeliner;
-    Memo<RegionBlockKey, netlist::Netlist> blockCache;
+    Memo<RegionBlockKey, TimedBlock> blockCache;
     /** Keyed by the block key of the region the loop floors. */
     Memo<RegionBlockKey, netlist::Netlist> loopCache;
     Memo<std::pair<RegionBlockKey, int>, RegionTiming> timingCache;
     /** Complex ALU comb block (one entry: it is width-independent). */
-    Memo<int, netlist::Netlist> aluCache;
+    Memo<int, TimedBlock> aluCache;
     /** Complex ALU pipelined (period, area) by stage count. */
     Memo<int, std::pair<double, double>> aluTimingCache;
 };

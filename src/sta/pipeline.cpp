@@ -31,22 +31,47 @@ struct StageAssigner
     const std::vector<double> &gateDelay;
     /** Delay from a stage-entry register to a gate's inputs. */
     double launchDelay;
+    /** Within-stage arrival per gate, reused across passes. */
+    std::vector<double> intra;
+
+    /** Outcome of one pass. */
+    struct Pass
+    {
+        /** Stages used, or a count above the limit (overflow). */
+        int stages = 0;
+        /**
+         * On a fit, the largest within-stage arrival assigned: the
+         * pass makes the same choices, so also fits, at every budget
+         * from here up to its own, and by monotonicity above it. On
+         * an overflow, the smallest arrival pushed into a new stage:
+         * every budget below it overflows too.
+         */
+        double bound = 0.0;
+    };
 
     /**
-     * Fill stage[g] for every gate and return the number of stages
-     * used, or stop early and return a count above `limit` as soon as
-     * the slicing needs more than `limit` stages (stage[] is then
-     * incomplete).
+     * Fill stage[g] for every gate, or stop early with a count above
+     * `limit` as soon as the slicing needs more than `limit` stages
+     * (stage[] is then incomplete).
      */
-    int
-    assign(double budget, int limit, std::vector<int> &stage) const
+    Pass
+    assign(double budget, int limit, std::vector<int> &stage)
     {
-        const std::size_t n = nl.numGates();
-        stage.assign(n, 0);
-        std::vector<double> intra(n, 0.0);
-        int max_stage = 0;
+        static stats::Counter &stat_passes = stats::counter(
+            "sta.pipeline.assign_passes",
+            "stage-assignment passes run by the pipeliner's budget "
+            "search");
+        ++stat_passes;
 
-        // Gate ids ascend in topological order (Netlist::topoOrder).
+        // Gate ids ascend in topological order (Netlist::topoOrder),
+        // so every entry is written before any later gate reads it.
+        const std::size_t n = nl.numGates();
+        stage.resize(n);
+        intra.resize(n);
+        int max_stage = 0;
+        double max_intra = launchDelay;
+        double min_pushed = std::numeric_limits<double>::infinity();
+
         for (std::size_t g = 0; g < n; ++g) {
             const Gate &gate = nl.gates()[g];
             const int fan_in = netlist::fanInOf(gate.kind);
@@ -75,23 +100,75 @@ struct StageAssigner
 
             if (t > budget) {
                 // Start a new stage with this gate.
+                min_pushed = std::min(min_pushed, t);
                 ++st;
                 t = launchDelay + gateDelay[g];
                 if (st >= limit)
-                    return st + 1;
+                    return {st + 1, min_pushed};
             }
             stage[g] = st;
             intra[g] = t;
             max_stage = std::max(max_stage, st);
+            max_intra = std::max(max_intra, t);
         }
-        return max_stage + 1;
+        return {max_stage + 1, max_intra};
     }
 };
 
 } // namespace
 
+CombDelays
+Pipeliner::combDelays(const Netlist &comb,
+                      const std::vector<double> &arrival) const
+{
+    const std::size_t n = comb.numGates();
+    if (arrival.size() != n)
+        fatal("Pipeliner: ", arrival.size(), " arrival times for ", n,
+              " gates");
+
+    // Incremental delay = arrival - max fanin arrival; for first-level
+    // gates it is arrival - launch.
+    CombDelays delays;
+    delays.gate.assign(n, 0.0);
+    const double launch = library.cell("dff").flop.clkToQ;
+    for (GateId id : comb.topoOrder()) {
+        const std::size_t g = static_cast<std::size_t>(id);
+        const Gate &gate = comb.gate(id);
+        const int fan_in = netlist::fanInOf(gate.kind);
+        if (fan_in == 0 || arrival[g] < 0.0)
+            continue;
+        double src_max = 0.0;
+        bool any = false;
+        for (int k = 0; k < fan_in; ++k) {
+            const std::size_t s = static_cast<std::size_t>(
+                gate.fanin[static_cast<std::size_t>(k)]);
+            if (arrival[s] >= 0.0) {
+                src_max = std::max(src_max, arrival[s]);
+                any = true;
+            }
+        }
+        delays.gate[g] =
+            std::max(arrival[g] - (any ? src_max : launch), 1e-18);
+    }
+    if (n > 0)
+        delays.maxArrival = *std::max_element(arrival.begin(), arrival.end());
+    return delays;
+}
+
 PipelineReport
 Pipeliner::pipeline(const Netlist &comb, int stages) const
+{
+    if (stages <= 1)
+        return pipeline(comb, CombDelays{}, stages);
+    return pipeline(
+        comb,
+        combDelays(comb, StaEngine(library, config_).arrivalTimes(comb)),
+        stages);
+}
+
+PipelineReport
+Pipeliner::pipeline(const Netlist &comb, const CombDelays &delays,
+                    int stages) const
 {
     static stats::Counter &stat_runs = stats::counter(
         "sta.pipeline.runs", "netlists pipelined");
@@ -110,56 +187,54 @@ Pipeliner::pipeline(const Netlist &comb, int stages) const
     std::vector<int> stage(n, 0);
 
     if (stages > 1) {
-        // Per-gate incremental delays at the comb netlist's loads
-        // (a good approximation of the post-insertion loads).
-        StaEngine engine(library, config_);
-        const std::vector<double> arrival = engine.arrivalTimes(comb);
-
-        std::vector<double> gate_delay(n, 0.0);
-        {
-            // Incremental delay = arrival - max fanin arrival; for
-            // first-level gates it is arrival - launch.
-            const double launch = library.cell("dff").flop.clkToQ;
-            for (GateId id : comb.topoOrder()) {
-                const std::size_t g = static_cast<std::size_t>(id);
-                const Gate &gate = comb.gate(id);
-                const int fan_in = netlist::fanInOf(gate.kind);
-                if (fan_in == 0 || arrival[g] < 0.0)
-                    continue;
-                double src_max = 0.0;
-                bool any = false;
-                for (int k = 0; k < fan_in; ++k) {
-                    const std::size_t s = static_cast<std::size_t>(
-                        gate.fanin[static_cast<std::size_t>(k)]);
-                    if (arrival[s] >= 0.0) {
-                        src_max = std::max(src_max, arrival[s]);
-                        any = true;
-                    }
-                }
-                gate_delay[g] =
-                    std::max(arrival[g] - (any ? src_max : launch),
-                             1e-18);
-            }
-        }
-
+        if (delays.gate.size() != n)
+            fatal("Pipeliner: delays for ", delays.gate.size(),
+                  " gates, netlist has ", n);
         const liberty::FlopTiming &flop = library.cell("dff").flop;
-        StageAssigner assigner{comb, gate_delay, flop.clkToQ};
+        StageAssigner assigner{comb, delays.gate, flop.clkToQ, {}};
 
         // Parametric search: smallest per-stage budget that fits in
-        // the requested stage count.
+        // the requested stage count. Passes whose outcome an earlier
+        // pass already decides are skipped; lo/hi follow the plain
+        // bisection exactly.
         double lo = flop.clkToQ;
-        for (double d : gate_delay)
+        for (double d : delays.gate)
             lo = std::max(lo, flop.clkToQ + d);
-        double hi = *std::max_element(arrival.begin(), arrival.end()) +
-                    flop.clkToQ;
+        double hi = delays.maxArrival + flop.clkToQ;
+        constexpr double inf = std::numeric_limits<double>::infinity();
+        double fits_from = inf, overflows_below = -inf;
+        // Stage vector of the last fitting pass run. A fitting pass's
+        // bound is at most its budget (a gate opening a stage arrives
+        // at clk->Q + its delay <= lo <= mid), so each one lowers
+        // fits_from.
+        std::vector<int> fitted;
         for (int it = 0; it < 40; ++it) {
             const double mid = 0.5 * (lo + hi);
-            if (assigner.assign(mid, stages, stage) <= stages)
+            bool fits = mid >= fits_from;
+            if (!fits && mid >= overflows_below) {
+                const StageAssigner::Pass pass =
+                    assigner.assign(mid, stages, stage);
+                fits = pass.stages <= stages;
+                if (fits) {
+                    fits_from = pass.bound;
+                    fitted.swap(stage);
+                } else {
+                    overflows_below =
+                        std::max(overflows_below, pass.bound);
+                }
+            }
+            if (fits)
                 hi = mid;
             else
                 lo = mid;
         }
-        assigner.assign(hi, std::numeric_limits<int>::max(), stage);
+        // hi never rises, so it is at most the budget of the last
+        // fitting pass run; at or above that pass's bound the pass's
+        // choices hold unchanged, so its stage vector is hi's.
+        if (fits_from <= hi)
+            stage.swap(fitted);
+        else
+            assigner.assign(hi, std::numeric_limits<int>::max(), stage);
     }
 
     // Rebuild with register ranks on stage-crossing nets. DFF chains

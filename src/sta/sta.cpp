@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/logging.hpp"
 #include "util/stats_registry.hpp"
@@ -151,14 +152,14 @@ StaEngine::arrivalTimes(const Netlist &nl) const
 }
 
 StaResult
-StaEngine::analyze(const Netlist &nl) const
+StaEngine::analyze(const Netlist &nl, std::vector<double> *arrival) const
 {
     static stats::Counter &stat_analyses = stats::counter(
         "sta.analyses", "full STA analyses performed");
     OTFT_TRACE_SCOPE("sta.analyze");
     ++stat_analyses;
 
-    const Propagation p = propagate(nl);
+    Propagation p = propagate(nl);
     const liberty::StdCell &dff_cell = *cellOf(GateKind::Dff);
 
     StaResult result;
@@ -222,6 +223,8 @@ StaEngine::analyze(const Netlist &nl) const
         if (gate.kind == GateKind::Dff)
             ++result.flopCount;
     }
+    if (arrival)
+        *arrival = std::move(p.arrival);
     return result;
 }
 

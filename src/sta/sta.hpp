@@ -88,8 +88,13 @@ class StaEngine
   public:
     StaEngine(const liberty::CellLibrary &library, StaConfig config = {});
 
-    /** Analyze a netlist. */
-    StaResult analyze(const netlist::Netlist &netlist) const;
+    /**
+     * Analyze a netlist. A non-null `arrival` receives the gate arrival
+     * times of the same propagation (what arrivalTimes() returns), so
+     * a caller that also pipelines the netlist propagates it once.
+     */
+    StaResult analyze(const netlist::Netlist &netlist,
+                      std::vector<double> *arrival = nullptr) const;
 
     /**
      * Data arrival time at every gate output (negative for gates that

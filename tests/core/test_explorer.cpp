@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/explorer.hpp"
+#include "liberty/characterizer.hpp"
 #include "liberty/silicon.hpp"
 
 namespace otft::core {
@@ -141,6 +142,71 @@ TEST(Explorer, WidthSweepTimingHashIsBitExact)
                 hash = hashTiming(hash, point.timing);
     }
     EXPECT_EQ(hash, 0x26d8f7f6e275182eull);
+}
+
+/**
+ * The organic library on the integration suite's reduced
+ * characterization grid, built once per process.
+ */
+const liberty::CellLibrary &
+organicLibrary()
+{
+    static const liberty::CellLibrary lib = [] {
+        liberty::CharacterizerConfig config;
+        config.slewAxis = {4e-6, 64e-6};
+        config.loadMultipliers = {0.5, 6.0};
+        return liberty::makeOrganicLibrary(config);
+    }();
+    return lib;
+}
+
+/**
+ * Golden timing of depthSweep(15) on silicon and organic, wire model
+ * on and off: every CoreTiming field of every point, in sweep order.
+ * Captured before region timing shared its comb propagation and
+ * one-stage analysis across stage counts.
+ */
+TEST(Explorer, DepthSweepTimingHashIsBitExact)
+{
+    const auto silicon = liberty::makeSiliconLibrary();
+    std::uint64_t hash = 1469598103934665603ull;
+    for (const liberty::CellLibrary *lib : {&silicon, &organicLibrary()}) {
+        for (bool wire : {true, false}) {
+            ExplorerConfig config;
+            config.instructions = 1000;
+            config.useCache = false;
+            config.sta.wireEnabled = wire;
+            ArchExplorer explorer(*lib, config);
+            for (const auto &point : explorer.depthSweep(15).points)
+                hash = hashTiming(hash, point.timing);
+        }
+    }
+    EXPECT_EQ(hash, 0xa3d2e9363327a975ull);
+}
+
+/**
+ * Golden frequency and area of the complex-ALU depth sweep on silicon
+ * and organic, wire model on and off, captured the same way.
+ */
+TEST(Explorer, AluDepthSweepHashIsBitExact)
+{
+    const auto silicon = liberty::makeSiliconLibrary();
+    std::uint64_t hash = 1469598103934665603ull;
+    for (const liberty::CellLibrary *lib : {&silicon, &organicLibrary()}) {
+        for (bool wire : {true, false}) {
+            ExplorerConfig config;
+            config.useCache = false;
+            config.sta.wireEnabled = wire;
+            ArchExplorer explorer(*lib, config);
+            for (const AluPoint &p : explorer.aluDepthSweep(
+                     {1, 2, 3, 4, 6, 8, 12, 16, 22, 30})) {
+                hash = fnv1a(hash, static_cast<std::uint64_t>(p.stages));
+                hash = fnv1a(hash, std::bit_cast<std::uint64_t>(p.frequency));
+                hash = fnv1a(hash, std::bit_cast<std::uint64_t>(p.area));
+            }
+        }
+    }
+    EXPECT_EQ(hash, 0xc5fb2d6939190e8dull);
 }
 
 } // namespace

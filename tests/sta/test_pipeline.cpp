@@ -1,5 +1,8 @@
 /** @file Unit tests for the delay-balanced pipeliner. */
 
+#include <bit>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "liberty/silicon.hpp"
@@ -53,6 +56,30 @@ settledOutputs(const netlist::Netlist &nl, const std::vector<bool> &in,
     return out;
 }
 
+/** Expect two netlists to be the same gate for gate. */
+void
+expectSameNetlist(const netlist::Netlist &a, const netlist::Netlist &b)
+{
+    ASSERT_EQ(a.numGates(), b.numGates());
+    for (std::size_t g = 0; g < a.numGates(); ++g) {
+        EXPECT_EQ(a.gates()[g].kind, b.gates()[g].kind) << "gate " << g;
+        EXPECT_EQ(a.gates()[g].fanin, b.gates()[g].fanin) << "gate " << g;
+    }
+    EXPECT_EQ(a.inputNames(), b.inputNames());
+    EXPECT_EQ(a.inputs(), b.inputs());
+    EXPECT_EQ(a.dffs(), b.dffs());
+    ASSERT_EQ(a.outputs().size(), b.outputs().size());
+    for (std::size_t i = 0; i < a.outputs().size(); ++i) {
+        EXPECT_EQ(a.outputs()[i].name, b.outputs()[i].name);
+        EXPECT_EQ(a.outputs()[i].gate, b.outputs()[i].gate);
+    }
+}
+
+/**
+ * One stage is a gate-for-gate copy that times bit-identically to its
+ * input, which is what lets a synthesizer time a one-stage block in
+ * place instead of analyzing a copy.
+ */
 TEST(Pipeliner, SingleStageIsIdentityCopy)
 {
     const auto lib = liberty::makeSiliconLibrary();
@@ -60,7 +87,36 @@ TEST(Pipeliner, SingleStageIsIdentityCopy)
     Pipeliner pipeliner(lib);
     const auto report = pipeliner.pipeline(comb, 1);
     EXPECT_EQ(report.insertedFlops, 0u);
-    EXPECT_EQ(report.netlist.numGates(), comb.numGates());
+    expectSameNetlist(report.netlist, comb);
+
+    const StaEngine engine(lib);
+    const StaResult copy = engine.analyze(report.netlist);
+    const StaResult in_place = engine.analyze(comb);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(copy.minClockPeriod),
+              std::bit_cast<std::uint64_t>(in_place.minClockPeriod));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(copy.area),
+              std::bit_cast<std::uint64_t>(in_place.area));
+    EXPECT_EQ(copy.cellCount, in_place.cellCount);
+}
+
+/**
+ * Cutting by delays taken from an analysis's arrival times builds the
+ * same netlist as the self-propagating overload, at every depth.
+ */
+TEST(Pipeliner, PrecomputedDelaysMatchSelfPropagation)
+{
+    const auto lib = liberty::makeSiliconLibrary();
+    const auto comb = makeMultiplier(8);
+    Pipeliner pipeliner(lib);
+    const StaEngine engine(lib);
+    std::vector<double> arrival;
+    engine.analyze(comb, &arrival);
+    EXPECT_EQ(arrival, engine.arrivalTimes(comb));
+    const CombDelays delays = pipeliner.combDelays(comb, arrival);
+    for (int stages : {1, 2, 3, 5, 9, 17})
+        expectSameNetlist(pipeliner.pipeline(comb, delays, stages).netlist,
+                          pipeliner.pipeline(comb, stages).netlist);
+    EXPECT_THROW(pipeliner.pipeline(comb, CombDelays{}, 2), FatalError);
 }
 
 TEST(Pipeliner, PreservesFunctionAcrossDepths)
