@@ -1,7 +1,7 @@
 /**
  * @file
- * Forensics replay debugger for solver failure dumps, plus validation
- * modes for the other diagnostics artifacts (used by
+ * Forensics replay debugger for solver failure dumps, plus a
+ * validation mode for the --diag-json telemetry document (used by
  * `scripts/verify.sh --diag`).
  *
  * Usage:
@@ -12,8 +12,6 @@
  *       the dump's recorded trace bit for bit.
  *   diag_replay --check-diag FILE.json
  *       Validate a --diag-json telemetry document (schema, contexts).
- *   diag_replay --check-metrics FILE.jsonl
- *       Validate a --metrics-jsonl stream (schema, monotonic seq/t_ms).
  *
  * Exit codes: 0 reproduced / valid, 1 diverged / invalid, 2 usage or
  * I/O error.
@@ -29,7 +27,6 @@
 #include "circuit/dump.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
-#include "util/metrics_stream.hpp"
 
 using namespace otft;
 
@@ -40,8 +37,7 @@ usage()
 {
     std::fprintf(stderr,
                  "usage: diag_replay DUMP.json\n"
-                 "       diag_replay --check-diag FILE.json\n"
-                 "       diag_replay --check-metrics FILE.jsonl\n");
+                 "       diag_replay --check-diag FILE.json\n");
 }
 
 /** Bitwise double equality that treats NaN as equal to NaN. */
@@ -173,69 +169,6 @@ checkDiag(const std::string &path)
     return 0;
 }
 
-int
-checkMetrics(const std::string &path)
-{
-    std::ifstream is(path);
-    if (!is)
-        fatal("diag_replay: cannot read ", path);
-    std::string line;
-    std::size_t n_samples = 0;
-    double last_t = -1.0;
-    while (std::getline(is, line)) {
-        if (line.empty())
-            continue;
-        const json::Value doc = json::parse(line);
-        if (!doc.isObject() ||
-            doc.string("schema") != metrics::metricsSchema) {
-            std::fprintf(stderr,
-                         "diag_replay: %s line %zu is not an %s "
-                         "sample\n",
-                         path.c_str(), n_samples + 1,
-                         metrics::metricsSchema);
-            return 1;
-        }
-        const double seq = doc.number("seq", -1.0);
-        if (seq != static_cast<double>(n_samples)) {
-            std::fprintf(stderr,
-                         "diag_replay: %s line %zu has seq %g, "
-                         "expected %zu\n",
-                         path.c_str(), n_samples + 1, seq, n_samples);
-            return 1;
-        }
-        const double t_ms = doc.number("t_ms", -1.0);
-        if (t_ms < last_t) {
-            std::fprintf(stderr,
-                         "diag_replay: %s line %zu time went "
-                         "backwards (%g < %g)\n",
-                         path.c_str(), n_samples + 1, t_ms, last_t);
-            return 1;
-        }
-        if (!doc.has("scalars") || !doc.at("scalars").isObject()) {
-            std::fprintf(stderr,
-                         "diag_replay: %s line %zu lacks a scalars "
-                         "map\n",
-                         path.c_str(), n_samples + 1);
-            return 1;
-        }
-        last_t = t_ms;
-        ++n_samples;
-    }
-    if (n_samples < 2) {
-        // The sampler always writes a baseline sample at start and a
-        // final sample at stop, so anything under two means the stream
-        // was truncated.
-        std::fprintf(stderr,
-                     "diag_replay: %s holds %zu sample(s), expected "
-                     ">= 2\n",
-                     path.c_str(), n_samples);
-        return 1;
-    }
-    std::printf("metrics ok: %zu sample(s) over %.1f ms\n", n_samples,
-                last_t);
-    return 0;
-}
-
 } // namespace
 
 int
@@ -244,8 +177,6 @@ main(int argc, char **argv)
     try {
         if (argc == 3 && std::strcmp(argv[1], "--check-diag") == 0)
             return checkDiag(argv[2]);
-        if (argc == 3 && std::strcmp(argv[1], "--check-metrics") == 0)
-            return checkMetrics(argv[2]);
         if (argc == 2 && argv[1][0] != '-')
             return replay(argv[1]);
         usage();

@@ -15,9 +15,8 @@
 #            (informational timings, hard-fails only on crashes or a
 #            malformed report). Off by default; tier-1 stays perf-free.
 #   --diag   observability smoke lane: run a short perf_suite pass
-#            with --diag-json and --metrics-jsonl enabled, then
-#            validate both artifacts with `diag_replay --check-diag`
-#            and `diag_replay --check-metrics`. Catches bit-rot in the
+#            with --diag-json enabled, then validate the report with
+#            `diag_replay --check-diag`. Catches bit-rot in the
 #            telemetry plumbing without touching tier-1.
 #   --profile  profiler smoke lane: run one scenario under the
 #            sampling profiler, check the folded flamegraph artifact
@@ -97,16 +96,11 @@ if [[ "${DIAG_SMOKE}" == "1" ]]; then
     cmake --build "${BUILD_DIR}" -j "${JOBS}" \
         --target perf_suite diag_replay
     DIAG_OUT="${BUILD_DIR}/diag_smoke.json"
-    METRICS_OUT="${BUILD_DIR}/metrics_smoke.jsonl"
-    # A short circuit-only pass with the full observability stack on;
-    # a fast metrics period guarantees the sampler thread actually
-    # wakes up during the run.
+    # A short circuit-only pass with solver diagnostics on.
     "${BUILD_DIR}/bench/perf_suite" --reps 1 --warmup 0 \
         --filter circuit \
-        --diag-json "${DIAG_OUT}" \
-        --metrics-jsonl "${METRICS_OUT}" --metrics-period-ms 20
+        --diag-json "${DIAG_OUT}"
     "${BUILD_DIR}/bench/diag_replay" --check-diag "${DIAG_OUT}"
-    "${BUILD_DIR}/bench/diag_replay" --check-metrics "${METRICS_OUT}"
     echo "diag lane ok"
     exit 0
 fi

@@ -320,7 +320,7 @@ writeFailureDump(const Circuit &circuit, const NewtonConfig &config,
     try {
         body = serializeDump(circuit, config, x0, kind, time,
                              source_scale, dt, x_prev, reason,
-                             diag::ScopedContext::current(),
+                             diag::context(),
                              collector.attributes(), trace);
     } catch (const FatalError &e) {
         // Diagnostics must never take down the run they diagnose.

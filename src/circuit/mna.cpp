@@ -5,8 +5,8 @@
 
 #include "circuit/dump.hpp"
 #include "util/logging.hpp"
-#include "util/profiler.hpp"
 #include "util/stats_registry.hpp"
+#include "util/trace.hpp"
 
 namespace otft::circuit {
 
@@ -223,6 +223,7 @@ Mna::assemble(const Solution &x, double time, double source_scale,
             volt(s.pos) - volt(s.neg) - s.wave.at(time) * source_scale;
     }
 
+    trace::Scope fet_frame("device.fet_eval");
     for (const auto &fet : ckt.fets()) {
         const double vgs = volt(fet.gate) - volt(fet.source);
         const double vds = volt(fet.drain) - volt(fet.source);
@@ -306,8 +307,7 @@ Mna::solveNewton(Solution &x, double time, double source_scale, double dt,
     (void)rates_registered;
 
     ++stat_solves;
-    stats::ScopedTimer timer(stat_time);
-    prof::FrameGuard prof_frame("mna.solve_newton");
+    trace::Scope scope("mna.solve_newton", &stat_time);
 
     const diag::SolveKind solve_kind = dt > 0.0
                                            ? diag::SolveKind::TransientStep
@@ -325,12 +325,15 @@ Mna::solveNewton(Solution &x, double time, double source_scale, double dt,
     LuFactors lu;
     std::vector<double> residual(unknowns, 0.0);
 
-    // Factor the current Jacobian; on a singular matrix, retry once
+    // Assemble and factor the Jacobian; on a singular matrix, retry once
     // with a small conductance added to the node diagonals (rescues
     // e.g. momentarily floating nodes when gmin is disabled).
     const auto refactor = [&]() -> bool {
-        prof::FrameGuard lu_frame("mna.lu_factor");
-        assemble(x, time, source_scale, dt, x_prev, &jac, residual);
+        {
+            trace::Scope assemble_frame("mna.assemble_jacobian");
+            assemble(x, time, source_scale, dt, x_prev, &jac, residual);
+        }
+        trace::Scope lu_frame("mna.lu_factor");
         if (lu.factor(jac))
             return true;
         if (cfg.singularGminBoost <= 0.0)

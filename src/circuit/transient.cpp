@@ -7,7 +7,6 @@
 #include "circuit/dump.hpp"
 #include "util/diag.hpp"
 #include "util/logging.hpp"
-#include "util/profiler.hpp"
 #include "util/stats_registry.hpp"
 #include "util/trace.hpp"
 
@@ -283,7 +282,7 @@ TransientAnalysis::runAdaptive(const TransientConfig &config, Mna &mna,
         }
 
         ++statSteps();
-        prof::FrameGuard step_frame("transient.step");
+        trace::Scope step_frame("transient.step");
         const double t_new = landing ? bp : t + h;
         Solution x_new = x;
         if (!mna.solveNewton(x_new, t_new, 1.0, h, &x)) {
@@ -299,7 +298,7 @@ TransientAnalysis::runAdaptive(const TransientConfig &config, Mna &mna,
         // LTE estimate once two prior points exist in this segment.
         double growth = 2.0;
         if (have_history) {
-            prof::FrameGuard lte_frame("transient.lte_control");
+            trace::Scope lte_frame("transient.lte_control");
             double err = 0.0;
             for (std::size_t i = 0; i < n_volt; ++i) {
                 const double d1 = (x_new[i] - x[i]) / h;

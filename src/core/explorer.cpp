@@ -117,11 +117,7 @@ ArchExplorer::stream(std::size_t index, int predictor_bits)
 std::vector<double>
 ArchExplorer::measureIpc(const arch::CoreConfig &config)
 {
-    static stats::Accumulator &stat_sim_time = stats::accumulator(
-        "explorer.point.sim_time",
-        "seconds simulating IPC per design point");
     OTFT_TRACE_SCOPE("explorer.point.simulate");
-    stats::ScopedTimer timer(stat_sim_time);
 
     // Each workload simulates on its own core model, reading its own
     // cursor on the shared stream, so the seven IPC runs fan out;
@@ -145,12 +141,11 @@ ArchExplorer::evaluate(const arch::CoreConfig &config)
         "explorer.point.synth_time",
         "seconds synthesizing per design point");
     OTFT_TRACE_SCOPE("explorer.point.evaluate");
-    diag::ScopedContext diag_ctx(
-        diag::labelsWanted()
-            ? "explorer.point.fe" + std::to_string(config.fetchWidth) +
-                  ".alu" + std::to_string(config.aluPipes) + ".s" +
-                  std::to_string(config.totalStages())
-            : std::string());
+    trace::Scope diag_ctx(trace::labelled, [&] {
+        return "explorer.point.fe" + std::to_string(config.fetchWidth) +
+               ".alu" + std::to_string(config.aluPipes) + ".s" +
+               std::to_string(config.totalStages());
+    });
     ++stat_points;
 
     // Two cache tiers, keyed on exactly what determines each half.
@@ -173,7 +168,7 @@ ArchExplorer::evaluate(const arch::CoreConfig &config)
     if (!config_.useCache ||
         !cache::lookup("explorer.timing", timing_key.digest(), payload) ||
         !unpackTiming(payload, point.timing)) {
-        stats::ScopedTimer timer(stat_synth_time);
+        trace::Scope timer(nullptr, &stat_synth_time);
         point.timing = synth.synthesize(config);
         if (config_.useCache)
             cache::store("explorer.timing", timing_key.digest(),

@@ -7,7 +7,6 @@
 #include "circuit/dc.hpp"
 #include "circuit/transient.hpp"
 #include "liberty/serialize.hpp"
-#include "util/diag.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
 #include "util/progress.hpp"
@@ -123,12 +122,10 @@ Characterizer::measurePoint(const std::string &name, int pin,
     OTFT_TRACE_SCOPE("liberty.point.measure");
     ProgressTick tick(progress_);
 
-    // Aggregate this point's solver telemetry under its arc; the
-    // label string is only built when some consumer wants it.
-    diag::ScopedContext diag_ctx(
-        diag::labelsWanted()
-            ? "liberty." + name + ".pin" + std::to_string(pin)
-            : std::string());
+    // Aggregate this point's solver telemetry under its arc.
+    trace::Scope diag_ctx(trace::labelled, [&] {
+        return "liberty." + name + ".pin" + std::to_string(pin);
+    });
 
     const double vdd = factory.supply().vdd;
 
@@ -394,9 +391,8 @@ Characterizer::characterizeFlop() const
     for (double m : config_.loadMultipliers)
         load_axis.push_back(m * cell.inputCap);
 
-    diag::ScopedContext diag_ctx(
-        diag::labelsWanted() ? std::string("liberty.dff")
-                             : std::string());
+    trace::Scope diag_ctx(trace::labelled,
+                          [] { return std::string("liberty.dff"); });
 
     std::vector<double> clkq_rise, q_slew_rise;
     for (double load : load_axis) {

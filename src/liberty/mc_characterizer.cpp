@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/diag.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
 #include "util/progress.hpp"
@@ -293,10 +292,9 @@ McCharacterizer::run() const
             const int sample = static_cast<int>(k / n_cells);
             const std::string &name = config_.roster[k % n_cells];
             OTFT_TRACE_SCOPE("liberty.mc.sample_cell");
-            diag::ScopedContext diag_ctx(
-                diag::labelsWanted()
-                    ? "mc.sample" + std::to_string(sample) + "." + name
-                    : std::string());
+            trace::Scope diag_ctx(trace::labelled, [&] {
+                return "mc.sample" + std::to_string(sample) + "." + name;
+            });
             ++stat_cells;
             const std::int64_t t0 = stats::monotonicNowNs();
             cells::CellFactory factory(sampleParams(sample, name),

@@ -9,7 +9,6 @@
 
 #include "util/diag.hpp"
 #include "util/logging.hpp"
-#include "util/metrics_stream.hpp"
 #include "util/parallel.hpp"
 #include "util/perf_report.hpp"
 #include "util/profiler.hpp"
@@ -176,17 +175,6 @@ Session::Session(std::string name_in, int &argc, char **argv,
                 fatal("cli: --diag-dir requires a directory");
             diagDir = argv[i + 1];
             consumeArgs(argc, argv, i, 2);
-        } else if (std::strcmp(arg, "--metrics-jsonl") == 0) {
-            if (!has_value)
-                fatal("cli: --metrics-jsonl requires a path");
-            metricsPath = argv[i + 1];
-            consumeArgs(argc, argv, i, 2);
-        } else if (std::strcmp(arg, "--metrics-period-ms") == 0) {
-            if (!has_value)
-                fatal("cli: --metrics-period-ms requires a count");
-            metricsPeriod =
-                parsePositiveInt(argv[i + 1], "--metrics-period-ms");
-            consumeArgs(argc, argv, i, 2);
         } else if (std::strcmp(arg, "--profile-folded") == 0) {
             if (!has_value)
                 fatal("cli: --profile-folded requires a path");
@@ -248,11 +236,6 @@ Session::Session(std::string name_in, int &argc, char **argv,
     if (diagDir.empty())
         if (const char *env = std::getenv("OTFT_DIAG_DIR"))
             diagDir = env;
-    if (metricsPath.empty())
-        if (const char *env = std::getenv("OTFT_METRICS_JSONL"))
-            metricsPath = env;
-    if (const char *env = std::getenv("OTFT_METRICS_PERIOD_MS"))
-        metricsPeriod = parsePositiveInt(env, "OTFT_METRICS_PERIOD_MS");
     if (profilePath.empty())
         if (const char *env = std::getenv("OTFT_PROFILE_FOLDED"))
             profilePath = env;
@@ -298,8 +281,6 @@ Session::Session(std::string name_in, int &argc, char **argv,
     // directory cannot be created — same policy as --cache-dir.
     if (!diagDir.empty())
         diag::Collector::instance().setDumpDirectory(diagDir);
-    if (!metricsPath.empty())
-        metrics::start(metricsPath, metricsPeriod);
 
     // Profiler last: everything the session runs gets sampled, and
     // the timeline (if any) carries a start marker so the sampled
@@ -328,9 +309,8 @@ Session::addFooterJson(const std::string &key, std::string raw_json)
 Session::~Session()
 {
     // Stop the profiler first so its pool-attribution stats reach the
-    // registry before the metrics sampler takes its final snapshot
-    // and the stats reports render. The stop marker lands on the
-    // still-active timeline collection.
+    // registry before the stats reports render. The stop marker lands
+    // on the still-active timeline collection.
     if (profiling) {
         trace::recordInstant("profiler.stop");
         prof::Profiler &profiler = prof::Profiler::instance();
@@ -347,14 +327,6 @@ Session::~Session()
         std::fprintf(stderr, "\n== profile: %s ==\n", name.c_str());
         profiler.writeTopReport(std::cerr, profileTop);
         addFooterJson("profile", profiler.footerSection(profileTop));
-    }
-
-    // Stop the metrics sampler next: its final line should capture
-    // the registry as the run ended, before any exit-path mutation.
-    if (!metricsPath.empty()) {
-        metrics::stop();
-        inform("metrics: wrote ", metrics::sampleCount(),
-               " samples to ", metricsPath);
     }
 
     // Persist memoized results before reporting; flush warns rather

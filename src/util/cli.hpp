@@ -13,9 +13,6 @@
  *   --cache-dir <dir>     persist the result cache as JSON under dir
  *   --diag-json <path>    write solver convergence telemetry on exit
  *   --diag-dir <dir>      write failure forensics dumps under dir
- *   --metrics-jsonl <path>  stream periodic registry snapshots (JSONL)
- *   --metrics-period-ms <n> sampling period for --metrics-jsonl
- *                           (default 100)
  *   --profile-folded <path>  run the sampling profiler and write the
  *                            collapsed-stack (flamegraph) file on exit
  *   --profile-period-us <n>  sampling period for --profile-folded
@@ -34,8 +31,6 @@
  *   OTFT_CACHE=0          disable result-cache memoization entirely
  *   OTFT_DIAG_JSON=path   same as --diag-json
  *   OTFT_DIAG_DIR=dir     same as --diag-dir
- *   OTFT_METRICS_JSONL=path       same as --metrics-jsonl
- *   OTFT_METRICS_PERIOD_MS=n      same as --metrics-period-ms
  *   OTFT_PROFILE_FOLDED=path      same as --profile-folded
  *   OTFT_PROFILE_PERIOD_US=n      same as --profile-period-us
  *   OTFT_PROFILE_TOPN=n           same as --profile-topn
@@ -118,8 +113,6 @@ class Session
     /** Diagnostics settings (exposed for tests). */
     const std::string &diagJson() const { return diagJsonPath; }
     const std::string &diagDirectory() const { return diagDir; }
-    const std::string &metricsJsonl() const { return metricsPath; }
-    int metricsPeriodMs() const { return metricsPeriod; }
 
     /** Profiler settings (exposed for tests). */
     const std::string &profileFolded() const { return profilePath; }
@@ -139,13 +132,11 @@ class Session
     bool footer;
     bool statsText = false;
     int jobs_ = 0;
-    int metricsPeriod = 100;
     std::string statsJsonPath;
     std::string traceJsonPath;
     std::string cacheDir;
     std::string diagJsonPath;
     std::string diagDir;
-    std::string metricsPath;
     std::string profilePath;
     std::uint64_t profilePeriod = 1000;
     int profileTop = 5;

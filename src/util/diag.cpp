@@ -7,7 +7,6 @@
 
 #include "util/json.hpp"
 #include "util/logging.hpp"
-#include "util/profiler.hpp"
 #include "util/stats_registry.hpp"
 
 namespace otft::diag {
@@ -256,46 +255,34 @@ recordEvent(Event event)
     Collector &c = Collector::instance();
     if (!c.enabled())
         return;
-    c.recordEvent(ScopedContext::current(), event);
-}
-
-ScopedContext::ScopedContext(std::string label)
-{
-    if (label.empty())
-        return;
-    // The label doubles as one profiler stack frame, so a context is
-    // pushed whenever either consumer wants labels (labelsWanted()).
-    if (prof::enabled()) {
-        prof::pushFrame(label);
-        profPushed = true;
-    }
-    if (!enabled())
-        return;
-    saved = t_context;
-    t_context = saved.empty() ? std::move(label)
-                              : saved + "/" + label;
-    pushed = true;
-}
-
-ScopedContext::~ScopedContext()
-{
-    if (pushed)
-        t_context = std::move(saved);
-    if (profPushed)
-        prof::popFrame();
+    c.recordEvent(t_context, event);
 }
 
 const std::string &
-ScopedContext::current()
+context()
 {
     return t_context;
 }
 
-bool
-labelsWanted()
+namespace detail {
+
+std::size_t
+enterContext(const std::string &label)
 {
-    return enabled() || prof::enabled();
+    const std::size_t length = t_context.size();
+    if (length != 0)
+        t_context += '/';
+    t_context += label;
+    return length;
 }
+
+void
+leaveContext(std::size_t length)
+{
+    t_context.resize(length);
+}
+
+} // namespace detail
 
 SolveProbe::SolveProbe(SolveKind kind)
     : kind_(kind)
@@ -305,7 +292,7 @@ SolveProbe::SolveProbe(SolveKind kind)
     if (!active_)
         return;
     dumps_ = c.dumpsEnabled();
-    context_ = ScopedContext::current();
+    context_ = t_context;
     ring_.reserve(8);
 }
 

@@ -9,9 +9,10 @@
  * solve, one branch per Newton iteration), so production runs pay
  * nothing. When `--diag-json`/`--diag-dir` turn the collector on:
  *
- *  - callers label their work with ScopedContext ("liberty.inv.pin0",
- *    "explorer.point.fe2.alu2.s9"); the label is thread-local, so every
- *    worker of the parallel pool aggregates under its own task;
+ *  - callers label their work with a labelled trace::Scope
+ *    ("liberty.inv.pin0", "explorer.point.fe2.alu2.s9"); the label is
+ *    thread-local, so every worker of the parallel pool aggregates
+ *    under its own task;
  *  - circuit::Mna::solveNewton opens a SolveProbe per solve and feeds
  *    it per-iteration residual/update norms (ring-buffered) and
  *    chord-vs-full decisions;
@@ -182,47 +183,27 @@ enabled()
     return Collector::instance().enabled();
 }
 
-/**
- * @return true when some consumer of context labels is active — the
- * diagnostics collector or the sampling profiler (ScopedContext feeds
- * both). Call sites that build labels dynamically should gate on this
- * rather than enabled(), so profiled runs get labeled stacks:
- *
- *     diag::ScopedContext ctx(
- *         diag::labelsWanted() ? "liberty." + name : std::string());
- */
-bool labelsWanted();
-
 /** Record an event under the calling thread's current context. */
 void recordEvent(Event event);
 
 /**
- * Thread-local context label for aggregation ("liberty.inv.pin0").
- * Nested scopes join with '/'. The label is also pushed as a frame on
- * the sampling profiler's context stack while a collection runs.
- * Constructing with an empty label is a no-op, so call sites can skip
- * the string build entirely when no consumer is active:
- *
- *     diag::ScopedContext ctx(
- *         diag::labelsWanted() ? "liberty." + name : std::string());
+ * The calling thread's context label for aggregation
+ * ("liberty.inv.pin0"; "" when unlabeled). Labelled trace::Scopes set
+ * it, and nested labels join with '/'. The label is thread-local, so
+ * every worker of the parallel pool aggregates under its own task.
  */
-class ScopedContext
-{
-  public:
-    explicit ScopedContext(std::string label);
-    ~ScopedContext();
+const std::string &context();
 
-    ScopedContext(const ScopedContext &) = delete;
-    ScopedContext &operator=(const ScopedContext &) = delete;
+namespace detail {
+/**
+ * Nest `label` into the calling thread's context. @return the context
+ * length to pass to leaveContext() (trace::Scope pairs the two).
+ */
+std::size_t enterContext(const std::string &label);
 
-    /** The calling thread's current label ("" when unlabeled). */
-    static const std::string &current();
-
-  private:
-    bool pushed = false;
-    bool profPushed = false;
-    std::string saved;
-};
+/** Truncate the calling thread's context back to `length`. */
+void leaveContext(std::size_t length);
+} // namespace detail
 
 /**
  * Per-solve probe used by the Newton kernel. Buffers the last

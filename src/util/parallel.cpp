@@ -120,7 +120,7 @@ recordError(Batch &batch, std::size_t index)
 void
 work(Batch &batch)
 {
-    prof::BusyScope busy_mark;
+    prof::BusyMark busy_mark;
     const bool stats_on = g_pool_stats.load(std::memory_order_relaxed);
     std::uint64_t busy_ns = 0;
     std::uint64_t chunks_run = 0;

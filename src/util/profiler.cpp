@@ -522,7 +522,7 @@ setThreadName(const char *name)
     t_name = name;
 }
 
-BusyScope::BusyScope()
+BusyMark::BusyMark()
 {
     if (!enabled())
         return;
@@ -530,7 +530,7 @@ BusyScope::BusyScope()
     busy->store(true, std::memory_order_relaxed);
 }
 
-BusyScope::~BusyScope()
+BusyMark::~BusyMark()
 {
     if (busy)
         busy->store(false, std::memory_order_relaxed);

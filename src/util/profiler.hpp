@@ -4,8 +4,8 @@
  *
  * A dedicated sampler thread wakes on a configurable period (default
  * 1 ms) and walks every registered thread's context stack — the
- * frames pushed by `OTFT_TRACE_SCOPE` spans and `diag::ScopedContext`
- * labels already threaded through circuit, liberty, sta, core, and
+ * frames pushed by `trace::Scope`s (spans, bare frames and diag
+ * labels) already threaded through circuit, liberty, sta, core, and
  * arch — accumulating one count per distinct stack. On stop() the
  * collection is available as:
  *
@@ -146,8 +146,7 @@ std::vector<FoldedStack> parseFolded(std::istream &is);
 
 /**
  * Push/pop one frame on the calling thread's context stack. Callers
- * must pair them exactly; use FrameGuard unless the enclosing object
- * already tracks whether it pushed (trace::Span, diag::ScopedContext).
+ * must pair them exactly; trace::Scope is the one caller that does.
  * `;`, whitespace, and control characters in labels are mapped to '_'
  * so the folded format stays parseable.
  */
@@ -167,40 +166,6 @@ pushFrame(const std::string &label)
 }
 
 /**
- * RAII frame for hot paths that have no trace span (Newton kernel, LTE
- * control): one relaxed atomic load when the profiler is disabled.
- */
-class FrameGuard
-{
-  public:
-    explicit FrameGuard(const char *label)
-    {
-        if (enabled()) {
-            pushFrame(label);
-            pushed = true;
-        }
-    }
-    explicit FrameGuard(const std::string &label)
-    {
-        if (enabled()) {
-            pushFrame(label);
-            pushed = true;
-        }
-    }
-    ~FrameGuard()
-    {
-        if (pushed)
-            popFrame();
-    }
-
-    FrameGuard(const FrameGuard &) = delete;
-    FrameGuard &operator=(const FrameGuard &) = delete;
-
-  private:
-    bool pushed = false;
-};
-
-/**
  * Name the calling thread's stack root ("worker" for pool threads).
  * Unnamed threads sample under "main". Cheap: stores a pointer to the
  * literal; no registration happens until the thread pushes a frame or
@@ -213,14 +178,14 @@ void setThreadName(const char *name);
  * sampler counts the calling thread as busy. One relaxed atomic load
  * when the profiler is disabled.
  */
-class BusyScope
+class BusyMark
 {
   public:
-    BusyScope();
-    ~BusyScope();
+    BusyMark();
+    ~BusyMark();
 
-    BusyScope(const BusyScope &) = delete;
-    BusyScope &operator=(const BusyScope &) = delete;
+    BusyMark(const BusyMark &) = delete;
+    BusyMark &operator=(const BusyMark &) = delete;
 
   private:
     std::atomic<bool> *busy = nullptr;

@@ -411,51 +411,6 @@ Registry::dumpJson(std::ostream &os) const
     os << "\n}\n";
 }
 
-Snapshot
-Registry::snapshot() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    Snapshot snap;
-    for (const auto &[name, node] : nodes) {
-        switch (node->kind) {
-          case NodeKind::Counter:
-            snap.scalars[name] =
-                static_cast<double>(node->counter.value());
-            break;
-          case NodeKind::Rate:
-            snap.scalars[name] = rateValueLocked(name);
-            break;
-          case NodeKind::Accumulator: {
-            const Accumulator &a = node->accumulator;
-            SnapshotAccumulator out;
-            out.count = a.count();
-            out.sum = a.sum();
-            out.min = a.min();
-            out.max = a.max();
-            out.mean = a.mean();
-            snap.accumulators[name] = out;
-            break;
-          }
-          case NodeKind::Histogram: {
-            if (!node->histogram)
-                break;
-            const Histogram &h = *node->histogram;
-            SnapshotHistogram out;
-            out.lo = h.lo();
-            out.hi = h.hi();
-            out.underflow = h.underflow();
-            out.overflow = h.overflow();
-            out.p50 = h.p50();
-            out.p95 = h.p95();
-            out.bins = h.binsSnapshot();
-            snap.histograms[name] = out;
-            break;
-          }
-        }
-    }
-    return snap;
-}
-
 Counter &
 counter(const std::string &name, const std::string &desc)
 {
@@ -481,20 +436,6 @@ monotonicNowNs()
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
-}
-
-ScopedTimer::ScopedTimer(Accumulator &acc)
-    : acc(acc), startNs(0), active(Registry::instance().enabled())
-{
-    if (active)
-        startNs = monotonicNowNs();
-}
-
-ScopedTimer::~ScopedTimer()
-{
-    if (active)
-        acc.sample(static_cast<double>(monotonicNowNs() - startNs) *
-                   1e-9);
 }
 
 // ---------------------------------------------------------------------

@@ -234,9 +234,9 @@ class Registry
     void reset();
 
     /**
-     * Master enable. When false, ScopedTimer and trace spans skip
-     * their clock reads entirely; plain counter increments at call
-     * sites are not gated (they cost a single add).
+     * Master enable. When false, trace::Scope timers skip their
+     * clock reads entirely; plain counter increments at call sites
+     * are not gated (they cost a single add).
      */
     void
     setEnabled(bool enabled)
@@ -254,14 +254,6 @@ class Registry
 
     /** Dump every node as one flat JSON object keyed by name. */
     void dumpJson(std::ostream &os) const;
-
-    /**
-     * In-memory snapshot of every node (counters and rates as scalars,
-     * accumulators, histograms with bins), equivalent to parsing a
-     * dumpJson() document. Used by the metrics sampler, which cannot
-     * afford a serialize/parse round trip per tick.
-     */
-    struct Snapshot snapshot() const;
 
     /** Number of registered nodes. */
     std::size_t
@@ -302,26 +294,7 @@ enabled()
     return Registry::instance().enabled();
 }
 
-/**
- * RAII wall-time span: samples elapsed seconds into an accumulator at
- * scope exit. Skips both clock reads when the registry is disabled.
- */
-class ScopedTimer
-{
-  public:
-    explicit ScopedTimer(Accumulator &acc);
-    ~ScopedTimer();
-
-    ScopedTimer(const ScopedTimer &) = delete;
-    ScopedTimer &operator=(const ScopedTimer &) = delete;
-
-  private:
-    Accumulator &acc;
-    std::int64_t startNs;
-    bool active;
-};
-
-/** Monotonic clock read in nanoseconds (exposed for trace spans). */
+/** Monotonic clock read in nanoseconds (exposed for trace scopes). */
 std::int64_t monotonicNowNs();
 
 // ---------------------------------------------------------------------

@@ -240,4 +240,19 @@ recordInstant(const char *name)
     recordEvent(name, now_ns, now_ns);
 }
 
+void
+Scope::enterLabel(const std::string &label, bool diag_on, bool prof_on)
+{
+    if (label.empty())
+        return;
+    if (prof_on) {
+        prof::pushFrame(label);
+        profPushed_ = true;
+    }
+    if (diag_on) {
+        contextLength_ = diag::detail::enterContext(label);
+        contextPushed_ = true;
+    }
+}
+
 } // namespace otft::trace

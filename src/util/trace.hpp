@@ -1,24 +1,37 @@
 /**
  * @file
- * Scoped tracing: RAII wall-time spans that aggregate into the stats
- * registry and can optionally stream a Chrome trace_event JSON
- * timeline (openable in about:tracing or https://ui.perfetto.dev).
+ * The observability scope: one RAII type for every instrumented region
+ * (trace::Scope), and the Chrome trace_event timeline it can feed
+ * (openable in about:tracing or https://ui.perfetto.dev).
  *
- * Usage at a call site — the macro registers an accumulator named
- * `time.<name>` once and times every pass through the scope:
+ * A Scope has three independent parts:
  *
- *     void StaEngine::analyze(...) {
- *         OTFT_TRACE_SCOPE("sta.analyze");
- *         ...
- *     }
+ *  - timed: on exit it samples its elapsed seconds into a stats
+ *    accumulator and, for a span, records a timeline event;
+ *  - labelled: it nests a label into the calling thread's diag context
+ *    (joined with '/'), building the label through a callable only
+ *    when the diag collector or the profiler wants it;
+ *  - profiled: while the sampling profiler runs, its frame (or label)
+ *    is one frame of the thread's profiler stack.
+ *
+ * Usage:
+ *
+ *     OTFT_TRACE_SCOPE("sta.analyze");     // span: time.sta.analyze,
+ *                                          // timeline event, frame
+ *     trace::Scope frame("mna.lu_factor"); // profiler frame only
+ *     trace::Scope timer("mna.solve_newton", &stat_time);
+ *                                          // accumulator + frame
+ *     trace::Scope ctx(trace::labelled,
+ *                      [&] { return "liberty." + name; });
  *
  * Span names follow the same `layer.noun.verb` convention as stats.
- * Aggregation is inclusive: a parent span's time contains its nested
- * children, exactly as in the Chrome timeline view. When the stats
- * registry is disabled and no timeline collection is active, spans
- * skip their clock reads entirely and have no side effects.
+ * Timing is inclusive: a parent span's time contains its nested
+ * children, exactly as in the Chrome timeline view. Every enable check
+ * lives in the Scope: with the stats registry, the timeline, the diag
+ * collector and the profiler all off, a scope reads no clock,
+ * allocates nothing and never calls its label builder.
  *
- * Concurrency: spans may close on any thread. Each thread buffers its
+ * Concurrency: scopes may close on any thread. Each thread buffers its
  * events privately (registered with the collector on first use) and
  * stop() merges every buffer into one Chrome stream, tagging events
  * with a per-thread tid. start()/stop() themselves should be called
@@ -31,6 +44,7 @@
 #include <cstdint>
 #include <string>
 
+#include "util/diag.hpp"
 #include "util/profiler.hpp"
 #include "util/stats_registry.hpp"
 
@@ -63,50 +77,86 @@ void recordEvent(const char *name, std::int64_t start_ns,
  */
 void recordInstant(const char *name);
 
-/**
- * RAII span: on destruction samples elapsed seconds into the given
- * registry accumulator and, when a timeline collection is active,
- * records a trace_event. The span also doubles as one frame of the
- * sampling profiler's context stack while a collection runs. Inert
- * when all three are off (one extra relaxed load for the profiler).
- */
-class Span
+/** Whether a timed scope also records a timeline event. */
+enum class Timeline { Off, On };
+
+/** Tag selecting Scope's labelled constructor. */
+struct Labelled
+{
+};
+inline constexpr Labelled labelled{};
+
+/** The RAII observability scope; see the file comment. */
+class Scope
 {
   public:
-    Span(const char *name, stats::Accumulator &acc)
-        : name(name), acc(acc),
-          active(stats::enabled() || collecting()), startNs(0)
+    /**
+     * A timed and/or profiled scope. `frame` (a string literal, or
+     * null for none) is the profiler frame and the timeline event
+     * name; `acc` (or null) receives elapsed seconds while the stats
+     * registry is enabled; Timeline::On also records a timeline event
+     * while a collection is active.
+     */
+    explicit Scope(const char *frame, stats::Accumulator *acc = nullptr,
+                   Timeline timeline = Timeline::Off)
+        : frame_(frame), acc_(acc), event_(timeline == Timeline::On)
     {
-        if (active)
-            startNs = stats::monotonicNowNs();
-        if (prof::enabled()) {
-            prof::pushFrame(name);
-            profPushed = true;
+        timed_ = (acc_ != nullptr && stats::enabled()) ||
+                 (event_ && collecting());
+        if (timed_)
+            startNs_ = stats::monotonicNowNs();
+        if (frame_ != nullptr && prof::enabled()) {
+            prof::pushFrame(frame_);
+            profPushed_ = true;
         }
     }
 
-    ~Span()
+    /**
+     * A labelled scope: `build()` returns the label, and runs only
+     * when the diag collector or the profiler is on. The label nests
+     * into the diag context while diag is on and is one profiler
+     * frame while the profiler runs; an empty label does neither.
+     */
+    template <typename BuildLabel>
+    Scope(Labelled, BuildLabel &&build)
     {
-        if (profPushed)
-            prof::popFrame();
-        if (!active)
-            return;
-        const std::int64_t end_ns = stats::monotonicNowNs();
-        if (stats::enabled())
-            acc.sample(static_cast<double>(end_ns - startNs) * 1e-9);
-        if (collecting())
-            recordEvent(name, startNs, end_ns);
+        const bool diag_on = diag::enabled();
+        const bool prof_on = prof::enabled();
+        if (diag_on || prof_on)
+            enterLabel(build(), diag_on, prof_on);
     }
 
-    Span(const Span &) = delete;
-    Span &operator=(const Span &) = delete;
+    ~Scope()
+    {
+        if (profPushed_)
+            prof::popFrame();
+        if (contextPushed_)
+            diag::detail::leaveContext(contextLength_);
+        if (!timed_)
+            return;
+        const std::int64_t end_ns = stats::monotonicNowNs();
+        if (acc_ != nullptr && stats::enabled())
+            acc_->sample(static_cast<double>(end_ns - startNs_) * 1e-9);
+        if (event_ && collecting())
+            recordEvent(frame_, startNs_, end_ns);
+    }
+
+    Scope(const Scope &) = delete;
+    Scope &operator=(const Scope &) = delete;
 
   private:
-    const char *name;
-    stats::Accumulator &acc;
-    bool active;
-    bool profPushed = false;
-    std::int64_t startNs;
+    void enterLabel(const std::string &label, bool diag_on,
+                    bool prof_on);
+
+    const char *frame_ = nullptr;
+    stats::Accumulator *acc_ = nullptr;
+    std::int64_t startNs_ = 0;
+    /** Diag context length to restore on exit. */
+    std::size_t contextLength_ = 0;
+    bool event_ = false;
+    bool timed_ = false;
+    bool profPushed_ = false;
+    bool contextPushed_ = false;
 };
 
 } // namespace otft::trace
@@ -115,16 +165,17 @@ class Span
 #define OTFT_TRACE_CONCAT(a, b) OTFT_TRACE_CONCAT2(a, b)
 
 /**
- * Time the enclosing scope under `name` (a string literal). Aggregates
- * into the stats accumulator `time.<name>` and into the active
- * timeline collection, if any.
+ * Span the enclosing scope under `name` (a string literal): time it
+ * into the stats accumulator `time.<name>`, record it in the active
+ * timeline collection, if any, and push it as a profiler frame.
  */
 #define OTFT_TRACE_SCOPE(name)                                          \
     static ::otft::stats::Accumulator &OTFT_TRACE_CONCAT(               \
         otft_trace_acc_, __LINE__) =                                    \
         ::otft::stats::accumulator("time." name,                        \
                                    "seconds in " name " spans");        \
-    ::otft::trace::Span OTFT_TRACE_CONCAT(otft_trace_span_, __LINE__)(  \
-        name, OTFT_TRACE_CONCAT(otft_trace_acc_, __LINE__))
+    ::otft::trace::Scope OTFT_TRACE_CONCAT(otft_trace_scope_, __LINE__)( \
+        name, &OTFT_TRACE_CONCAT(otft_trace_acc_, __LINE__),            \
+        ::otft::trace::Timeline::On)
 
 #endif // OTFT_UTIL_TRACE_HPP

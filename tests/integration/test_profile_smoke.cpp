@@ -3,11 +3,13 @@
  * Profiler smoke test (ctest label: profile_smoke, not tier-1): runs
  * the real nldm_characterize scenarios under `--profile` and checks
  * the end-to-end artifacts — a non-empty folded collapsed-stack file
- * whose hottest stack names solver/characterization work, and a
- * parseable otft-prof-1 footer section. Wall-clock sensitive by
+ * whose hottest stack names solver/characterization work and keeps
+ * device evaluation out of the LU frame, and a parseable otft-prof-1
+ * footer section. Wall-clock sensitive by
  * construction, hence the opt-in label (scripts/verify.sh --profile).
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -102,6 +104,39 @@ TEST_F(ProfileSmoke, FoldedArtifactNamesSolverWork)
     // not just the bare thread root.
     EXPECT_NE(hottest->stack.find(';'), std::string::npos)
         << hottest->stack;
+}
+
+TEST_F(ProfileSmoke, SolverFramesSeparateDeviceEvaluationFromLu)
+{
+    // mna.lu_factor covers only the LU factorization, so nothing may
+    // be sampled below it; FET evaluation has its own frame inside
+    // the Newton solve.
+    std::ifstream is(foldedPath("liberty_nldm_characterize"));
+    ASSERT_TRUE(is) << "missing folded artifact";
+    bool fet_eval_under_newton = false;
+    for (const auto &s : prof::parseFolded(is)) {
+        std::vector<std::string> frames;
+        std::size_t begin = 0;
+        while (true) {
+            const std::size_t end = s.stack.find(';', begin);
+            frames.push_back(s.stack.substr(begin, end - begin));
+            if (end == std::string::npos)
+                break;
+            begin = end + 1;
+        }
+        const auto lu =
+            std::find(frames.begin(), frames.end(), "mna.lu_factor");
+        if (lu != frames.end()) {
+            EXPECT_EQ(lu + 1, frames.end()) << s.stack;
+        }
+        const auto newton =
+            std::find(frames.begin(), frames.end(), "mna.solve_newton");
+        if (std::find(newton, frames.end(), "device.fet_eval") !=
+            frames.end())
+            fet_eval_under_newton = true;
+    }
+    EXPECT_TRUE(fet_eval_under_newton)
+        << "no device.fet_eval frame below mna.solve_newton";
 }
 
 TEST_F(ProfileSmoke, ParallelVariantWritesItsOwnArtifact)

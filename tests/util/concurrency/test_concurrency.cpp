@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "arch/front_end.hpp"
+#include "util/diag.hpp"
 #include "util/json.hpp"
 #include "util/parallel.hpp"
 #include "util/stats_registry.hpp"
@@ -234,22 +235,36 @@ TEST(ConcurrencyStress, ParallelForFromManyThreadsAtOnce)
             << "submitter " << t;
 }
 
-TEST(ConcurrencyStress, ScopedTimersAggregateExactCounts)
+TEST(ConcurrencyStress, ScopesAggregateExactCountsAndKeepLabelsPerThread)
 {
     stats::Accumulator &acc = stats::accumulator(
         "time.test.concurrency.timed", "stress span accumulator");
+    stats::Accumulator &timer = stats::accumulator(
+        "test.concurrency.timer", "stress timer accumulator");
     acc.reset();
+    timer.reset();
+    diag::Collector::instance().setEnabled(true);
 
     constexpr int per_thread = 500;
-    onThreads([&](int) {
+    std::atomic<int> wrong_labels{0};
+    onThreads([&](int t) {
+        const std::string mine = "thread" + std::to_string(t);
         for (int i = 0; i < per_thread; ++i) {
             OTFT_TRACE_SCOPE("test.concurrency.timed");
+            trace::Scope timed(nullptr, &timer);
+            trace::Scope ctx(trace::labelled, [&] { return mine; });
+            if (diag::context() != mine)
+                ++wrong_labels;
         }
     });
+    diag::Collector::instance().setEnabled(false);
 
-    EXPECT_EQ(acc.count(), static_cast<std::uint64_t>(kThreads) *
-                               per_thread);
+    const auto expected =
+        static_cast<std::uint64_t>(kThreads) * per_thread;
+    EXPECT_EQ(acc.count(), expected);
+    EXPECT_EQ(timer.count(), expected);
     EXPECT_GE(acc.min(), 0.0);
+    EXPECT_EQ(wrong_labels.load(), 0);
 }
 
 /** FNV-1a digest of the first `count` instructions of a cursor. */

@@ -1,8 +1,8 @@
 /**
  * @file
- * Unit tests for the solver diagnostics sink: collector aggregation,
- * thread-local context labels, the per-solve probe ring, the dump
- * registry cap, and the otft-diag-1 JSON export.
+ * Unit tests for the solver diagnostics sink: collector aggregation
+ * under labelled contexts, the per-solve probe ring, the dump registry
+ * cap, and the otft-diag-1 JSON export.
  */
 
 #include <cmath>
@@ -13,9 +13,17 @@
 
 #include "util/diag.hpp"
 #include "util/json.hpp"
+#include "util/trace.hpp"
 
 namespace otft::diag {
 namespace {
+
+/** A labelled trace::Scope builder for a fixed label. */
+auto
+label(const char *text)
+{
+    return [text] { return std::string(text); };
+}
 
 /** Every test runs against a clean, enabled collector. */
 class DiagTest : public ::testing::Test
@@ -50,7 +58,7 @@ TEST_F(DiagTest, DisabledCollectorKeepsProbesInert)
 TEST_F(DiagTest, ProbePublishesAggregateOnFinish)
 {
     {
-        ScopedContext ctx("unit.ctx");
+        trace::Scope ctx(trace::labelled, label("unit.ctx"));
         SolveProbe probe(SolveKind::Dc);
         ASSERT_TRUE(probe.active());
         probe.iteration(0, 2.0, 1.0, false);
@@ -98,26 +106,9 @@ TEST_F(DiagTest, NonFiniteFailureResidualBecomesInfinity)
     EXPECT_TRUE(std::isinf(s.worstFinalResidual));
 }
 
-TEST_F(DiagTest, ScopedContextNestsWithSlash)
-{
-    EXPECT_EQ(ScopedContext::current(), "");
-    {
-        ScopedContext outer("liberty.inv");
-        EXPECT_EQ(ScopedContext::current(), "liberty.inv");
-        {
-            ScopedContext inner("pin0");
-            EXPECT_EQ(ScopedContext::current(), "liberty.inv/pin0");
-        }
-        EXPECT_EQ(ScopedContext::current(), "liberty.inv");
-        ScopedContext empty("");
-        EXPECT_EQ(ScopedContext::current(), "liberty.inv");
-    }
-    EXPECT_EQ(ScopedContext::current(), "");
-}
-
 TEST_F(DiagTest, EventsAggregateUnderCurrentContext)
 {
-    ScopedContext ctx("transient.test");
+    trace::Scope ctx(trace::labelled, label("transient.test"));
     recordEvent(Event::StepAccept);
     recordEvent(Event::StepAccept);
     recordEvent(Event::StepReject);
@@ -170,7 +161,7 @@ TEST_F(DiagTest, DumpJsonRoundTripsThroughParser)
     c.setAttribute("explorer.seed", 42.0);
     c.setAttribute("weird \"key\"\n", 1.0);
     {
-        ScopedContext ctx("ctx.a");
+        trace::Scope ctx(trace::labelled, label("ctx.a"));
         SolveProbe probe(SolveKind::Dc);
         probe.iteration(0, 1.0, 0.5, false);
         probe.finish(true);

@@ -1,4 +1,8 @@
-/** @file Unit tests for util/trace. */
+/**
+ * @file
+ * Unit tests for util/trace: the Scope's timed, labelled and profiled
+ * parts, its disabled paths, and the Chrome timeline collector.
+ */
 
 #include <gtest/gtest.h>
 
@@ -8,7 +12,9 @@
 #include <sstream>
 #include <string>
 
+#include "util/diag.hpp"
 #include "util/json.hpp"
+#include "util/profiler.hpp"
 #include "util/stats_registry.hpp"
 #include "util/trace.hpp"
 
@@ -141,6 +147,126 @@ TEST(Trace, CollectionWorksEvenWhenStatsDisabled)
     // Timeline captured the spans, but the registry stayed untouched.
     EXPECT_EQ(outer_acc.count(), 0u);
     std::remove(path.c_str());
+}
+
+TEST(Trace, TimerScopeSamplesOncePerScopeWithoutTimelineEvents)
+{
+    stats::Accumulator &a = stats::accumulator("test.timer.acc");
+    a.reset();
+    const std::string path = "test_trace_timer.json";
+    trace::start(path);
+    {
+        trace::Scope timer(nullptr, &a);
+    }
+    EXPECT_EQ(trace::eventCount(), 0u);
+    trace::stop();
+    EXPECT_EQ(a.count(), 1u);
+    EXPECT_GE(a.sum(), 0.0);
+
+    // Registry disabled: no clock reads, no samples.
+    stats::Registry::instance().setEnabled(false);
+    {
+        trace::Scope timer(nullptr, &a);
+    }
+    stats::Registry::instance().setEnabled(true);
+    EXPECT_EQ(a.count(), 1u);
+    std::remove(path.c_str());
+}
+
+/** A label builder that counts its calls. */
+struct CountingLabel
+{
+    const char *text;
+    int *calls;
+
+    std::string
+    operator()() const
+    {
+        ++*calls;
+        return text;
+    }
+};
+
+TEST(Trace, LabelledScopesNestWithSlash)
+{
+    diag::Collector::instance().setEnabled(true);
+    int calls = 0;
+    EXPECT_EQ(diag::context(), "");
+    {
+        trace::Scope outer(trace::labelled,
+                           CountingLabel{"liberty.inv", &calls});
+        EXPECT_EQ(diag::context(), "liberty.inv");
+        {
+            trace::Scope inner(trace::labelled,
+                               CountingLabel{"pin0", &calls});
+            EXPECT_EQ(diag::context(), "liberty.inv/pin0");
+        }
+        EXPECT_EQ(diag::context(), "liberty.inv");
+        trace::Scope empty(trace::labelled, CountingLabel{"", &calls});
+        EXPECT_EQ(diag::context(), "liberty.inv");
+    }
+    EXPECT_EQ(diag::context(), "");
+    EXPECT_EQ(calls, 3);
+    diag::Collector::instance().setEnabled(false);
+}
+
+TEST(Trace, LabelledScopeNeverBuildsItsLabelWhenNothingWantsIt)
+{
+    ASSERT_FALSE(diag::enabled());
+    ASSERT_FALSE(prof::enabled());
+    int calls = 0;
+    {
+        trace::Scope ctx(trace::labelled,
+                         CountingLabel{"liberty.dff", &calls});
+        EXPECT_EQ(diag::context(), "");
+    }
+    EXPECT_EQ(calls, 0);
+
+    // The profiler alone wants labels (as frames), not the context.
+    ASSERT_TRUE(prof::Profiler::instance().start());
+    {
+        trace::Scope ctx(trace::labelled,
+                         CountingLabel{"liberty.dff", &calls});
+        EXPECT_EQ(diag::context(), "");
+    }
+    prof::Profiler::instance().stop();
+    EXPECT_EQ(calls, 1);
+}
+
+TEST(Trace, DisabledProfilerFrameOverheadIsBounded)
+{
+    // A fixed workload whose per-item cost dwarfs one relaxed atomic
+    // load: the profiled run may pay a push/pop (lock + label copy)
+    // per item, but must stay within a generous factor overall.
+    const auto workload = [] {
+        volatile double sink = 0.0;
+        for (int i = 0; i < 4000; ++i) {
+            trace::Scope frame("test.overhead");
+            double acc = 0.0;
+            for (int k = 0; k < 400; ++k)
+                acc += static_cast<double>(k) * 1e-3;
+            sink = sink + acc;
+        }
+        return sink;
+    };
+
+    workload(); // warm caches
+    const std::int64_t t0 = stats::monotonicNowNs();
+    workload();
+    const std::int64_t unprofiled = stats::monotonicNowNs() - t0;
+
+    prof::Profiler &p = prof::Profiler::instance();
+    ASSERT_TRUE(p.start());
+    const std::int64_t t1 = stats::monotonicNowNs();
+    workload();
+    const std::int64_t profiled = stats::monotonicNowNs() - t1;
+    p.stop();
+
+    // Generous: 8x plus an absolute floor so scheduler noise on a
+    // sub-millisecond baseline cannot flake the bound.
+    EXPECT_LT(profiled, 8 * unprofiled + 20'000'000)
+        << "unprofiled " << unprofiled << " ns, profiled "
+        << profiled << " ns";
 }
 
 } // namespace
