@@ -165,28 +165,24 @@ ArchExplorer::evaluate(const arch::CoreConfig &config)
     timing_key.add(sta.noWireMarginFraction).add(sta.spanCoefficient);
     timing_key.add(synth.loopSpanCoefficient);
     addConfig(timing_key, config);
-    if (!config_.useCache ||
-        !cache::lookup("explorer.timing", timing_key.digest(), payload) ||
+    if (!cache::lookup("explorer.timing", timing_key.digest(), payload) ||
         !unpackTiming(payload, point.timing)) {
         trace::Scope timer(nullptr, &stat_synth_time);
         point.timing = synth.synthesize(config);
-        if (config_.useCache)
-            cache::store("explorer.timing", timing_key.digest(),
-                         packTiming(point.timing));
+        cache::store("explorer.timing", timing_key.digest(),
+                     packTiming(point.timing));
     }
 
     cache::KeyHasher ipc_key;
     ipc_key.add("explorer.ipc-v1");
     ipc_key.add(config_.instructions).add(config_.seed);
     addConfig(ipc_key, config);
-    if (config_.useCache &&
-        cache::lookup("explorer.ipc", ipc_key.digest(), payload) &&
+    if (cache::lookup("explorer.ipc", ipc_key.digest(), payload) &&
         payload.size() == workloads.size()) {
         point.ipc = std::move(payload);
     } else {
         point.ipc = measureIpc(config);
-        if (config_.useCache)
-            cache::store("explorer.ipc", ipc_key.digest(), point.ipc);
+        cache::store("explorer.ipc", ipc_key.digest(), point.ipc);
     }
 
     point.meanIpc = mean(point.ipc);
@@ -244,10 +240,7 @@ ArchExplorer::widthSweep(int fe_min, int fe_max, int be_min, int be_max)
         static_cast<std::size_t>(fe_max - fe_min + 1);
     const std::size_t n_be =
         static_cast<std::size_t>(be_max - be_min + 1);
-    progress::Options popts;
-    popts.label = "explorer.width_sweep";
-    popts.total = n_be * n_fe;
-    progress::Reporter reporter(popts);
+    progress::Reporter reporter("explorer.width_sweep", n_be * n_fe);
     auto flat = parallel::orderedMap<DesignPoint>(
         n_be * n_fe, [&](std::size_t k) {
             const int be = be_min + static_cast<int>(k / n_fe);

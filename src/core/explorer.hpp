@@ -77,17 +77,6 @@ struct ExplorerConfig
     std::uint64_t seed = 7;
     /** STA configuration (wire on/off for Fig. 15). */
     sta::StaConfig sta = {};
-    /**
-     * Memoize design-point evaluations in the process-wide result
-     * cache, in two tiers: `explorer.timing` (keyed on the library
-     * content hash, the STA configuration and the full core
-     * configuration) and `explorer.ipc` (keyed on the core
-     * configuration, instruction count and seed, with no technology
-     * input, so one simulation serves every library). Hits are
-     * returned verbatim, so sweeps are bit-identical with the cache
-     * cold, warm or off. measureIpc() itself never caches.
-     */
-    bool useCache = true;
 };
 
 /** The exploration driver bound to one technology library. */
@@ -101,6 +90,16 @@ class ArchExplorer
      * Synthesize + simulate one configuration. Safe to call
      * concurrently: every call synthesizes through the one shared
      * synthesizer, whose memo tables are compute-once.
+     *
+     * Results are memoized in the process-wide result cache, in two
+     * tiers: `explorer.timing` (keyed on the library content hash,
+     * the STA configuration and the full core configuration) and
+     * `explorer.ipc` (keyed on the core configuration, instruction
+     * count and seed, with no technology input, so one simulation
+     * serves every library). Hits are returned verbatim, so sweeps
+     * are bit-identical with the cache cold, warm or off
+     * (`ResultCache::setEnabled(false)`, `OTFT_CACHE=0`).
+     * measureIpc() itself never caches.
      */
     DesignPoint evaluate(const arch::CoreConfig &config);
 

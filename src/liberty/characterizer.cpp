@@ -155,8 +155,7 @@ Characterizer::measurePoint(const std::string &name, int pin,
     const std::uint64_t arc_digest = arc_key.digest();
     ArcPoint point;
     std::vector<double> payload;
-    if (config_.useCache &&
-        cache::lookup("liberty.arcpoint", arc_digest, payload) &&
+    if (cache::lookup("liberty.arcpoint", arc_digest, payload) &&
         payload.size() == 4) {
         point.delayFall = payload[0];
         point.delayRise = payload[1];
@@ -191,13 +190,11 @@ Characterizer::measurePoint(const std::string &name, int pin,
     const std::size_t n_unknowns =
         cell.ckt.numNodes() - 1 + cell.ckt.voltageSources().size();
     circuit::Solution x0;
-    if (!(config_.useCache &&
-          cache::lookup("circuit.dcop", dc_key.digest(), x0) &&
+    if (!(cache::lookup("circuit.dcop", dc_key.digest(), x0) &&
           x0.size() == n_unknowns)) {
         circuit::DcAnalysis dc(cell.ckt, config.newton);
         x0 = dc.operatingPoint();
-        if (config_.useCache)
-            cache::store("circuit.dcop", dc_key.digest(), x0);
+        cache::store("circuit.dcop", dc_key.digest(), x0);
     }
 
     const circuit::TransientResult result =
@@ -238,10 +235,9 @@ Characterizer::measurePoint(const std::string &name, int pin,
         fatal("Characterizer: cell ", name, " pin ", pin,
               " failed to switch at slew ", slew, ", load ", load_cap);
     }
-    if (config_.useCache)
-        cache::store("liberty.arcpoint", arc_digest,
-                     {point.delayFall, point.delayRise, point.slewFall,
-                      point.slewRise});
+    cache::store("liberty.arcpoint", arc_digest,
+                 {point.delayFall, point.delayRise, point.slewFall,
+                  point.slewRise});
     return point;
 }
 
@@ -496,10 +492,7 @@ Characterizer::build() const
     std::size_t total_points = config_.loadMultipliers.size();
     for (const char *name : combinationalNames)
         total_points += static_cast<std::size_t>(fanInOf(name)) * grid;
-    progress::Options popts;
-    popts.label = "liberty.characterize";
-    popts.total = total_points;
-    progress::Reporter reporter(popts);
+    progress::Reporter reporter("liberty.characterize", total_points);
     progress_ = &reporter;
 
     // One task per roster cell; inside a worker the per-arc grid maps

@@ -44,13 +44,6 @@ struct CharacterizerConfig
      * widens them so a 3-sigma mobility draw still settles.
      */
     double settleScale = 1.0;
-    /**
-     * Memoize arc points and operating points in the process-wide
-     * result cache (util/result_cache.hpp). Hits are used verbatim as
-     * results, so output is bit-identical with the cache cold, warm,
-     * or disabled.
-     */
-    bool useCache = true;
 };
 
 /** Characterizes the six-cell organic library. */
@@ -92,7 +85,9 @@ class Characterizer
     /**
      * Measure one (pin, slew, load) point: a cache probe, then on a
      * miss the t = 0 operating point (itself memoized per load) and
-     * one transient.
+     * one transient. Hits in the process-wide result cache are used
+     * verbatim as results, so output is bit-identical with the cache
+     * cold, warm, or disabled (`ResultCache::setEnabled(false)`).
      */
     ArcPoint measurePoint(const std::string &name, int pin, double slew,
                           double load_cap) const;

@@ -275,10 +275,7 @@ McCharacterizer::run() const
     const std::size_t n_tasks =
         static_cast<std::size_t>(config_.samples) * n_cells;
 
-    progress::Options popts;
-    popts.label = "liberty.mc";
-    popts.total = n_tasks;
-    progress::Reporter reporter(popts);
+    progress::Reporter reporter("liberty.mc", n_tasks);
 
     // One task per (sample, cell) pair: maximal outer parallelism
     // with deterministic slot order. Each task characterizes through

@@ -1,13 +1,12 @@
 /**
  * @file
- * Minimal JSON document model and recursive-descent parser.
- *
- * The stats registry carries its own reader for the flat subset it
- * dumps; this is the general-purpose counterpart for nested documents
- * — the BENCH_*.json perf reports and the one-line bench footers.
- * Full JSON is accepted (null/bool/number/string/array/object, string
- * escapes, nesting); writing stays with the producers, which stream
- * their own documents for stable field order.
+ * Minimal JSON document model and recursive-descent parser, the one
+ * JSON reader in the project: stats dumps (`--stats-json`), the
+ * BENCH_*.json perf reports, the one-line bench footers and the
+ * persisted result cache all parse through it. Full JSON is accepted
+ * (null/bool/number/string/array/object, string escapes, nesting);
+ * writing stays with the producers, which stream their own documents
+ * for stable field order.
  */
 
 #ifndef OTFT_UTIL_JSON_HPP

@@ -1,5 +1,6 @@
 #include "util/parallel.hpp"
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -59,20 +60,12 @@ struct Batch
 {
     std::size_t n = 0;
     const std::function<void(std::size_t)> *fn = nullptr;
-    Chunking chunking = Chunking::Dynamic;
-    std::size_t grain = 1;
-    CancelToken *cancel = nullptr;
 
-    /** Static ranges, one per participant slot. */
-    std::vector<std::pair<std::size_t, std::size_t>> ranges;
-
-    /** Shared cursor: next index (dynamic) or next range (static). */
+    /** Shared cursor: the next unclaimed index. */
     std::atomic<std::size_t> cursor{0};
     /** Participant slots still claimable (caller holds one). */
     int maxParticipants = 1;
     int participants = 1;
-    /** Set when a cancel token stopped the loop early. */
-    std::atomic<bool> cancelled{false};
 
     /** Lowest-index exception wins (deterministic rethrow). */
     std::mutex errMutex;
@@ -93,11 +86,7 @@ struct Batch
     bool
     hasWork() const
     {
-        const std::size_t limit = chunking == Chunking::Static
-                                      ? ranges.size()
-                                      : n;
-        return cursor.load(std::memory_order_relaxed) < limit &&
-               !cancelled.load(std::memory_order_relaxed);
+        return cursor.load(std::memory_order_relaxed) < n;
     }
 };
 
@@ -112,10 +101,10 @@ recordError(Batch &batch, std::size_t index)
 }
 
 /**
- * Execute indices of `batch` until the shared cursor is exhausted or
- * the cancel token fires. Exceptions are recorded, not propagated:
- * every index still runs, so the lowest throwing index is the same
- * for every job count.
+ * Execute indices of `batch`, one per grab, until the shared cursor
+ * is exhausted. Exceptions are recorded, not propagated: every index
+ * still runs, so the lowest throwing index is the same for every job
+ * count.
  */
 void
 work(Batch &batch)
@@ -125,34 +114,17 @@ work(Batch &batch)
     std::uint64_t busy_ns = 0;
     std::uint64_t chunks_run = 0;
     while (true) {
-        if (batch.cancel && batch.cancel->cancelled()) {
-            batch.cancelled.store(true, std::memory_order_relaxed);
+        const std::size_t i =
+            batch.cursor.fetch_add(1, std::memory_order_relaxed);
+        if (i >= batch.n)
             break;
-        }
-        std::size_t lo, hi;
-        if (batch.chunking == Chunking::Static) {
-            const std::size_t slot = batch.cursor.fetch_add(
-                1, std::memory_order_relaxed);
-            if (slot >= batch.ranges.size())
-                break;
-            lo = batch.ranges[slot].first;
-            hi = batch.ranges[slot].second;
-        } else {
-            lo = batch.cursor.fetch_add(batch.grain,
-                                        std::memory_order_relaxed);
-            if (lo >= batch.n)
-                break;
-            hi = std::min(lo + batch.grain, batch.n);
-        }
         std::chrono::steady_clock::time_point start{};
         if (stats_on)
             start = std::chrono::steady_clock::now();
-        for (std::size_t i = lo; i < hi; ++i) {
-            try {
-                (*batch.fn)(i);
-            } catch (...) {
-                recordError(batch, i);
-            }
+        try {
+            (*batch.fn)(i);
+        } catch (...) {
+            recordError(batch, i);
         }
         if (stats_on) {
             static stats::Histogram &stat_task_s = stats::histogram(
@@ -330,19 +302,6 @@ pool()
     return p;
 }
 
-/** Serial fall-back: in-order, fail-fast, cancel between indices. */
-bool
-serialFor(std::size_t n, const std::function<void(std::size_t)> &fn,
-          CancelToken *cancel)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        if (cancel && cancel->cancelled())
-            return false;
-        fn(i);
-    }
-    return true;
-}
-
 } // namespace
 
 int
@@ -438,44 +397,26 @@ queueDepth()
     return g_queue_depth.load(std::memory_order_relaxed);
 }
 
-bool
-parallelFor(std::size_t n,
-            const std::function<void(std::size_t)> &fn,
-            const ForOptions &options)
+void
+parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn)
 {
-    if (n == 0)
-        return true;
-    if (options.grain == 0)
-        fatal("parallel: grain must be >= 1");
-    int j = options.jobs != 0 ? options.jobs : jobs();
-    if (j < 1)
-        fatal("parallel: job count must be >= 1, got ", j);
+    int j = jobs();
     if (static_cast<std::size_t>(j) > n)
         j = static_cast<int>(n);
 
-    // Serial fast path: one job, one index, or already inside a pool
-    // worker (nested fan-out runs inline to avoid deadlock).
-    if (j == 1 || insideWorker())
-        return serialFor(n, fn, options.cancel);
+    // Serial path: no index, one job, one index, or already inside a
+    // pool worker (nested fan-out runs inline, in order, fail-fast,
+    // to avoid deadlock).
+    if (j <= 1 || insideWorker()) {
+        for (std::size_t i = 0; i < n; ++i)
+            fn(i);
+        return;
+    }
 
     Batch batch;
     batch.n = n;
     batch.fn = &fn;
-    batch.chunking = options.chunking;
-    batch.grain = options.grain;
-    batch.cancel = options.cancel;
     batch.maxParticipants = j;
-    if (options.chunking == Chunking::Static) {
-        const std::size_t p = static_cast<std::size_t>(j);
-        const std::size_t base = n / p;
-        const std::size_t rem = n % p;
-        std::size_t lo = 0;
-        for (std::size_t s = 0; s < p; ++s) {
-            const std::size_t len = base + (s < rem ? 1 : 0);
-            batch.ranges.emplace_back(lo, lo + len);
-            lo += len;
-        }
-    }
 
     Pool &shared = pool();
     shared.ensureWorkers(static_cast<std::size_t>(j - 1));
@@ -517,7 +458,6 @@ parallelFor(std::size_t n,
 
     if (batch.error)
         std::rethrow_exception(batch.error);
-    return !batch.cancelled.load(std::memory_order_relaxed);
 }
 
 } // namespace otft::parallel

@@ -1,16 +1,15 @@
 /**
  * @file
  * Reusable parallel execution layer: a process-wide worker pool with
- * `parallelFor` (static or dynamic chunking), cooperative
- * cancellation, and deterministic ordered map/reduce helpers.
+ * a dynamically scheduled `parallelFor` and the deterministic
+ * `orderedMap` on top.
  *
  * Determinism contract: parallelism never changes results. Work is
- * identified by index; `orderedMap` writes each result into its own
- * slot and `orderedReduce` folds the slots in ascending index order,
- * so a run at `--jobs 8` is bit-identical to `--jobs 1` as long as
- * each per-index task is a pure function of its index. Exceptions are
- * deterministic too: when several tasks throw, the one with the
- * lowest index is rethrown on the calling thread.
+ * identified by index and `orderedMap` writes each result into its
+ * own slot, so a run at `--jobs 8` is bit-identical to `--jobs 1` as
+ * long as each per-index task is a pure function of its index.
+ * Exceptions are deterministic too: when several tasks throw, the one
+ * with the lowest index is rethrown on the calling thread.
  *
  * Nesting: a parallelFor issued from inside a pool worker runs
  * serially on that worker (no nested fan-out, no deadlock), so outer
@@ -25,7 +24,6 @@
 #ifndef OTFT_UTIL_PARALLEL_HPP
 #define OTFT_UTIL_PARALLEL_HPP
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -62,57 +60,16 @@ class JobsOverride
 };
 
 /**
- * Cooperative cancellation token. Cancellation is checked between
- * chunks: indices already started still complete, indices not yet
- * started are skipped, and parallelFor reports the early exit.
- */
-class CancelToken
-{
-  public:
-    void cancel() { flag.store(true, std::memory_order_relaxed); }
-    bool
-    cancelled() const
-    {
-        return flag.load(std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<bool> flag{false};
-};
-
-/** Chunk assignment policy for parallelFor. */
-enum class Chunking {
-    /** Contiguous [0,n) split into one range per worker up front.
-     *  Lowest overhead; best for uniform per-index cost. */
-    Static,
-    /** Workers grab `grain`-sized blocks from a shared cursor.
-     *  Load-balances irregular tasks (transient sims, STA). */
-    Dynamic,
-};
-
-/** Options for parallelFor / orderedMap / orderedReduce. */
-struct ForOptions
-{
-    /** Worker count; 0 means the global jobs() default. */
-    int jobs = 0;
-    Chunking chunking = Chunking::Dynamic;
-    /** Indices per dynamic grab (>= 1). */
-    std::size_t grain = 1;
-    /** Optional cooperative cancellation. */
-    CancelToken *cancel = nullptr;
-};
-
-/**
  * Run fn(i) for every i in [0, n), fanning out across the pool.
  *
- * @return true when every index ran; false when a cancel token
- * stopped the loop early. If any task threw, the exception of the
- * lowest throwing index is rethrown here after all started tasks
- * have drained (no task outlives the call).
+ * One scheduling policy: every participant (the caller plus up to
+ * jobs() - 1 pool workers) grabs the next unclaimed index from a
+ * shared cursor, so irregular per-index costs (transient sims, STA)
+ * balance themselves. If any task threw, the exception of the lowest
+ * throwing index is rethrown here after all started tasks have
+ * drained (no task outlives the call).
  */
-bool parallelFor(std::size_t n,
-                 const std::function<void(std::size_t)> &fn,
-                 const ForOptions &options = {});
+void parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn);
 
 /** @return true when the calling thread is a pool worker. */
 bool insideWorker();
@@ -120,9 +77,9 @@ bool insideWorker();
 /**
  * Scheduler observability. When enabled (by the sampling profiler at
  * collection start, or directly by tests), the pool times every chunk
- * it executes and publishes, per parallelFor region, queue-wait /
- * task-duration histograms plus a load-imbalance summary (max / mean
- * participant busy time) into the stats registry. Exact cumulative
+ * (one index) it executes and publishes, per parallelFor region,
+ * queue-wait / task-duration histograms plus a load-imbalance summary
+ * (max / mean participant busy time) into the stats registry. Exact cumulative
  * busy time and chunk counts per worker are kept here for snapshots.
  * Off (the default), the pool takes no clock reads.
  */
@@ -161,30 +118,11 @@ void shutdownPool();
  */
 template <typename T, typename Fn>
 std::vector<T>
-orderedMap(std::size_t n, Fn &&fn, const ForOptions &options = {})
+orderedMap(std::size_t n, Fn &&fn)
 {
     std::vector<T> out(n);
-    parallelFor(
-        n, [&](std::size_t i) { out[i] = fn(i); }, options);
+    parallelFor(n, [&](std::size_t i) { out[i] = fn(i); });
     return out;
-}
-
-/**
- * Deterministic parallel map-reduce: compute fn(i) in parallel, then
- * fold the results strictly in index order on the calling thread
- * (init = reduce(init, out[0]), then out[1], ...). Floating-point
- * reductions are therefore bit-identical to the serial loop.
- */
-template <typename Acc, typename T, typename Fn, typename Reduce>
-Acc
-orderedReduce(std::size_t n, Acc init, Fn &&fn, Reduce &&reduce,
-              const ForOptions &options = {})
-{
-    std::vector<T> slots = orderedMap<T>(n, std::forward<Fn>(fn),
-                                         options);
-    for (std::size_t i = 0; i < n; ++i)
-        init = reduce(std::move(init), std::move(slots[i]));
-    return init;
 }
 
 } // namespace otft::parallel

@@ -15,6 +15,23 @@ namespace otft::progress {
 
 namespace {
 
+/** Minimum seconds between TTY redraws. */
+constexpr double redrawPeriodS = 0.2;
+
+/** Watchdog threshold as a multiple of the median task duration. */
+constexpr double slowTaskMultiple = 8.0;
+
+/** Durations needed before the watchdog starts judging. */
+constexpr std::size_t slowTaskMinSamples = 8;
+
+/**
+ * Time constant (seconds) of the EWMA that smooths the displayed
+ * items/sec rate: bursty sweeps (a parallel pool retiring several
+ * items at once) otherwise make the ETA jitter. The final summary
+ * line always shows the raw whole-run rate.
+ */
+constexpr double rateTimeConstantS = 5.0;
+
 /** Keep at most this many durations for the median estimate. */
 constexpr std::size_t maxDurations = 4096;
 
@@ -51,19 +68,6 @@ stderrIsTty()
     return tty;
 }
 
-double
-watchdogMultipleOverride(double fallback)
-{
-    const char *env = std::getenv("OTFT_WATCHDOG_MULT");
-    if (!env || !*env)
-        return fallback;
-    char *end = nullptr;
-    const double v = std::strtod(env, &end);
-    if (end == env)
-        return fallback;
-    return v;
-}
-
 std::string
 formatEta(double seconds)
 {
@@ -96,12 +100,11 @@ enabled()
     return false;
 }
 
-Reporter::Reporter(Options options)
-    : options_(std::move(options)), startNs_(stats::monotonicNowNs()),
-      renders_(enabled()), tty_(stderrIsTty()), lastRateNs_(startNs_)
+Reporter::Reporter(std::string label, std::size_t total)
+    : label_(std::move(label)), total_(total),
+      startNs_(stats::monotonicNowNs()), renders_(enabled()),
+      tty_(stderrIsTty()), lastRateNs_(startNs_)
 {
-    options_.watchdogMultiple =
-        watchdogMultipleOverride(options_.watchdogMultiple);
 }
 
 Reporter::~Reporter()
@@ -117,22 +120,21 @@ Reporter::itemDone(double duration_s)
     ++pendingItems_;
     updateRateLocked();
 
-    if (duration_s > 0.0 && options_.watchdogMultiple > 0.0) {
-        if (durations_.size() >= options_.watchdogMinSamples) {
+    if (duration_s > 0.0) {
+        if (durations_.size() >= slowTaskMinSamples) {
             const double median = medianLocked();
             if (median > 0.0 && duration_s > watchdogFloorS &&
-                duration_s > options_.watchdogMultiple * median) {
+                duration_s > slowTaskMultiple * median) {
                 ++watchdogFlags_;
                 static stats::Counter &stat_flags = stats::counter(
                     "progress.watchdog_flags",
                     "tasks slower than both the watchdog multiple of "
                     "the median task time and the absolute floor");
                 ++stat_flags;
-                warn(options_.label, ": slow task: ", duration_s,
+                warn(label_, ": slow task: ", duration_s,
                      " s vs median ", median, " s (item ", completed_,
-                     options_.total ? "/" : "",
-                     options_.total ? std::to_string(options_.total)
-                                    : std::string(),
+                     total_ ? "/" : "",
+                     total_ ? std::to_string(total_) : std::string(),
                      ")");
             }
         }
@@ -191,8 +193,6 @@ Reporter::line() const
 void
 Reporter::updateRateLocked()
 {
-    if (options_.rateTauS <= 0.0)
-        return;
     const std::int64_t now = stats::monotonicNowNs();
     const double dt = static_cast<double>(now - lastRateNs_) * 1e-9;
     if (dt < minRateWindowS)
@@ -202,7 +202,7 @@ Reporter::updateRateLocked()
         ewmaRate_ = inst;
         ewmaInit_ = true;
     } else {
-        const double alpha = 1.0 - std::exp(-dt / options_.rateTauS);
+        const double alpha = 1.0 - std::exp(-dt / rateTimeConstantS);
         ewmaRate_ += alpha * (inst - ewmaRate_);
     }
     pendingItems_ = 0;
@@ -228,18 +228,18 @@ Reporter::lineLocked() const
     const double rate = !finished_ && ewmaInit_ ? ewmaRate_ : raw;
 
     std::ostringstream oss;
-    oss << options_.label << ": " << completed_;
-    if (options_.total) {
-        oss << "/" << options_.total;
+    oss << label_ << ": " << completed_;
+    if (total_) {
+        oss << "/" << total_;
         const double pct = 100.0 * static_cast<double>(completed_) /
-                           static_cast<double>(options_.total);
+                           static_cast<double>(total_);
         oss << " (" << static_cast<int>(pct) << "%)";
     }
     oss.precision(3);
     oss << " " << rate << "/s";
-    if (options_.total && rate > 0.0 && completed_ < options_.total) {
+    if (total_ && rate > 0.0 && completed_ < total_) {
         const double remaining =
-            static_cast<double>(options_.total - completed_) / rate;
+            static_cast<double>(total_ - completed_) / rate;
         oss << " eta " << formatEta(remaining);
     }
     return oss.str();
@@ -261,8 +261,8 @@ Reporter::maybeRenderLocked()
 {
     if (tty_) {
         const std::int64_t now = stats::monotonicNowNs();
-        const auto min_ns = static_cast<std::int64_t>(
-            options_.minRedrawIntervalS * 1e9);
+        const auto min_ns =
+            static_cast<std::int64_t>(redrawPeriodS * 1e9);
         if (now - lastRenderNs_ < min_ns)
             return;
         lastRenderNs_ = now;
@@ -272,11 +272,10 @@ Reporter::maybeRenderLocked()
     }
     // Non-TTY (forced on): one full line per completed decile, so a
     // captured log shows coarse progress without redraw control codes.
-    if (!options_.total)
+    if (!total_)
         return;
-    const std::size_t decile =
-        completed_ * 10 / options_.total;
-    if (decile > lastDecile_ && completed_ < options_.total) {
+    const std::size_t decile = completed_ * 10 / total_;
+    if (decile > lastDecile_ && completed_ < total_) {
         lastDecile_ = decile;
         std::fprintf(stderr, "%s\n", lineLocked().c_str());
     }

@@ -2,7 +2,7 @@
  * @file
  * Progress reporting for long parallel sweeps: items-done/total, rate,
  * and ETA on stderr, plus a watchdog that flags tasks whose duration
- * exceeds a configurable multiple of the running median.
+ * exceeds a fixed multiple of the running median.
  *
  * Reporters are owned by the sweep driver (liberty characterization,
  * explorer width sweep) and ticked from worker threads via
@@ -16,11 +16,11 @@
  *    in-place redraws. Non-TTY forced output emits one full line per
  *    decile instead so logs stay greppable.
  *
- * The watchdog needs no configuration in the common case: once
- * `watchdogMinSamples` durations are in, any task slower than both
- * `watchdogMultiple` x median and a fixed half-second floor is warned
- * about and counted in the `progress.watchdog_flags` stat.
- * `OTFT_WATCHDOG_MULT` overrides the multiple process-wide.
+ * The watchdog takes no configuration: once 8 durations are in, any
+ * task slower than both 8x the median and a half-second floor is
+ * warned about and counted in the `progress.watchdog_flags` stat.
+ * The displayed rate is an EWMA with a 5 s time constant; TTY
+ * redraws are at most every 0.2 s (constants in progress.cpp).
  */
 
 #ifndef OTFT_UTIL_PROGRESS_HPP
@@ -36,32 +36,6 @@ namespace otft::progress {
 /** @return true when progress rendering is on for this process. */
 bool enabled();
 
-/** Reporter knobs; the defaults suit multi-second sweeps. */
-struct Options
-{
-    /** Prefix shown on every line ("liberty", "explorer.sweep"). */
-    std::string label = "progress";
-    /** Total item count (0 renders counts without percent/ETA). */
-    std::size_t total = 0;
-    /** Minimum seconds between TTY redraws. */
-    double minRedrawIntervalS = 0.2;
-    /**
-     * Watchdog threshold as a multiple of the median task duration
-     * (<= 0 disables). Overridden by OTFT_WATCHDOG_MULT when set.
-     */
-    double watchdogMultiple = 8.0;
-    /** Durations needed before the watchdog starts judging. */
-    std::size_t watchdogMinSamples = 8;
-    /**
-     * Time constant (seconds) of the EWMA that smooths the displayed
-     * items/sec rate — bursty sweeps (a parallel pool retiring a
-     * chunk at once) otherwise make the ETA jitter. <= 0 disables
-     * smoothing. The final summary line always shows the raw
-     * whole-run rate.
-     */
-    double rateTauS = 5.0;
-};
-
 /**
  * One sweep's progress state. Thread-safe: workers call
  * itemDone() concurrently; the owner calls done() after joining.
@@ -69,7 +43,12 @@ struct Options
 class Reporter
 {
   public:
-    explicit Reporter(Options options);
+    /**
+     * @param label prefix shown on every line ("liberty",
+     *        "explorer.sweep")
+     * @param total item count (0 renders counts without percent/ETA)
+     */
+    Reporter(std::string label, std::size_t total);
     ~Reporter();
 
     Reporter(const Reporter &) = delete;
@@ -105,7 +84,8 @@ class Reporter
     void maybeRenderLocked();
     void updateRateLocked();
 
-    Options options_;
+    std::string label_;
+    std::size_t total_;
     mutable std::mutex mutex_;
     std::size_t completed_ = 0;
     std::uint64_t watchdogFlags_ = 0;

@@ -1,5 +1,7 @@
 #include "util/result_cache.hpp"
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -144,14 +146,6 @@ ResultCache::enabled() const
 }
 
 void
-ResultCache::setCapacity(std::size_t max_entries)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    capacity_ = max_entries > 0 ? max_entries : 1;
-    evictLocked();
-}
-
-void
 ResultCache::setDirectory(const std::string &dir)
 {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -225,7 +219,7 @@ ResultCache::store(const std::string &domain, std::uint64_t key,
 void
 ResultCache::evictLocked()
 {
-    while (entries.size() > capacity_) {
+    while (entries.size() > capacity) {
         entries.erase(lru.back());
         lru.pop_back();
         ++statEvictions();
@@ -303,9 +297,15 @@ ResultCache::flush()
         return;
     const std::string path =
         (std::filesystem::path(dir_) / cacheFileName).string();
-    std::ofstream os(path);
+    // Write a per-process sibling and rename it over the target: the
+    // rename is atomic, so a reader (or a sibling binary sharing the
+    // directory) sees either the old file or the new one, never a
+    // truncated or interleaved mix.
+    const std::string tmp_path =
+        path + ".tmp." + std::to_string(::getpid());
+    std::ofstream os(tmp_path);
     if (!os) {
-        warn("result_cache: cannot write ", path);
+        warn("result_cache: cannot write ", tmp_path);
         return;
     }
     os << "{\"schema\": \"" << cacheSchema << "\", \"entries\": {";
@@ -332,11 +332,21 @@ ResultCache::flush()
         os << "]";
     }
     os << "}}\n";
-    if (!os)
-        warn("result_cache: short write to ", path);
-    else
-        inform("result_cache: persisted ", entries.size(),
-               " entries to ", path);
+    os.close();
+    std::error_code ec;
+    if (!os) {
+        warn("result_cache: short write to ", tmp_path);
+        std::filesystem::remove(tmp_path, ec);
+        return;
+    }
+    std::filesystem::rename(tmp_path, path, ec);
+    if (ec) {
+        warn("result_cache: cannot replace ", path, ": ", ec.message());
+        std::filesystem::remove(tmp_path, ec);
+        return;
+    }
+    inform("result_cache: persisted ", entries.size(), " entries to ",
+           path);
 }
 
 void
@@ -352,6 +362,17 @@ ResultCache::size() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return entries.size();
+}
+
+EnabledOverride::EnabledOverride(bool enabled)
+    : prev(ResultCache::instance().enabled())
+{
+    ResultCache::instance().setEnabled(enabled);
+}
+
+EnabledOverride::~EnabledOverride()
+{
+    ResultCache::instance().setEnabled(prev);
 }
 
 bool

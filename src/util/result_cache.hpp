@@ -73,15 +73,17 @@ class ResultCache
   public:
     static ResultCache &instance();
 
+    /** Maximum in-memory entries before LRU eviction. */
+    static constexpr std::size_t capacity = 65536;
+
     /**
-     * Master enable. Disabled, lookup() always misses and store() is
-     * a no-op (existing entries are retained for re-enabling).
+     * Master enable, the one off switch for every memoized layer
+     * (cli::Session maps `OTFT_CACHE=0` here). Disabled, lookup()
+     * always misses and store() is a no-op (existing entries are
+     * retained for re-enabling).
      */
     void setEnabled(bool enabled);
     bool enabled() const;
-
-    /** Maximum in-memory entries before LRU eviction. */
-    void setCapacity(std::size_t max_entries);
 
     /**
      * Enable disk persistence under `dir` (created if missing; fatal
@@ -106,8 +108,11 @@ class ResultCache
 
     /**
      * Write the current entries to `dir/result_cache.json` when a
-     * directory is configured; otherwise a no-op. Write failures warn
-     * (never fatal: persistence is an optimization).
+     * directory is configured; otherwise a no-op. The file is written
+     * to a temporary sibling and renamed over the target, so a killed
+     * run or a concurrent flush never leaves a truncated file. Write
+     * failures warn and leave the previous file intact (never fatal:
+     * persistence is an optimization).
      */
     void flush();
 
@@ -131,11 +136,27 @@ class ResultCache
 
     mutable std::mutex mutex_;
     bool enabled_ = true;
-    std::size_t capacity_ = 65536;
     std::string dir_;
     /** Most-recently-used keys at the front. */
     std::list<std::string> lru;
     std::unordered_map<std::string, Entry> entries;
+};
+
+/**
+ * RAII scope that sets the process-wide enable and restores the
+ * previous setting on exit (tests, benches).
+ */
+class EnabledOverride
+{
+  public:
+    explicit EnabledOverride(bool enabled);
+    ~EnabledOverride();
+
+    EnabledOverride(const EnabledOverride &) = delete;
+    EnabledOverride &operator=(const EnabledOverride &) = delete;
+
+  private:
+    bool prev;
 };
 
 /** Shorthand accessors on the process-wide instance. */

@@ -1,6 +1,5 @@
 #include "util/stats_registry.hpp"
 
-#include <cctype>
 #include <chrono>
 #include <cmath>
 #include <ostream>
@@ -436,170 +435,6 @@ monotonicNowNs()
     return std::chrono::duration_cast<std::chrono::nanoseconds>(
                std::chrono::steady_clock::now().time_since_epoch())
         .count();
-}
-
-// ---------------------------------------------------------------------
-// Snapshot parsing: a recursive-descent reader for the JSON subset
-// dumpJson() emits (flat object; values are numbers, or one-level
-// objects of numbers and arrays of numbers).
-// ---------------------------------------------------------------------
-
-namespace {
-
-struct JsonReader
-{
-    std::istream &is;
-
-    void
-    skipWs()
-    {
-        while (std::isspace(is.peek()))
-            is.get();
-    }
-
-    char
-    peek()
-    {
-        skipWs();
-        return static_cast<char>(is.peek());
-    }
-
-    void
-    expect(char c)
-    {
-        skipWs();
-        const int got = is.get();
-        if (got != c)
-            fatal("stats json: expected '", c, "', got ",
-                  got < 0 ? std::string("EOF")
-                          : std::string(1, static_cast<char>(got)));
-    }
-
-    std::string
-    readString()
-    {
-        expect('"');
-        std::string s;
-        int c;
-        while ((c = is.get()) != '"') {
-            if (c < 0)
-                fatal("stats json: unterminated string");
-            if (c == '\\')
-                c = is.get();
-            s.push_back(static_cast<char>(c));
-        }
-        return s;
-    }
-
-    double
-    readNumber()
-    {
-        skipWs();
-        double v = 0.0;
-        if (!(is >> v))
-            fatal("stats json: expected a number");
-        return v;
-    }
-
-    std::vector<double>
-    readNumberArray()
-    {
-        expect('[');
-        std::vector<double> values;
-        if (peek() == ']') {
-            is.get();
-            return values;
-        }
-        while (true) {
-            values.push_back(readNumber());
-            skipWs();
-            const int c = is.get();
-            if (c == ']')
-                break;
-            if (c != ',')
-                fatal("stats json: expected ',' or ']' in array");
-        }
-        return values;
-    }
-};
-
-} // namespace
-
-double
-Snapshot::scalar(const std::string &name, double fallback) const
-{
-    auto it = scalars.find(name);
-    return it != scalars.end() ? it->second : fallback;
-}
-
-Snapshot
-parseSnapshot(std::istream &is)
-{
-    Snapshot snapshot;
-    JsonReader reader{is};
-    reader.expect('{');
-    if (reader.peek() == '}') {
-        is.get();
-        return snapshot;
-    }
-    while (true) {
-        const std::string name = reader.readString();
-        reader.expect(':');
-        if (reader.peek() == '{') {
-            // Accumulator or histogram: keyed fields distinguish them.
-            is.get();
-            std::map<std::string, double> fields;
-            std::vector<double> bins;
-            bool have_bins = false;
-            while (true) {
-                const std::string key = reader.readString();
-                reader.expect(':');
-                if (reader.peek() == '[') {
-                    bins = reader.readNumberArray();
-                    have_bins = true;
-                } else {
-                    fields[key] = reader.readNumber();
-                }
-                reader.skipWs();
-                const int c = is.get();
-                if (c == '}')
-                    break;
-                if (c != ',')
-                    fatal("stats json: expected ',' or '}' in object");
-            }
-            if (have_bins) {
-                SnapshotHistogram h;
-                h.lo = fields["lo"];
-                h.hi = fields["hi"];
-                h.underflow =
-                    static_cast<std::uint64_t>(fields["underflow"]);
-                h.overflow =
-                    static_cast<std::uint64_t>(fields["overflow"]);
-                h.p50 = fields["p50"];
-                h.p95 = fields["p95"];
-                for (double b : bins)
-                    h.bins.push_back(static_cast<std::uint64_t>(b));
-                snapshot.histograms[name] = h;
-            } else {
-                SnapshotAccumulator a;
-                a.count = static_cast<std::uint64_t>(fields["count"]);
-                a.sum = fields["sum"];
-                a.min = fields["min"];
-                a.max = fields["max"];
-                a.mean = fields["mean"];
-                snapshot.accumulators[name] = a;
-            }
-        } else {
-            snapshot.scalars[name] = reader.readNumber();
-        }
-        reader.skipWs();
-        const int c = is.get();
-        if (c == '}')
-            break;
-        if (c != ',')
-            fatal("stats json: expected ',' or '}' after value");
-    }
-    return snapshot;
 }
 
 } // namespace otft::stats

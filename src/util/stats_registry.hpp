@@ -297,52 +297,6 @@ enabled()
 /** Monotonic clock read in nanoseconds (exposed for trace scopes). */
 std::int64_t monotonicNowNs();
 
-// ---------------------------------------------------------------------
-// Snapshot: a parsed stats dump, used for JSON round-trip tests and by
-// tools that harvest `--stats-json` output.
-// ---------------------------------------------------------------------
-
-/** One parsed accumulator. */
-struct SnapshotAccumulator
-{
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-    double mean = 0.0;
-};
-
-/** One parsed histogram. */
-struct SnapshotHistogram
-{
-    double lo = 0.0;
-    double hi = 0.0;
-    std::uint64_t underflow = 0;
-    std::uint64_t overflow = 0;
-    double p50 = 0.0;
-    double p95 = 0.0;
-    std::vector<std::uint64_t> bins;
-};
-
-/** A parsed dumpJson() document. */
-struct Snapshot
-{
-    /** Counters and derived rates. */
-    std::map<std::string, double> scalars;
-    std::map<std::string, SnapshotAccumulator> accumulators;
-    std::map<std::string, SnapshotHistogram> histograms;
-
-    /** Scalar value by name, or `fallback` when absent. */
-    double scalar(const std::string &name, double fallback = 0.0) const;
-};
-
-/**
- * Parse a dumpJson() document (the registry's own flat JSON subset:
- * one object whose values are numbers, or objects of numbers and
- * number arrays). Fatal on malformed input.
- */
-Snapshot parseSnapshot(std::istream &is);
-
 } // namespace otft::stats
 
 #endif // OTFT_UTIL_STATS_REGISTRY_HPP

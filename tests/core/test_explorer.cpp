@@ -8,6 +8,7 @@
 #include "core/explorer.hpp"
 #include "liberty/characterizer.hpp"
 #include "liberty/silicon.hpp"
+#include "util/result_cache.hpp"
 
 namespace otft::core {
 namespace {
@@ -128,12 +129,12 @@ hashTiming(std::uint64_t hash, const CoreTiming &t)
  */
 TEST(Explorer, WidthSweepTimingHashIsBitExact)
 {
+    cache::EnabledOverride off(false);
     const auto lib = liberty::makeSiliconLibrary();
     std::uint64_t hash = 1469598103934665603ull; // FNV offset basis
     for (bool wire : {true, false}) {
         ExplorerConfig config;
         config.instructions = 1000;
-        config.useCache = false;
         config.sta.wireEnabled = wire;
         ArchExplorer explorer(lib, config);
         const auto sweep = explorer.widthSweep(1, 3, 3, 5);
@@ -168,13 +169,13 @@ organicLibrary()
  */
 TEST(Explorer, DepthSweepTimingHashIsBitExact)
 {
+    cache::EnabledOverride off(false);
     const auto silicon = liberty::makeSiliconLibrary();
     std::uint64_t hash = 1469598103934665603ull;
     for (const liberty::CellLibrary *lib : {&silicon, &organicLibrary()}) {
         for (bool wire : {true, false}) {
             ExplorerConfig config;
             config.instructions = 1000;
-            config.useCache = false;
             config.sta.wireEnabled = wire;
             ArchExplorer explorer(*lib, config);
             for (const auto &point : explorer.depthSweep(15).points)
@@ -190,12 +191,12 @@ TEST(Explorer, DepthSweepTimingHashIsBitExact)
  */
 TEST(Explorer, AluDepthSweepHashIsBitExact)
 {
+    cache::EnabledOverride off(false);
     const auto silicon = liberty::makeSiliconLibrary();
     std::uint64_t hash = 1469598103934665603ull;
     for (const liberty::CellLibrary *lib : {&silicon, &organicLibrary()}) {
         for (bool wire : {true, false}) {
             ExplorerConfig config;
-            config.useCache = false;
             config.sta.wireEnabled = wire;
             ArchExplorer explorer(*lib, config);
             for (const AluPoint &p : explorer.aluDepthSweep(

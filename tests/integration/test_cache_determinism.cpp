@@ -138,15 +138,17 @@ TEST(CacheDeterminism, NldmCachedMatchesCacheDisabled)
     auto &cache = cache::ResultCache::instance();
     cache.clear();
 
-    liberty::CharacterizerConfig uncached = miniGrid();
-    uncached.useCache = false;
-    const std::string reference = characterizeInv(uncached, 1);
+    const liberty::CharacterizerConfig mini = miniGrid();
+    std::string reference;
+    {
+        cache::EnabledOverride off(false);
+        reference = characterizeInv(mini, 1);
+    }
     ASSERT_EQ(cache.size(), 0u)
-        << "useCache = false must not touch the cache";
+        << "a disabled cache must not be touched";
 
-    const liberty::CharacterizerConfig cached = miniGrid();
-    const std::string cold = characterizeInv(cached, 1);
-    const std::string warm = characterizeInv(cached, 1);
+    const std::string cold = characterizeInv(mini, 1);
+    const std::string warm = characterizeInv(mini, 1);
     EXPECT_EQ(reference, cold);
     EXPECT_EQ(reference, warm);
     cache.clear();
@@ -193,12 +195,13 @@ TEST(CacheDeterminism, ExplorerPointColdAndWarmRunsAreByteIdentical)
     EXPECT_FALSE(cold.empty());
     EXPECT_EQ(cold, warm);
 
-    core::ExplorerConfig uncached_config;
-    uncached_config.instructions = 2000;
-    uncached_config.useCache = false;
-    core::ArchExplorer uncached(silicon, uncached_config);
-    EXPECT_EQ(dumpPoint(uncached.evaluate(arch::baselineConfig())),
-              cold);
+    const std::size_t cached_entries = cache.size();
+    {
+        cache::EnabledOverride off(false);
+        EXPECT_EQ(evaluate(), cold);
+    }
+    EXPECT_EQ(cache.size(), cached_entries)
+        << "a disabled cache must not be touched";
     cache.clear();
 }
 
@@ -220,9 +223,9 @@ core::DesignPoint
 evaluateBaseline(const liberty::CellLibrary &library,
                  std::uint64_t instructions, bool use_cache = true)
 {
+    cache::EnabledOverride enable(use_cache);
     core::ExplorerConfig config;
     config.instructions = instructions;
-    config.useCache = use_cache;
     core::ArchExplorer explorer(library, config);
     return explorer.evaluate(arch::baselineConfig());
 }
@@ -306,16 +309,16 @@ TEST_F(ExplorerTiers, CacheOffSweepsMatchColdAndWarm)
 {
     for (const liberty::CellLibrary *library : {silicon, organic}) {
         const auto sweep = [library](bool use_cache) {
+            cache::EnabledOverride enable(use_cache);
             core::ExplorerConfig config;
             config.instructions = 2000;
-            config.useCache = use_cache;
             core::ArchExplorer explorer(*library, config);
             return dumpSweep(explorer.widthSweep(1, 2, 3, 4));
         };
         cache::ResultCache::instance().clear();
         const std::string off = sweep(false);
         EXPECT_EQ(cache::ResultCache::instance().size(), 0u)
-            << "useCache = false must not touch the cache";
+            << "a disabled cache must not be touched";
         const std::string cold = sweep(true);
         const std::string warm = sweep(true);
         EXPECT_FALSE(off.empty());

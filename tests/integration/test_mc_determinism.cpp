@@ -43,10 +43,9 @@ std::string
 statDumpAtJobs(int jobs, bool use_cache)
 {
     parallel::JobsOverride guard(jobs);
-    liberty::McConfig config = smallConfig();
-    config.grid.useCache = use_cache;
+    cache::EnabledOverride enable(use_cache);
     const liberty::StatLibrary stat =
-        liberty::McCharacterizer(config).run();
+        liberty::McCharacterizer(smallConfig()).run();
     std::ostringstream out;
     liberty::writeLibrary(out, stat.mean);
     liberty::writeLibrary(out, stat.slow);

@@ -109,7 +109,7 @@ TEST(ParallelDeterminism, NldmCharacterizationByteIdentical)
     liberty::CharacterizerConfig mini;
     mini.slewAxis = {4e-6, 64e-6};
     mini.loadMultipliers = {0.5, 2.0, 6.0};
-    mini.useCache = false;
+    cache::EnabledOverride off(false);
 
     const auto characterize = [&mini](int jobs_count) {
         parallel::JobsOverride pin(jobs_count);
@@ -133,11 +133,11 @@ TEST(ParallelDeterminism, ExplorerSweepByteIdentical)
 
     const auto sweep = [&silicon](int jobs_count) {
         parallel::JobsOverride pin(jobs_count);
-        core::ExplorerConfig config;
-        config.instructions = 2000;
         // Uncached, so the 8-job sweep computes every point instead
         // of reading back what the serial sweep stored.
-        config.useCache = false;
+        cache::EnabledOverride off(false);
+        core::ExplorerConfig config;
+        config.instructions = 2000;
         core::ArchExplorer explorer(silicon, config);
         const auto grid = explorer.widthSweep(1, 2, 3, 4);
         std::string out;

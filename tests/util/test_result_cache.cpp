@@ -6,13 +6,16 @@
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "util/result_cache.hpp"
+#include "util/stats_registry.hpp"
 #include "util/trace.hpp"
 
 namespace otft::cache {
@@ -31,7 +34,6 @@ class ResultCacheTest : public ::testing::Test
     {
         auto &c = ResultCache::instance();
         c.setEnabled(true);
-        c.setCapacity(65536);
         c.clear();
     }
 
@@ -41,7 +43,6 @@ class ResultCacheTest : public ::testing::Test
         auto &c = ResultCache::instance();
         c.setDirectory("");
         c.setEnabled(true);
-        c.setCapacity(65536);
         c.clear();
         if (!tempDir.empty())
             std::filesystem::remove_all(tempDir);
@@ -60,6 +61,15 @@ class ResultCacheTest : public ::testing::Test
 
     std::string tempDir;
 };
+
+/** Whole-file contents, byte for byte. */
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream is(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(is),
+                       std::istreambuf_iterator<char>());
+}
 
 TEST_F(ResultCacheTest, KeyHasherSeparatesInputs)
 {
@@ -137,30 +147,22 @@ TEST_F(ResultCacheTest, StoreOverwritesExistingEntry)
 TEST_F(ResultCacheTest, LruEvictsOldestAtCapacity)
 {
     auto &c = ResultCache::instance();
-    c.setCapacity(3);
-    c.store("d", 1, {1.0});
-    c.store("d", 2, {2.0});
-    c.store("d", 3, {3.0});
+    constexpr std::uint64_t capacity = ResultCache::capacity;
+    for (std::uint64_t k = 1; k <= capacity; ++k)
+        c.store("d", k, {static_cast<double>(k)});
+    EXPECT_EQ(c.size(), capacity);
 
     // Touch key 1 so key 2 becomes the LRU victim.
     std::vector<double> out;
     ASSERT_TRUE(c.lookup("d", 1, out));
-    c.store("d", 4, {4.0});
+    c.store("d", capacity + 1, {0.0});
 
-    EXPECT_EQ(c.size(), 3u);
+    EXPECT_EQ(c.size(), capacity);
     EXPECT_TRUE(c.lookup("d", 1, out));
     EXPECT_FALSE(c.lookup("d", 2, out));
     EXPECT_TRUE(c.lookup("d", 3, out));
-    EXPECT_TRUE(c.lookup("d", 4, out));
-}
-
-TEST_F(ResultCacheTest, ShrinkingCapacityEvictsImmediately)
-{
-    auto &c = ResultCache::instance();
-    for (std::uint64_t k = 0; k < 10; ++k)
-        c.store("d", k, {static_cast<double>(k)});
-    c.setCapacity(2);
-    EXPECT_EQ(c.size(), 2u);
+    EXPECT_TRUE(c.lookup("d", capacity, out));
+    EXPECT_TRUE(c.lookup("d", capacity + 1, out));
 }
 
 TEST_F(ResultCacheTest, DisabledCacheMissesAndDropsStores)
@@ -199,6 +201,48 @@ TEST_F(ResultCacheTest, PersistenceRoundTripsExactBits)
     ASSERT_EQ(out.size(), payload.size());
     for (std::size_t i = 0; i < payload.size(); ++i)
         EXPECT_EQ(out[i], payload[i]) << "index " << i;
+}
+
+TEST_F(ResultCacheTest, FlushLeavesOnlyTheCacheFile)
+{
+    const std::string dir = makeTempDir("flush_clean");
+    auto &c = ResultCache::instance();
+    c.setDirectory(dir);
+    c.store("d", 1, {1.0});
+    c.flush();
+    c.store("d", 2, {2.0});
+    c.flush();
+
+    std::vector<std::string> names;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        names.push_back(entry.path().filename().string());
+    EXPECT_EQ(names, std::vector<std::string>({"result_cache.json"}));
+}
+
+TEST_F(ResultCacheTest, FailedFlushKeepsThePreviousFile)
+{
+    const std::string dir = makeTempDir("flush_fail");
+    const std::string path = dir + "/result_cache.json";
+    auto &c = ResultCache::instance();
+    c.setDirectory(dir);
+    c.store("d", 1, {1.0});
+    c.flush();
+    const std::string before = readFile(path);
+    ASSERT_NE(before.find("d:0000000000000001"), std::string::npos);
+
+    // A directory on the temporary file's path makes the write fail,
+    // whatever the permissions of the user running the test.
+    const std::string tmp_path =
+        path + ".tmp." + std::to_string(::getpid());
+    std::filesystem::create_directories(tmp_path);
+
+    stats::Counter &warnings = stats::counter("log.warnings");
+    const std::uint64_t warned = warnings.value();
+    c.store("d", 2, {2.0});
+    c.flush();
+    EXPECT_GT(warnings.value(), warned);
+    EXPECT_EQ(readFile(path), before);
+    EXPECT_TRUE(std::filesystem::is_directory(tmp_path));
 }
 
 TEST_F(ResultCacheTest, CorruptCacheFilesAreIgnoredNotFatal)
@@ -277,7 +321,9 @@ TEST_F(ResultCacheTest, TimelineRecordsHitMissAndEvictEvents)
     const std::string path = makeTempDir("trace") + "/timeline.json";
     std::filesystem::create_directories(tempDir);
     auto &c = ResultCache::instance();
-    c.setCapacity(2);
+    // Leave room for exactly two more entries.
+    for (std::uint64_t k = 0; k + 2 < ResultCache::capacity; ++k)
+        c.store("fill", k, {0.0});
 
     trace::start(path);
     std::vector<double> out;
@@ -291,8 +337,8 @@ TEST_F(ResultCacheTest, TimelineRecordsHitMissAndEvictEvents)
     const std::size_t after_hit = trace::eventCount();
     EXPECT_GE(after_hit - after_miss, 2u);
 
-    c.store("t", 2, {2.0});
-    c.store("t", 3, {3.0}); // capacity 2: evicts the LRU entry
+    c.store("t", 2, {2.0}); // fills the cache to capacity
+    c.store("t", 3, {3.0}); // evicts the LRU entry
     const std::size_t after_evict = trace::eventCount();
     EXPECT_GE(after_evict - after_hit, 1u);
 

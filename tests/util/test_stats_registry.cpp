@@ -11,6 +11,25 @@
 namespace otft::stats {
 namespace {
 
+/** Dump the registry and parse it back with the project's reader. */
+json::Value
+parsedDump()
+{
+    std::stringstream ss;
+    Registry::instance().dumpJson(ss);
+    return json::parse(ss.str());
+}
+
+/** A parsed histogram's bin counts. */
+std::vector<std::uint64_t>
+binsOf(const json::Value &hist)
+{
+    std::vector<std::uint64_t> bins;
+    for (const json::Value &bin : hist.at("bins").asArray())
+        bins.push_back(static_cast<std::uint64_t>(bin.asNumber()));
+    return bins;
+}
+
 TEST(StatsRegistry, CounterRegistrationIsIdempotent)
 {
     Counter &a = counter("test.reg.counter", "a test counter");
@@ -97,19 +116,16 @@ TEST(StatsRegistry, HistogramPercentilesInterpolateWithinBins)
 
 TEST(StatsRegistry, PercentilesSurviveJsonRoundTrip)
 {
-    Registry &reg = Registry::instance();
     Histogram &h = histogram("test.pct.roundtrip", 0.0, 8.0, 4);
     h.reset();
     for (int i = 0; i < 10; ++i)
         h.sample(1.0);
-    std::stringstream ss;
-    reg.dumpJson(ss);
-    const Snapshot snap = parseSnapshot(ss);
-    const auto it = snap.histograms.find("test.pct.roundtrip");
-    ASSERT_NE(it, snap.histograms.end());
-    EXPECT_DOUBLE_EQ(it->second.p50, h.p50());
-    EXPECT_DOUBLE_EQ(it->second.p95, h.p95());
-    EXPECT_GT(it->second.p95, it->second.p50);
+    const json::Value doc = parsedDump();
+    ASSERT_TRUE(doc.has("test.pct.roundtrip"));
+    const json::Value &ph = doc.at("test.pct.roundtrip");
+    EXPECT_DOUBLE_EQ(ph.number("p50"), h.p50());
+    EXPECT_DOUBLE_EQ(ph.number("p95"), h.p95());
+    EXPECT_GT(ph.number("p95"), ph.number("p50"));
 }
 
 TEST(StatsRegistry, CounterSnapshotListsOnlyCounters)
@@ -190,30 +206,29 @@ TEST(StatsRegistry, JsonDumpRoundTrips)
     reg.rate("test.json.rate", "test.json.counter",
              "test.json.accumulator");
 
-    std::stringstream ss;
-    reg.dumpJson(ss);
-    const Snapshot snap = parseSnapshot(ss);
+    const json::Value doc = parsedDump();
 
-    EXPECT_DOUBLE_EQ(snap.scalar("test.json.counter"), 11.0);
-    EXPECT_DOUBLE_EQ(snap.scalar("test.json.rate"), 11.0 / 3.0);
-    EXPECT_DOUBLE_EQ(snap.scalar("test.json.missing", -1.0), -1.0);
+    EXPECT_DOUBLE_EQ(doc.number("test.json.counter"), 11.0);
+    EXPECT_DOUBLE_EQ(doc.number("test.json.rate"), 11.0 / 3.0);
+    EXPECT_DOUBLE_EQ(doc.number("test.json.missing", -1.0), -1.0);
 
-    const auto acc_it = snap.accumulators.find("test.json.accumulator");
-    ASSERT_NE(acc_it, snap.accumulators.end());
-    EXPECT_EQ(acc_it->second.count, 2u);
-    EXPECT_DOUBLE_EQ(acc_it->second.sum, 3.0);
-    EXPECT_DOUBLE_EQ(acc_it->second.min, 0.5);
-    EXPECT_DOUBLE_EQ(acc_it->second.max, 2.5);
-    EXPECT_DOUBLE_EQ(acc_it->second.mean, 1.5);
+    ASSERT_TRUE(doc.has("test.json.accumulator"));
+    const json::Value &pa = doc.at("test.json.accumulator");
+    EXPECT_EQ(pa.number("count"), 2.0);
+    EXPECT_DOUBLE_EQ(pa.number("sum"), 3.0);
+    EXPECT_DOUBLE_EQ(pa.number("min"), 0.5);
+    EXPECT_DOUBLE_EQ(pa.number("max"), 2.5);
+    EXPECT_DOUBLE_EQ(pa.number("mean"), 1.5);
 
-    const auto hist_it = snap.histograms.find("test.json.histogram");
-    ASSERT_NE(hist_it, snap.histograms.end());
-    EXPECT_DOUBLE_EQ(hist_it->second.lo, 0.0);
-    EXPECT_DOUBLE_EQ(hist_it->second.hi, 4.0);
-    EXPECT_EQ(hist_it->second.underflow, 1u);
-    EXPECT_EQ(hist_it->second.overflow, 1u);
-    ASSERT_EQ(hist_it->second.bins.size(), 4u);
-    EXPECT_EQ(hist_it->second.bins[1], 1u);
+    ASSERT_TRUE(doc.has("test.json.histogram"));
+    const json::Value &ph = doc.at("test.json.histogram");
+    EXPECT_DOUBLE_EQ(ph.number("lo"), 0.0);
+    EXPECT_DOUBLE_EQ(ph.number("hi"), 4.0);
+    EXPECT_EQ(ph.number("underflow"), 1.0);
+    EXPECT_EQ(ph.number("overflow"), 1.0);
+    const std::vector<std::uint64_t> bins = binsOf(ph);
+    ASSERT_EQ(bins.size(), 4u);
+    EXPECT_EQ(bins[1], 1u);
 }
 
 TEST(StatsRegistry, TextDumpMentionsNonEmptyNodes)
@@ -259,7 +274,6 @@ TEST(StatsRegistry, DumpJsonEscapesArbitraryNodeNames)
 
 TEST(StatsRegistry, ParsedDumpMatchesLiveNodes)
 {
-    Registry &reg = Registry::instance();
     Counter &c = counter("test.snap.counter");
     Accumulator &a = accumulator("test.snap.accumulator");
     Histogram &h = histogram("test.snap.histogram", 0.0, 4.0, 4);
@@ -273,25 +287,26 @@ TEST(StatsRegistry, ParsedDumpMatchesLiveNodes)
     h.sample(2.0);
     h.sample(9.0);
 
-    std::stringstream ss;
-    reg.dumpJson(ss);
-    const Snapshot parsed = parseSnapshot(ss);
+    const json::Value parsed = parsedDump();
 
-    EXPECT_EQ(parsed.scalar("test.snap.counter"), 7.0);
-    const auto &pa = parsed.accumulators.at("test.snap.accumulator");
-    EXPECT_EQ(pa.count, a.count());
-    EXPECT_EQ(pa.sum, a.sum());
-    EXPECT_EQ(pa.min, a.min());
-    EXPECT_EQ(pa.max, a.max());
-    EXPECT_EQ(pa.mean, a.mean());
-    const auto &ph = parsed.histograms.at("test.snap.histogram");
-    EXPECT_EQ(ph.lo, h.lo());
-    EXPECT_EQ(ph.hi, h.hi());
-    EXPECT_EQ(ph.underflow, h.underflow());
-    EXPECT_EQ(ph.overflow, h.overflow());
-    EXPECT_EQ(ph.p50, h.p50());
-    EXPECT_EQ(ph.p95, h.p95());
-    EXPECT_EQ(ph.bins, h.binsSnapshot());
+    EXPECT_EQ(parsed.number("test.snap.counter"), 7.0);
+    const json::Value &pa = parsed.at("test.snap.accumulator");
+    EXPECT_EQ(static_cast<std::uint64_t>(pa.number("count")),
+              a.count());
+    EXPECT_EQ(pa.number("sum"), a.sum());
+    EXPECT_EQ(pa.number("min"), a.min());
+    EXPECT_EQ(pa.number("max"), a.max());
+    EXPECT_EQ(pa.number("mean"), a.mean());
+    const json::Value &ph = parsed.at("test.snap.histogram");
+    EXPECT_EQ(ph.number("lo"), h.lo());
+    EXPECT_EQ(ph.number("hi"), h.hi());
+    EXPECT_EQ(static_cast<std::uint64_t>(ph.number("underflow")),
+              h.underflow());
+    EXPECT_EQ(static_cast<std::uint64_t>(ph.number("overflow")),
+              h.overflow());
+    EXPECT_EQ(ph.number("p50"), h.p50());
+    EXPECT_EQ(ph.number("p95"), h.p95());
+    EXPECT_EQ(binsOf(ph), h.binsSnapshot());
 }
 
 } // namespace

@@ -108,42 +108,26 @@ TEST(StreamRng, NormalHasUnitMoments)
 
 /** Per-index draws through the worker pool at a given jobs count. */
 std::vector<std::uint64_t>
-drawsAtJobs(int jobs, const parallel::ForOptions &options = {})
+drawsAtJobs(int jobs)
 {
     parallel::JobsOverride guard(jobs);
     const StreamRng root(2026, "determinism");
-    return parallel::orderedMap<std::uint64_t>(
-        512,
-        [&](std::size_t i) {
-            StreamRng sub = root.substream(i);
-            // A couple of draws plus a nested per-device substream,
-            // mirroring the MC characterizer's tree.
-            const std::uint64_t a = sub.next();
-            StreamRng dev = sub.substream("cell/nand2");
-            return a ^ dev.next();
-        },
-        options);
+    return parallel::orderedMap<std::uint64_t>(512, [&](std::size_t i) {
+        StreamRng sub = root.substream(i);
+        // A couple of draws plus a nested per-device substream,
+        // mirroring the MC characterizer's tree.
+        const std::uint64_t a = sub.next();
+        StreamRng dev = sub.substream("cell/nand2");
+        return a ^ dev.next();
+    });
 }
 
 TEST(StreamRng, BitIdenticalAcrossJobCounts)
 {
     const auto serial = drawsAtJobs(1);
-    const auto parallel8 = drawsAtJobs(8);
-    EXPECT_EQ(serial, parallel8);
-}
-
-TEST(StreamRng, BitIdenticalAcrossChunkingAndGrain)
-{
-    const auto baseline = drawsAtJobs(4);
-    parallel::ForOptions fine;
-    fine.grain = 1;
-    parallel::ForOptions coarse;
-    coarse.grain = 64;
-    parallel::ForOptions static_chunks;
-    static_chunks.chunking = parallel::Chunking::Static;
-    EXPECT_EQ(baseline, drawsAtJobs(4, fine));
-    EXPECT_EQ(baseline, drawsAtJobs(4, coarse));
-    EXPECT_EQ(baseline, drawsAtJobs(4, static_chunks));
+    for (const int jobs_count : {2, 3, 8})
+        EXPECT_EQ(serial, drawsAtJobs(jobs_count))
+            << "jobs " << jobs_count;
 }
 
 } // namespace
