@@ -7,19 +7,16 @@
  *
  * Usage:
  *   perf_diff BASELINE.json CURRENT.json
- *             [--threshold F] [--mad-k F] [--abs-floor SECONDS]
- *             [--counter-threshold F] [--markdown]
  *
- * --markdown renders the table as GitHub-flavored markdown (for PR
- * comments / CI job summaries) instead of the aligned text table.
+ * The gate is fixed (see perf::diffReports): a median wall time that
+ * moves by more than max(10 %, 3 MAD, 20 us), or a counter that moves
+ * by more than 2 %, is flagged.
  *
  * Exit codes: 0 no regressions, 1 regressions past the gate,
  * 2 usage or I/O error.
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -34,23 +31,8 @@ namespace {
 void
 usage()
 {
-    std::fprintf(
-        stderr,
-        "usage: perf_diff BASELINE.json CURRENT.json\n"
-        "                 [--threshold F] [--mad-k F]\n"
-        "                 [--abs-floor SECONDS] [--counter-threshold F]\n"
-        "                 [--markdown]\n");
-}
-
-double
-parseNumber(const char *text, const char *what)
-{
-    char *end = nullptr;
-    const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0')
-        fatal("perf_diff: ", what, " expects a number, got '", text,
-              "'");
-    return v;
+    std::fprintf(stderr,
+                 "usage: perf_diff BASELINE.json CURRENT.json\n");
 }
 
 perf::BenchReport
@@ -67,44 +49,12 @@ load(const std::string &path)
 int
 main(int argc, char **argv)
 {
-    std::string baseline_path;
-    std::string current_path;
-    perf::DiffOptions options;
-    bool markdown = false;
-
-    for (int i = 1; i < argc; ++i) {
-        const char *arg = argv[i];
-        const bool has_value = i + 1 < argc;
-        if (std::strcmp(arg, "--threshold") == 0 && has_value) {
-            options.wallThreshold =
-                parseNumber(argv[++i], "--threshold");
-        } else if (std::strcmp(arg, "--mad-k") == 0 && has_value) {
-            options.madK = parseNumber(argv[++i], "--mad-k");
-        } else if (std::strcmp(arg, "--abs-floor") == 0 && has_value) {
-            options.minWallDeltaS =
-                parseNumber(argv[++i], "--abs-floor");
-        } else if (std::strcmp(arg, "--counter-threshold") == 0 &&
-                   has_value) {
-            options.counterThreshold =
-                parseNumber(argv[++i], "--counter-threshold");
-        } else if (std::strcmp(arg, "--markdown") == 0) {
-            markdown = true;
-        } else if (arg[0] == '-') {
-            usage();
-            return 2;
-        } else if (baseline_path.empty()) {
-            baseline_path = arg;
-        } else if (current_path.empty()) {
-            current_path = arg;
-        } else {
-            usage();
-            return 2;
-        }
-    }
-    if (baseline_path.empty() || current_path.empty()) {
+    if (argc != 3 || argv[1][0] == '-' || argv[2][0] == '-') {
         usage();
         return 2;
     }
+    const std::string baseline_path = argv[1];
+    const std::string current_path = argv[2];
 
     try {
         const auto baseline = load(baseline_path);
@@ -112,12 +62,8 @@ main(int argc, char **argv)
         if (baseline.env.gitSha != current.env.gitSha)
             inform("comparing ", baseline.env.gitSha, " -> ",
                    current.env.gitSha);
-        const auto diff =
-            perf::diffReports(baseline, current, options);
-        if (markdown)
-            perf::renderDiffMarkdown(diff, std::cout);
-        else
-            perf::renderDiff(diff, std::cout);
+        const auto diff = perf::diffReports(baseline, current);
+        perf::renderDiff(diff, std::cout);
         return diff.regressions > 0 ? 1 : 0;
     } catch (const FatalError &) {
         return 2;

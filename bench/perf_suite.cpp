@@ -13,13 +13,10 @@
  * --profile runs the sampling profiler across each scenario's timed
  * reps and writes one `PROF_<scenario>.folded` collapsed-stack file
  * per scenario (under --profile-dir, default cwd), ready for
- * flamegraph.pl / speedscope.
- *
- * Environment:
- *   OTFT_BENCH_REPS, OTFT_BENCH_WARMUP  defaults for --reps/--warmup
- *                                       (flags take precedence)
- *   OTFT_PROFILE_PERIOD_US, OTFT_PROFILE_TOPN
- *                        sampling period / report rows for --profile
+ * flamegraph.pl / speedscope. The sampling period and the rows of the
+ * top-frames report come from the shared session flags
+ * (--profile-period-us, --profile-topn, or their OTFT_PROFILE_*
+ * environment variables; see util/cli).
  */
 
 #include <cstdio>
@@ -60,13 +57,6 @@ parseCount(const char *text, const char *what)
     return static_cast<std::uint64_t>(v);
 }
 
-std::uint64_t
-envCount(const char *name, std::uint64_t fallback)
-{
-    const char *env = std::getenv(name);
-    return env ? parseCount(env, name) : fallback;
-}
-
 void
 printResults(const std::vector<perf::ScenarioResult> &results)
 {
@@ -94,13 +84,8 @@ main(int argc, char **argv)
     cli::Session session("perf_suite", argc, argv);
 
     perf::SuiteOptions options;
-    options.reps = envCount("OTFT_BENCH_REPS", options.reps);
-    options.warmup = envCount("OTFT_BENCH_WARMUP", options.warmup);
-    options.profilePeriodUs = envCount("OTFT_PROFILE_PERIOD_US",
-                                       options.profilePeriodUs);
-    options.profileTopN = static_cast<int>(envCount(
-        "OTFT_PROFILE_TOPN",
-        static_cast<std::uint64_t>(options.profileTopN)));
+    options.profilePeriodUs = session.profilePeriodUs();
+    options.profileTopN = session.profileTopN();
     std::string out_path;
     std::string ingest_path;
     bool list_only = false;

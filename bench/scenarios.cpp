@@ -9,6 +9,7 @@
 #include "cells/topologies.hpp"
 #include "cells/vtc.hpp"
 #include "circuit/dc.hpp"
+#include "circuit/linear_solver.hpp"
 #include "circuit/transient.hpp"
 #include "core/explorer.hpp"
 #include "device/fitting.hpp"
@@ -23,6 +24,7 @@
 #include "sta/sta.hpp"
 #include "util/parallel.hpp"
 #include "util/result_cache.hpp"
+#include "util/rng.hpp"
 #include "workload/trace.hpp"
 
 namespace otft::bench {
@@ -44,6 +46,9 @@ struct Fixtures
     std::optional<cells::BuiltCell> vtcInverter;
     std::optional<cells::BuiltCell> loadedInverter;
     std::optional<std::vector<device::TransferCurve>> curves;
+    /** Seeded diagonally dominant systems (n = 8, 16, 32) and RHS. */
+    std::vector<circuit::Matrix> luSystems;
+    std::vector<std::vector<double>> luRhs;
 
     cells::CellFactory &
     getFactory()
@@ -138,6 +143,62 @@ addDcOperatingPoint(perf::ScenarioSuite &suite)
                 circuit::DcAnalysis dc(cell.ckt);
                 for (int k = 0; k < 4; ++k) {
                     (void)dc.operatingPoint();
+                    ++solves;
+                }
+            }
+            return solves;
+        },
+    });
+}
+
+/**
+ * Dense LU factor + solve in isolation, the kernel under every Newton
+ * step: eight seeded, diagonally dominant systems at each of n = 8,
+ * 16 and 32.
+ */
+void
+addLuFactorSolve(perf::ScenarioSuite &suite)
+{
+    constexpr std::size_t systemsPerSize = 8;
+    // One pass over the 24 systems takes ~0.1 ms; 50 passes keep a
+    // rep in the milliseconds, well above the diff's 20 us floor.
+    constexpr int rounds = 50;
+    suite.add({
+        "circuit.lu_factor_solve",
+        "circuit",
+        "dense partial-pivot LU factor + solve of eight seeded "
+        "diagonally dominant systems each at n = 8, 16 and 32",
+        [] {
+            auto &f = fixtures();
+            if (!f.luSystems.empty())
+                return;
+            Rng rng(42);
+            for (const std::size_t n : {8u, 16u, 32u}) {
+                for (std::size_t k = 0; k < systemsPerSize; ++k) {
+                    circuit::Matrix a(n);
+                    std::vector<double> b(n);
+                    for (std::size_t r = 0; r < n; ++r) {
+                        for (std::size_t c = 0; c < n; ++c)
+                            a.at(r, c) =
+                                rng.uniform(-1.0, 1.0) +
+                                (r == c ? static_cast<double>(n) : 0.0);
+                        b[r] = rng.uniform(-5.0, 5.0);
+                    }
+                    f.luSystems.push_back(std::move(a));
+                    f.luRhs.push_back(std::move(b));
+                }
+            }
+        },
+        []() -> std::uint64_t {
+            const auto &f = fixtures();
+            circuit::LuFactors lu;
+            std::vector<double> b;
+            std::uint64_t solves = 0;
+            for (int round = 0; round < rounds; ++round) {
+                for (std::size_t k = 0; k < f.luSystems.size(); ++k) {
+                    (void)lu.factor(f.luSystems[k]);
+                    b = f.luRhs[k];
+                    lu.solve(b);
                     ++solves;
                 }
             }
@@ -530,6 +591,7 @@ registerAllScenarios(perf::ScenarioSuite &suite)
 {
     addDeviceFit(suite);
     addDcOperatingPoint(suite);
+    addLuFactorSolve(suite);
     addTransientStep(suite);
     addTransientModes(suite);
     addVtcSweep(suite);

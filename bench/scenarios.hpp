@@ -15,7 +15,7 @@
 namespace otft::bench {
 
 /**
- * Register the full scenario set (ten scenarios, every flow layer).
+ * Register the full scenario set (every flow layer).
  * Fixtures are built lazily in each scenario's setup hook and shared
  * across scenarios, so `--filter` only pays for what it runs.
  */

@@ -138,6 +138,8 @@ Session::Session(std::string name_in, int &argc, char **argv,
     bool mc_samples_set = false;
     bool mc_seed_set = false;
     bool mc_yield_set = false;
+    bool profile_period_set = false;
+    bool profile_top_set = false;
     int i = 1;
     while (i < argc) {
         const char *arg = argv[i];
@@ -185,12 +187,14 @@ Session::Session(std::string name_in, int &argc, char **argv,
                 fatal("cli: --profile-period-us requires a count");
             profilePeriod = static_cast<std::uint64_t>(
                 parsePositiveInt(argv[i + 1], "--profile-period-us"));
+            profile_period_set = true;
             consumeArgs(argc, argv, i, 2);
         } else if (std::strcmp(arg, "--profile-topn") == 0) {
             if (!has_value)
                 fatal("cli: --profile-topn requires a count");
             profileTop =
                 parsePositiveInt(argv[i + 1], "--profile-topn");
+            profile_top_set = true;
             consumeArgs(argc, argv, i, 2);
         } else if (std::strcmp(arg, "--mc-samples") == 0) {
             if (!has_value)
@@ -239,11 +243,13 @@ Session::Session(std::string name_in, int &argc, char **argv,
     if (profilePath.empty())
         if (const char *env = std::getenv("OTFT_PROFILE_FOLDED"))
             profilePath = env;
-    if (const char *env = std::getenv("OTFT_PROFILE_PERIOD_US"))
-        profilePeriod = static_cast<std::uint64_t>(
-            parsePositiveInt(env, "OTFT_PROFILE_PERIOD_US"));
-    if (const char *env = std::getenv("OTFT_PROFILE_TOPN"))
-        profileTop = parsePositiveInt(env, "OTFT_PROFILE_TOPN");
+    if (!profile_period_set)
+        if (const char *env = std::getenv("OTFT_PROFILE_PERIOD_US"))
+            profilePeriod = static_cast<std::uint64_t>(
+                parsePositiveInt(env, "OTFT_PROFILE_PERIOD_US"));
+    if (!profile_top_set)
+        if (const char *env = std::getenv("OTFT_PROFILE_TOPN"))
+            profileTop = parsePositiveInt(env, "OTFT_PROFILE_TOPN");
     if (!mc_samples_set)
         if (const char *env = std::getenv("OTFT_MC_SAMPLES"))
             mcSamples_ = parsePositiveInt(env, "OTFT_MC_SAMPLES");
@@ -288,9 +294,7 @@ Session::Session(std::string name_in, int &argc, char **argv,
     if (!profilePath.empty()) {
         validateWritable(profilePath, "--profile-folded");
         trace::recordInstant("profiler.start");
-        prof::Options options;
-        options.periodUs = profilePeriod;
-        profiling = prof::Profiler::instance().start(options);
+        profiling = prof::Profiler::instance().start(profilePeriod);
     }
 }
 

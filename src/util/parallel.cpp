@@ -31,7 +31,6 @@ struct WorkerSlot
     std::atomic<std::uint64_t> chunks{0};
 };
 
-std::atomic<bool> g_pool_stats{false};
 std::atomic<int> g_queue_depth{0};
 std::atomic<std::uint64_t> g_caller_busy_ns{0};
 std::atomic<std::uint64_t> g_caller_chunks{0};
@@ -77,7 +76,7 @@ struct Batch
     std::condition_variable doneCv;
     int activeHelpers = 0;
 
-    /** Pool-stats bookkeeping (only touched when stats are on). */
+    /** Pool-stats bookkeeping (only touched while profiling). */
     std::chrono::steady_clock::time_point submitTime{};
     std::mutex statsMutex;
     /** Busy ns of each participant (caller + helpers) this region. */
@@ -109,8 +108,7 @@ recordError(Batch &batch, std::size_t index)
 void
 work(Batch &batch)
 {
-    prof::BusyMark busy_mark;
-    const bool stats_on = g_pool_stats.load(std::memory_order_relaxed);
+    const bool stats_on = prof::enabled();
     std::uint64_t busy_ns = 0;
     std::uint64_t chunks_run = 0;
     while (true) {
@@ -221,7 +219,7 @@ struct Pool
                 std::lock_guard<std::mutex> done(batch->doneMutex);
                 ++batch->activeHelpers;
             }
-            if (g_pool_stats.load(std::memory_order_relaxed)) {
+            if (prof::enabled()) {
                 static stats::Histogram &stat_queue_wait_s =
                     stats::histogram(
                         "parallel.pool.queue_wait_s", 0.0, 0.01, 50,
@@ -261,7 +259,7 @@ struct Pool
     void
     submit(Batch &batch)
     {
-        if (g_pool_stats.load(std::memory_order_relaxed))
+        if (prof::enabled())
             batch.submitTime = std::chrono::steady_clock::now();
         {
             std::lock_guard<std::mutex> lock(mutex);
@@ -348,18 +346,6 @@ shutdownPool()
     pool().shutdown();
 }
 
-void
-setPoolStatsEnabled(bool on)
-{
-    g_pool_stats.store(on, std::memory_order_relaxed);
-}
-
-bool
-poolStatsEnabled()
-{
-    return g_pool_stats.load(std::memory_order_relaxed);
-}
-
 PoolStats
 poolStatsSnapshot()
 {
@@ -426,8 +412,7 @@ parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn)
 
     // End-of-region load-imbalance summary: every helper has drained,
     // so participantBusyNs is complete and uncontended.
-    if (g_pool_stats.load(std::memory_order_relaxed) &&
-        !batch.participantBusyNs.empty()) {
+    if (!batch.participantBusyNs.empty()) {
         static stats::Accumulator &stat_busy_max = stats::accumulator(
             "parallel.region.busy_max_s",
             "slowest participant's busy time per parallelFor region");

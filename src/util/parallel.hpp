@@ -75,18 +75,19 @@ void parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn);
 bool insideWorker();
 
 /**
- * Scheduler observability. When enabled (by the sampling profiler at
- * collection start, or directly by tests), the pool times every chunk
- * (one index) it executes and publishes, per parallelFor region,
- * queue-wait / task-duration histograms plus a load-imbalance summary
- * (max / mean participant busy time) into the stats registry. Exact cumulative
- * busy time and chunk counts per worker are kept here for snapshots.
- * Off (the default), the pool takes no clock reads.
+ * Scheduler observability. While the sampling profiler runs
+ * (prof::enabled()), the pool times every chunk (one index) it
+ * executes and publishes, per parallelFor region, queue-wait /
+ * task-duration histograms plus a load-imbalance summary (max / mean
+ * participant busy time) into the stats registry, and keeps the exact
+ * cumulative busy time and chunk count of every worker below; the
+ * profiler resets them at start and turns each worker's busy time into
+ * `parallel.pool.worker_busy_fraction` at stop. Otherwise the pool
+ * takes no clock reads.
+ *
+ * PoolStats is that accounting, cumulative since the last
+ * resetPoolStats().
  */
-void setPoolStatsEnabled(bool on);
-bool poolStatsEnabled();
-
-/** Cumulative pool accounting since the last resetPoolStats(). */
 struct PoolStats
 {
     /** Busy nanoseconds per pool worker, indexed by worker slot. */

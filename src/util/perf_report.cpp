@@ -171,13 +171,9 @@ ScenarioSuite::run(const SuiteOptions &options) const
         const auto before = registry.counterSnapshot();
         // Profile only the timed reps: setup and warmup would
         // otherwise dominate short scenarios with one-time work.
-        bool profiling = false;
-        if (options.profile) {
-            prof::Options prof_options;
-            prof_options.periodUs = options.profilePeriodUs;
-            profiling =
-                prof::Profiler::instance().start(prof_options);
-        }
+        const bool profiling =
+            options.profile &&
+            prof::Profiler::instance().start(options.profilePeriodUs);
         for (std::uint64_t i = 0; i < options.reps; ++i) {
             const std::int64_t t0 = stats::monotonicNowNs();
             result.points = scenario.run();
@@ -430,6 +426,15 @@ toString(DiffStatus status)
 
 namespace {
 
+/** Relative wall-time change that counts as real. */
+constexpr double wallThreshold = 0.10;
+/** Noise gate width in MADs (of the noisier report). */
+constexpr double madK = 3.0;
+/** Absolute wall-time floor, seconds (clock granularity). */
+constexpr double minWallDeltaS = 20e-6;
+/** Relative threshold for per-rep counter deltas. */
+constexpr double counterThreshold = 0.02;
+
 DiffStatus
 classify(double baseline, double current, double gate)
 {
@@ -439,10 +444,6 @@ classify(double baseline, double current, double gate)
         return DiffStatus::Improved;
     return DiffStatus::Unchanged;
 }
-
-} // namespace
-
-namespace {
 
 /**
  * Fill diff.envWarnings with fingerprint mismatches. A field that is
@@ -485,8 +486,7 @@ compareEnvironments(const EnvFingerprint &baseline,
 } // namespace
 
 DiffReport
-diffReports(const BenchReport &baseline, const BenchReport &current,
-            const DiffOptions &options)
+diffReports(const BenchReport &baseline, const BenchReport &current)
 {
     DiffReport diff;
     compareEnvironments(baseline.env, current.env, diff);
@@ -522,10 +522,9 @@ diffReports(const BenchReport &baseline, const BenchReport &current,
         wall.baseline = base.timing.medianS;
         wall.current = cur.timing.medianS;
         wall.gate = std::max(
-            {options.wallThreshold * base.timing.medianS,
-             options.madK *
-                 std::max(base.timing.madS, cur.timing.madS),
-             options.minWallDeltaS});
+            {wallThreshold * base.timing.medianS,
+             madK * std::max(base.timing.madS, cur.timing.madS),
+             minWallDeltaS});
         wall.delta = base.timing.medianS > 0.0
                          ? (cur.timing.medianS - base.timing.medianS) /
                                base.timing.medianS
@@ -547,8 +546,7 @@ diffReports(const BenchReport &baseline, const BenchReport &current,
             entry.metric = name;
             entry.baseline = base_value;
             entry.current = cur_value;
-            entry.gate = std::max(
-                options.counterThreshold * base_value, 1.0);
+            entry.gate = std::max(counterThreshold * base_value, 1.0);
             entry.delta =
                 base_value > 0.0
                     ? (cur_value - base_value) / base_value
@@ -605,59 +603,6 @@ renderDiff(const DiffReport &diff, std::ostream &os)
             .add(toString(entry.status));
     }
     table.render(os);
-    os << "\n"
-       << diff.regressions << " regression(s), " << diff.improvements
-       << " improvement(s) past the noise gate\n";
-}
-
-void
-renderDiffMarkdown(const DiffReport &diff, std::ostream &os)
-{
-    // Pipes in cell content would break the table; scenario/metric
-    // names are dotted identifiers today, but escape defensively.
-    const auto escape_cell = [](const std::string &text) {
-        std::string out;
-        out.reserve(text.size());
-        for (char c : text) {
-            if (c == '|')
-                out += "\\|";
-            else
-                out += c;
-        }
-        return out;
-    };
-
-    for (const std::string &warning : diff.envWarnings)
-        os << "> **warning:** env " << warning
-           << " (comparing across environments)\n";
-    if (!diff.envWarnings.empty())
-        os << "\n";
-    os << "| scenario | metric | baseline | current | delta | gate "
-          "| verdict |\n";
-    os << "| --- | --- | ---: | ---: | ---: | ---: | --- |\n";
-    for (const DiffEntry &entry : diff.entries) {
-        std::string delta = "-";
-        if (entry.status != DiffStatus::Added &&
-            entry.status != DiffStatus::Removed) {
-            std::ostringstream oss;
-            oss.precision(2);
-            oss << std::fixed << std::showpos << entry.delta * 100.0
-                << "%";
-            delta = oss.str();
-        }
-        const bool is_wall = entry.metric == "wall_s";
-        auto render_value = [is_wall](double v) {
-            return is_wall ? formatSi(v, "s") : formatNumber(v);
-        };
-        const bool bold = entry.status == DiffStatus::Regressed;
-        const char *emph = bold ? "**" : "";
-        os << "| " << emph << escape_cell(entry.scenario) << emph
-           << " | " << escape_cell(entry.metric) << " | "
-           << render_value(entry.baseline) << " | "
-           << render_value(entry.current) << " | " << delta << " | "
-           << render_value(entry.gate) << " | " << emph
-           << toString(entry.status) << emph << " |\n";
-    }
     os << "\n"
        << diff.regressions << " regression(s), " << diff.improvements
        << " improvement(s) past the noise gate\n";

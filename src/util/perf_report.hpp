@@ -207,19 +207,6 @@ std::vector<ScenarioResult> ingestFooters(std::istream &is);
 // Noise-aware diffing.
 // ---------------------------------------------------------------------
 
-/** Gate configuration for diffReports(). */
-struct DiffOptions
-{
-    /** Relative wall-time change that counts as real. */
-    double wallThreshold = 0.10;
-    /** Noise gate width in MADs (of the noisier report). */
-    double madK = 3.0;
-    /** Absolute wall-time floor, seconds (clock granularity). */
-    double minWallDeltaS = 20e-6;
-    /** Relative threshold for per-rep counter deltas. */
-    double counterThreshold = 0.02;
-};
-
 /** Verdict for one compared metric. */
 enum class DiffStatus { Unchanged, Improved, Regressed, Added, Removed };
 
@@ -254,27 +241,24 @@ struct DiffReport
     /**
      * Environment fingerprint mismatches between the two reports
      * (host, git SHA, job count, ...): the comparison still runs, but
-     * both renderers surface these so an apples-to-oranges diff is
+     * renderDiff() surfaces these so an apples-to-oranges diff is
      * never silent. Fields that are "unknown"/0 on either side (old
      * reports predating the field) are not flagged.
      */
     std::vector<std::string> envWarnings;
 };
 
-/** Compare `current` against `baseline` under the gate options. */
+/**
+ * Compare `current` against `baseline`. A scenario's median wall time
+ * is flagged when it moves by more than max(10 % of the baseline,
+ * 3 MADs of the noisier report, 20 us); a per-rep counter when it
+ * moves by more than max(2 %, 1).
+ */
 DiffReport diffReports(const BenchReport &baseline,
-                       const BenchReport &current,
-                       const DiffOptions &options = {});
+                       const BenchReport &current);
 
 /** Render the regression/improvement table. */
 void renderDiff(const DiffReport &diff, std::ostream &os);
-
-/**
- * Render the diff as a GitHub-flavored markdown table (for PR
- * comments / CI job summaries). Regressed rows are bolded; the
- * trailing summary line matches renderDiff().
- */
-void renderDiffMarkdown(const DiffReport &diff, std::ostream &os);
 
 } // namespace otft::perf
 

@@ -35,15 +35,14 @@ constexpr std::size_t reserveLabel = 128;
 /**
  * One registered thread's sampled state. The owning thread mutates
  * `frames`/`depth` under `mutex`; the sampler try-locks it, so the
- * workload thread never waits on the sampler. `busy` and `alive` are
- * plain atomics readable without the lock.
+ * workload thread never waits on the sampler. `alive` is a plain
+ * atomic readable without the lock.
  */
 struct ThreadState
 {
     std::mutex mutex;
     std::size_t depth = 0;
     std::string frames[maxDepth];
-    std::atomic<bool> busy{false};
     std::atomic<bool> alive{true};
     /** Stack-root label; points at a string literal ("main", ...). */
     const char *name = "main";
@@ -53,14 +52,6 @@ struct ThreadState
         for (std::string &f : frames)
             f.reserve(reserveLabel);
     }
-};
-
-/** Tally the sampler keeps per thread while running. */
-struct ThreadTally
-{
-    const char *name = "main";
-    std::uint64_t samples = 0;
-    std::uint64_t busySamples = 0;
 };
 
 struct Impl
@@ -78,9 +69,11 @@ struct Impl
     /** Collection results (guarded by resultsMutex once stopped). */
     mutable std::mutex resultsMutex;
     std::map<std::string, std::uint64_t> stacks;
-    std::map<const ThreadState *, ThreadTally> tallies;
+    /** Threads seen alive by at least one sample. */
+    std::set<const ThreadState *> sampledThreads;
     std::uint64_t periodUs = 1000;
-    bool poolStatsWereEnabled = false;
+    /** Collection start, for the pool busy fractions. */
+    std::int64_t startNs = 0;
     bool active = false;
 };
 
@@ -166,11 +159,7 @@ samplerLoop(Impl &i)
         for (const auto &state : i.threads) {
             if (!state->alive.load(std::memory_order_relaxed))
                 continue;
-            ThreadTally &tally = i.tallies[state.get()];
-            tally.name = state->name;
-            ++tally.samples;
-            if (state->busy.load(std::memory_order_relaxed))
-                ++tally.busySamples;
+            i.sampledThreads.insert(state.get());
 
             std::unique_lock<std::mutex> frames(state->mutex,
                                                 std::try_to_lock);
@@ -224,7 +213,7 @@ Profiler::instance()
 }
 
 bool
-Profiler::start(const Options &options)
+Profiler::start(std::uint64_t period_us)
 {
     Impl &i = impl();
     {
@@ -236,11 +225,10 @@ Profiler::start(const Options &options)
         }
         i.active = true;
         i.stacks.clear();
-        i.tallies.clear();
+        i.sampledThreads.clear();
         i.samples.store(0, std::memory_order_relaxed);
         i.dropped.store(0, std::memory_order_relaxed);
-        i.periodUs = std::max<std::uint64_t>(options.periodUs, 50);
-        i.poolStatsWereEnabled = parallel::poolStatsEnabled();
+        i.periodUs = std::max<std::uint64_t>(period_us, 50);
     }
 
     // Drop states of threads that exited since the last collection.
@@ -255,7 +243,10 @@ Profiler::start(const Options &options)
             i.threads.end());
     }
 
-    parallel::setPoolStatsEnabled(true);
+    // The pool accounts while g_enabled holds; its totals cover
+    // exactly this collection.
+    parallel::resetPoolStats();
+    i.startNs = stats::monotonicNowNs();
     i.stopRequested.store(false, std::memory_order_release);
     i.sampler = std::thread([&i] { samplerLoop(i); });
     detail::g_enabled.store(true, std::memory_order_release);
@@ -276,8 +267,11 @@ Profiler::stop()
     i.stopRequested.store(true, std::memory_order_release);
     if (i.sampler.joinable())
         i.sampler.join();
-    if (!i.poolStatsWereEnabled)
-        parallel::setPoolStatsEnabled(false);
+    // Snapshot before reading the clock: a worker's chunks run one
+    // at a time, after start() and before their flush into the
+    // snapshot, so its busy ns never exceed the wall ns.
+    const parallel::PoolStats pool = parallel::poolStatsSnapshot();
+    const std::int64_t wall_ns = stats::monotonicNowNs() - i.startNs;
 
     // Publish the collection-level and pool-attribution stats.
     static stats::Counter &stat_samples = stats::counter(
@@ -285,31 +279,16 @@ Profiler::stop()
     static stats::Counter &stat_dropped = stats::counter(
         "profiler.samples_dropped",
         "stack walks skipped because the owner held its frame lock");
-    static stats::Counter &stat_worker_samples = stats::counter(
-        "parallel.pool.worker_samples",
-        "profiler samples of pool worker threads");
-    static stats::Counter &stat_busy_samples = stats::counter(
-        "parallel.pool.busy_samples",
-        "pool worker samples observed busy (executing tasks)");
     static stats::Accumulator &stat_busy_fraction =
         stats::accumulator(
             "parallel.pool.worker_busy_fraction",
             "per-worker busy fraction over one profiler collection");
 
-    std::lock_guard<std::mutex> lock(i.resultsMutex);
     stat_samples += i.samples.load(std::memory_order_relaxed);
     stat_dropped += i.dropped.load(std::memory_order_relaxed);
-    for (const auto &[state, tally] : i.tallies) {
-        (void)state;
-        if (std::strcmp(tally.name, "worker") != 0 ||
-            tally.samples == 0)
-            continue;
-        stat_worker_samples += tally.samples;
-        stat_busy_samples += tally.busySamples;
-        stat_busy_fraction.sample(
-            static_cast<double>(tally.busySamples) /
-            static_cast<double>(tally.samples));
-    }
+    for (const std::uint64_t busy_ns : pool.workerBusyNs)
+        stat_busy_fraction.sample(static_cast<double>(busy_ns) /
+                                  static_cast<double>(wall_ns));
 }
 
 bool
@@ -440,7 +419,7 @@ Profiler::footerSection(int top_n) const
     std::size_t stack_count = 0;
     {
         std::lock_guard<std::mutex> lock(i.resultsMutex);
-        thread_count = i.tallies.size();
+        thread_count = i.sampledThreads.size();
         stack_count = i.stacks.size();
     }
     std::ostringstream oss;
@@ -471,7 +450,7 @@ Profiler::reset()
     if (i.active)
         return;
     i.stacks.clear();
-    i.tallies.clear();
+    i.sampledThreads.clear();
     i.samples.store(0, std::memory_order_relaxed);
     i.dropped.store(0, std::memory_order_relaxed);
 }
@@ -520,20 +499,6 @@ void
 setThreadName(const char *name)
 {
     t_name = name;
-}
-
-BusyMark::BusyMark()
-{
-    if (!enabled())
-        return;
-    busy = &threadState()->busy;
-    busy->store(true, std::memory_order_relaxed);
-}
-
-BusyMark::~BusyMark()
-{
-    if (busy)
-        busy->store(false, std::memory_order_relaxed);
 }
 
 } // namespace otft::prof

@@ -19,10 +19,11 @@
  * Stack roots name the sampled thread's role ("main" for the session
  * owner, "worker" for util/parallel pool threads) — deliberately
  * without a numeric id, so stack labels are deterministic across runs
- * and job counts. Worker-pool attribution (per-worker busy fractions,
- * queue-depth histogram) is sampled by the same thread and published
- * into the stats registry at stop(); see util/parallel for the exact
- * busy-time accounting the pool records itself.
+ * and job counts. Worker-pool attribution comes from the pool's own
+ * exact accounting (util/parallel), which runs only while a collection
+ * does: start() resets it, and stop() publishes each worker's busy
+ * time over the collection's wall time into the stats registry. The
+ * sampler thread adds one queue-depth histogram sample per period.
  *
  * Cost model: while the profiler is *disabled* (the default), a frame
  * push is one relaxed atomic load — call sites pay nothing else.
@@ -59,13 +60,6 @@ enabled()
     return detail::g_enabled.load(std::memory_order_relaxed);
 }
 
-/** Sampler controls. */
-struct Options
-{
-    /** Sampling period in microseconds (>= 50). */
-    std::uint64_t periodUs = 1000;
-};
-
 /** One aggregated call stack: "root;frame;frame" and its samples. */
 struct FoldedStack
 {
@@ -93,14 +87,17 @@ class Profiler
      * Begin a collection. @return false (with a warning) when one is
      * already running — nested collections are not supported, so e.g.
      * `perf_suite --profile` under a session-wide `--profile-folded`
-     * keeps the outer collection. Clears the previous results.
+     * keeps the outer collection. Clears the previous results and
+     * the pool's busy-time accounting. `period_us` is the sampling
+     * period (clamped to >= 50).
      */
-    bool start(const Options &options = {});
+    bool start(std::uint64_t period_us = 1000);
 
     /**
      * Join the sampler and aggregate the collection. Publishes the
-     * pool-attribution stats (per-worker busy fraction accumulator,
-     * busy/idle sample counters) into the stats registry. Idempotent.
+     * sample counters and `parallel.pool.worker_busy_fraction` (one
+     * sample per pool worker: its exact busy ns over the collection's
+     * wall ns) into the stats registry. Idempotent.
      */
     void stop();
 
@@ -168,28 +165,9 @@ pushFrame(const std::string &label)
 /**
  * Name the calling thread's stack root ("worker" for pool threads).
  * Unnamed threads sample under "main". Cheap: stores a pointer to the
- * literal; no registration happens until the thread pushes a frame or
- * marks itself busy during a collection.
+ * literal; no registration happens until the thread pushes a frame.
  */
 void setThreadName(const char *name);
-
-/**
- * RAII busy marker for worker-pool attribution: while alive, the
- * sampler counts the calling thread as busy. One relaxed atomic load
- * when the profiler is disabled.
- */
-class BusyMark
-{
-  public:
-    BusyMark();
-    ~BusyMark();
-
-    BusyMark(const BusyMark &) = delete;
-    BusyMark &operator=(const BusyMark &) = delete;
-
-  private:
-    std::atomic<bool> *busy = nullptr;
-};
 
 } // namespace otft::prof
 

@@ -233,22 +233,6 @@ class Registry
     /** Zero every node's value; registrations persist. */
     void reset();
 
-    /**
-     * Master enable. When false, trace::Scope timers skip their
-     * clock reads entirely; plain counter increments at call sites
-     * are not gated (they cost a single add).
-     */
-    void
-    setEnabled(bool enabled)
-    {
-        enabled_.store(enabled, std::memory_order_relaxed);
-    }
-    bool
-    enabled() const
-    {
-        return enabled_.load(std::memory_order_relaxed);
-    }
-
     /** Render a sorted text table of every non-empty node. */
     void dumpText(std::ostream &os) const;
 
@@ -277,7 +261,6 @@ class Registry
      */
     mutable std::mutex mutex_;
     std::map<std::string, std::unique_ptr<Node>> nodes;
-    std::atomic<bool> enabled_{true};
 };
 
 /** Shorthand for Registry::instance() accessors. */
@@ -286,13 +269,6 @@ Accumulator &accumulator(const std::string &name,
                          const std::string &desc = "");
 Histogram &histogram(const std::string &name, double lo, double hi,
                      std::size_t num_bins, const std::string &desc = "");
-
-/** @return true when the process-wide registry is enabled. */
-inline bool
-enabled()
-{
-    return Registry::instance().enabled();
-}
 
 /** Monotonic clock read in nanoseconds (exposed for trace scopes). */
 std::int64_t monotonicNowNs();

@@ -27,9 +27,10 @@
  * Span names follow the same `layer.noun.verb` convention as stats.
  * Timing is inclusive: a parent span's time contains its nested
  * children, exactly as in the Chrome timeline view. Every enable check
- * lives in the Scope: with the stats registry, the timeline, the diag
- * collector and the profiler all off, a scope reads no clock,
- * allocates nothing and never calls its label builder.
+ * lives in the Scope: a scope with an accumulator always times itself;
+ * with the timeline, the diag collector and the profiler all off, a
+ * scope without one reads no clock, allocates nothing and never calls
+ * its label builder.
  *
  * Concurrency: scopes may close on any thread. Each thread buffers its
  * events privately (registered with the collector on first use) and
@@ -93,16 +94,14 @@ class Scope
     /**
      * A timed and/or profiled scope. `frame` (a string literal, or
      * null for none) is the profiler frame and the timeline event
-     * name; `acc` (or null) receives elapsed seconds while the stats
-     * registry is enabled; Timeline::On also records a timeline event
-     * while a collection is active.
+     * name; `acc` (or null) receives the elapsed seconds; Timeline::On
+     * also records a timeline event while a collection is active.
      */
     explicit Scope(const char *frame, stats::Accumulator *acc = nullptr,
                    Timeline timeline = Timeline::Off)
         : frame_(frame), acc_(acc), event_(timeline == Timeline::On)
     {
-        timed_ = (acc_ != nullptr && stats::enabled()) ||
-                 (event_ && collecting());
+        timed_ = acc_ != nullptr || (event_ && collecting());
         if (timed_)
             startNs_ = stats::monotonicNowNs();
         if (frame_ != nullptr && prof::enabled()) {
@@ -135,7 +134,7 @@ class Scope
         if (!timed_)
             return;
         const std::int64_t end_ns = stats::monotonicNowNs();
-        if (acc_ != nullptr && stats::enabled())
+        if (acc_ != nullptr)
             acc_->sample(static_cast<double>(end_ns - startNs_) * 1e-9);
         if (event_ && collecting())
             recordEvent(frame_, startNs_, end_ns);

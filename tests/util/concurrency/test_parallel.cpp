@@ -15,6 +15,7 @@
 
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
+#include "util/profiler.hpp"
 
 namespace otft {
 namespace {
@@ -172,33 +173,54 @@ TEST(Parallel, OrderedMapBitIdenticalAcrossJobCounts)
     }
 }
 
-TEST(Parallel, PoolStatsOffByDefaultAndQueueIdle)
+/** Sum of the chunk counts over the caller and every worker slot. */
+std::uint64_t
+totalChunks(const parallel::PoolStats &snapshot)
 {
-    EXPECT_FALSE(parallel::poolStatsEnabled());
-    EXPECT_EQ(parallel::queueDepth(), 0);
+    std::uint64_t chunks = snapshot.callerChunks;
+    for (const std::uint64_t c : snapshot.workerChunks)
+        chunks += c;
+    return chunks;
 }
 
-/** Toggle pool-stats accounting for one test, restoring on exit. */
-class PoolStatsScope
+TEST(Parallel, PoolAccountsNothingWithoutTheProfiler)
+{
+    ASSERT_FALSE(prof::enabled());
+    EXPECT_EQ(parallel::queueDepth(), 0);
+    parallel::resetPoolStats();
+    parallel::JobsOverride pin(4);
+    parallel::parallelFor(64, [](std::size_t) {});
+    const parallel::PoolStats snapshot = parallel::poolStatsSnapshot();
+    EXPECT_EQ(totalChunks(snapshot), 0u);
+    EXPECT_EQ(snapshot.callerBusyNs, 0u);
+    for (const std::uint64_t ns : snapshot.workerBusyNs)
+        EXPECT_EQ(ns, 0u);
+}
+
+/**
+ * Run the sampling profiler for one test: the pool accounts exactly
+ * while a collection runs, and start() zeroes its totals.
+ */
+class ProfilerCollection
 {
   public:
-    PoolStatsScope() : was_(parallel::poolStatsEnabled())
+    ProfilerCollection()
     {
-        parallel::setPoolStatsEnabled(true);
-        parallel::resetPoolStats();
+        EXPECT_TRUE(prof::Profiler::instance().start());
     }
-    ~PoolStatsScope()
+    ~ProfilerCollection()
     {
-        parallel::setPoolStatsEnabled(was_);
+        prof::Profiler::instance().stop();
+        prof::Profiler::instance().reset();
     }
 
-  private:
-    bool was_;
+    ProfilerCollection(const ProfilerCollection &) = delete;
+    ProfilerCollection &operator=(const ProfilerCollection &) = delete;
 };
 
 TEST(Parallel, PoolStatsCountChunksExactly)
 {
-    PoolStatsScope stats_on;
+    ProfilerCollection collection;
     parallel::JobsOverride pin(4);
     constexpr std::size_t n = 200;
     std::atomic<std::size_t> ran{0};
@@ -206,18 +228,15 @@ TEST(Parallel, PoolStatsCountChunksExactly)
     ASSERT_EQ(ran.load(), n);
 
     const parallel::PoolStats snapshot = parallel::poolStatsSnapshot();
-    std::uint64_t chunks = snapshot.callerChunks;
-    for (const std::uint64_t c : snapshot.workerChunks)
-        chunks += c;
     // Every index is one chunk, attributed exactly once, to the caller
     // or to one worker slot — no double counting, nothing dropped.
-    EXPECT_EQ(chunks, n);
+    EXPECT_EQ(totalChunks(snapshot), n);
     EXPECT_EQ(snapshot.queueDepth, 0);
 }
 
 TEST(Parallel, PoolStatsBusyTimeCoversTheWorkload)
 {
-    PoolStatsScope stats_on;
+    ProfilerCollection collection;
     parallel::JobsOverride pin(4);
     constexpr std::size_t n = 32;
     constexpr auto napMs = std::chrono::milliseconds(2);
@@ -236,7 +255,7 @@ TEST(Parallel, PoolStatsBusyTimeCoversTheWorkload)
 
 TEST(Parallel, PoolStatsResetClearsTotals)
 {
-    PoolStatsScope stats_on;
+    ProfilerCollection collection;
     parallel::JobsOverride pin(4);
     parallel::parallelFor(64, [](std::size_t) {});
     parallel::resetPoolStats();

@@ -54,6 +54,8 @@ class CleanEnv : public ::testing::Test
         unsetenv("OTFT_TRACE_JSON");
         unsetenv("OTFT_JOBS");
         unsetenv("OTFT_MC_SAMPLES");
+        unsetenv("OTFT_PROFILE_PERIOD_US");
+        unsetenv("OTFT_PROFILE_TOPN");
     }
 
     void
@@ -64,6 +66,8 @@ class CleanEnv : public ::testing::Test
         unsetenv("OTFT_TRACE_JSON");
         unsetenv("OTFT_JOBS");
         unsetenv("OTFT_MC_SAMPLES");
+        unsetenv("OTFT_PROFILE_PERIOD_US");
+        unsetenv("OTFT_PROFILE_TOPN");
         setQuiet(false);
     }
 
@@ -123,6 +127,23 @@ TEST_F(CliSession, FlagsTakePrecedenceOverEnvironment)
         EXPECT_FALSE(session.statsTextEnabled());
     }
     std::remove(flag_path.c_str());
+}
+
+TEST_F(CliSession, ProfileFlagsTakePrecedenceOverEnvironment)
+{
+    setenv("OTFT_PROFILE_PERIOD_US", "700", 1);
+    setenv("OTFT_PROFILE_TOPN", "9", 1);
+    {
+        Args args({"prog"});
+        Session session("test", args.argc(), args.argv());
+        EXPECT_EQ(session.profilePeriodUs(), 700u);
+        EXPECT_EQ(session.profileTopN(), 9);
+    }
+    Args args({"prog", "--profile-period-us", "200", "--profile-topn",
+               "3"});
+    Session session("test", args.argc(), args.argv());
+    EXPECT_EQ(session.profilePeriodUs(), 200u);
+    EXPECT_EQ(session.profileTopN(), 3);
 }
 
 TEST_F(CliSession, UnwritableStatsPathIsFatalAtConstruction)

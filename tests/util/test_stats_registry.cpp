@@ -178,16 +178,6 @@ TEST(StatsRegistry, ResetZeroesValuesButKeepsRegistrations)
     EXPECT_EQ(&c, &counter("test.reset.counter"));
 }
 
-TEST(StatsRegistry, EnableFlagRoundTrips)
-{
-    Registry &reg = Registry::instance();
-    EXPECT_TRUE(reg.enabled());
-    reg.setEnabled(false);
-    EXPECT_FALSE(enabled());
-    reg.setEnabled(true);
-    EXPECT_TRUE(enabled());
-}
-
 TEST(StatsRegistry, JsonDumpRoundTrips)
 {
     Registry &reg = Registry::instance();
