@@ -11,7 +11,8 @@
  *       REPRODUCED/DIVERGED verdict: the replayed iterations must match
  *       the dump's recorded trace bit for bit.
  *   diag_replay --check-diag FILE.json
- *       Validate a --diag-json telemetry document (schema, contexts).
+ *       Validate a --diag-json telemetry document: the schema, and a
+ *       contexts map of {registry counter name: count} objects.
  *
  * Exit codes: 0 reproduced / valid, 1 diverged / invalid, 2 usage or
  * I/O error.
@@ -152,14 +153,24 @@ checkDiag(const std::string &path)
         return 1;
     }
     std::uint64_t solves = 0;
-    for (const auto &[name, stats] : doc.at("contexts").asObject()) {
-        if (!stats.isObject()) {
+    for (const auto &[name, counts] : doc.at("contexts").asObject()) {
+        if (!counts.isObject()) {
             std::fprintf(stderr,
                          "diag_replay: context '%s' is not an object\n",
                          name.c_str());
             return 1;
         }
-        solves += static_cast<std::uint64_t>(stats.number("solves"));
+        for (const auto &[counter, n] : counts.asObject()) {
+            if (!n.isNumber()) {
+                std::fprintf(stderr,
+                             "diag_replay: context '%s' count '%s' is "
+                             "not a number\n",
+                             name.c_str(), counter.c_str());
+                return 1;
+            }
+        }
+        solves += static_cast<std::uint64_t>(
+            counts.number("circuit.newton.solves"));
     }
     const std::size_t dumps =
         doc.has("dumps") ? doc.at("dumps").asArray().size() : 0;

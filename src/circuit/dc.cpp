@@ -4,7 +4,6 @@
 
 #include "util/diag.hpp"
 #include "util/logging.hpp"
-#include "util/stats_registry.hpp"
 #include "util/trace.hpp"
 
 namespace otft::circuit {
@@ -23,22 +22,21 @@ DcAnalysis::operatingPoint() const
 Solution
 DcAnalysis::operatingPoint(const Solution &initial_guess) const
 {
-    static stats::Counter &stat_solves = stats::counter(
+    static const diag::Counter stat_solves(
         "circuit.dc.solves", "DC operating points computed");
-    static stats::Counter &stat_source_step = stats::counter(
+    static const diag::Counter stat_source_step(
         "circuit.dc.source_stepping",
         "operating points that needed source-stepping homotopy");
-    static stats::Counter &stat_gmin_step = stats::counter(
+    static const diag::Counter stat_gmin_step(
         "circuit.dc.gmin_stepping",
         "operating points that needed gmin stepping");
     OTFT_TRACE_SCOPE("circuit.dc.solve");
 
-    ++stat_solves;
+    stat_solves.add();
     Solution x = initial_guess;
     if (mna.solveNewton(x, 0.0, 1.0, 0.0, nullptr))
         return x;
-    ++stat_source_step;
-    diag::recordEvent(diag::Event::SourceStepping);
+    stat_source_step.add();
 
     // Source-stepping homotopy: ramp all sources from zero with a
     // quadratic schedule (fine steps near zero, where strongly
@@ -61,8 +59,7 @@ DcAnalysis::operatingPoint(const Solution &initial_guess) const
     // ground (which linearizes the system), then relax it toward the
     // configured gmin, warm starting throughout — the same
     // continuation SPICE uses when source stepping fails.
-    ++stat_gmin_step;
-    diag::recordEvent(diag::Event::GminStepping);
+    stat_gmin_step.add();
     x = mna.zeroSolution();
     NewtonConfig relaxed = mna.config();
     bool have_solution = false;

@@ -9,7 +9,6 @@
 
 #include "device/level1_model.hpp"
 #include "device/level61_model.hpp"
-#include "device/silicon_mosfet.hpp"
 #include "util/json.hpp"
 #include "util/logging.hpp"
 #include "util/result_cache.hpp"
@@ -101,12 +100,6 @@ modelParams(const device::TransistorModel &model)
         return {p.vt0, p.vdsRef, p.dibl, p.diblVmax, p.u0, p.gamma,
                 p.vaa, p.ss, p.mSat, p.alphaSat, p.lambda, p.iOff};
     }
-    if (kind == "silicon") {
-        const auto &p =
-            static_cast<const device::SiliconMosfetModel &>(model)
-                .params();
-        return {p.vt, p.u0, p.alpha, p.kv, p.lambda, p.ss, p.iOff};
-    }
     fatal("diag dump: unserializable model kind '", kind, "'");
 }
 
@@ -146,19 +139,6 @@ rebuildModel(const std::string &kind, device::Polarity polarity,
         params.iOff = p[11];
         return std::make_shared<device::Level61Model>(polarity,
                                                       geometry, params);
-    }
-    if (kind == "silicon") {
-        need(7);
-        device::SiliconParams params;
-        params.vt = p[0];
-        params.u0 = p[1];
-        params.alpha = p[2];
-        params.kv = p[3];
-        params.lambda = p[4];
-        params.ss = p[5];
-        params.iOff = p[6];
-        return std::make_shared<device::SiliconMosfetModel>(
-            polarity, geometry, params);
     }
     fatal("diag dump: unknown model kind '", kind, "'");
 }
@@ -479,11 +459,9 @@ replayDump(const FailureDump &dump)
 
     ReplayResult result;
     result.solution = dump.x0;
-    NewtonTelemetry telemetry;
     result.converged = mna.solveNewton(
         result.solution, dump.time, dump.sourceScale, dump.dt,
-        dump.hasPrev ? &dump.xPrev : nullptr, &telemetry);
-    result.trace = std::move(telemetry.samples);
+        dump.hasPrev ? &dump.xPrev : nullptr, &result.trace);
     return result;
 }
 

@@ -271,26 +271,26 @@ Mna::solveNewton(Solution &x, double time, double source_scale, double dt,
 bool
 Mna::solveNewton(Solution &x, double time, double source_scale, double dt,
                  const Solution *x_prev,
-                 NewtonTelemetry *telemetry) const
+                 std::vector<diag::IterationSample> *full_trace) const
 {
     if (x.size() != unknowns)
         fatal("Mna::solveNewton: bad solution vector size");
 
-    static stats::Counter &stat_solves = stats::counter(
-        "circuit.newton.solves", "Newton solves attempted");
-    static stats::Counter &stat_iters = stats::counter(
+    static const diag::Counter stat_solves("circuit.newton.solves",
+                                           "Newton solves attempted");
+    static const diag::Counter stat_iters(
         "circuit.newton.iterations", "Newton iterations executed");
-    static stats::Counter &stat_chord_iters = stats::counter(
+    static const diag::Counter stat_chord_iters(
         "circuit.newton.chord_iterations",
         "iterations served by a reused (chord) Jacobian");
-    static stats::Counter &stat_refreshes = stats::counter(
+    static const diag::Counter stat_refreshes(
         "circuit.newton.jacobian_refreshes",
         "chord iterations that triggered a Jacobian rebuild "
         "(slow convergence)");
-    static stats::Counter &stat_singular_recoveries = stats::counter(
+    static const diag::Counter stat_singular_recoveries(
         "circuit.newton.singular_recoveries",
         "singular Jacobians recovered via a diagonal gmin boost");
-    static stats::Counter &stat_failures = stats::counter(
+    static const diag::Counter stat_failures(
         "circuit.newton.failures", "Newton solves that diverged");
     static stats::Histogram &stat_iter_hist = stats::histogram(
         "circuit.newton.iterations_per_solve", 0.0, 64.0, 16,
@@ -306,14 +306,27 @@ Mna::solveNewton(Solution &x, double time, double source_scale, double dt,
     }();
     (void)rates_registered;
 
-    ++stat_solves;
+    stat_solves.add();
     trace::Scope scope("mna.solve_newton", &stat_time);
 
-    const diag::SolveKind solve_kind = dt > 0.0
-                                           ? diag::SolveKind::TransientStep
-                                           : diag::SolveKind::Dc;
-    diag::SolveProbe probe(solve_kind);
-    const bool observing = probe.active() || telemetry != nullptr;
+    diag::SolveProbe probe;
+    const bool observing = probe.active() || full_trace != nullptr;
+
+    // Tallied in plain locals and published once, when the solve
+    // closes.
+    std::uint64_t iterations = 0;
+    std::uint64_t chord_iterations = 0;
+    std::uint64_t refreshes = 0;
+    std::uint64_t recoveries = 0;
+    const auto close = [&](bool converged) {
+        stat_iters.add(iterations);
+        stat_chord_iters.add(chord_iterations);
+        stat_refreshes.add(refreshes);
+        stat_singular_recoveries.add(recoveries);
+        if (!converged)
+            stat_failures.add();
+        return converged;
+    };
 
     // Forensics dumps need the iterate the solve *started* from; copy
     // it up front only when a failure here would actually dump.
@@ -338,10 +351,7 @@ Mna::solveNewton(Solution &x, double time, double source_scale, double dt,
             return true;
         if (cfg.singularGminBoost <= 0.0)
             return false;
-        ++stat_singular_recoveries;
-        probe.singularRecovery();
-        if (telemetry != nullptr)
-            ++telemetry->singularRecoveries;
+        ++recoveries;
         for (std::size_t n = 0; n < numNodeUnknowns; ++n)
             jac.at(n, n) += cfg.singularGminBoost;
         return lu.factor(jac);
@@ -352,29 +362,27 @@ Mna::solveNewton(Solution &x, double time, double source_scale, double dt,
     const auto dump_failure = [&](const char *reason) {
         if (!probe.wantsDump())
             return;
-        dump::writeFailureDump(ckt, cfg, x0, solve_kind, time,
-                               source_scale, dt, x_prev, reason,
-                               probe.trace());
+        const diag::SolveKind kind = dt > 0.0
+                                         ? diag::SolveKind::TransientStep
+                                         : diag::SolveKind::Dc;
+        dump::writeFailureDump(ckt, cfg, x0, kind, time, source_scale,
+                               dt, x_prev, reason, probe.trace());
     };
 
     double prev_update = 0.0;
     bool refresh = true;
     for (int iter = 0; iter < cfg.maxIterations; ++iter) {
-        ++stat_iters;
+        ++iterations;
         bool chord_iter = false;
         if (refresh || !cfg.chord) {
             if (!refactor()) {
-                ++stat_failures;
                 dump_failure("jacobian_singular");
-                probe.finish(false);
-                if (telemetry != nullptr)
-                    telemetry->converged = false;
-                return false;
+                return close(false);
             }
             refresh = false;
         } else {
             // Chord iteration: new residual against frozen factors.
-            ++stat_chord_iters;
+            ++chord_iterations;
             chord_iter = true;
             assemble(x, time, source_scale, dt, x_prev, nullptr,
                      residual);
@@ -406,17 +414,14 @@ Mna::solveNewton(Solution &x, double time, double source_scale, double dt,
         if (observing) {
             probe.iteration(iter, residual_norm, max_update,
                             chord_iter);
-            if (telemetry != nullptr)
-                telemetry->samples.push_back(
+            if (full_trace != nullptr)
+                full_trace->push_back(
                     {iter, residual_norm, max_update, chord_iter});
         }
 
         if (max_update < cfg.tolerance) {
             stat_iter_hist.sample(static_cast<double>(iter + 1));
-            probe.finish(true);
-            if (telemetry != nullptr)
-                telemetry->converged = true;
-            return true;
+            return close(true);
         }
 
         // Refresh the Jacobian when the frozen one converges slowly
@@ -424,19 +429,12 @@ Mna::solveNewton(Solution &x, double time, double source_scale, double dt,
         if (cfg.chord && iter > 0 &&
             max_update > cfg.chordRefreshRatio * prev_update) {
             refresh = true;
-            ++stat_refreshes;
-            probe.jacobianRefresh();
-            if (telemetry != nullptr)
-                ++telemetry->jacobianRefreshes;
+            ++refreshes;
         }
         prev_update = max_update;
     }
-    ++stat_failures;
     dump_failure("newton_max_iterations");
-    probe.finish(false);
-    if (telemetry != nullptr)
-        telemetry->converged = false;
-    return false;
+    return close(false);
 }
 
 } // namespace otft::circuit

@@ -58,21 +58,6 @@ struct NewtonConfig
 /** A solution vector (node voltages + source branch currents). */
 using Solution = std::vector<double>;
 
-/**
- * Full per-iteration telemetry for one Newton solve, filled when a
- * caller passes it to solveNewton(). Unlike the diag::SolveProbe ring
- * (last 64 iterations, published to the process-wide collector), this
- * keeps every iteration and stays local to the caller — diag_replay
- * uses it to print the complete convergence history of a dumped solve.
- */
-struct NewtonTelemetry
-{
-    std::vector<diag::IterationSample> samples;
-    int jacobianRefreshes = 0;
-    int singularRecoveries = 0;
-    bool converged = false;
-};
-
 /** The assembled MNA problem for one circuit. */
 class Mna
 {
@@ -101,13 +86,15 @@ class Mna
                      double dt, const Solution *x_prev) const;
 
     /**
-     * As above, additionally filling `telemetry` (when non-null) with
-     * every iteration's residual/update norms and chord decision. The
-     * iteration sequence is unchanged — telemetry only observes.
+     * As above, additionally appending every iteration's
+     * residual/update norms and chord decision to `full_trace` (when
+     * non-null). Unlike the diag::SolveProbe ring, this keeps every
+     * iteration: diag_replay prints a dumped solve's complete history
+     * from it. The iteration sequence is unchanged; it only observes.
      */
     bool solveNewton(Solution &x, double time, double source_scale,
                      double dt, const Solution *x_prev,
-                     NewtonTelemetry *telemetry) const;
+                     std::vector<diag::IterationSample> *full_trace) const;
 
     /** Voltage of a node in a solution. */
     double nodeVoltage(const Solution &x, NodeId node) const;

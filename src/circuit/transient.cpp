@@ -7,27 +7,25 @@
 #include "circuit/dump.hpp"
 #include "util/diag.hpp"
 #include "util/logging.hpp"
-#include "util/stats_registry.hpp"
 #include "util/trace.hpp"
 
 namespace otft::circuit {
 
 namespace {
 
-stats::Counter &
+const diag::Counter &
 statSteps()
 {
-    static stats::Counter &c = stats::counter(
-        "circuit.transient.steps", "transient time steps integrated");
+    static const diag::Counter c("circuit.transient.steps",
+                                 "transient time steps integrated");
     return c;
 }
 
-stats::Counter &
+const diag::Counter &
 statRetries()
 {
-    static stats::Counter &c = stats::counter(
-        "circuit.transient.retries",
-        "time steps that needed step halving");
+    static const diag::Counter c("circuit.transient.retries",
+                                 "time steps that needed step halving");
     return c;
 }
 
@@ -104,10 +102,10 @@ TransientAnalysis::run(const TransientConfig &config,
 TransientResult
 TransientAnalysis::integrate(const TransientConfig &config, Solution x) const
 {
-    static stats::Counter &stat_runs = stats::counter(
-        "circuit.transient.runs", "transient analyses executed");
+    static const diag::Counter stat_runs("circuit.transient.runs",
+                                         "transient analyses executed");
     OTFT_TRACE_SCOPE("circuit.transient.run");
-    ++stat_runs;
+    stat_runs.add();
 
     Mna mna(ckt, config.newton);
     if (x.size() != mna.numUnknowns())
@@ -159,11 +157,10 @@ TransientAnalysis::runFixed(const TransientConfig &config, Mna &mna,
     for (std::size_t k = 1; k < times.size(); ++k) {
         const double t = times[k];
         const double h = t - times[k - 1];
-        ++statSteps();
+        statSteps().add();
         Solution x_next = x;
         if (!mna.solveNewton(x_next, t, 1.0, h, &x)) {
-            ++statRetries();
-            diag::recordEvent(diag::Event::NewtonRetry);
+            statRetries().add();
             // Retry with the step halved (two sub-steps).
             const double t_mid = times[k - 1] + 0.5 * h;
             Solution x_mid = x;
@@ -176,7 +173,6 @@ TransientAnalysis::runFixed(const TransientConfig &config, Mna &mna,
                       " s even after step halving");
             }
         }
-        diag::recordEvent(diag::Event::StepAccept);
         x = std::move(x_next);
         record(x);
     }
@@ -207,7 +203,7 @@ TransientResult
 TransientAnalysis::runAdaptive(const TransientConfig &config, Mna &mna,
                                Solution x) const
 {
-    static stats::Counter &stat_rejections = stats::counter(
+    static const diag::Counter stat_rejections(
         "circuit.transient.lte_rejections",
         "adaptive steps rejected for excess local truncation error");
 
@@ -281,13 +277,12 @@ TransientAnalysis::runAdaptive(const TransientConfig &config, Mna &mna,
             landing = true;
         }
 
-        ++statSteps();
+        statSteps().add();
         trace::Scope step_frame("transient.step");
         const double t_new = landing ? bp : t + h;
         Solution x_new = x;
         if (!mna.solveNewton(x_new, t_new, 1.0, h, &x)) {
-            ++statRetries();
-            diag::recordEvent(diag::Event::NewtonRetry);
+            statRetries().add();
             if (h <= dt_min * 1.0000001)
                 fatal("TransientAnalysis: Newton failed at t = ", t_new,
                       " s with the minimum step");
@@ -308,8 +303,7 @@ TransientAnalysis::runAdaptive(const TransientConfig &config, Mna &mna,
                 err = std::max(err, lte);
             }
             if (err > config.lteTol && h > dt_min * 1.0000001) {
-                ++stat_rejections;
-                diag::recordEvent(diag::Event::StepReject);
+                stat_rejections.add();
                 const double shrink = std::max(
                     0.3, 0.9 * std::sqrt(config.lteTol / err));
                 h = std::max(dt_min, h * shrink);
@@ -321,7 +315,6 @@ TransientAnalysis::runAdaptive(const TransientConfig &config, Mna &mna,
         }
 
         // Accept.
-        diag::recordEvent(diag::Event::StepAccept);
         x_before = std::move(x);
         x = std::move(x_new);
         h_prev = h;

@@ -373,7 +373,7 @@ Session::~Session()
         } else {
             collector.dumpJson(os);
             inform("diag: wrote ", diagJsonPath, " (",
-                   collector.contextCount(), " contexts, ",
+                   collector.breakdown().size(), " contexts, ",
                    collector.dumpPaths().size(), " dumps)");
         }
     }

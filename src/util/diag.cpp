@@ -101,56 +101,11 @@ Collector::attributes() const
 }
 
 void
-Collector::recordSolve(const std::string &context, SolveKind kind,
-                       bool converged, int iterations,
-                       int chord_iterations, int jacobian_refreshes,
-                       int singular_recoveries, double final_residual)
-{
-    (void)kind;
-    std::lock_guard<std::mutex> lock(mutex_);
-    ContextStats &s = contexts_[context];
-    ++s.solves;
-    if (!converged) {
-        ++s.failures;
-        if (std::isfinite(final_residual))
-            s.worstFinalResidual =
-                std::max(s.worstFinalResidual, final_residual);
-        else
-            s.worstFinalResidual =
-                std::numeric_limits<double>::infinity();
-    } else {
-        s.maxIterations = std::max(s.maxIterations, iterations);
-    }
-    s.iterations += static_cast<std::uint64_t>(iterations);
-    s.chordIterations += static_cast<std::uint64_t>(chord_iterations);
-    s.jacobianRefreshes +=
-        static_cast<std::uint64_t>(jacobian_refreshes);
-    s.singularRecoveries +=
-        static_cast<std::uint64_t>(singular_recoveries);
-}
-
-void
-Collector::recordEvent(const std::string &context, Event event)
+Collector::add(const std::string &context, const char *name,
+               std::uint64_t n)
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    ContextStats &s = contexts_[context];
-    switch (event) {
-      case Event::StepAccept:
-        ++s.stepAccepts;
-        break;
-      case Event::StepReject:
-        ++s.stepRejects;
-        break;
-      case Event::NewtonRetry:
-        ++s.newtonRetries;
-        break;
-      case Event::SourceStepping:
-        ++s.sourceStepping;
-        break;
-      case Event::GminStepping:
-        ++s.gminStepping;
-        break;
-    }
+    contexts_[context][name] += n;
 }
 
 bool
@@ -175,19 +130,11 @@ Collector::dumpPaths() const
     return dumpPaths_;
 }
 
-ContextStats
-Collector::contextStats(const std::string &context) const
+Collector::Breakdown
+Collector::breakdown() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = contexts_.find(context);
-    return it != contexts_.end() ? it->second : ContextStats{};
-}
-
-std::size_t
-Collector::contextCount() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return contexts_.size();
+    return contexts_;
 }
 
 void
@@ -208,24 +155,16 @@ Collector::dumpJson(std::ostream &os) const
 
     os << "  \"contexts\": {";
     first = true;
-    for (const auto &[name, s] : contexts_) {
+    for (const auto &[context, counts] : contexts_) {
         os << (first ? "\n" : ",\n") << "    \""
-           << json::escape(name.empty() ? "(unlabeled)" : name)
-           << "\": {"
-           << "\"solves\": " << s.solves
-           << ", \"failures\": " << s.failures
-           << ", \"iterations\": " << s.iterations
-           << ", \"chord_iterations\": " << s.chordIterations
-           << ", \"jacobian_refreshes\": " << s.jacobianRefreshes
-           << ", \"singular_recoveries\": " << s.singularRecoveries
-           << ", \"step_accepts\": " << s.stepAccepts
-           << ", \"step_rejects\": " << s.stepRejects
-           << ", \"newton_retries\": " << s.newtonRetries
-           << ", \"source_stepping\": " << s.sourceStepping
-           << ", \"gmin_stepping\": " << s.gminStepping
-           << ", \"max_iterations\": " << s.maxIterations
-           << ", \"worst_final_residual\": ";
-        writeNumber(os, s.worstFinalResidual);
+           << json::escape(context.empty() ? "(unlabeled)" : context)
+           << "\": {";
+        bool first_count = true;
+        for (const auto &[name, n] : counts) {
+            os << (first_count ? "" : ", ") << "\""
+               << json::escape(name) << "\": " << n;
+            first_count = false;
+        }
         os << "}";
         first = false;
     }
@@ -249,13 +188,20 @@ Collector::reset()
     dumpsSkipped_ = 0;
 }
 
-void
-recordEvent(Event event)
+Counter::Counter(const char *name, const char *description)
+    : name_(name), counter_(stats::counter(name, description))
 {
-    Collector &c = Collector::instance();
-    if (!c.enabled())
+}
+
+void
+Counter::add(std::uint64_t n) const
+{
+    if (n == 0)
         return;
-    c.recordEvent(t_context, event);
+    counter_ += n;
+    Collector &c = Collector::instance();
+    if (c.enabled())
+        c.add(t_context, name_, n);
 }
 
 const std::string &
@@ -284,22 +230,14 @@ leaveContext(std::size_t length)
 
 } // namespace detail
 
-SolveProbe::SolveProbe(SolveKind kind)
-    : kind_(kind)
+SolveProbe::SolveProbe()
 {
     Collector &c = Collector::instance();
     active_ = c.enabled();
     if (!active_)
         return;
     dumps_ = c.dumpsEnabled();
-    context_ = t_context;
     ring_.reserve(8);
-}
-
-SolveProbe::~SolveProbe()
-{
-    if (active_ && !closed_)
-        finish(false);
 }
 
 void
@@ -308,10 +246,6 @@ SolveProbe::iteration(int iter, double residual_norm,
 {
     if (!active_)
         return;
-    ++iterations_;
-    if (chord)
-        ++chordIterations_;
-    finalResidual_ = residual_norm;
     const IterationSample sample{iter, residual_norm, max_update,
                                  chord};
     if (ring_.size() < ringCapacity) {
@@ -320,23 +254,6 @@ SolveProbe::iteration(int iter, double residual_norm,
         ring_[ringNext_] = sample;
         ringNext_ = (ringNext_ + 1) % ringCapacity;
     }
-}
-
-void
-SolveProbe::finish(bool converged)
-{
-    if (!active_ || closed_)
-        return;
-    closed_ = true;
-    Collector::instance().recordSolve(
-        context_, kind_, converged, iterations_, chordIterations_,
-        refreshes_, recoveries_, finalResidual_);
-
-    static stats::Counter &stat_failed_solves = stats::counter(
-        "diag.solves_failed",
-        "solves closed as failed while diagnostics were enabled");
-    if (!converged)
-        ++stat_failed_solves;
 }
 
 std::vector<IterationSample>

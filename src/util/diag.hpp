@@ -1,31 +1,28 @@
 /**
  * @file
- * Solver diagnostics sink: convergence telemetry aggregated per
- * logical context (cell, arc, design point) plus the bookkeeping for
- * failure-forensics dumps.
+ * Solver diagnostics: the per-context breakdown of the solver's
+ * registry counters, plus the bookkeeping for failure-forensics dumps.
  *
- * The numeric core is instrumented with lightweight probes that are
- * inert until the collector is enabled (one relaxed atomic load per
- * solve, one branch per Newton iteration), so production runs pay
- * nothing. When `--diag-json`/`--diag-dir` turn the collector on:
+ * Solver events are counted once, through diag::Counter: each add()
+ * bumps the stats registry counter, and while the collector is on
+ * (`--diag-json`/`--diag-dir`) also adds the count under the calling
+ * thread's context label, keyed by the counter's registry name. So
+ * the breakdown summed over contexts equals the registry total.
  *
  *  - callers label their work with a labelled trace::Scope
  *    ("liberty.inv.pin0", "explorer.point.fe2.alu2.s9"); the label is
  *    thread-local, so every worker of the parallel pool aggregates
  *    under its own task;
  *  - circuit::Mna::solveNewton opens a SolveProbe per solve and feeds
- *    it per-iteration residual/update norms (ring-buffered) and
- *    chord-vs-full decisions;
- *  - the DC and transient engines record recovery events (source
- *    stepping, gmin stepping, step accept/reject, Newton retries);
+ *    it per-iteration residual/update norms (ring-buffered);
  *  - on failure the Newton kernel writes a content-addressed dump via
  *    circuit/dump and registers the path here.
  *
  * dumpJson() exports the whole picture as one schema-versioned
- * document ("otft-diag-1") that `--diag-json` writes at session exit.
+ * document ("otft-diag-2") that `--diag-json` writes at session exit.
  *
- * Concurrency: the collector takes one mutex per aggregate update;
- * probes buffer per-solve data privately and publish once on close.
+ * Concurrency: the collector takes one mutex per breakdown update;
+ * probes buffer per-solve data privately.
  */
 
 #ifndef OTFT_UTIL_DIAG_HPP
@@ -39,10 +36,14 @@
 #include <string>
 #include <vector>
 
+namespace otft::stats {
+class Counter;
+} // namespace otft::stats
+
 namespace otft::diag {
 
 /** Schema tag of the --diag-json document. */
-inline constexpr const char *diagSchema = "otft-diag-1";
+inline constexpr const char *diagSchema = "otft-diag-2";
 
 /** One recorded Newton iteration. */
 struct IterationSample
@@ -57,45 +58,11 @@ struct IterationSample
     bool chord = false;
 };
 
-/** What kind of solve a probe covers. */
+/** What kind of solve a failure dump covers. */
 enum class SolveKind { Dc, TransientStep };
 
 /** @return "dc" or "transient_step". */
 const char *toString(SolveKind kind);
-
-/** Discrete solver events aggregated per context. */
-enum class Event {
-    /** Adaptive (or fixed) transient step accepted. */
-    StepAccept,
-    /** Adaptive step rejected for excess LTE. */
-    StepReject,
-    /** A transient step retried after a Newton failure. */
-    NewtonRetry,
-    /** DC operating point fell back to source-stepping homotopy. */
-    SourceStepping,
-    /** DC operating point fell back to gmin stepping. */
-    GminStepping,
-};
-
-/** Aggregated telemetry for one context label. */
-struct ContextStats
-{
-    std::uint64_t solves = 0;
-    std::uint64_t failures = 0;
-    std::uint64_t iterations = 0;
-    std::uint64_t chordIterations = 0;
-    std::uint64_t jacobianRefreshes = 0;
-    std::uint64_t singularRecoveries = 0;
-    std::uint64_t stepAccepts = 0;
-    std::uint64_t stepRejects = 0;
-    std::uint64_t newtonRetries = 0;
-    std::uint64_t sourceStepping = 0;
-    std::uint64_t gminStepping = 0;
-    /** Worst iteration count over converged solves. */
-    int maxIterations = 0;
-    /** Worst final residual norm over failed solves. */
-    double worstFinalResidual = 0.0;
-};
 
 /** The process-wide diagnostics collector. */
 class Collector
@@ -135,15 +102,6 @@ class Collector
     void setAttribute(const std::string &key, double value);
     std::map<std::string, double> attributes() const;
 
-    /** Publish one closed solve into the context aggregate. */
-    void recordSolve(const std::string &context, SolveKind kind,
-                     bool converged, int iterations,
-                     int chord_iterations, int jacobian_refreshes,
-                     int singular_recoveries, double final_residual);
-
-    /** Count a discrete solver event under the context. */
-    void recordEvent(const std::string &context, Event event);
-
     /**
      * Register a failure dump path. @return false when the per-process
      * cap has been reached (the caller should skip writing the file).
@@ -152,18 +110,27 @@ class Collector
 
     std::vector<std::string> dumpPaths() const;
 
-    /** Aggregate for one context ("" aggregates unlabeled solves). */
-    ContextStats contextStats(const std::string &context) const;
-    std::size_t contextCount() const;
+    /**
+     * Counts per context label ("" holds unlabeled work), each keyed
+     * by registry counter name.
+     */
+    using Breakdown =
+        std::map<std::string, std::map<std::string, std::uint64_t>>;
+    Breakdown breakdown() const;
 
-    /** Write the otft-diag-1 JSON document. */
+    /** Write the otft-diag-2 JSON document. */
     void dumpJson(std::ostream &os) const;
 
-    /** Drop every aggregate, dump path, and attribute. */
+    /** Drop the breakdown, every dump path, and every attribute. */
     void reset();
 
   private:
+    friend class Counter;
+
     Collector() = default;
+
+    void add(const std::string &context, const char *name,
+             std::uint64_t n);
 
     std::atomic<bool> enabled_{false};
     std::atomic<bool> dumps_{false};
@@ -172,7 +139,7 @@ class Collector
     std::size_t maxDumps_ = 32;
     std::size_t dumpsSkipped_ = 0;
     std::map<std::string, double> attributes_;
-    std::map<std::string, ContextStats> contexts_;
+    Breakdown contexts_;
     std::vector<std::string> dumpPaths_;
 };
 
@@ -183,8 +150,23 @@ enabled()
     return Collector::instance().enabled();
 }
 
-/** Record an event under the calling thread's current context. */
-void recordEvent(Event event);
+/**
+ * A stats registry counter broken down per context: add() bumps the
+ * registry counter `name`, and while the collector is on also adds
+ * the count under context(). Construct once per call site (a
+ * function-local static, like stats::counter()).
+ */
+class Counter
+{
+  public:
+    Counter(const char *name, const char *description);
+
+    void add(std::uint64_t n = 1) const;
+
+  private:
+    const char *name_;
+    stats::Counter &counter_;
+};
 
 /**
  * The calling thread's context label for aggregation
@@ -206,9 +188,8 @@ void leaveContext(std::size_t length);
 } // namespace detail
 
 /**
- * Per-solve probe used by the Newton kernel. Buffers the last
- * `ringCapacity` iteration samples privately and publishes the
- * aggregate to the collector when closed. Inert (no clock reads, no
+ * Per-solve probe used by the Newton kernel: keeps the last
+ * `ringCapacity` iteration samples for a failure dump. Inert (no
  * allocation) when the collector is disabled at construction.
  */
 class SolveProbe
@@ -217,11 +198,7 @@ class SolveProbe
     /** Iterations of history kept for failure dumps. */
     static constexpr std::size_t ringCapacity = 64;
 
-    explicit SolveProbe(SolveKind kind);
-    ~SolveProbe();
-
-    SolveProbe(const SolveProbe &) = delete;
-    SolveProbe &operator=(const SolveProbe &) = delete;
+    SolveProbe();
 
     bool active() const { return active_; }
     /** True when a failure here should also write a forensics dump. */
@@ -229,26 +206,13 @@ class SolveProbe
 
     void iteration(int iter, double residual_norm, double max_update,
                    bool chord);
-    void jacobianRefresh() { ++refreshes_; }
-    void singularRecovery() { ++recoveries_; }
-
-    /** Close the probe (idempotent; the destructor closes as failed). */
-    void finish(bool converged);
 
     /** Ring contents in chronological order. */
     std::vector<IterationSample> trace() const;
 
   private:
-    SolveKind kind_;
     bool active_ = false;
     bool dumps_ = false;
-    bool closed_ = false;
-    int iterations_ = 0;
-    int chordIterations_ = 0;
-    int refreshes_ = 0;
-    int recoveries_ = 0;
-    double finalResidual_ = 0.0;
-    std::string context_;
     std::vector<IterationSample> ring_;
     std::size_t ringNext_ = 0;
 };

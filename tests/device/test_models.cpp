@@ -7,7 +7,6 @@
 #include "device/level1_model.hpp"
 #include "device/level61_model.hpp"
 #include "device/pentacene.hpp"
-#include "device/silicon_mosfet.hpp"
 
 namespace otft::device {
 namespace {
@@ -214,32 +213,6 @@ TEST(GmGds, Level61PTypeMatchesStencil)
     };
     for (const auto &b : biases)
         expectDerivativesConsistent(*m, b[0], b[1]);
-}
-
-TEST(SiliconMosfet, OnOffContrast)
-{
-    const auto nmos = makeSilicon45Nmos();
-    const double on = nmos->drainCurrent(1.1, 1.1);
-    const double off = nmos->drainCurrent(0.0, 1.1);
-    EXPECT_GT(on / off, 1e3);
-}
-
-TEST(SiliconMosfet, MobilityGapVsOrganic)
-{
-    // The paper's ~1000x electron mobility gap.
-    const SiliconParams si;
-    const Level61Params org;
-    EXPECT_GT(si.u0 / org.u0, 500.0);
-    EXPECT_LT(si.u0 / org.u0, 5000.0);
-}
-
-TEST(SiliconMosfet, PmosWeakerThanNmos)
-{
-    const auto nmos = makeSilicon45Nmos();
-    const auto pmos = makeSilicon45Pmos();
-    const double in = std::abs(nmos->drainCurrent(1.1, 1.1));
-    const double ip = std::abs(pmos->drainCurrent(-1.1, -1.1));
-    EXPECT_GT(in, ip);
 }
 
 /** Parameterized sweep: monotonicity of |ID| in |VDS| (both models). */

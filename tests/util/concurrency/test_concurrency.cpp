@@ -241,8 +241,13 @@ TEST(ConcurrencyStress, ScopesAggregateExactCountsAndKeepLabelsPerThread)
         "time.test.concurrency.timed", "stress span accumulator");
     stats::Accumulator &timer = stats::accumulator(
         "test.concurrency.timer", "stress timer accumulator");
+    static const diag::Counter events("test.concurrency.events",
+                                      "stress breakdown counter");
     acc.reset();
     timer.reset();
+    const std::uint64_t events_before =
+        stats::counter("test.concurrency.events").value();
+    diag::Collector::instance().reset();
     diag::Collector::instance().setEnabled(true);
 
     constexpr int per_thread = 500;
@@ -255,9 +260,12 @@ TEST(ConcurrencyStress, ScopesAggregateExactCountsAndKeepLabelsPerThread)
             trace::Scope ctx(trace::labelled, [&] { return mine; });
             if (diag::context() != mine)
                 ++wrong_labels;
+            events.add();
         }
     });
     diag::Collector::instance().setEnabled(false);
+    const auto breakdown = diag::Collector::instance().breakdown();
+    diag::Collector::instance().reset();
 
     const auto expected =
         static_cast<std::uint64_t>(kThreads) * per_thread;
@@ -265,6 +273,13 @@ TEST(ConcurrencyStress, ScopesAggregateExactCountsAndKeepLabelsPerThread)
     EXPECT_EQ(timer.count(), expected);
     EXPECT_GE(acc.min(), 0.0);
     EXPECT_EQ(wrong_labels.load(), 0);
+    EXPECT_EQ(stats::counter("test.concurrency.events").value(),
+              events_before + expected);
+    ASSERT_EQ(breakdown.size(), static_cast<std::size_t>(kThreads));
+    for (int t = 0; t < kThreads; ++t)
+        EXPECT_EQ(breakdown.at("thread" + std::to_string(t))
+                      .at("test.concurrency.events"),
+                  static_cast<std::uint64_t>(per_thread));
 }
 
 /** FNV-1a digest of the first `count` instructions of a cursor. */

@@ -1,18 +1,18 @@
 /**
  * @file
- * Unit tests for the solver diagnostics sink: collector aggregation
- * under labelled contexts, the per-solve probe ring, the dump registry
- * cap, and the otft-diag-1 JSON export.
+ * Unit tests for the solver diagnostics sink: the per-context
+ * breakdown of registry counters under labelled contexts, the
+ * per-solve probe ring, the dump registry cap, and the otft-diag-2
+ * JSON export.
  */
 
-#include <cmath>
-#include <limits>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "util/diag.hpp"
 #include "util/json.hpp"
+#include "util/stats_registry.hpp"
 #include "util/trace.hpp"
 
 namespace otft::diag {
@@ -43,90 +43,60 @@ class DiagTest : public ::testing::Test
     }
 };
 
+/** A breakdown counter private to these tests. */
+const Counter &
+testCounter()
+{
+    static const Counter c("test.diag.events", "diag unit-test events");
+    return c;
+}
+
+std::uint64_t
+registryValue()
+{
+    return stats::counter("test.diag.events").value();
+}
+
 TEST_F(DiagTest, DisabledCollectorKeepsProbesInert)
 {
     Collector::instance().setEnabled(false);
-    SolveProbe probe(SolveKind::Dc);
+    SolveProbe probe;
     EXPECT_FALSE(probe.active());
     EXPECT_FALSE(probe.wantsDump());
     probe.iteration(0, 1.0, 1.0, false);
-    probe.finish(false);
-    EXPECT_EQ(Collector::instance().contextCount(), 0u);
     EXPECT_TRUE(probe.trace().empty());
+
+    // The registry still counts; only the breakdown is off.
+    const std::uint64_t before = registryValue();
+    testCounter().add(3);
+    EXPECT_EQ(registryValue(), before + 3);
+    EXPECT_TRUE(Collector::instance().breakdown().empty());
 }
 
-TEST_F(DiagTest, ProbePublishesAggregateOnFinish)
+TEST_F(DiagTest, CounterAddsUnderTheCallingContext)
 {
+    const std::uint64_t before = registryValue();
     {
         trace::Scope ctx(trace::labelled, label("unit.ctx"));
-        SolveProbe probe(SolveKind::Dc);
-        ASSERT_TRUE(probe.active());
-        probe.iteration(0, 2.0, 1.0, false);
-        probe.iteration(1, 0.5, 0.25, true);
-        probe.jacobianRefresh();
-        probe.finish(true);
+        testCounter().add();
+        testCounter().add(2);
+        trace::Scope inner(trace::labelled, label("inner"));
+        testCounter().add();
     }
-    const ContextStats s =
-        Collector::instance().contextStats("unit.ctx");
-    EXPECT_EQ(s.solves, 1u);
-    EXPECT_EQ(s.failures, 0u);
-    EXPECT_EQ(s.iterations, 2u);
-    EXPECT_EQ(s.chordIterations, 1u);
-    EXPECT_EQ(s.jacobianRefreshes, 1u);
-    EXPECT_EQ(s.maxIterations, 2);
-    EXPECT_EQ(s.worstFinalResidual, 0.0);
-}
+    testCounter().add(4);
+    testCounter().add(0); // no event, no breakdown entry
 
-TEST_F(DiagTest, FailedSolveTracksWorstResidual)
-{
-    {
-        SolveProbe probe(SolveKind::TransientStep);
-        probe.iteration(0, 7.5, 3.0, false);
-        probe.finish(false);
-    }
-    {
-        SolveProbe probe(SolveKind::TransientStep);
-        probe.iteration(0, 2.0, 1.0, false);
-        // Destructor closes an unfinished probe as failed.
-    }
-    const ContextStats s = Collector::instance().contextStats("");
-    EXPECT_EQ(s.solves, 2u);
-    EXPECT_EQ(s.failures, 2u);
-    EXPECT_EQ(s.worstFinalResidual, 7.5);
-    EXPECT_EQ(s.maxIterations, 0);
-}
-
-TEST_F(DiagTest, NonFiniteFailureResidualBecomesInfinity)
-{
-    SolveProbe probe(SolveKind::Dc);
-    probe.iteration(0, std::numeric_limits<double>::quiet_NaN(), 1.0,
-                    false);
-    probe.finish(false);
-    const ContextStats s = Collector::instance().contextStats("");
-    EXPECT_TRUE(std::isinf(s.worstFinalResidual));
-}
-
-TEST_F(DiagTest, EventsAggregateUnderCurrentContext)
-{
-    trace::Scope ctx(trace::labelled, label("transient.test"));
-    recordEvent(Event::StepAccept);
-    recordEvent(Event::StepAccept);
-    recordEvent(Event::StepReject);
-    recordEvent(Event::NewtonRetry);
-    recordEvent(Event::SourceStepping);
-    recordEvent(Event::GminStepping);
-    const ContextStats s =
-        Collector::instance().contextStats("transient.test");
-    EXPECT_EQ(s.stepAccepts, 2u);
-    EXPECT_EQ(s.stepRejects, 1u);
-    EXPECT_EQ(s.newtonRetries, 1u);
-    EXPECT_EQ(s.sourceStepping, 1u);
-    EXPECT_EQ(s.gminStepping, 1u);
+    const Collector::Breakdown b = Collector::instance().breakdown();
+    ASSERT_EQ(b.size(), 3u);
+    EXPECT_EQ(b.at("unit.ctx").at("test.diag.events"), 3u);
+    EXPECT_EQ(b.at("unit.ctx/inner").at("test.diag.events"), 1u);
+    EXPECT_EQ(b.at("").at("test.diag.events"), 4u);
+    EXPECT_EQ(registryValue(), before + 8);
 }
 
 TEST_F(DiagTest, ProbeRingKeepsTheLastIterations)
 {
-    SolveProbe probe(SolveKind::Dc);
+    SolveProbe probe;
     const int n = static_cast<int>(SolveProbe::ringCapacity) + 10;
     for (int i = 0; i < n; ++i)
         probe.iteration(i, 1.0 / (1 + i), 0.5 / (1 + i), i % 2 == 1);
@@ -138,7 +108,6 @@ TEST_F(DiagTest, ProbeRingKeepsTheLastIterations)
     EXPECT_EQ(trace.back().iteration, n - 1);
     for (std::size_t i = 1; i < trace.size(); ++i)
         EXPECT_EQ(trace[i].iteration, trace[i - 1].iteration + 1);
-    probe.finish(true);
 }
 
 TEST_F(DiagTest, DumpRegistryCapsAndDedupes)
@@ -162,15 +131,9 @@ TEST_F(DiagTest, DumpJsonRoundTripsThroughParser)
     c.setAttribute("weird \"key\"\n", 1.0);
     {
         trace::Scope ctx(trace::labelled, label("ctx.a"));
-        SolveProbe probe(SolveKind::Dc);
-        probe.iteration(0, 1.0, 0.5, false);
-        probe.finish(true);
+        testCounter().add(2);
     }
-    {
-        SolveProbe probe(SolveKind::Dc);
-        probe.iteration(0, 3.0, 2.0, false);
-        probe.finish(false);
-    }
+    testCounter().add();
     c.setMaxDumps(1);
     EXPECT_TRUE(c.recordDump("dumps/dump_1.json"));
     EXPECT_FALSE(c.recordDump("dumps/dump_2.json"));
@@ -184,13 +147,10 @@ TEST_F(DiagTest, DumpJsonRoundTripsThroughParser)
 
     const auto &contexts = doc.at("contexts");
     ASSERT_TRUE(contexts.has("ctx.a"));
-    EXPECT_EQ(contexts.at("ctx.a").number("solves"), 1.0);
-    EXPECT_EQ(contexts.at("ctx.a").number("failures"), 0.0);
+    EXPECT_EQ(contexts.at("ctx.a").number("test.diag.events"), 2.0);
     ASSERT_TRUE(contexts.has("(unlabeled)"));
-    EXPECT_EQ(contexts.at("(unlabeled)").number("failures"), 1.0);
-    EXPECT_EQ(contexts.at("(unlabeled)")
-                  .number("worst_final_residual"),
-              3.0);
+    EXPECT_EQ(contexts.at("(unlabeled)").number("test.diag.events"),
+              1.0);
 
     EXPECT_EQ(doc.number("dumps_skipped"), 1.0);
     ASSERT_EQ(doc.at("dumps").asArray().size(), 1u);
@@ -202,10 +162,10 @@ TEST_F(DiagTest, ResetDropsEverything)
 {
     Collector &c = Collector::instance();
     c.setAttribute("k", 1.0);
-    c.recordEvent("ctx", Event::StepAccept);
+    testCounter().add();
     c.recordDump("d.json");
     c.reset();
-    EXPECT_EQ(c.contextCount(), 0u);
+    EXPECT_TRUE(c.breakdown().empty());
     EXPECT_TRUE(c.dumpPaths().empty());
     EXPECT_TRUE(c.attributes().empty());
     EXPECT_TRUE(c.enabled()); // reset clears data, not configuration
