@@ -1,8 +1,12 @@
 #include "scenarios.hpp"
 
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "arch/config.hpp"
 #include "arch/core.hpp"
@@ -584,6 +588,71 @@ addExplorerSweep(perf::ScenarioSuite &suite)
     });
 }
 
+/**
+ * A warm figure re-run's cache I/O: drop the in-memory cache, reload
+ * a persisted ~120-entry file shaped like the fig13+fig14 one (60
+ * `explorer.timing` payloads of 46 values, 60 `explorer.ipc` payloads
+ * of 7), hit every entry, and flush (a no-op: nothing changed). The
+ * run leaves the process-wide cache memory-only.
+ */
+void
+addResultCacheReload(perf::ScenarioSuite &suite)
+{
+    static std::vector<std::pair<std::string, std::uint64_t>> keys;
+    static const std::string dir =
+        (std::filesystem::temp_directory_path() /
+         "otft_perf_result_cache_reload")
+            .string();
+    suite.add({
+        "util.result_cache_reload",
+        "util",
+        "warm re-run cache I/O: clear, load a ~120-entry fig13+fig14 "
+        "shaped result_cache.json, hit every entry, flush",
+        [] {
+            cache::ResultCache &c = cache::ResultCache::instance();
+            c.setDirectory("");
+            c.clear();
+            keys.clear();
+            const auto store = [&](const char *domain, int i,
+                                   std::vector<double> values) {
+                const std::uint64_t key =
+                    cache::KeyHasher().add(domain).add(i).digest();
+                keys.emplace_back(domain, key);
+                c.store(domain, key, std::move(values));
+            };
+            Rng rng(13);
+            for (int i = 0; i < 60; ++i) {
+                // Timing payloads mix delays with integer counts.
+                std::vector<double> timing;
+                for (int v = 0; v < 46; ++v)
+                    timing.push_back(v % 5 < 2 ? rng.uniform(1e-5, 1e-2)
+                                               : rng.uniformInt(30000));
+                std::vector<double> ipc;
+                for (int v = 0; v < 7; ++v)
+                    ipc.push_back(rng.uniform(0.05, 1.5));
+                store("explorer.timing", i, std::move(timing));
+                store("explorer.ipc", i, std::move(ipc));
+            }
+            std::filesystem::remove_all(dir);
+            c.setDirectory(dir);
+            c.flush();
+            c.setDirectory("");
+        },
+        []() -> std::uint64_t {
+            cache::ResultCache &c = cache::ResultCache::instance();
+            c.clear();
+            c.setDirectory(dir);
+            std::vector<double> out;
+            std::uint64_t hits = 0;
+            for (const auto &[domain, key] : keys)
+                hits += c.lookup(domain, key, out);
+            c.flush();
+            c.setDirectory("");
+            return hits;
+        },
+    });
+}
+
 } // namespace
 
 void
@@ -603,6 +672,7 @@ registerAllScenarios(perf::ScenarioSuite &suite)
     addExplorerPoint(suite);
     addIpcFanout(suite);
     addExplorerSweep(suite);
+    addResultCacheReload(suite);
 }
 
 } // namespace otft::bench

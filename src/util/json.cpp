@@ -1,10 +1,10 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <istream>
-#include <sstream>
 
 #include "util/logging.hpp"
 
@@ -162,11 +162,65 @@ Value::makeObject(std::map<std::string, Value> members)
 
 namespace {
 
+/**
+ * Character source over a stream. peek()/get() return the next byte
+ * as an unsigned char value, or a negative value at the end.
+ */
+struct StreamSource
+{
+    std::istream &stream;
+
+    int peek() { return stream.peek(); }
+    int get() { return stream.get(); }
+};
+
+/** Character source over an in-memory buffer, same contract. */
+struct BufferSource
+{
+    const char *pos;
+    const char *end;
+
+    int
+    peek() const
+    {
+        return pos < end ? static_cast<unsigned char>(*pos) : -1;
+    }
+
+    int
+    get()
+    {
+        return pos < end ? static_cast<unsigned char>(*pos++) : -1;
+    }
+};
+
+/**
+ * The double a grammar-checked JSON number token spells. from_chars
+ * and strtod both round correctly, so they agree wherever from_chars
+ * succeeds, and from_chars is several times faster. Past the double
+ * range from_chars reports result_out_of_range and leaves the value
+ * alone, while strtod returns +-inf or 0, so strtod decides those.
+ */
+double
+toDouble(const std::string &token)
+{
+    const char *end = token.data() + token.size();
+    double v = 0.0;
+    const auto [stop, ec] = std::from_chars(token.data(), end, v);
+    if (ec == std::errc() && stop == end)
+        return v;
+    return std::strtod(token.c_str(), nullptr);
+}
+
+template <typename Source>
 struct Parser
 {
-    std::istream &is;
+    explicit Parser(Source source) : is(source) {}
+
+    Source is;
     /** Current container nesting depth (recursion guard). */
     int depth = 0;
+    /** The number being scanned (reused to spare an allocation each). */
+    std::string token;
 
     void
     skipWs()
@@ -285,7 +339,7 @@ struct Parser
     Value
     parseNumber()
     {
-        std::string token;
+        token.clear();
         if (is.peek() == '-')
             token += static_cast<char>(is.get());
         if (!std::isdigit(is.peek()))
@@ -308,7 +362,7 @@ struct Parser
             while (std::isdigit(is.peek()))
                 token += static_cast<char>(is.get());
         }
-        return Value::makeNumber(std::strtod(token.c_str(), nullptr));
+        return Value::makeNumber(toDouble(token));
     }
 
     Value
@@ -388,19 +442,18 @@ struct Parser
 Value
 parse(std::istream &is)
 {
-    Parser parser{is};
+    Parser<StreamSource> parser(StreamSource{is});
     return parser.parseValue();
 }
 
 Value
 parse(const std::string &text)
 {
-    std::istringstream iss(text);
-    Value v = parse(iss);
+    Parser<BufferSource> parser(
+        BufferSource{text.data(), text.data() + text.size()});
+    Value v = parser.parseValue();
     // A complete string must hold exactly one document.
-    while (std::isspace(iss.peek()))
-        iss.get();
-    if (iss.peek() >= 0)
+    if (parser.peek() >= 0)
         fatal("json: trailing content after document");
     return v;
 }

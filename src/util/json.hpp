@@ -93,7 +93,12 @@ class Value
  */
 Value parse(std::istream &is);
 
-/** Parse a complete string; fatal on malformed input. */
+/**
+ * Parse a complete string; fatal on malformed input or on anything
+ * but whitespace after the document. Parses straight from the string's
+ * buffer (no stream in between), with the same grammar, errors and
+ * numbers as the stream overload.
+ */
 Value parse(const std::string &text);
 
 /** Escape a string for embedding in emitted JSON (no quotes added). */

@@ -4,17 +4,22 @@
  *
  * The first caller of a key computes the value outside the lock;
  * concurrent callers of the same key wait on its shared_future instead
- * of recomputing. Entries are never evicted, so returned references
- * live as long as the table.
+ * of recomputing. Such a wait is a `util.memo.wait` span, so a profile
+ * or timeline shows where workers stall on each other; a hit on a
+ * ready value records nothing. Entries are never evicted, so returned
+ * references live as long as the table.
  */
 
 #ifndef OTFT_UTIL_MEMO_HPP
 #define OTFT_UTIL_MEMO_HPP
 
+#include <chrono>
 #include <exception>
 #include <future>
 #include <map>
 #include <mutex>
+
+#include "util/trace.hpp"
 
 namespace otft {
 
@@ -34,6 +39,11 @@ class Memo
         if (it != table.end()) {
             const std::shared_future<Value> done = it->second;
             lock.unlock();
+            if (done.wait_for(std::chrono::seconds(0)) !=
+                std::future_status::ready) {
+                OTFT_TRACE_SCOPE("util.memo.wait");
+                done.wait();
+            }
             return done.get();
         }
         std::promise<Value> promise;

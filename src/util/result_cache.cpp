@@ -7,7 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <iterator>
 
 #include "util/json.hpp"
 #include "util/logging.hpp"
@@ -157,7 +157,10 @@ ResultCache::setDirectory(const std::string &dir)
     if (ec)
         fatal("result_cache: cannot create cache dir '", dir_,
               "': ", ec.message());
-    loadLocked();
+    // Entries already in memory are not in this file (or not only),
+    // so a load that lands on them leaves the cache dirty.
+    const bool had_entries = !entries.empty();
+    dirty_ = !loadLocked() || had_entries;
 }
 
 const std::string &
@@ -205,87 +208,108 @@ ResultCache::store(const std::string &domain, std::uint64_t key,
     if (it != entries.end()) {
         // Deterministic producers always store the same payload;
         // overwrite keeps the cache correct even if a producer is
-        // versioned without a salt bump.
-        it->second.values = std::move(values);
+        // versioned without a salt bump. Only a bitwise change makes
+        // the file stale.
+        std::vector<double> &old = it->second.values;
+        if (old.size() != values.size() ||
+            std::memcmp(old.data(), values.data(),
+                        values.size() * sizeof(double)) != 0) {
+            old = std::move(values);
+            dirty_ = true;
+        }
         lru.splice(lru.begin(), lru, it->second.lruPos);
         return;
     }
     lru.push_front(composite);
     entries.emplace(composite,
                     Entry{std::move(values), lru.begin()});
+    dirty_ = true;
     evictLocked();
 }
 
-void
+bool
 ResultCache::evictLocked()
 {
+    const bool evicting = entries.size() > capacity;
     while (entries.size() > capacity) {
         entries.erase(lru.back());
         lru.pop_back();
         ++statEvictions();
         traceCacheEvent("cache.evict");
     }
+    return evicting;
 }
 
-void
+bool
 ResultCache::loadLocked()
 {
     const std::string path =
         (std::filesystem::path(dir_) / cacheFileName).string();
-    std::ifstream is(path);
+    std::ifstream is(path, std::ios::binary);
     if (!is)
-        return; // no persisted cache yet
-    std::stringstream buffer;
-    buffer << is.rdbuf();
+        return true; // no persisted cache yet
+    const std::string text((std::istreambuf_iterator<char>(is)),
+                           std::istreambuf_iterator<char>());
 
     // A mangled cache file must never abort a run: the cache is an
     // optimization, so parse failures log and behave as a miss.
     json::Value doc;
     try {
-        doc = json::parse(buffer.str());
+        doc = json::parse(text);
     } catch (const FatalError &e) {
         warn("result_cache: ignoring corrupt ", path, " (", e.what(),
              ")");
-        return;
+        return false;
     }
     try {
         if (!doc.isObject() ||
             doc.string("schema") != cacheSchema) {
             warn("result_cache: ignoring ", path,
                  " (unrecognized schema)");
-            return;
+            return false;
         }
         if (!doc.has("entries"))
-            return;
+            return false;
         std::size_t loaded = 0;
+        bool complete = true;
         for (const auto &[composite, value] :
              doc.at("entries").asObject()) {
-            if (!value.isArray())
-                continue; // skip malformed entries, keep the rest
+            // Skip malformed entries, keep the rest.
+            if (!value.isArray()) {
+                complete = false;
+                continue;
+            }
+            const auto &items = value.asArray();
             std::vector<double> values;
-            bool ok = true;
-            for (const auto &item : value.asArray()) {
-                if (!item.isNumber()) {
-                    ok = false;
+            values.reserve(items.size());
+            for (const auto &item : items) {
+                if (!item.isNumber())
                     break;
-                }
                 values.push_back(item.asNumber());
             }
-            if (!ok)
+            if (values.size() != items.size()) {
+                complete = false;
                 continue;
+            }
+            const auto [it, inserted] =
+                entries.emplace(composite, Entry{std::move(values), {}});
+            if (!inserted)
+                continue; // memory already holds this key
             lru.push_front(composite);
-            entries.emplace(composite,
-                            Entry{std::move(values), lru.begin()});
+            it->second.lruPos = lru.begin();
             ++loaded;
         }
-        evictLocked();
+        if (evictLocked())
+            complete = false;
         static stats::Counter &stat_loaded = stats::counter(
             "cache.disk_loaded", "result-cache entries loaded from disk");
         stat_loaded += loaded;
         inform("result_cache: loaded ", loaded, " entries from ", path);
+        return complete;
     } catch (const FatalError &e) {
         warn("result_cache: ignoring malformed ", path, " (", e.what(),
              ")");
+        return false;
     }
 }
 
@@ -293,7 +317,7 @@ void
 ResultCache::flush()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    if (dir_.empty())
+    if (dir_.empty() || !dirty_)
         return;
     const std::string path =
         (std::filesystem::path(dir_) / cacheFileName).string();
@@ -309,7 +333,7 @@ ResultCache::flush()
         return;
     }
     os << "{\"schema\": \"" << cacheSchema << "\", \"entries\": {";
-    bool first = true;
+    std::size_t written = 0;
     char buffer[40];
     for (const auto &[composite, entry] : entries) {
         // Non-finite payloads have no JSON spelling; keep them
@@ -319,9 +343,8 @@ ResultCache::flush()
             finite = finite && std::isfinite(v);
         if (!finite)
             continue;
-        os << (first ? "" : ", ") << "\"" << json::escape(composite)
+        os << (written++ ? ", " : "") << "\"" << json::escape(composite)
            << "\": [";
-        first = false;
         for (std::size_t i = 0; i < entry.values.size(); ++i) {
             // %.17g round-trips binary64 exactly, preserving the
             // bit-identical determinism contract across persistence.
@@ -345,8 +368,8 @@ ResultCache::flush()
         std::filesystem::remove(tmp_path, ec);
         return;
     }
-    inform("result_cache: persisted ", entries.size(), " entries to ",
-           path);
+    dirty_ = false;
+    inform("result_cache: persisted ", written, " entries to ", path);
 }
 
 void
@@ -355,6 +378,7 @@ ResultCache::clear()
     std::lock_guard<std::mutex> lock(mutex_);
     entries.clear();
     lru.clear();
+    dirty_ = true;
 }
 
 std::size_t

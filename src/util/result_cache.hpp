@@ -23,9 +23,10 @@
  *
  * Persistence: in-memory LRU always; optionally backed by a JSON file
  * (`<dir>/result_cache.json`) loaded at setDirectory() and written by
- * flush(). cli::Session wires `--cache-dir` / OTFT_CACHE_DIR to this
- * and flushes on exit. Corrupt or truncated cache files are never
- * fatal: parse failures warn and behave as a miss.
+ * flush() when memory no longer matches it. cli::Session wires
+ * `--cache-dir` / OTFT_CACHE_DIR to this and flushes on exit, so a
+ * fully warm run writes nothing. Corrupt or truncated cache files are
+ * never fatal: parse failures warn and behave as a miss.
  */
 
 #ifndef OTFT_UTIL_RESULT_CACHE_HPP
@@ -91,6 +92,12 @@ class ResultCache
      * Loads `dir/result_cache.json` immediately; a corrupt, truncated,
      * or schema-mismatched file warns and is treated as empty. An
      * empty dir disables persistence.
+     *
+     * The cache is clean afterwards only when memory now matches the
+     * file exactly: it was empty before the load, and the load
+     * skipped no malformed entry and evicted nothing. Otherwise (a
+     * bad file, or entries stored before this call) the next flush()
+     * writes.
      */
     void setDirectory(const std::string &dir);
     const std::string &directory() const;
@@ -108,11 +115,19 @@ class ResultCache
 
     /**
      * Write the current entries to `dir/result_cache.json` when a
-     * directory is configured; otherwise a no-op. The file is written
-     * to a temporary sibling and renamed over the target, so a killed
-     * run or a concurrent flush never leaves a truncated file. Write
-     * failures warn and leave the previous file intact (never fatal:
-     * persistence is an optimization).
+     * directory is configured and the cache is dirty; otherwise a
+     * no-op. The cache is dirty when its entries differ from the file
+     * it last loaded or wrote: after a store of a new key or of a
+     * bitwise-different payload, after clear(), and after a load that
+     * did not reproduce the file exactly (see setDirectory()). A
+     * clean flush leaves the file untouched, so a warm sibling sharing
+     * the directory never replaces a newer file with its older copy.
+     *
+     * The file is written to a temporary sibling and renamed over the
+     * target, so a killed run or a concurrent flush never leaves a
+     * truncated file. Write failures warn, leave the previous file
+     * intact and the cache dirty (never fatal: persistence is an
+     * optimization).
      */
     void flush();
 
@@ -131,11 +146,18 @@ class ResultCache
         std::list<std::string>::iterator lruPos;
     };
 
-    void evictLocked();
-    void loadLocked();
+    /** @return whether anything was evicted. */
+    bool evictLocked();
+    /**
+     * Load dir_'s file into memory. @return true when every entry of
+     * the file (or no file) was loaded and nothing evicted.
+     */
+    bool loadLocked();
 
     mutable std::mutex mutex_;
     bool enabled_ = true;
+    /** Memory differs from the file last loaded or written. */
+    bool dirty_ = false;
     std::string dir_;
     /** Most-recently-used keys at the front. */
     std::list<std::string> lru;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
+#include <cstring>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -89,9 +94,166 @@ TEST(Json, StreamOverloadSupportsNdjson)
     EXPECT_DOUBLE_EQ(second.number("a"), 2.0);
 }
 
+/** Bitwise equality of doubles (tells -0.0 from 0.0). */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/** Deep equality of two documents, numbers compared bit for bit. */
+bool
+sameValue(const Value &a, const Value &b)
+{
+    if (a.kind() != b.kind())
+        return false;
+    switch (a.kind()) {
+      case Kind::Null:
+        return true;
+      case Kind::Bool:
+        return a.asBool() == b.asBool();
+      case Kind::Number:
+        return sameBits(a.asNumber(), b.asNumber());
+      case Kind::String:
+        return a.asString() == b.asString();
+      case Kind::Array: {
+        const auto &x = a.asArray();
+        const auto &y = b.asArray();
+        if (x.size() != y.size())
+            return false;
+        for (std::size_t i = 0; i < x.size(); ++i)
+            if (!sameValue(x[i], y[i]))
+                return false;
+        return true;
+      }
+      case Kind::Object: {
+        const auto &x = a.asObject();
+        const auto &y = b.asObject();
+        if (x.size() != y.size())
+            return false;
+        for (auto i = x.begin(), j = y.begin(); i != x.end(); ++i, ++j)
+            if (i->first != j->first || !sameValue(i->second, j->second))
+                return false;
+        return true;
+      }
+    }
+    return false;
+}
+
+/**
+ * A complete-string parse through the stream overload: the document,
+ * then nothing but whitespace.
+ */
+Value
+parseViaStream(const std::string &text)
+{
+    std::istringstream is(text);
+    Value v = parse(is);
+    while (std::isspace(is.peek()))
+        is.get();
+    if (is.peek() >= 0)
+        fatal("json: trailing content after document");
+    return v;
+}
+
+/**
+ * Parse `text` with the in-memory string overload and with the stream
+ * overload. Both must accept or reject it alike, with the same error
+ * and bit-identical values. Returns the string overload's document or
+ * rethrows its error.
+ */
+Value
+parseBoth(const std::string &text)
+{
+    std::optional<Value> from_string;
+    std::optional<Value> from_stream;
+    std::string string_error;
+    std::string stream_error;
+    try {
+        from_string = parse(text);
+    } catch (const FatalError &e) {
+        string_error = e.what();
+    }
+    try {
+        from_stream = parseViaStream(text);
+    } catch (const FatalError &e) {
+        stream_error = e.what();
+    }
+    EXPECT_EQ(string_error, stream_error) << "input: " << text;
+    if (from_string && from_stream) {
+        EXPECT_TRUE(sameValue(*from_string, *from_stream))
+            << "input: " << text;
+    }
+    if (!from_string)
+        throw FatalError(string_error);
+    return *from_string;
+}
+
+/**
+ * `text` parses, through both overloads, to exactly the double that
+ * strtod reads from it.
+ */
+void
+expectStrtodBits(const std::string &text)
+{
+    const double want = std::strtod(text.c_str(), nullptr);
+    const Value got = parseBoth(text);
+    ASSERT_TRUE(got.isNumber()) << text;
+    EXPECT_TRUE(sameBits(got.asNumber(), want))
+        << text << ": got " << got.asNumber() << ", strtod " << want;
+}
+
+TEST(Json, EdgeNumbersConvertExactly)
+{
+    for (const char *text :
+         {"5e-324", "2.2250738585072014e-308", "2.2250738585072009e-308",
+          "1.7976931348623157e308", "0.1", "-0.0", "0", "-0",
+          "4.9406564584124654e-324", "2.4703282292062327e-324",
+          "1.7976931348623158e308", "9007199254740993",
+          "0.30000000000000004", "123456789012345678901234567890"}) {
+        expectStrtodBits(text);
+    }
+    EXPECT_TRUE(std::signbit(parse("-0.0").asNumber()));
+}
+
+TEST(Json, OutOfRangeNumbersMatchStrtod)
+{
+    // Past the double range the result is strtod's: +-inf on
+    // overflow, zero on underflow.
+    EXPECT_EQ(parse("1e400").asNumber(), HUGE_VAL);
+    EXPECT_EQ(parse("-1e400").asNumber(), -HUGE_VAL);
+    const double tiny = parse("1e-400").asNumber();
+    EXPECT_TRUE(sameBits(tiny, 0.0));
+    const double neg_tiny = parse("-1e-400").asNumber();
+    EXPECT_TRUE(sameBits(neg_tiny, -0.0));
+    for (const char *text :
+         {"1e400", "-1e400", "1e-400", "-1e-400", "2e-324",
+          "1.8e308", "1e99999999999999999999"})
+        expectStrtodBits(text);
+}
+
+TEST(Json, RandomBitPatternsConvertLikeStrtod)
+{
+    Rng rng(20261017);
+    const char *formats[] = {"%.17g", "%.15g", "%.6g", "%.3e"};
+    for (int rep = 0; rep < 4000; ++rep) {
+        std::uint64_t bits = rng.next();
+        if (rep % 8 == 0)
+            bits &= 0x800fffffffffffffull; // subnormal
+        double v = 0.0;
+        std::memcpy(&v, &bits, sizeof(v));
+        if (!std::isfinite(v))
+            continue;
+        char buffer[40];
+        std::snprintf(buffer, sizeof(buffer), formats[rep % 4], v);
+        expectStrtodBits(buffer);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Property / fuzz coverage: hostile input must always end in a clean
-// FatalError, never a crash, hang, or silently wrong value.
+// FatalError, never a crash, hang, or silently wrong value. Every
+// document goes through both parse overloads (parseBoth).
 // ---------------------------------------------------------------------
 
 TEST(JsonFuzz, NanAndInfinityLiteralsAreRejected)
@@ -101,7 +263,7 @@ TEST(JsonFuzz, NanAndInfinityLiteralsAreRejected)
     for (const char *text :
          {"NaN", "nan", "-NaN", "Infinity", "-Infinity", "inf",
           "-inf", "1e", "0x10", "+5"}) {
-        EXPECT_THROW(parse(text), FatalError) << "input: " << text;
+        EXPECT_THROW(parseBoth(text), FatalError) << "input: " << text;
     }
 }
 
@@ -113,7 +275,7 @@ TEST(JsonFuzz, MalformedDocumentsAreFatal)
           "truth", "falsy", "\"open", "\"bad \\q escape\"",
           "\"bad \\u12g4 escape\"", "{\"a\": 1} extra", ",", ":",
           "--1", "1..2", "."}) {
-        EXPECT_THROW(parse(text), FatalError) << "input: " << text;
+        EXPECT_THROW(parseBoth(text), FatalError) << "input: " << text;
     }
 }
 
@@ -128,18 +290,18 @@ TEST(JsonFuzz, NestingAtTheCapParsesAndBeyondIsFatal)
         return text;
     };
 
-    const Value at_cap = parse(nested(maxDepth));
+    const Value at_cap = parseBoth(nested(maxDepth));
     EXPECT_TRUE(at_cap.isArray());
     // One past the cap fails cleanly instead of overflowing the
     // parser's recursion.
-    EXPECT_THROW(parse(nested(maxDepth + 1)), FatalError);
-    EXPECT_THROW(parse(nested(maxDepth * 40)), FatalError);
+    EXPECT_THROW(parseBoth(nested(maxDepth + 1)), FatalError);
+    EXPECT_THROW(parseBoth(nested(maxDepth * 40)), FatalError);
 
     // Mixed object/array nesting counts against the same cap.
     std::string mixed;
     for (int i = 0; i < maxDepth; ++i)
         mixed += "{\"k\":[";
-    EXPECT_THROW(parse(mixed), FatalError);
+    EXPECT_THROW(parseBoth(mixed), FatalError);
 }
 
 TEST(JsonFuzz, EveryTruncationOfAValidDocumentIsFatal)
@@ -147,9 +309,9 @@ TEST(JsonFuzz, EveryTruncationOfAValidDocumentIsFatal)
     const std::string doc =
         "{\"name\": \"x\", \"vals\": [1.5, -2e-3, true, null], "
         "\"sub\": {\"deep\": [[\"s\"]]}}";
-    ASSERT_NO_THROW(parse(doc));
+    ASSERT_NO_THROW(parseBoth(doc));
     for (std::size_t len = 0; len < doc.size(); ++len) {
-        EXPECT_THROW(parse(doc.substr(0, len)), FatalError)
+        EXPECT_THROW(parseBoth(doc.substr(0, len)), FatalError)
             << "prefix length " << len;
     }
 }
@@ -209,7 +371,7 @@ TEST(JsonFuzz, RandomDocumentsRoundTripAndMutantsNeverCrash)
     for (int rep = 0; rep < 300; ++rep) {
         const std::string doc = randomDocument(rng, 4);
         // The generator only emits valid JSON.
-        ASSERT_NO_THROW(parse(doc)) << doc;
+        ASSERT_NO_THROW(parseBoth(doc)) << doc;
 
         // Mutants must parse or fail cleanly — nothing else.
         std::string mutant = doc;
@@ -231,7 +393,7 @@ TEST(JsonFuzz, RandomDocumentsRoundTripAndMutantsNeverCrash)
             }
         }
         try {
-            (void)parse(mutant);
+            (void)parseBoth(mutant);
             ++parsed;
         } catch (const FatalError &) {
             ++rejected;

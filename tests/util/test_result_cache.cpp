@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -305,6 +307,186 @@ TEST_F(ResultCacheTest, MalformedEntriesSkippedGoodOnesKept)
     EXPECT_FALSE(c.lookup("d", 2, out));
     EXPECT_TRUE(c.lookup("d", 3, out));
     EXPECT_EQ(out, std::vector<double>({3.5, 4.5}));
+}
+
+/** Write `text` as the cache file, as a sibling process would. */
+void
+writeFile(const std::string &path, const std::string &text)
+{
+    std::ofstream os(path, std::ios::binary);
+    os << text;
+}
+
+/** A valid cache file holding the given `key: [values]` members. */
+std::string
+cacheFileText(const std::string &members)
+{
+    return "{\"schema\": \"otft-result-cache-1\", \"entries\": {" +
+           members + "}}\n";
+}
+
+TEST_F(ResultCacheTest, WarmRunLeavesTheFileUntouched)
+{
+    const std::string dir = makeTempDir("warm");
+    const std::string path = dir + "/result_cache.json";
+    auto &c = ResultCache::instance();
+    c.setDirectory(dir);
+    c.store("d", 1, {1.5});
+    c.store("d", 2, {2.5, 3.5});
+    c.flush();
+    const std::string written = readFile(path);
+
+    // Backdate the file so a rewrite would show in its mtime.
+    const auto old_time = std::filesystem::last_write_time(path) -
+                          std::chrono::hours(1);
+    std::filesystem::last_write_time(path, old_time);
+
+    // A warm run: clear, load, hit every entry, flush.
+    c.clear();
+    c.setDirectory(dir);
+    std::vector<double> out;
+    EXPECT_TRUE(c.lookup("d", 1, out));
+    EXPECT_TRUE(c.lookup("d", 2, out));
+    c.flush();
+    EXPECT_EQ(readFile(path), written);
+    EXPECT_EQ(std::filesystem::last_write_time(path), old_time);
+
+    // A sibling sharing the directory writes a newer file; this
+    // cache's clean flush must not replace it with its older copy.
+    const std::string sibling =
+        cacheFileText("\"d:0000000000000001\": [1.5], "
+                      "\"d:0000000000000002\": [2.5, 3.5], "
+                      "\"d:0000000000000003\": [4.5]");
+    writeFile(path, sibling);
+    c.flush();
+    EXPECT_EQ(readFile(path), sibling);
+}
+
+TEST_F(ResultCacheTest, OnlyAChangedEntryMakesTheFlushWrite)
+{
+    const std::string dir = makeTempDir("dirty");
+    const std::string path = dir + "/result_cache.json";
+    auto &c = ResultCache::instance();
+    c.setDirectory(dir);
+    c.store("d", 1, {0.0, 1.0});
+    c.flush();
+    c.clear();
+    c.setDirectory(dir);
+
+    // A marker file shows whether a flush wrote: same entries, but
+    // spelled unlike the writer would.
+    const std::string marker =
+        cacheFileText("\"d:0000000000000001\": [0.0, 1.0]");
+    writeFile(path, marker);
+
+    // Re-storing a bitwise-identical payload changes nothing.
+    c.store("d", 1, {0.0, 1.0});
+    c.flush();
+    EXPECT_EQ(readFile(path), marker);
+
+    // -0.0 == 0.0, but the payload changed bit for bit.
+    c.store("d", 1, {-0.0, 1.0});
+    c.flush();
+    EXPECT_NE(readFile(path), marker);
+    c.clear();
+    c.setDirectory(dir);
+    std::vector<double> out;
+    ASSERT_TRUE(c.lookup("d", 1, out));
+    EXPECT_TRUE(std::signbit(out[0]));
+
+    // A new key makes the next flush write, and only the next one.
+    writeFile(path, marker);
+    c.store("d", 2, {2.0});
+    c.flush();
+    const std::string with_new_key = readFile(path);
+    EXPECT_NE(with_new_key.find("d:0000000000000002"), std::string::npos);
+    writeFile(path, marker);
+    c.flush();
+    EXPECT_EQ(readFile(path), marker);
+}
+
+TEST_F(ResultCacheTest, EntriesStoredBeforeSetDirectoryArePersisted)
+{
+    const std::string dir = makeTempDir("early");
+    std::filesystem::create_directories(dir);
+    const std::string path = dir + "/result_cache.json";
+    writeFile(path, cacheFileText("\"d:0000000000000001\": [1.5]"));
+
+    auto &c = ResultCache::instance();
+    c.store("d", 2, {2.5});
+    c.setDirectory(dir);
+    EXPECT_EQ(c.size(), 2u);
+    c.flush();
+
+    c.clear();
+    c.setDirectory(dir);
+    std::vector<double> out;
+    EXPECT_TRUE(c.lookup("d", 1, out));
+    EXPECT_TRUE(c.lookup("d", 2, out));
+    EXPECT_EQ(out, std::vector<double>({2.5}));
+
+    // The same holds with no file to load yet.
+    std::filesystem::remove(path);
+    c.setDirectory("");
+    c.clear();
+    c.store("d", 3, {3.5});
+    c.setDirectory(dir);
+    c.flush();
+    EXPECT_NE(readFile(path).find("d:0000000000000003"),
+              std::string::npos);
+}
+
+TEST_F(ResultCacheTest, NextFlushRepairsACorruptOrPartlyMalformedFile)
+{
+    const std::string dir = makeTempDir("repair");
+    std::filesystem::create_directories(dir);
+    const std::string path = dir + "/result_cache.json";
+    auto &c = ResultCache::instance();
+    for (const std::string &text :
+         {std::string("{"), std::string("not json at all"),
+          std::string("{\"schema\": \"something-else\"}"),
+          cacheFileText("\"d:0000000000000001\": [1.5], "
+                        "\"d:0000000000000002\": \"bad\""),
+          cacheFileText("\"d:0000000000000001\": [1.5], "
+                        "\"d:0000000000000003\": [2.5, true]")}) {
+        writeFile(path, text);
+        c.setDirectory("");
+        c.clear();
+        c.setDirectory(dir);
+        c.flush();
+        const std::string repaired = readFile(path);
+        EXPECT_NE(repaired, text);
+
+        // The repaired file holds exactly the entries that loaded.
+        const std::size_t loaded = c.size();
+        c.clear();
+        c.setDirectory(dir);
+        EXPECT_EQ(c.size(), loaded) << "input: " << text;
+        c.flush();
+        EXPECT_EQ(readFile(path), repaired) << "input: " << text;
+    }
+}
+
+TEST_F(ResultCacheTest, LoadThatEvictsMakesTheNextFlushWrite)
+{
+    const std::string dir = makeTempDir("evict_load");
+    std::filesystem::create_directories(dir);
+    const std::string path = dir + "/result_cache.json";
+    std::string members;
+    char member[48];
+    for (std::size_t k = 0; k <= ResultCache::capacity; ++k) {
+        std::snprintf(member, sizeof(member), "%s\"d:%016zx\": [1]",
+                      k ? ", " : "", k);
+        members += member;
+    }
+    const std::string text = cacheFileText(members);
+    writeFile(path, text);
+
+    auto &c = ResultCache::instance();
+    c.setDirectory(dir);
+    EXPECT_EQ(c.size(), ResultCache::capacity);
+    c.flush();
+    EXPECT_LT(readFile(path).size(), text.size());
 }
 
 TEST_F(ResultCacheTest, FreeFunctionsUseTheSingleton)
