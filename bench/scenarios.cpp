@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -10,6 +11,7 @@
 
 #include "arch/config.hpp"
 #include "arch/core.hpp"
+#include "arch/front_end.hpp"
 #include "cells/topologies.hpp"
 #include "cells/vtc.hpp"
 #include "circuit/dc.hpp"
@@ -53,6 +55,8 @@ struct Fixtures
     /** Seeded diagonally dominant systems (n = 8, 16, 32) and RHS. */
     std::vector<circuit::Matrix> luSystems;
     std::vector<std::vector<double>> luRhs;
+    /** Pre-expanded front-end streams by workload name (seed 11). */
+    std::map<std::string, std::unique_ptr<arch::FrontEndStream>> streams;
 
     cells::CellFactory &
     getFactory()
@@ -82,6 +86,26 @@ struct Fixtures
             alu16.emplace(netlist::bufferize(raw, 6));
         }
         return *alu16;
+    }
+
+    /**
+     * The baseline-predictor front-end stream of `workload` at seed
+     * 11, with every chunk a 30k + 3k instruction run reads (plus a
+     * ROB of look-ahead) already generated and predicted.
+     */
+    arch::FrontEndStream &
+    getStream(const std::string &workload)
+    {
+        std::unique_ptr<arch::FrontEndStream> &stream = streams[workload];
+        if (!stream) {
+            stream = std::make_unique<arch::FrontEndStream>(
+                workload::profileByName(workload), 11,
+                arch::baselineConfig().predictorBits);
+            constexpr std::size_t chunk = arch::FrontEndStream::chunkInsts;
+            for (std::size_t i = 0; i * chunk < 33000 + chunk; ++i)
+                (void)stream->chunk(i);
+        }
+        return *stream;
     }
 };
 
@@ -458,12 +482,13 @@ addCoreSimulation(perf::ScenarioSuite &suite)
         "arch.core_simulation",
         "arch",
         "cycle-level baseline-core simulation of 30k dhrystone "
-        "instructions after 3k warmup",
-        [] {},
+        "instructions after 3k warmup, read from a pre-expanded "
+        "front-end stream (trace generation and gshare untimed, as in "
+        "the figures)",
+        [] { fixtures().getStream("dhrystone"); },
         []() -> std::uint64_t {
-            workload::TraceGenerator gen(
-                workload::profileByName("dhrystone"), 11);
-            arch::CoreModel model(arch::baselineConfig(), gen);
+            arch::CoreModel model(arch::baselineConfig(),
+                                  fixtures().getStream("dhrystone"));
             return model.run(30000, 3000).instructions;
         },
     });
@@ -474,15 +499,14 @@ addCoreSimulation(perf::ScenarioSuite &suite)
         "arch.core_simulation_wide",
         "arch",
         "cycle-level simulation of the widest fig13 core (fe 6 / alu 5) "
-        "on 30k mcf instructions after 3k warmup",
-        [] {},
+        "on 30k mcf instructions after 3k warmup, read from a "
+        "pre-expanded front-end stream",
+        [] { fixtures().getStream("mcf"); },
         []() -> std::uint64_t {
-            workload::TraceGenerator gen(workload::profileByName("mcf"),
-                                         11);
             arch::CoreConfig config = arch::baselineConfig();
             config.fetchWidth = 6;
             config.aluPipes = 5;
-            arch::CoreModel model(config, gen);
+            arch::CoreModel model(config, fixtures().getStream("mcf"));
             return model.run(30000, 3000).instructions;
         },
     });

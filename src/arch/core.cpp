@@ -31,6 +31,7 @@ CoreModel::CoreModel(CoreConfig config, FrontEndStream *shared,
       fetchDelay(static_cast<std::uint64_t>(
           std::max(config.frontEndDepth(), 1))),
       memory(config.l1Latency, config.l2Latency, config.memLatency),
+      wakeup(config.wakeupPenalty()),
       aluBusyUntil(static_cast<std::size_t>(config.aluPipes), 0)
 {
     if (cfg.fetchWidth < 1 || cfg.aluPipes < 1)
@@ -43,13 +44,96 @@ CoreModel::CoreModel(CoreConfig config, FrontEndStream *shared,
     rob.resize(ring);
     robMask = ring - 1;
     readyQueue.reserve(static_cast<std::size_t>(std::max(cfg.iqSize, 0)));
-    completions.reserve(ring);
+
+    const int slowest_memory =
+        std::max({cfg.l1Latency, cfg.l2Latency, cfg.memLatency});
+    const int fastest_memory =
+        std::min({cfg.l1Latency, cfg.l2Latency, cfg.memLatency});
+    int max_latency = 0;
+    for (OpClass op : {OpClass::IntAlu, OpClass::IntMul, OpClass::IntDiv,
+                       OpClass::Load, OpClass::Store, OpClass::Branch}) {
+        // A delay below one cycle would land in the bucket doComplete()
+        // has already drained.
+        if (completionDelay(op, fastest_memory) < 1)
+            fatal("CoreModel: ", workload::toString(op),
+                  " completes in under one cycle");
+        max_latency =
+            std::max(max_latency, completionDelay(op, slowest_memory));
+    }
+    const std::size_t buckets =
+        std::bit_ceil(static_cast<std::size_t>(max_latency) + 1);
+    wheel.resize(buckets);
+    wheelMask = buckets - 1;
+    wheelOccupied.assign((buckets + 63) / 64, 0);
 }
 
-bool
-CoreModel::laterCompletion(const Completion &a, const Completion &b)
+int
+CoreModel::completionDelay(OpClass op, int memory_latency) const
 {
-    return a.cycle != b.cycle ? a.cycle > b.cycle : a.serial > b.serial;
+    // Results leave the last execute stage, one wakeup penalty later.
+    const int tail = cfg.aluLatency() - 1 + wakeup;
+    int delay = 0;
+    switch (op) {
+      case OpClass::IntAlu:
+        delay = 1 + tail;
+        break;
+      case OpClass::IntMul:
+        delay = cfg.mulLatency + tail;
+        break;
+      case OpClass::IntDiv:
+        delay = cfg.divLatency + tail;
+        break;
+      case OpClass::Load:
+        delay = memory_latency + tail;
+        break;
+      case OpClass::Store:
+        delay = 1;
+        break;
+      case OpClass::Branch:
+        // Resolution at the end of the execute region.
+        delay = cfg.stagesIn(Region::RegRead) +
+                cfg.stagesIn(Region::Execute);
+        break;
+    }
+    return delay;
+}
+
+void
+CoreModel::scheduleCompletion(std::uint64_t done, std::uint64_t serial)
+{
+    const std::size_t b = static_cast<std::size_t>(done & wheelMask);
+    std::vector<std::uint64_t> &bucket = wheel[b];
+    // An entry issued in an earlier cycle with a longer latency may be
+    // younger than this one, so insert in age order.
+    if (bucket.empty() || bucket.back() < serial)
+        bucket.push_back(serial);
+    else
+        bucket.insert(std::upper_bound(bucket.begin(), bucket.end(), serial),
+                      serial);
+    wheelOccupied[b / 64] |= std::uint64_t{1} << (b % 64);
+}
+
+std::uint64_t
+CoreModel::nextCompletionCycle() const
+{
+    // Scan the bitmap circularly from this cycle's bucket; the start
+    // word comes round again last with the buckets below the start,
+    // which hold the latest cycles.
+    const std::size_t start = static_cast<std::size_t>(cycle & wheelMask);
+    const std::size_t words = wheelOccupied.size();
+    std::size_t w = start / 64;
+    std::uint64_t bits =
+        wheelOccupied[w] & (~std::uint64_t{0} << (start % 64));
+    for (std::size_t n = 0; n <= words; ++n) {
+        if (bits) {
+            const std::size_t b =
+                w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+            return cycle + ((b - start) & wheelMask);
+        }
+        w = w + 1 == words ? 0 : w + 1;
+        bits = wheelOccupied[w];
+    }
+    return UINT64_MAX;
 }
 
 std::uint64_t
@@ -60,8 +144,7 @@ CoreModel::nextEventCycle() const
         if (t >= cycle && t < next)
             next = t;
     };
-    if (!completions.empty())
-        consider(completions.front().cycle);
+    consider(nextCompletionCycle());
     if (!fetchBlocked)
         consider(fetchCycle + fetchDelay);
     for (std::uint64_t busy : aluBusyUntil)
@@ -110,16 +193,16 @@ bool
 CoreModel::doComplete()
 {
     // Every due completion is due exactly this cycle (the clock never
-    // skips past the heap top), so the heap yields them oldest first.
-    bool completed = false;
-    while (!completions.empty() && completions.front().cycle <= cycle) {
-        std::pop_heap(completions.begin(), completions.end(),
-                      laterCompletion);
-        const std::uint64_t serial = completions.back().serial;
-        completions.pop_back();
+    // skips past the earliest one), so this cycle's bucket holds them
+    // all, oldest first.
+    const std::size_t b = static_cast<std::size_t>(cycle & wheelMask);
+    std::vector<std::uint64_t> &bucket = wheel[b];
+    if (bucket.empty())
+        return false;
+    for (std::size_t i = 0; i < bucket.size(); ++i) {
+        const std::uint64_t serial = bucket[i];
         RobEntry &entry = slot(serial);
         entry.done = true;
-        completed = true;
         wakeConsumers(entry);
         if (entry.op != OpClass::Branch)
             continue;
@@ -127,17 +210,20 @@ CoreModel::doComplete()
         if (entry.mispredicted) {
             ++stats.mispredicts;
             // Redirect. Fetch stopped behind this branch, so nothing
-            // younger exists to squash (see the file comment). Fetch
-            // resumes next cycle with a new group.
-            assert(serial + 1 == nextSerial && fetchBlocked &&
+            // younger exists to squash (see the file comment), and it
+            // is the last of the bucket. Fetch resumes next cycle with
+            // a new group.
+            assert(i + 1 == bucket.size() && serial + 1 == nextSerial &&
+                   fetchBlocked &&
                    "mispredicted branch must be the youngest in flight");
             fetchCycle = cycle + 1;
             fetchSlot = 0;
             fetchBlocked = false;
-            break;
         }
     }
-    return completed;
+    bucket.clear();
+    wheelOccupied[b / 64] &= ~(std::uint64_t{1} << (b % 64));
+    return true;
 }
 
 bool
@@ -150,7 +236,6 @@ CoreModel::doIssue()
     int mem_free = cfg.memPipes;
     int branch_free = cfg.branchPipes;
 
-    const int wakeup = cfg.wakeupPenalty();
     bool issued = false;
     // Oldest first over the Waiting entries whose operands are ready.
     // Dispatch keeps the issue queue within iqSize, so all of it is
@@ -167,37 +252,14 @@ CoreModel::doIssue()
         if (entry.earliestIssue > cycle)
             continue;
 
-        std::uint64_t done = 0;
+        int memory_latency = 0;
         switch (entry.op) {
           case OpClass::IntAlu:
-            if (alu_free == 0)
-                continue;
-            --alu_free;
-            done = cycle + static_cast<std::uint64_t>(cfg.aluLatency() +
-                                                      wakeup);
-            break;
           case OpClass::IntMul:
-            if (alu_free == 0)
-                continue;
-            --alu_free;
-            done = cycle + static_cast<std::uint64_t>(
-                               cfg.mulLatency + cfg.aluLatency() - 1 +
-                               wakeup);
-            break;
           case OpClass::IntDiv:
             if (alu_free == 0)
                 continue;
             --alu_free;
-            // Divide blocks its pipe until completion.
-            done = cycle + static_cast<std::uint64_t>(
-                               cfg.divLatency + cfg.aluLatency() - 1 +
-                               wakeup);
-            for (std::uint64_t &busy : aluBusyUntil) {
-                if (busy <= cycle) {
-                    busy = done;
-                    break;
-                }
-            }
             break;
           case OpClass::Load: {
             if (mem_free == 0)
@@ -205,12 +267,10 @@ CoreModel::doIssue()
             --mem_free;
             const std::uint64_t l1m = memory.l1().misses();
             const std::uint64_t l2m = memory.l2().misses();
-            const int latency = memory.loadLatency(entry.address);
+            memory_latency = memory.loadLatency(entry.address);
             stats.l1Misses += memory.l1().misses() - l1m;
             stats.l2Misses += memory.l2().misses() - l2m;
             ++stats.loads;
-            done = cycle + static_cast<std::uint64_t>(
-                               latency + cfg.aluLatency() - 1 + wakeup);
             break;
           }
           case OpClass::Store:
@@ -219,23 +279,28 @@ CoreModel::doIssue()
             --mem_free;
             memory.store(entry.address);
             ++stats.stores;
-            done = cycle + 1;
             break;
           case OpClass::Branch:
             if (branch_free == 0)
                 continue;
             --branch_free;
-            // Resolution at the end of the execute region.
-            done = cycle + static_cast<std::uint64_t>(
-                               cfg.stagesIn(Region::RegRead) +
-                               cfg.stagesIn(Region::Execute));
             break;
+        }
+        const std::uint64_t done =
+            cycle + static_cast<std::uint64_t>(
+                        completionDelay(entry.op, memory_latency));
+        if (entry.op == OpClass::IntDiv) {
+            // Divide blocks its pipe until completion.
+            for (std::uint64_t &busy : aluBusyUntil) {
+                if (busy <= cycle) {
+                    busy = done;
+                    break;
+                }
+            }
         }
         --kept;
         --waitingCount;
-        completions.push_back({done, serial});
-        std::push_heap(completions.begin(), completions.end(),
-                       laterCompletion);
+        scheduleCompletion(done, serial);
         issued = true;
     }
     // Close the gap left by issued entries; any entries behind an

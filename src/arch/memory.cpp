@@ -1,5 +1,7 @@
 #include "arch/memory.hpp"
 
+#include <bit>
+
 #include "util/logging.hpp"
 
 namespace otft::arch {
@@ -22,12 +24,16 @@ Cache::Cache(std::size_t size_bytes, int ways, int line_bytes)
 {
     if (ways < 1 || size_bytes == 0 || line_bytes <= 0)
         fatal("Cache: bad geometry");
-    numSets = size_bytes /
-              (static_cast<std::size_t>(ways) *
-               static_cast<std::size_t>(line_bytes));
-    if (numSets == 0)
-        numSets = 1;
-    lines.assign(numSets * static_cast<std::size_t>(ways), Line{});
+    std::size_t num_sets = size_bytes /
+                           (static_cast<std::size_t>(ways) *
+                            static_cast<std::size_t>(line_bytes));
+    if (num_sets == 0)
+        num_sets = 1;
+    if (!std::has_single_bit(num_sets))
+        fatal("Cache: ", num_sets, " sets; the set count must be a power "
+              "of two");
+    setMask = num_sets - 1;
+    lines.assign(num_sets * static_cast<std::size_t>(ways), Line{});
 }
 
 bool
@@ -35,8 +41,7 @@ Cache::access(std::uint64_t address)
 {
     ++clock;
     const std::uint64_t line_addr = address >> lineShift;
-    const std::size_t set =
-        static_cast<std::size_t>(line_addr % numSets);
+    const std::size_t set = static_cast<std::size_t>(line_addr & setMask);
     Line *base = &lines[set * static_cast<std::size_t>(ways)];
 
     Line *victim = base;

@@ -6,6 +6,10 @@
  * access latency in cycles. Instruction fetch is modeled as always
  * hitting (the synthetic traces have small static footprints, and the
  * paper's depth/width conclusions hinge on data-side behavior).
+ *
+ * Every level has a power-of-two set count (L1D 32 KiB 4-way: 128
+ * sets; L2 256 KiB 8-way: 512 sets), so the set index is the low bits
+ * of the line address; Cache rejects any other geometry.
  */
 
 #ifndef OTFT_ARCH_MEMORY_HPP
@@ -24,6 +28,10 @@ class Cache
      * @param size_bytes total capacity
      * @param ways associativity
      * @param line_bytes cache line size
+     *
+     * The set count, size_bytes / (ways x line_bytes), must be a power
+     * of two (fatal otherwise): the set index is a mask of the line
+     * address, not a division.
      */
     Cache(std::size_t size_bytes, int ways, int line_bytes = 64);
 
@@ -42,7 +50,8 @@ class Cache
 
     int ways;
     int lineShift;
-    std::size_t numSets;
+    /** Set count minus one; the set of a line is `line & setMask`. */
+    std::uint64_t setMask = 0;
     std::vector<Line> lines; // numSets x ways
     std::uint64_t clock = 0;
     std::uint64_t hits_ = 0;

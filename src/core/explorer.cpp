@@ -1,5 +1,7 @@
 #include "core/explorer.hpp"
 
+#include <algorithm>
+
 #include "util/diag.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
@@ -214,6 +216,17 @@ ArchExplorer::depthSweep(int max_stages)
     return sweep;
 }
 
+std::size_t
+widthSweepSlot(std::size_t k, std::size_t n_fe, std::size_t n_be)
+{
+    const std::size_t short_axis = std::min(n_fe, n_be);
+    const std::size_t long_axis = std::max(n_fe, n_be);
+    const std::size_t s = k % short_axis;
+    const std::size_t l = (s + k / short_axis) % long_axis;
+    const bool fe_short = n_fe <= n_be;
+    return (fe_short ? l : s) * n_fe + (fe_short ? s : l);
+}
+
 WidthSweep
 ArchExplorer::widthSweep(int fe_min, int fe_max, int be_min, int be_max)
 {
@@ -232,30 +245,29 @@ ArchExplorer::widthSweep(int fe_min, int fe_max, int be_min, int be_max)
             fatal("widthSweep: back-end width ", be,
                   " leaves no ALU pipes");
 
-    // One task per flattened (be, fe) point, all synthesizing through
-    // the shared synthesizer: a front-end block is built and timed
-    // once per fetch width and a back-end block once per back-end
-    // width, whichever task asks first.
+    // One task per (be, fe) point, all synthesizing through the shared
+    // synthesizer: a front-end block is built and timed once per fetch
+    // width and a back-end block once per back-end width, whichever
+    // task asks first. Tasks start in wrapped-diagonal order, so the
+    // points in flight at once ask for distinct blocks instead of
+    // waiting on one; each result lands in its grid slot.
     const std::size_t n_fe =
         static_cast<std::size_t>(fe_max - fe_min + 1);
     const std::size_t n_be =
         static_cast<std::size_t>(be_max - be_min + 1);
     progress::Reporter reporter("explorer.width_sweep", n_be * n_fe);
-    auto flat = parallel::orderedMap<DesignPoint>(
-        n_be * n_fe, [&](std::size_t k) {
-            const int be = be_min + static_cast<int>(k / n_fe);
-            const int fe = fe_min + static_cast<int>(k % n_fe);
-            arch::CoreConfig config = arch::baselineConfig();
-            config.fetchWidth = fe;
-            config.aluPipes =
-                be - config.memPipes - config.branchPipes;
-            const std::int64_t t0 = stats::monotonicNowNs();
-            DesignPoint point = evaluate(config);
-            reporter.itemDone(
-                static_cast<double>(stats::monotonicNowNs() - t0) *
-                1e-9);
-            return point;
-        });
+    std::vector<DesignPoint> flat(n_be * n_fe);
+    parallel::parallelFor(n_be * n_fe, [&](std::size_t k) {
+        const std::size_t slot = widthSweepSlot(k, n_fe, n_be);
+        arch::CoreConfig config = arch::baselineConfig();
+        config.fetchWidth = fe_min + static_cast<int>(slot % n_fe);
+        config.aluPipes = be_min + static_cast<int>(slot / n_fe) -
+                          config.memPipes - config.branchPipes;
+        const std::int64_t t0 = stats::monotonicNowNs();
+        flat[slot] = evaluate(config);
+        reporter.itemDone(
+            static_cast<double>(stats::monotonicNowNs() - t0) * 1e-9);
+    });
     reporter.done();
 
     for (std::size_t row = 0; row < n_be; ++row) {

@@ -79,6 +79,19 @@ struct ExplorerConfig
     sta::StaConfig sta = {};
 };
 
+/**
+ * Grid slot `be_i * n_fe + fe_i` of the k-th point a width sweep
+ * starts, on a grid of n_fe fetch widths x n_be back-end widths.
+ * Points start in wrapped-diagonal order: with b = min(n_fe, n_be)
+ * and a = max(n_fe, n_be), point k takes short-axis index s = k % b
+ * and long-axis index (s + k / b) % a. Every b consecutive points
+ * from a multiple of b on then use b distinct fetch widths and b
+ * distinct back-end widths, so points started together synthesize
+ * distinct blocks instead of waiting on one.
+ */
+std::size_t widthSweepSlot(std::size_t k, std::size_t n_fe,
+                           std::size_t n_be);
+
 /** The exploration driver bound to one technology library. */
 class ArchExplorer
 {
@@ -109,7 +122,11 @@ class ArchExplorer
      */
     DepthSweep depthSweep(int max_stages = 15);
 
-    /** The paper's width sweep at baseline depth. */
+    /**
+     * The paper's width sweep at baseline depth. Points start in the
+     * wrapped-diagonal order of widthSweepSlot(); the result is in
+     * grid order whatever the order or job count.
+     */
     WidthSweep widthSweep(int fe_min = 1, int fe_max = 6,
                           int be_min = 3, int be_max = 7);
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "arch/memory.hpp"
+#include "util/logging.hpp"
 
 namespace otft::arch {
 namespace {
@@ -51,6 +52,11 @@ TEST(Cache, ThrashingAboveCapacity)
     }
     // Sequential sweep of 16x capacity: every access misses.
     EXPECT_EQ(cache.misses() - misses_before, 64u * 1024 / 64);
+}
+
+TEST(Cache, RejectsNonPowerOfTwoSetCount)
+{
+    EXPECT_THROW(Cache(3 * 64, 1, 64), FatalError); // 3 sets
 }
 
 TEST(MemoryModel, LatencyTiers)

@@ -1,7 +1,9 @@
 /** @file Tests for the architecture exploration drivers. */
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -64,6 +66,37 @@ TEST(Explorer, WidthSweepShape)
     ASSERT_EQ(sweep.points[0].size(), 2u); // fe 1..2
     EXPECT_EQ(sweep.points[0][1].config.fetchWidth, 2);
     EXPECT_EQ(sweep.points[1][0].config.backendWidth(), 4);
+}
+
+/**
+ * On every grid shape up to 7x7 the start order reaches every slot
+ * once, and each run of min(n_fe, n_be) points from a multiple of it
+ * repeats no fetch width and no back-end width.
+ */
+TEST(Explorer, WidthSweepSlotOrder)
+{
+    for (std::size_t n_fe = 1; n_fe <= 7; ++n_fe) {
+        for (std::size_t n_be = 1; n_be <= 7; ++n_be) {
+            const std::size_t n = n_fe * n_be;
+            const std::size_t run = std::min(n_fe, n_be);
+            std::vector<int> hits(n, 0);
+            std::vector<std::size_t> fe_run(n_fe, n), be_run(n_be, n);
+            for (std::size_t k = 0; k < n; ++k) {
+                const std::size_t slot = widthSweepSlot(k, n_fe, n_be);
+                ASSERT_LT(slot, n) << n_fe << "x" << n_be;
+                ++hits[slot];
+                EXPECT_NE(fe_run[slot % n_fe], k / run)
+                    << n_fe << "x" << n_be << " point " << k;
+                EXPECT_NE(be_run[slot / n_fe], k / run)
+                    << n_fe << "x" << n_be << " point " << k;
+                fe_run[slot % n_fe] = k / run;
+                be_run[slot / n_fe] = k / run;
+            }
+            for (std::size_t slot = 0; slot < n; ++slot)
+                EXPECT_EQ(hits[slot], 1)
+                    << n_fe << "x" << n_be << " slot " << slot;
+        }
+    }
 }
 
 TEST(Explorer, AluDepthSweepMonotoneFrequency)

@@ -131,26 +131,42 @@ TEST(ParallelDeterminism, ExplorerSweepByteIdentical)
     const liberty::CellLibrary silicon =
         liberty::makeSiliconLibrary();
 
-    const auto sweep = [&silicon](int jobs_count) {
+    // Sweeps fetch widths 1..fe_max x back-end widths 3..4. Points
+    // start out of grid order, so each must still land in its slot.
+    const auto sweep = [&silicon](int jobs_count, int fe_max) {
         parallel::JobsOverride pin(jobs_count);
-        // Uncached, so the 8-job sweep computes every point instead
+        // Uncached, so the parallel sweep computes every point instead
         // of reading back what the serial sweep stored.
         cache::EnabledOverride off(false);
         core::ExplorerConfig config;
         config.instructions = 2000;
         core::ArchExplorer explorer(silicon, config);
-        const auto grid = explorer.widthSweep(1, 2, 3, 4);
+        const auto grid = explorer.widthSweep(1, fe_max, 3, 4);
         std::string out;
-        for (const auto &row : grid.points)
-            for (const auto &point : row)
+        EXPECT_EQ(grid.points.size(), 2u);
+        for (std::size_t be_i = 0; be_i < grid.points.size(); ++be_i) {
+            EXPECT_EQ(grid.points[be_i].size(),
+                      static_cast<std::size_t>(fe_max));
+            for (std::size_t fe_i = 0; fe_i < grid.points[be_i].size();
+                 ++fe_i) {
+                const auto &point = grid.points[be_i][fe_i];
+                EXPECT_EQ(point.config.fetchWidth,
+                          1 + static_cast<int>(fe_i));
+                EXPECT_EQ(point.config.backendWidth(),
+                          3 + static_cast<int>(be_i));
                 out += dumpPoint(point);
+            }
+        }
         return out;
     };
 
-    const std::string serial = sweep(1);
-    const std::string parallel8 = sweep(8);
+    const std::string serial = sweep(1, 2);
     EXPECT_FALSE(serial.empty());
-    EXPECT_EQ(serial, parallel8);
+    EXPECT_EQ(serial, sweep(8, 2));
+    // Non-square: 3 fetch widths x 2 back-end widths.
+    const std::string serial_3x2 = sweep(1, 3);
+    EXPECT_FALSE(serial_3x2.empty());
+    EXPECT_EQ(serial_3x2, sweep(4, 3));
 }
 
 TEST(ParallelDeterminism, SharedSynthesizerMatchesFreshSerial)
