@@ -12,6 +12,7 @@
  * mc_smoke lane.
  */
 
+#include <cstdint>
 #include <sstream>
 #include <string>
 
@@ -19,6 +20,7 @@
 
 #include "liberty/mc_characterizer.hpp"
 #include "liberty/serialize.hpp"
+#include "liberty/silicon.hpp"
 #include "util/parallel.hpp"
 #include "util/result_cache.hpp"
 
@@ -38,19 +40,30 @@ smallConfig()
     return config;
 }
 
+/** The mean/slow/fast corners exactly as written to disk. */
+std::string
+cornerText(const liberty::StatLibrary &stat)
+{
+    std::ostringstream out;
+    liberty::writeLibrary(out, stat.mean);
+    liberty::writeLibrary(out, stat.slow);
+    liberty::writeLibrary(out, stat.fast);
+    return out.str();
+}
+
 /** Serialized triple of the statistical library at a jobs count. */
 std::string
 statDumpAtJobs(int jobs, bool use_cache)
 {
     parallel::JobsOverride guard(jobs);
     cache::EnabledOverride enable(use_cache);
-    const liberty::StatLibrary stat =
-        liberty::McCharacterizer(smallConfig()).run();
-    std::ostringstream out;
-    liberty::writeLibrary(out, stat.mean);
-    liberty::writeLibrary(out, stat.slow);
-    liberty::writeLibrary(out, stat.fast);
-    return out.str();
+    return cornerText(liberty::McCharacterizer(smallConfig()).run());
+}
+
+std::uint64_t
+bytesHash(const std::string &text)
+{
+    return cache::KeyHasher().add(text).digest();
 }
 
 TEST(McDeterminism, StatLibraryBytesIdenticalAcrossJobCounts)
@@ -73,6 +86,28 @@ TEST(McDeterminism, StatLibraryBytesIdenticalWithCacheDisabled)
     const std::string warm = statDumpAtJobs(4, true);
     EXPECT_EQ(cold, warm);
     EXPECT_EQ(cold, statDumpAtJobs(4, false));
+}
+
+/**
+ * Golden corner bytes of a three-sample {inv, nand2, dff} run on the
+ * 2x2 grid; the flop covers the clk->Q, setup and hold moments.
+ * Captured before the Monte Carlo and analytic corners shared one
+ * corner-cell builder.
+ */
+TEST(McDeterminism, CornerBytesHashIsBitExact)
+{
+    liberty::McConfig config = smallConfig();
+    config.roster = {"inv", "nand2", "dff"};
+    const liberty::StatLibrary stat = liberty::McCharacterizer(config).run();
+    EXPECT_EQ(bytesHash(cornerText(stat)), 0x05df2995168c2bf7ull);
+}
+
+/** Golden corner bytes of the silicon analytic corners at 1.5% sigma. */
+TEST(McDeterminism, ScaledCornerBytesHashIsBitExact)
+{
+    const liberty::StatLibrary stat =
+        liberty::scaledCorners(liberty::makeSiliconLibrary(), 0.015);
+    EXPECT_EQ(bytesHash(cornerText(stat)), 0x6a05074d5684ec1full);
 }
 
 } // namespace
