@@ -87,7 +87,7 @@ main(int argc, char **argv)
                 "%.1f-sigma corners\n\n",
                 config.samples,
                 static_cast<unsigned long long>(config.seed),
-                config.cornerSigma);
+                liberty::cornerSigma);
 
     const liberty::McCharacterizer mc(config);
     const liberty::StatLibrary stat = mc.run();
@@ -120,7 +120,7 @@ main(int argc, char **argv)
     std::printf("mean relative delay sigma: %.3f (3-sigma slow corner "
                 "is ~%.0f%% slower than mean)\n",
                 mean_sigma_fraction,
-                100.0 * stat.cornerSigma * mean_sigma_fraction);
+                100.0 * liberty::cornerSigma * mean_sigma_fraction);
 
     session.setPoints(static_cast<std::int64_t>(stat.cells.size()) *
                       config.samples);

@@ -52,9 +52,8 @@ organicStatLibrary(const cli::Session &session)
     if (mean && slow && fast) {
         std::printf("loaded cached %s_{mean,slow,fast}.lib\n",
                     prefix.c_str());
-        liberty::StatLibrary stat{std::move(*mean), std::move(*slow),
-                                  std::move(*fast), {}, 0, 0, 3.0};
-        return stat;
+        return {std::move(*mean), std::move(*slow), std::move(*fast),
+                {}, 0, 0};
     }
     liberty::McConfig config;
     config.samples = session.mcSamples();
@@ -104,7 +103,7 @@ main(int argc, char **argv)
     // corner ~4.5% off mean, the usual mature-node spread).
     const liberty::StatLibrary organic = organicStatLibrary(session);
     const liberty::StatLibrary silicon = liberty::scaledCorners(
-        liberty::makeSiliconLibrary(), 0.015, 3.0, "silicon");
+        liberty::makeSiliconLibrary(), 0.015, "silicon");
 
     core::YieldExplorerConfig config;
     config.targetYield = target_yield;

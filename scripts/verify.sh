@@ -26,9 +26,10 @@
 #   --mc     Monte Carlo smoke lane: run the mc_smoke-labelled ctest
 #            suite (full-roster 16-sample statistical
 #            characterization), then run bench/mc_characterize end to
-#            end, writing the three corner .lib artifacts and
-#            re-validating them from disk with --check. Tens of
-#            seconds of solver time, so opt-in rather than tier-1.
+#            end, writing the three corner .lib artifacts,
+#            re-validating them from disk with --check, and running
+#            bench/yield_sweep on them. Tens of seconds of solver
+#            time, so opt-in rather than tier-1.
 #
 # The sanitizer lanes keep their own build trees so the default tree
 # stays warm for the plain gate.
@@ -139,14 +140,14 @@ fi
 
 if [[ "${MC_SMOKE}" == "1" ]]; then
     cmake --build "${BUILD_DIR}" -j "${JOBS}" \
-        --target mc_characterize test_mc_smoke
+        --target mc_characterize yield_sweep test_mc_smoke
     ctest --test-dir "${BUILD_DIR}" -L mc_smoke \
         --output-on-failure -j "${JOBS}"
     MC_DIR="${BUILD_DIR}/mc_smoke_artifacts"
     mkdir -p "${MC_DIR}"
     # End-to-end artifact path: characterize 16 samples, write the
-    # three corner libraries, then reload and validate them from disk
-    # exactly as yield_sweep would consume them.
+    # three corner libraries, reload and validate them from disk, then
+    # hand them to their one consumer, yield_sweep.
     "${BUILD_DIR}/bench/mc_characterize" --mc-samples 16 --mc-seed 1 \
         --out-prefix "${MC_DIR}/organic_mc"
     for corner in mean slow fast; do
@@ -157,6 +158,19 @@ if [[ "${MC_SMOKE}" == "1" ]]; then
     done
     "${BUILD_DIR}/bench/mc_characterize" \
         --out-prefix "${MC_DIR}/organic_mc" --check
+    YIELD_BIN="$(cd "${BUILD_DIR}/bench" && pwd)/yield_sweep"
+    YIELD_LOG="${MC_DIR}/yield_sweep.out"
+    (cd "${MC_DIR}" && "${YIELD_BIN}" --jobs "${JOBS}") \
+        | tee "${YIELD_LOG}"
+    if ! grep -qF 'loaded cached organic_mc_{mean,slow,fast}.lib' \
+        "${YIELD_LOG}"; then
+        echo "error: yield_sweep did not load the corner libraries" >&2
+        exit 1
+    fi
+    if ! grep -qF '"organic_f_yield"' "${YIELD_LOG}"; then
+        echo "error: yield_sweep footer has no organic_f_yield" >&2
+        exit 1
+    fi
     echo "mc lane ok"
     exit 0
 fi

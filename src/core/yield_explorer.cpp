@@ -3,71 +3,73 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sta/corners.hpp"
 #include "util/logging.hpp"
+#include "util/stats.hpp"
 #include "util/stats_registry.hpp"
 #include "util/trace.hpp"
 
 namespace otft::core {
+
+PeriodModel
+PeriodModel::fromCorners(double mean_period, double slow_period)
+{
+    return {mean_period,
+            std::max(slow_period - mean_period, 0.0) / liberty::cornerSigma};
+}
+
+double
+PeriodModel::yieldAt(double period) const
+{
+    if (sigma <= 0.0)
+        return period >= mean ? 1.0 : 0.0;
+    return normalCdf((period - mean) / sigma);
+}
+
+double
+PeriodModel::periodAt(double target_yield) const
+{
+    const double period = mean + normalQuantile(target_yield) * sigma;
+    if (period <= 0.0)
+        fatal("PeriodModel: non-positive period at yield ", target_yield);
+    return period;
+}
 
 double
 YieldCurve::yieldAtFrequency(double frequency) const
 {
     if (frequency <= 0.0)
         fatal("yieldAtFrequency: frequency must be > 0");
-    const double period = 1.0 / frequency;
-    if (periodSigma <= 0.0)
-        return period >= meanPeriod ? 1.0 : 0.0;
-    return sta::normalCdf((period - meanPeriod) / periodSigma);
+    return PeriodModel{meanPeriod, periodSigma}.yieldAt(1.0 / frequency);
 }
 
 double
 YieldCurve::frequencyAtYield(double target_yield) const
 {
-    if (!(target_yield > 0.0 && target_yield < 1.0))
-        fatal("frequencyAtYield: yield must lie in (0, 1), got ",
-              target_yield);
-    const double period =
-        meanPeriod + sta::normalQuantile(target_yield) * periodSigma;
-    if (period <= 0.0)
-        fatal("frequencyAtYield: non-positive period at yield ",
-              target_yield);
-    return 1.0 / period;
+    return 1.0 / PeriodModel{meanPeriod, periodSigma}.periodAt(target_yield);
 }
 
 YieldExplorer::YieldExplorer(const liberty::StatLibrary &stat,
                              YieldExplorerConfig config)
-    : mean_(stat.mean), slow_(stat.slow),
-      cornerSigma_(stat.cornerSigma), config_(config),
+    : mean_(stat.mean), slow_(stat.slow), config_(config),
       meanExplorer_(mean_, config.explorer),
       slowExplorer_(slow_, config.explorer)
 {
     if (!(config_.targetYield > 0.0 && config_.targetYield < 1.0))
         fatal("YieldExplorer: target yield must lie in (0, 1), got ",
               config_.targetYield);
-    if (cornerSigma_ <= 0.0)
-        fatal("YieldExplorer: statistical library has no corner "
-              "deration (cornerSigma <= 0)");
 }
 
 YieldDesignPoint
 YieldExplorer::combine(DesignPoint nominal,
                        const DesignPoint &slow) const
 {
+    const PeriodModel model = PeriodModel::fromCorners(
+        nominal.timing.clockPeriod, slow.timing.clockPeriod);
     YieldDesignPoint point;
     point.slowPeriod = slow.timing.clockPeriod;
-    point.periodSigma =
-        std::max(slow.timing.clockPeriod -
-                     nominal.timing.clockPeriod,
-                 0.0) /
-        cornerSigma_;
+    point.periodSigma = model.sigma;
     point.targetYield = config_.targetYield;
-    const double period =
-        nominal.timing.clockPeriod +
-        sta::normalQuantile(config_.targetYield) * point.periodSigma;
-    if (period <= 0.0)
-        fatal("YieldExplorer: non-positive sign-off period");
-    point.yieldFrequency = 1.0 / period;
+    point.yieldFrequency = 1.0 / model.periodAt(config_.targetYield);
     point.yieldPerformance = nominal.meanIpc * point.yieldFrequency;
     point.nominal = std::move(nominal);
     return point;

@@ -7,9 +7,10 @@
  * target fraction of flexible foils actually works". This driver
  * evaluates every design point under the mean and slow statistical
  * corner libraries (liberty/mc_characterizer), recovers the Gaussian
- * clock-period spread from the corner pair, and re-bases frequency and
- * performance at a target parametric yield:
+ * clock-period spread from the corner pair (PeriodModel), and re-bases
+ * frequency and performance at a target parametric yield:
  *
+ *     sigma_period = (T_slow - T_mean) / liberty::cornerSigma
  *     f(yield) = 1 / (T_mean + Phi^-1(yield) * sigma_period)
  *
  * With that, the paper's depth and width sweeps (Figs. 11/13) re-run
@@ -28,6 +29,35 @@
 #include "liberty/mc_characterizer.hpp"
 
 namespace otft::core {
+
+/**
+ * Gaussian clock-period model of one design: manufactured instances
+ * have normally distributed minimum periods around the mean-corner
+ * period, with the spread the slow corner implies.
+ */
+struct PeriodModel
+{
+    double mean = 0.0;  // seconds
+    double sigma = 0.0; // seconds
+
+    /**
+     * The model of a (mean, slow) corner period pair:
+     * sigma = max(slow - mean, 0) / liberty::cornerSigma.
+     */
+    static PeriodModel fromCorners(double mean_period, double slow_period);
+
+    /**
+     * Fraction of instances meeting `period`: 0.5 at the mean, Phi(3)
+     * at the slow corner, and a step at the mean when sigma is zero.
+     */
+    double yieldAt(double period) const;
+
+    /**
+     * Shortest period a `target_yield` fraction of instances meets,
+     * the inverse of yieldAt. Fatal unless the result is positive.
+     */
+    double periodAt(double target_yield) const;
+};
 
 /** One (frequency, yield) sample of a yield curve. */
 struct YieldPoint
@@ -138,7 +168,6 @@ class YieldExplorer
 
     liberty::CellLibrary mean_;
     liberty::CellLibrary slow_;
-    double cornerSigma_;
     YieldExplorerConfig config_;
     ArchExplorer meanExplorer_;
     ArchExplorer slowExplorer_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "device/variation.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
 #include "util/progress.hpp"
@@ -46,21 +47,21 @@ moments(const std::vector<double> &xs)
 enum class Corner { Mean, Slow, Fast };
 
 /**
- * Derate one mean/sigma pair. Slow adds, fast subtracts; fast is
- * floored at 1% of the mean so a huge sigma can never produce a
- * non-physical zero or negative delay, and the floor keeps
- * fast <= mean by construction.
+ * Derate one mean/sigma pair by `cornerSigma`. Slow adds, fast
+ * subtracts; fast is floored at 1% of the mean so a huge sigma can
+ * never produce a non-physical zero or negative delay, and the floor
+ * keeps fast <= mean by construction.
  */
 double
-derate(double mean, double sigma, double corner_sigma, Corner corner)
+derate(double mean, double sigma, Corner corner)
 {
     switch (corner) {
     case Corner::Mean:
         return mean;
     case Corner::Slow:
-        return mean + corner_sigma * sigma;
+        return mean + cornerSigma * sigma;
     case Corner::Fast:
-        return std::max(mean - corner_sigma * sigma, 0.01 * mean);
+        return std::max(mean - cornerSigma * sigma, 0.01 * mean);
     }
     return mean;
 }
@@ -94,13 +95,11 @@ tableMoments(const std::vector<const NldmTable *> &tables,
 
 /** Derated table from mean/sigma tables. */
 NldmTable
-derateTable(const NldmTable &mean, const NldmTable &sigma,
-            double corner_sigma, Corner corner)
+derateTable(const NldmTable &mean, const NldmTable &sigma, Corner corner)
 {
     std::vector<double> values(mean.values().size());
     for (std::size_t k = 0; k < values.size(); ++k)
-        values[k] = derate(mean.values()[k], sigma.values()[k],
-                           corner_sigma, corner);
+        values[k] = derate(mean.values()[k], sigma.values()[k], corner);
     return NldmTable(mean.slewAxis(), mean.loadAxis(),
                      std::move(values));
 }
@@ -117,52 +116,52 @@ scalarMoments(const std::vector<StdCell> &samples,
     return moments(xs);
 }
 
-/** Build one corner StdCell from the sample set + reduced stats. */
+/**
+ * Build one corner cell from the reduced statistics. `shape` supplies
+ * everything that does not vary across process samples: the name,
+ * pins, area, input cap and clock-pin cap.
+ */
 StdCell
-buildCornerCell(const std::vector<StdCell> &samples,
-                const CellStats &stats, double corner_sigma,
-                Corner corner)
+cornerCell(const StdCell &shape, const CellStats &stats, Corner corner)
 {
-    const StdCell &first = samples.front();
     StdCell cell;
-    cell.name = first.name;
-    cell.fanIn = first.fanIn;
-    cell.isSequential = first.isSequential;
-    // Geometry does not vary across process samples.
-    cell.area = first.area;
-    cell.inputCap = first.inputCap;
-    cell.leakage = derate(stats.leakageMean, stats.leakageSigma,
-                          corner_sigma, corner);
+    cell.name = shape.name;
+    cell.fanIn = shape.fanIn;
+    cell.isSequential = shape.isSequential;
+    cell.area = shape.area;
+    cell.inputCap = shape.inputCap;
+    cell.leakage = derate(stats.leakageMean, stats.leakageSigma, corner);
     if (cell.isSequential) {
-        const auto field = [&](double (*get)(const StdCell &)) {
-            return scalarMoments(samples, get);
-        };
-        const Moments hold =
-            field([](const StdCell &c) { return c.flop.hold; });
-        cell.flop.clkToQ = derate(stats.clkToQMean, stats.clkToQSigma,
-                                  corner_sigma, corner);
-        cell.flop.setup = derate(stats.setupMean, stats.setupSigma,
-                                 corner_sigma, corner);
-        cell.flop.hold =
-            derate(hold.mean, hold.sigma, corner_sigma, corner);
-        cell.flop.clockPinCap = first.flop.clockPinCap;
+        cell.flop.clkToQ =
+            derate(stats.clkToQMean, stats.clkToQSigma, corner);
+        cell.flop.setup = derate(stats.setupMean, stats.setupSigma, corner);
+        cell.flop.hold = derate(stats.holdMean, stats.holdSigma, corner);
+        cell.flop.clockPinCap = shape.flop.clockPinCap;
     }
     for (const ArcStats &arc_stats : stats.arcs) {
         TimingArc arc;
         arc.fromPin = arc_stats.fromPin;
         for (int sense = 0; sense < 2; ++sense) {
-            arc.delay[sense] =
-                derateTable(arc_stats.delayMean[sense],
-                            arc_stats.delaySigma[sense], corner_sigma,
-                            corner);
-            arc.outputSlew[sense] =
-                derateTable(arc_stats.slewMean[sense],
-                            arc_stats.slewSigma[sense], corner_sigma,
-                            corner);
+            arc.delay[sense] = derateTable(arc_stats.delayMean[sense],
+                                           arc_stats.delaySigma[sense],
+                                           corner);
+            arc.outputSlew[sense] = derateTable(
+                arc_stats.slewMean[sense], arc_stats.slewSigma[sense],
+                corner);
         }
         cell.arcs.push_back(std::move(arc));
     }
     return cell;
+}
+
+/** Add the three corner cells of one cell's statistics. */
+void
+addCornerCells(StatLibrary &stat, const StdCell &shape,
+               const CellStats &stats)
+{
+    stat.mean.addCell(cornerCell(shape, stats, Corner::Mean));
+    stat.slow.addCell(cornerCell(shape, stats, Corner::Slow));
+    stat.fast.addCell(cornerCell(shape, stats, Corner::Fast));
 }
 
 /** Reduce per-sample cells to the distribution summary. */
@@ -181,10 +180,14 @@ reduceCell(const std::vector<StdCell> &samples)
             samples, [](const StdCell &c) { return c.flop.clkToQ; });
         const Moments setup = scalarMoments(
             samples, [](const StdCell &c) { return c.flop.setup; });
+        const Moments hold = scalarMoments(
+            samples, [](const StdCell &c) { return c.flop.hold; });
         stats.clkToQMean = ckq.mean;
         stats.clkToQSigma = ckq.sigma;
         stats.setupMean = setup.mean;
         stats.setupSigma = setup.sigma;
+        stats.holdMean = hold.mean;
+        stats.holdSigma = hold.sigma;
     }
     for (std::size_t a = 0; a < first.arcs.size(); ++a) {
         ArcStats arc;
@@ -208,10 +211,9 @@ reduceCell(const std::vector<StdCell> &samples)
     return stats;
 }
 
-} // namespace
-
+/** The Monte Carlo variation widths. */
 device::VariationConfig
-McConfig::mcDefaultVariation()
+mcVariation()
 {
     device::VariationConfig v;
     // Per-device: the published within-sample spread (defaults).
@@ -222,6 +224,8 @@ McConfig::mcDefaultVariation()
     v.dieMobilityLnSigma = 0.10;
     return v;
 }
+
+} // namespace
 
 CharacterizerConfig
 McConfig::mcDefaultGrid()
@@ -236,8 +240,6 @@ McCharacterizer::McCharacterizer(McConfig config)
 {
     if (config_.samples < 1)
         fatal("mc: samples must be >= 1, got ", config_.samples);
-    if (config_.cornerSigma < 0.0)
-        fatal("mc: cornerSigma must be >= 0");
     if (config_.roster.empty())
         fatal("mc: empty cell roster");
 }
@@ -245,7 +247,7 @@ McCharacterizer::McCharacterizer(McConfig config)
 device::Level61Params
 McCharacterizer::sampleParams(int sample, const std::string &cell) const
 {
-    const device::VariationModel model(config_.variation);
+    const device::VariationModel model(mcVariation());
     // Substream tree: mc -> sample index -> {die, cell/<name>}. The
     // die component is shared by every cell of a sample; the device
     // component is independent per cell instance. All draws are pure
@@ -256,7 +258,7 @@ McCharacterizer::sampleParams(int sample, const std::string &cell) const
     StreamRng die_rng = sample_stream.substream("die");
     const device::DieVariation die = model.sampleDie(die_rng);
     StreamRng device_rng = sample_stream.substream("cell/" + cell);
-    return model.sample(config_.nominal, die, device_rng);
+    return model.sample(device::Level61Params{}, die, device_rng);
 }
 
 StatLibrary
@@ -295,7 +297,8 @@ McCharacterizer::run() const
             ++stat_cells;
             const std::int64_t t0 = stats::monotonicNowNs();
             cells::CellFactory factory(sampleParams(sample, name),
-                                       config_.sizing, config_.supply);
+                                       cells::CellSizing{},
+                                       cells::SupplyConfig{});
             const Characterizer chr(std::move(factory), config_.grid);
             StdCell cell = name == "dff"
                                ? chr.characterizeFlop()
@@ -309,14 +312,13 @@ McCharacterizer::run() const
 
     // Reduce each roster cell across samples (two-pass, in sample
     // order — deterministic at any job count).
-    const double vdd = config_.supply.vdd;
+    const double vdd = cells::SupplyConfig{}.vdd;
     StatLibrary stat{CellLibrary(config_.baseName + "_mean", vdd),
                      CellLibrary(config_.baseName + "_slow", vdd),
                      CellLibrary(config_.baseName + "_fast", vdd),
                      {},
                      config_.samples,
-                     config_.seed,
-                     config_.cornerSigma};
+                     config_.seed};
     for (std::size_t c = 0; c < n_cells; ++c) {
         std::vector<StdCell> samples;
         samples.reserve(static_cast<std::size_t>(config_.samples));
@@ -324,12 +326,7 @@ McCharacterizer::run() const
             samples.push_back(
                 flat[static_cast<std::size_t>(s) * n_cells + c]);
         CellStats cell_stats = reduceCell(samples);
-        stat.mean.addCell(buildCornerCell(
-            samples, cell_stats, config_.cornerSigma, Corner::Mean));
-        stat.slow.addCell(buildCornerCell(
-            samples, cell_stats, config_.cornerSigma, Corner::Slow));
-        stat.fast.addCell(buildCornerCell(
-            samples, cell_stats, config_.cornerSigma, Corner::Fast));
+        addCornerCells(stat, samples.front(), cell_stats);
         stat.cells.push_back(std::move(cell_stats));
     }
     applyOrganicTechnology(stat.mean, config_.grid);
@@ -360,7 +357,7 @@ CellStats::meanDelaySigmaFraction() const
 
 StatLibrary
 scaledCorners(const CellLibrary &base, double sigma_fraction,
-              double corner_sigma, const std::string &base_name)
+              const std::string &base_name)
 {
     if (sigma_fraction < 0.0)
         fatal("scaledCorners: sigma fraction must be >= 0");
@@ -371,22 +368,16 @@ scaledCorners(const CellLibrary &base, double sigma_fraction,
                      CellLibrary(name + "_fast", base.vdd()),
                      {},
                      0,
-                     0,
-                     corner_sigma};
+                     0};
 
-    const auto scale_table = [&](const NldmTable &t, Corner corner) {
+    const auto sigma = [&](double v) {
+        return sigma_fraction * std::abs(v);
+    };
+    const auto sigma_table = [&](const NldmTable &t) {
         std::vector<double> values(t.values().size());
         for (std::size_t k = 0; k < values.size(); ++k)
-            values[k] =
-                derate(t.values()[k],
-                       sigma_fraction * std::abs(t.values()[k]),
-                       corner_sigma, corner);
-        return NldmTable(t.slewAxis(), t.loadAxis(),
-                         std::move(values));
-    };
-    const auto scale_scalar = [&](double v, Corner corner) {
-        return derate(v, sigma_fraction * std::abs(v), corner_sigma,
-                      corner);
+            values[k] = sigma(t.values()[k]);
+        return NldmTable(t.slewAxis(), t.loadAxis(), std::move(values));
     };
 
     for (const std::string &cell_name : base.cellNames()) {
@@ -394,71 +385,32 @@ scaledCorners(const CellLibrary &base, double sigma_fraction,
         CellStats cell_stats;
         cell_stats.name = src.name;
         cell_stats.leakageMean = src.leakage;
-        cell_stats.leakageSigma = sigma_fraction * src.leakage;
+        cell_stats.leakageSigma = sigma(src.leakage);
         if (src.isSequential) {
             cell_stats.clkToQMean = src.flop.clkToQ;
-            cell_stats.clkToQSigma = sigma_fraction * src.flop.clkToQ;
+            cell_stats.clkToQSigma = sigma(src.flop.clkToQ);
             cell_stats.setupMean = src.flop.setup;
-            cell_stats.setupSigma = sigma_fraction * src.flop.setup;
-        }
-        for (const Corner corner :
-             {Corner::Mean, Corner::Slow, Corner::Fast}) {
-            StdCell cell;
-            cell.name = src.name;
-            cell.fanIn = src.fanIn;
-            cell.isSequential = src.isSequential;
-            cell.area = src.area;
-            cell.inputCap = src.inputCap;
-            cell.leakage = scale_scalar(src.leakage, corner);
-            if (src.isSequential) {
-                cell.flop.clkToQ =
-                    scale_scalar(src.flop.clkToQ, corner);
-                cell.flop.setup = scale_scalar(src.flop.setup, corner);
-                cell.flop.hold = scale_scalar(src.flop.hold, corner);
-                cell.flop.clockPinCap = src.flop.clockPinCap;
-            }
-            for (const TimingArc &src_arc : src.arcs) {
-                TimingArc arc;
-                arc.fromPin = src_arc.fromPin;
-                for (int sense = 0; sense < 2; ++sense) {
-                    arc.delay[sense] =
-                        scale_table(src_arc.delay[sense], corner);
-                    arc.outputSlew[sense] =
-                        scale_table(src_arc.outputSlew[sense], corner);
-                }
-                cell.arcs.push_back(std::move(arc));
-            }
-            switch (corner) {
-            case Corner::Mean:
-                stat.mean.addCell(std::move(cell));
-                break;
-            case Corner::Slow:
-                stat.slow.addCell(std::move(cell));
-                break;
-            case Corner::Fast:
-                stat.fast.addCell(std::move(cell));
-                break;
-            }
+            cell_stats.setupSigma = sigma(src.flop.setup);
+            cell_stats.holdMean = src.flop.hold;
+            cell_stats.holdSigma = sigma(src.flop.hold);
         }
         for (const TimingArc &src_arc : src.arcs) {
             ArcStats arc;
             arc.fromPin = src_arc.fromPin;
             for (int sense = 0; sense < 2; ++sense) {
                 arc.delayMean[sense] = src_arc.delay[sense];
-                arc.delaySigma[sense] =
-                    scale_table(src_arc.delay[sense], Corner::Mean);
+                arc.delaySigma[sense] = sigma_table(src_arc.delay[sense]);
                 arc.slewMean[sense] = src_arc.outputSlew[sense];
-                arc.slewSigma[sense] = scale_table(
-                    src_arc.outputSlew[sense], Corner::Mean);
+                arc.slewSigma[sense] =
+                    sigma_table(src_arc.outputSlew[sense]);
             }
             cell_stats.arcs.push_back(std::move(arc));
         }
+        addCornerCells(stat, src, cell_stats);
         stat.cells.push_back(std::move(cell_stats));
     }
-    stat.mean.wire() = base.wire();
-    stat.slow.wire() = base.wire();
-    stat.fast.wire() = base.wire();
     for (CellLibrary *lib : {&stat.mean, &stat.slow, &stat.fast}) {
+        lib->wire() = base.wire();
         lib->setDefaultSlew(base.defaultSlew());
         lib->setClockMargin(base.clockMargin());
     }

@@ -13,9 +13,9 @@
  *
  *  - a *mean* library (the expected process),
  *  - per-arc sigma tables, and
- *  - derated slow/fast corner libraries at `cornerSigma` standard
- *    deviations (default 3-sigma), the statistical analogue of the
- *    SS/FF corners a foundry PDK ships.
+ *  - derated slow/fast corner libraries at `cornerSigma` (3)
+ *    standard deviations, the statistical analogue of the SS/FF
+ *    corners a foundry PDK ships.
  *
  * Determinism contract: every sampled parameter set is a pure
  * function of (seed, sample index, cell name) via counter-based
@@ -33,30 +33,26 @@
 #include <string>
 #include <vector>
 
-#include "device/variation.hpp"
 #include "liberty/characterizer.hpp"
 
 namespace otft::liberty {
 
-/** Monte Carlo characterization settings. */
+/** Standard deviations the slow/fast corners are derated by. */
+inline constexpr double cornerSigma = 3.0;
+
+/**
+ * Monte Carlo characterization settings. Every sample is drawn around
+ * the default pentacene device and characterized at the default
+ * sizing and supply; the variation enables both correlation scales,
+ * the published within-sample spread as the per-device component and
+ * a deposition-run die-to-die component on top.
+ */
 struct McConfig
 {
     /** Process samples to characterize. */
     int samples = 16;
     /** Master seed; every substream derives from it. */
     std::uint64_t seed = 1;
-    /** Corner deration in standard deviations (slow/fast). */
-    double cornerSigma = 3.0;
-    /** Nominal device the variation is drawn around. */
-    device::Level61Params nominal = {};
-    cells::CellSizing sizing = {};
-    cells::SupplyConfig supply = {};
-    /**
-     * Variation widths. Defaults enable both correlation scales: the
-     * published within-sample spread as the per-device component and
-     * a deposition-run die-to-die component on top.
-     */
-    device::VariationConfig variation = mcDefaultVariation();
     /** Characterization grid for every sample. */
     CharacterizerConfig grid = mcDefaultGrid();
     /** Cells to characterize (subset for tests; "dff" = the flop). */
@@ -65,8 +61,6 @@ struct McConfig
     /** Base name; corners get "_mean" / "_slow" / "_fast" suffixes. */
     std::string baseName = "organic_mc";
 
-    /** The default MC variation widths (see above). */
-    static device::VariationConfig mcDefaultVariation();
     /** Nominal grid with the MC settling margin applied. */
     static CharacterizerConfig mcDefaultGrid();
 };
@@ -92,6 +86,8 @@ struct CellStats
     double clkToQSigma = 0.0;
     double setupMean = 0.0;
     double setupSigma = 0.0;
+    double holdMean = 0.0;
+    double holdSigma = 0.0;
     std::vector<ArcStats> arcs;
 
     /**
@@ -111,7 +107,6 @@ struct StatLibrary
     std::vector<CellStats> cells;
     int samples = 0;
     std::uint64_t seed = 0;
-    double cornerSigma = 3.0;
 };
 
 /** Runs the Monte Carlo characterization. */
@@ -139,14 +134,15 @@ class McCharacterizer
 
 /**
  * Analytic corner derivation for technologies without a Monte Carlo
- * flow: every delay/slew entry of `base` gets a synthetic sigma of
- * `sigmaFraction` times its mean, and slow/fast corners are derated
- * at `cornerSigma`. Used for the silicon library, whose corner spread
- * is a known small fraction (mature-process SS/FF corners), and by
- * tests that need cheap corners.
+ * flow: every delay/slew table entry and every scalar (leakage,
+ * clk->Q, setup, hold) of `base` becomes a mean equal to its value
+ * with a sigma of `sigmaFraction` times its magnitude, and the corners
+ * are built from those statistics exactly as the Monte Carlo corners
+ * are. Used for the silicon library, whose corner spread is a known
+ * small fraction (mature-process SS/FF corners), and by tests that
+ * need cheap corners. Corner names default to `base.name() + "_mc"`.
  */
 StatLibrary scaledCorners(const CellLibrary &base, double sigmaFraction,
-                          double cornerSigma = 3.0,
                           const std::string &baseName = "");
 
 /**

@@ -1,8 +1,9 @@
 /**
  * @file
  * Small numerical helpers shared across modules: summary statistics,
- * ordinary least squares regression, linear interpolation, and root
- * bracketing on sampled curves.
+ * the standard normal CDF and quantile, ordinary least squares
+ * regression, linear interpolation, and root bracketing on sampled
+ * curves.
  */
 
 #ifndef OTFT_UTIL_STATS_HPP
@@ -40,6 +41,16 @@ double stddev(std::span<const double> xs);
 
 /** Largest element. Requires a non-empty span. */
 double maxValue(std::span<const double> xs);
+
+/** Standard normal CDF (exact, via erfc). */
+double normalCdf(double z);
+
+/**
+ * Standard normal quantile (inverse CDF), |error| < 1.2e-9 over
+ * (0, 1) via Acklam's rational approximation plus one Halley
+ * refinement step. Fatal outside (0, 1).
+ */
+double normalQuantile(double p);
 
 /**
  * Piecewise-linear interpolation of y(x) on a sampled curve with

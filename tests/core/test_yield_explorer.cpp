@@ -1,20 +1,88 @@
-/** @file Tests for the yield-aware architecture explorer. */
+/**
+ * @file
+ * Tests for the Gaussian clock-period model and the yield-aware
+ * architecture explorer.
+ */
+
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "arch/config.hpp"
 #include "core/yield_explorer.hpp"
 #include "liberty/silicon.hpp"
+#include "netlist/generators.hpp"
+#include "sta/sta.hpp"
+#include "util/stats.hpp"
 
 namespace otft::core {
 namespace {
 
-/** Silicon with synthetic 2% corners: cheap and deterministic. */
+/** Silicon with synthetic corners: cheap and deterministic. */
 liberty::StatLibrary
-testCorners()
+testCorners(double sigma_fraction = 0.02)
 {
-    return liberty::scaledCorners(liberty::makeSiliconLibrary(), 0.02,
-                                  3.0, "silicon_yield_test");
+    return liberty::scaledCorners(liberty::makeSiliconLibrary(),
+                                  sigma_fraction, "silicon_yield_test");
+}
+
+/** Minimum (mean, slow) clock periods of a flop-bounded inverter chain. */
+std::pair<double, double>
+chainCornerPeriods(double sigma_fraction = 0.02)
+{
+    netlist::Netlist nl;
+    netlist::NetBuilder b(nl);
+    auto g = b.dff(b.input("a"));
+    for (int i = 0; i < 8; ++i)
+        g = b.notGate(g);
+    b.output("o", b.dff(g));
+    const liberty::StatLibrary stat = testCorners(sigma_fraction);
+    return {sta::StaEngine(stat.mean).analyze(nl).minClockPeriod,
+            sta::StaEngine(stat.slow).analyze(nl).minClockPeriod};
+}
+
+TEST(PeriodModel, SigmaIsTheSlowSpreadOverThreeSigma)
+{
+    const auto [mean, slow] = chainCornerPeriods();
+    const PeriodModel model = PeriodModel::fromCorners(mean, slow);
+    EXPECT_DOUBLE_EQ(model.mean, mean);
+    EXPECT_NEAR(model.sigma, (slow - mean) / 3.0, 1e-18);
+    EXPECT_GT(model.sigma, 0.0);
+}
+
+TEST(PeriodModel, YieldBehavesLikeAGaussian)
+{
+    const auto [mean, slow] = chainCornerPeriods();
+    const PeriodModel model = PeriodModel::fromCorners(mean, slow);
+    // Half the instances meet the mean period.
+    EXPECT_NEAR(model.yieldAt(mean), 0.5, 1e-12);
+    // The slow corner is the 3-sigma quantile.
+    EXPECT_NEAR(model.yieldAt(slow), normalCdf(3.0), 1e-9);
+    // Monotone increasing in period.
+    EXPECT_LT(model.yieldAt(0.9 * mean), model.yieldAt(1.1 * mean));
+}
+
+TEST(PeriodModel, PeriodAtYieldInvertsYieldAt)
+{
+    const auto [mean, slow] = chainCornerPeriods();
+    const PeriodModel model = PeriodModel::fromCorners(mean, slow);
+    for (double y : {0.1, 0.5, 0.9, 0.99, 0.999}) {
+        const double period = model.periodAt(y);
+        ASSERT_GT(period, 0.0);
+        EXPECT_NEAR(model.yieldAt(period), y, 1e-9);
+    }
+    // Higher yield targets demand slower clocks.
+    EXPECT_LT(model.periodAt(0.5), model.periodAt(0.99));
+}
+
+TEST(PeriodModel, ZeroSigmaCornersDegenerateToStepYield)
+{
+    // Identical corners: the Gaussian collapses to a step at the mean.
+    const auto [mean, slow] = chainCornerPeriods(0.0);
+    const PeriodModel model = PeriodModel::fromCorners(mean, slow);
+    EXPECT_DOUBLE_EQ(model.sigma, 0.0);
+    EXPECT_DOUBLE_EQ(model.yieldAt(mean * 1.01), 1.0);
+    EXPECT_DOUBLE_EQ(model.yieldAt(mean * 0.99), 0.0);
 }
 
 YieldExplorerConfig

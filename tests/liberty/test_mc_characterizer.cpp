@@ -24,7 +24,7 @@ TEST(ScaledCorners, SiliconCornersValidateAndDerate)
 {
     const CellLibrary silicon = makeSiliconLibrary();
     const StatLibrary stat =
-        scaledCorners(silicon, 0.015, 3.0, "silicon_test");
+        scaledCorners(silicon, 0.015, "silicon_test");
     EXPECT_TRUE(validateStatLibrary(stat.mean, stat.slow, stat.fast)
                     .empty());
     // 3-sigma corners of a 1.5% sigma: slow = 1.045x, fast = 0.955x.
@@ -41,10 +41,22 @@ TEST(ScaledCorners, SiliconCornersValidateAndDerate)
                      stat.mean.cell("nand2").area);
 }
 
+TEST(ScaledCorners, SigmaTablesAreTheFractionOfTheMean)
+{
+    const CellLibrary silicon = makeSiliconLibrary();
+    for (double fraction : {0.0, 0.015}) {
+        const StatLibrary stat = scaledCorners(silicon, fraction);
+        ASSERT_EQ(stat.cells.size(), silicon.cellNames().size());
+        for (const CellStats &cell : stat.cells)
+            EXPECT_NEAR(cell.meanDelaySigmaFraction(), fraction, 1e-12)
+                << cell.name;
+    }
+}
+
 TEST(ScaledCorners, ValidatorCatchesBrokenMonotonicity)
 {
     const CellLibrary silicon = makeSiliconLibrary();
-    StatLibrary stat = scaledCorners(silicon, 0.015, 3.0, "broken");
+    StatLibrary stat = scaledCorners(silicon, 0.015, "broken");
     // Swap slow and fast: every entry now violates slow >= mean.
     std::swap(stat.slow, stat.fast);
     EXPECT_FALSE(validateStatLibrary(stat.mean, stat.slow, stat.fast)

@@ -66,6 +66,31 @@ TEST(Stddev, KnownDistribution)
     EXPECT_NEAR(stddev(xs), 2.0, 1e-12);
 }
 
+TEST(NormalMath, CdfMatchesKnownValues)
+{
+    EXPECT_DOUBLE_EQ(normalCdf(0.0), 0.5);
+    EXPECT_NEAR(normalCdf(1.0), 0.841344746, 1e-8);
+    EXPECT_NEAR(normalCdf(-1.0), 0.158655254, 1e-8);
+    EXPECT_NEAR(normalCdf(3.0), 0.998650102, 1e-8);
+    EXPECT_NEAR(normalCdf(6.0), 1.0, 1e-9);
+}
+
+TEST(NormalMath, QuantileMatchesKnownValues)
+{
+    EXPECT_NEAR(normalQuantile(0.5), 0.0, 1e-12);
+    EXPECT_NEAR(normalQuantile(0.975), 1.959963985, 1e-8);
+    EXPECT_NEAR(normalQuantile(0.99), 2.326347874, 1e-8);
+    EXPECT_NEAR(normalQuantile(0.001), -3.090232306, 1e-8);
+}
+
+TEST(NormalMath, QuantileInvertsCdf)
+{
+    for (double p : {1e-6, 0.01, 0.1, 0.5, 0.9, 0.99, 1.0 - 1e-6})
+        EXPECT_NEAR(normalCdf(normalQuantile(p)), p, 1e-9);
+    for (double z : {-4.0, -1.5, 0.0, 0.7, 2.5, 4.0})
+        EXPECT_NEAR(normalQuantile(normalCdf(z)), z, 1e-7);
+}
+
 TEST(Interpolate, InsideAndClamped)
 {
     const std::vector<double> xs = {0.0, 1.0, 2.0};
