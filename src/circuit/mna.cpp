@@ -227,23 +227,29 @@ Mna::assemble(const Solution &x, double time, double source_scale,
     for (const auto &fet : ckt.fets()) {
         const double vgs = volt(fet.gate) - volt(fet.source);
         const double vds = volt(fet.drain) - volt(fet.source);
-        const double id = fet.model->drainCurrent(vgs, vds);
-
         const int idx_d = nodeIndex(fet.drain);
         const int idx_g = nodeIndex(fet.gate);
         const int idx_s = nodeIndex(fet.source);
 
+        // A chord iteration needs only the current; a Jacobian build
+        // takes it with both conductances from one device evaluation.
+        device::TransistorModel::Evaluation e;
+        if (jac == nullptr)
+            e.id = fet.model->drainCurrent(vgs, vds);
+        else
+            e = fet.model->evaluate(vgs, vds);
+
         // Current id flows into the drain terminal and out of the
         // source terminal.
         if (idx_d >= 0)
-            residual[static_cast<std::size_t>(idx_d)] += id;
+            residual[static_cast<std::size_t>(idx_d)] += e.id;
         if (idx_s >= 0)
-            residual[static_cast<std::size_t>(idx_s)] -= id;
+            residual[static_cast<std::size_t>(idx_s)] -= e.id;
         if (jac == nullptr)
             continue;
 
-        const double gm = fet.model->gm(vgs, vds);
-        const double gds = fet.model->gds(vgs, vds);
+        const double gm = e.gm;
+        const double gds = e.gds;
         if (idx_d >= 0) {
             jac->at(idx_d, idx_d) += gds;
             if (idx_g >= 0)
