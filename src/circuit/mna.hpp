@@ -35,7 +35,7 @@ struct NewtonConfig
     /**
      * Chord (modified) Newton: reuse the factored Jacobian across
      * iterations while convergence is fast, re-assembling only the
-     * residual (which skips the gm/gds finite differences and the LU
+     * residual (which skips the device conductances and the LU
      * factorization). The Jacobian is refreshed automatically when
      * the update shrinks slower than chordRefreshRatio per iteration,
      * so strongly nonlinear solves degrade gracefully to full Newton.
@@ -115,8 +115,9 @@ class Mna
 
     /**
      * Assemble the residual at the current iterate, and the Jacobian
-     * too when `jac` is non-null. Chord iterations pass null and skip
-     * the per-device gm/gds finite differences entirely.
+     * too when `jac` is non-null. A Jacobian build evaluates each FET
+     * once for its current and both conductances; chord iterations
+     * pass null and take the current alone.
      */
     void assemble(const Solution &x, double time, double source_scale,
                   double dt, const Solution *x_prev, Matrix *jac,

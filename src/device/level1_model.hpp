@@ -44,6 +44,7 @@ class Level1Model : public TransistorModel
 
   protected:
     double forwardCurrent(double vgs, double vds) const override;
+    Evaluation forwardEvaluate(double vgs, double vds) const override;
 
   private:
     Level1Params params_;

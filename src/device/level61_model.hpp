@@ -97,8 +97,17 @@ class Level61Model : public TransistorModel
 
   protected:
     double forwardCurrent(double vgs, double vds) const override;
+    Evaluation forwardEvaluate(double vgs, double vds) const override;
 
   private:
+    /**
+     * The forward current, and with `Slopes` its closed-form partial
+     * derivatives, in one expression sequence: the current is the
+     * same number either way.
+     */
+    template <bool Slopes>
+    Evaluation forward(double vgs, double vds) const;
+
     Level61Params params_;
 };
 

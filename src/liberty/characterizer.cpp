@@ -149,7 +149,7 @@ Characterizer::measurePoint(const std::string &name, int pin,
     // Memoized arc point: the key covers every input of the
     // measurement, so a hit is the exact result a cold run produces.
     cache::KeyHasher arc_key;
-    arc_key.add("arcpoint-v1").add(name).add(pin).add(slew);
+    arc_key.add("arcpoint-v2").add(name).add(pin).add(slew);
     arc_key.add(load_cap);
     hashMeasurementContext(arc_key, factory, config_, config);
     const std::uint64_t arc_digest = arc_key.digest();
@@ -185,7 +185,7 @@ Characterizer::measurePoint(const std::string &name, int pin,
     // verbatim as the initial condition — exactly the bits the cold
     // DC solve produced.
     cache::KeyHasher dc_key;
-    dc_key.add("dcop-v1").add(name).add(pin).add(load_cap);
+    dc_key.add("dcop-v2").add(name).add(pin).add(load_cap);
     hashMeasurementContext(dc_key, factory, config_, config);
     const std::size_t n_unknowns =
         cell.ckt.numNodes() - 1 + cell.ckt.voltageSources().size();

@@ -198,7 +198,9 @@ organicLibrary()
  * Golden timing of depthSweep(15) on silicon and organic, wire model
  * on and off: every CoreTiming field of every point, in sweep order.
  * Captured before region timing shared its comb propagation and
- * one-stage analysis across stage counts.
+ * one-stage analysis across stage counts. The organic half was
+ * re-pinned when the Newton Jacobian took the device models'
+ * closed-form derivatives (known modeling delta 6).
  */
 TEST(Explorer, DepthSweepTimingHashIsBitExact)
 {
@@ -215,12 +217,13 @@ TEST(Explorer, DepthSweepTimingHashIsBitExact)
                 hash = hashTiming(hash, point.timing);
         }
     }
-    EXPECT_EQ(hash, 0xa3d2e9363327a975ull);
+    EXPECT_EQ(hash, 0xb24a4f71f756d858ull);
 }
 
 /**
  * Golden frequency and area of the complex-ALU depth sweep on silicon
- * and organic, wire model on and off, captured the same way.
+ * and organic, wire model on and off, captured and re-pinned the same
+ * way.
  */
 TEST(Explorer, AluDepthSweepHashIsBitExact)
 {
@@ -240,7 +243,7 @@ TEST(Explorer, AluDepthSweepHashIsBitExact)
             }
         }
     }
-    EXPECT_EQ(hash, 0xc5fb2d6939190e8dull);
+    EXPECT_EQ(hash, 0x90285ee58432df0dull);
 }
 
 } // namespace

@@ -92,14 +92,15 @@ TEST(McDeterminism, StatLibraryBytesIdenticalWithCacheDisabled)
  * Golden corner bytes of a three-sample {inv, nand2, dff} run on the
  * 2x2 grid; the flop covers the clk->Q, setup and hold moments.
  * Captured before the Monte Carlo and analytic corners shared one
- * corner-cell builder.
+ * corner-cell builder; re-pinned when the Newton Jacobian took the
+ * device models' closed-form derivatives (known modeling delta 6).
  */
 TEST(McDeterminism, CornerBytesHashIsBitExact)
 {
     liberty::McConfig config = smallConfig();
     config.roster = {"inv", "nand2", "dff"};
     const liberty::StatLibrary stat = liberty::McCharacterizer(config).run();
-    EXPECT_EQ(bytesHash(cornerText(stat)), 0x05df2995168c2bf7ull);
+    EXPECT_EQ(bytesHash(cornerText(stat)), 0xd7342df06b031b41ull);
 }
 
 /** Golden corner bytes of the silicon analytic corners at 1.5% sigma. */
