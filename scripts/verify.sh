@@ -20,7 +20,7 @@
 #            telemetry plumbing without touching tier-1.
 #   --profile  profiler smoke lane: run one scenario under the
 #            sampling profiler, check the folded flamegraph artifact
-#            is non-empty and the otft-prof-1 footer parses, then run
+#            is non-empty and the otft-prof-2 footer parses, then run
 #            the profile_smoke-labelled ctest suite. Wall-clock
 #            sensitive, so opt-in rather than tier-1.
 #   --mc     Monte Carlo smoke lane: run the mc_smoke-labelled ctest
@@ -113,8 +113,9 @@ if [[ "${PROFILE_SMOKE}" == "1" ]]; then
     PROF_DIR="${BUILD_DIR}/prof_smoke"
     mkdir -p "${PROF_DIR}"
     # Suite path: one profiled scenario must leave a non-empty folded
-    # flamegraph artifact.
-    "${BUILD_DIR}/bench/perf_suite" --reps 1 --warmup 0 \
+    # flamegraph artifact. One rep lasts a few milliseconds, so run
+    # twenty to give the 1 ms sampler work to see.
+    "${BUILD_DIR}/bench/perf_suite" --reps 20 --warmup 0 \
         --filter liberty.nldm_characterize_par \
         --profile --profile-dir "${PROF_DIR}"
     FOLDED="${PROF_DIR}/PROF_liberty_nldm_characterize_par.folded"
@@ -123,13 +124,13 @@ if [[ "${PROFILE_SMOKE}" == "1" ]]; then
         exit 1
     fi
     # Session path: a footered bench run with --profile-folded must
-    # carry the otft-prof-1 profile section in its footer line.
+    # carry the otft-prof-2 profile section in its footer line.
     BENCH_LOG="${PROF_DIR}/fig06.out"
     "${BUILD_DIR}/bench/fig06_inverter_comparison" \
         --profile-folded "${PROF_DIR}/fig06.folded" \
         | tee "${BENCH_LOG}"
-    if ! grep -q 'otft-prof-1' "${BENCH_LOG}"; then
-        echo "error: no otft-prof-1 footer section in output" >&2
+    if ! grep -q 'otft-prof-2' "${BENCH_LOG}"; then
+        echo "error: no otft-prof-2 footer section in output" >&2
         exit 1
     fi
     ctest --test-dir "${BUILD_DIR}" -L profile_smoke \

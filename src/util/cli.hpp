@@ -94,7 +94,7 @@ class Session
 
     /**
      * Append a pre-rendered JSON value to the footer under `key`
-     * (e.g. the otft-prof-1 profile section). The caller guarantees
+     * (e.g. the otft-prof-2 profile section). The caller guarantees
      * `raw_json` is valid JSON.
      */
     void addFooterJson(const std::string &key, std::string raw_json);

@@ -34,9 +34,10 @@ constexpr std::size_t reserveLabel = 128;
 
 /**
  * One registered thread's sampled state. The owning thread mutates
- * `frames`/`depth` under `mutex`; the sampler try-locks it, so the
- * workload thread never waits on the sampler. `alive` is a plain
- * atomic readable without the lock.
+ * `frames`/`depth` under `mutex`, holding it only for one label copy
+ * and taking no other lock under it; the sampler waits for it, so
+ * every sample of a live thread with frames records its stack.
+ * `alive` is a plain atomic readable without the lock.
  */
 struct ThreadState
 {
@@ -64,7 +65,6 @@ struct Impl
     std::thread sampler;
     std::atomic<bool> stopRequested{false};
     std::atomic<std::uint64_t> samples{0};
-    std::atomic<std::uint64_t> dropped{0};
 
     /** Collection results (guarded by resultsMutex once stopped). */
     mutable std::mutex resultsMutex;
@@ -161,12 +161,7 @@ samplerLoop(Impl &i)
                 continue;
             i.sampledThreads.insert(state.get());
 
-            std::unique_lock<std::mutex> frames(state->mutex,
-                                                std::try_to_lock);
-            if (!frames.owns_lock()) {
-                i.dropped.fetch_add(1, std::memory_order_relaxed);
-                continue;
-            }
+            std::unique_lock<std::mutex> frames(state->mutex);
             const std::size_t depth = state->depth;
             if (depth == 0)
                 continue; // idle thread: counted above, no stack
@@ -227,7 +222,6 @@ Profiler::start(std::uint64_t period_us)
         i.stacks.clear();
         i.sampledThreads.clear();
         i.samples.store(0, std::memory_order_relaxed);
-        i.dropped.store(0, std::memory_order_relaxed);
         i.periodUs = std::max<std::uint64_t>(period_us, 50);
     }
 
@@ -276,16 +270,12 @@ Profiler::stop()
     // Publish the collection-level and pool-attribution stats.
     static stats::Counter &stat_samples = stats::counter(
         "profiler.samples", "stack samples taken by the profiler");
-    static stats::Counter &stat_dropped = stats::counter(
-        "profiler.samples_dropped",
-        "stack walks skipped because the owner held its frame lock");
     static stats::Accumulator &stat_busy_fraction =
         stats::accumulator(
             "parallel.pool.worker_busy_fraction",
             "per-worker busy fraction over one profiler collection");
 
     stat_samples += i.samples.load(std::memory_order_relaxed);
-    stat_dropped += i.dropped.load(std::memory_order_relaxed);
     for (const std::uint64_t busy_ns : pool.workerBusyNs)
         stat_busy_fraction.sample(static_cast<double>(busy_ns) /
                                   static_cast<double>(wall_ns));
@@ -303,12 +293,6 @@ std::uint64_t
 Profiler::sampleCount() const
 {
     return impl().samples.load(std::memory_order_relaxed);
-}
-
-std::uint64_t
-Profiler::droppedSamples() const
-{
-    return impl().dropped.load(std::memory_order_relaxed);
 }
 
 std::uint64_t
@@ -407,8 +391,7 @@ Profiler::writeTopReport(std::ostream &os, int top_n) const
             .add(pct(t.total));
     }
     table.render(os);
-    os << total_samples << " samples @ " << periodUs() << " us ("
-       << droppedSamples() << " dropped)\n";
+    os << total_samples << " samples @ " << periodUs() << " us\n";
 }
 
 std::string
@@ -426,7 +409,6 @@ Profiler::footerSection(int top_n) const
     oss << "{\"schema\": \"" << profSchema
         << "\", \"period_us\": " << periodUs()
         << ", \"samples\": " << sampleCount()
-        << ", \"dropped\": " << droppedSamples()
         << ", \"threads\": " << thread_count
         << ", \"stacks\": " << stack_count << ", \"top\": [";
     int rows = 0;
@@ -452,7 +434,6 @@ Profiler::reset()
     i.stacks.clear();
     i.sampledThreads.clear();
     i.samples.store(0, std::memory_order_relaxed);
-    i.dropped.store(0, std::memory_order_relaxed);
 }
 
 std::vector<FoldedStack>

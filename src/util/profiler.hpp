@@ -13,7 +13,7 @@
  *    stack, directly consumable by flamegraph.pl and speedscope;
  *  - a top-N self/total text report (self = samples where the frame
  *    was the leaf, total = samples where it appeared anywhere);
- *  - a compact schema-versioned `otft-prof-1` JSON section that
+ *  - a compact schema-versioned `otft-prof-2` JSON section that
  *    cli::Session merges into the bench stats footer.
  *
  * Stack roots name the sampled thread's role ("main" for the session
@@ -28,9 +28,9 @@
  * Cost model: while the profiler is *disabled* (the default), a frame
  * push is one relaxed atomic load — call sites pay nothing else.
  * While enabled, a push copies the label into preallocated per-thread
- * storage under that thread's own (uncontended) mutex; the sampler
- * try-locks it, so a sample can never block the workload — a
- * collision is counted as a dropped sample instead.
+ * storage under that thread's own mutex. The sampler takes the same
+ * mutex to copy the stack, so a push may wait for one stack copy, and
+ * no sample is ever dropped.
  */
 
 #ifndef OTFT_UTIL_PROFILER_HPP
@@ -46,7 +46,7 @@
 namespace otft::prof {
 
 /** Schema tag of the JSON section merged into the stats footer. */
-inline constexpr const char *profSchema = "otft-prof-1";
+inline constexpr const char *profSchema = "otft-prof-2";
 
 namespace detail {
 /** Master enable; read on every frame push (relaxed). */
@@ -105,8 +105,6 @@ class Profiler
 
     /** Samples taken so far (readable while running). */
     std::uint64_t sampleCount() const;
-    /** Stack walks skipped because the owner held its frame lock. */
-    std::uint64_t droppedSamples() const;
     /** The period of the last (or current) collection. */
     std::uint64_t periodUs() const;
 
@@ -123,8 +121,8 @@ class Profiler
     void writeTopReport(std::ostream &os, int top_n) const;
 
     /**
-     * The compact otft-prof-1 JSON object (schema, period, samples,
-     * dropped, threads, stacks, top frames) for the bench footer.
+     * The compact otft-prof-2 JSON object (schema, period, samples,
+     * threads, stacks, top frames) for the bench footer.
      */
     std::string footerSection(int top_n = 5) const;
 

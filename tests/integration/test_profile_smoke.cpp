@@ -4,7 +4,7 @@
  * the real nldm_characterize scenarios under `--profile` and checks
  * the end-to-end artifacts — a non-empty folded collapsed-stack file
  * whose hottest stack names solver/characterization work and keeps
- * device evaluation out of the LU frame, and a parseable otft-prof-1
+ * device evaluation out of the LU frame, and a parseable otft-prof-2
  * footer section. Wall-clock sensitive by
  * construction, hence the opt-in label (scripts/verify.sh --profile).
  */
@@ -38,7 +38,11 @@ class ProfileSmoke : public ::testing::Test
         perf::ScenarioSuite suite;
         bench::registerAllScenarios(suite);
         perf::SuiteOptions options;
-        options.reps = 1;
+        // The profiler samples only the timed reps. One rep of the
+        // fanned-out variant is a few milliseconds, short enough to
+        // finish before the sampler's first tick; twenty give each
+        // collection tens of milliseconds of work.
+        options.reps = 20;
         options.warmup = 0;
         options.filter = "liberty.nldm_characterize";
         options.profile = true;
@@ -147,7 +151,7 @@ TEST_F(ProfileSmoke, ParallelVariantWritesItsOwnArtifact)
     EXPECT_FALSE(stacks.empty());
 }
 
-TEST_F(ProfileSmoke, FooterSectionParsesAsOtftProf1)
+TEST_F(ProfileSmoke, FooterSectionParsesAsOtftProf2)
 {
     // The profiler keeps the last collection (the _par scenario).
     auto &profiler = prof::Profiler::instance();

@@ -182,7 +182,7 @@ TEST(Profiler, TopReportNamesHotFrames)
         << os.str();
 }
 
-TEST(Profiler, FooterSectionIsValidOtftProf1Json)
+TEST(Profiler, FooterSectionIsValidOtftProf2Json)
 {
     Profiler &p = Profiler::instance();
     ASSERT_TRUE(p.start(200));
@@ -196,6 +196,9 @@ TEST(Profiler, FooterSectionIsValidOtftProf1Json)
               p.sampleCount());
     EXPECT_EQ(static_cast<std::uint64_t>(doc.number("period_us")),
               200u);
+    // The sampler waits for a thread's frame lock, so there is no
+    // dropped-sample count to report.
+    EXPECT_FALSE(doc.has("dropped"));
     ASSERT_TRUE(doc.has("top"));
     const auto &top = doc.at("top").asArray();
     ASSERT_FALSE(top.empty());
