@@ -33,6 +33,11 @@
 #
 # The sanitizer lanes keep their own build trees so the default tree
 # stays warm for the plain gate.
+#
+# A refactor that must not move any printed number is checked
+# separately, against a build of the parent commit:
+# scripts/figure_diff.sh <base-build> <new-build> diffs the stdout of
+# every figure and extension binary and cmps every .lib they write.
 set -euo pipefail
 
 SANITIZE=""

@@ -556,30 +556,6 @@ buildWakeupLoop(const CoreConfig &config)
 }
 
 Netlist
-buildBypassLoop(const CoreConfig &config)
-{
-    Netlist nl;
-    NetBuilder b(nl);
-    const int pipes = config.backendWidth();
-
-    // Result value selected from any pipe's bus through a one-hot
-    // mux tree (log depth) into the operand latch.
-    std::vector<Bus> results;
-    Bus onehot(static_cast<std::size_t>(pipes));
-    for (int p = 0; p < pipes; ++p) {
-        results.push_back(
-            b.inputBus("rv" + std::to_string(p), dataWidth));
-        onehot[static_cast<std::size_t>(p)] =
-            b.input("sel" + std::to_string(p));
-    }
-    const Bus operand = netlist::onehotMux(b, results, onehot);
-    // The forwarding loop ends at the ALU operand latch (staggered
-    // forwarding): the adder itself is stage logic, not loop logic.
-    b.outputBus("operand", operand);
-    return nl;
-}
-
-Netlist
 buildComplexAlu(int divider_rows)
 {
     Netlist nl;

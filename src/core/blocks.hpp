@@ -21,7 +21,11 @@
  *
  * The complex ALU (pipelined multiplier + stallable divider) is
  * generated separately (buildComplexAlu) because its pipeline depth
- * is its own design axis (paper Fig. 12).
+ * is its own design axis (paper Fig. 12), and so is the wakeup-select
+ * loop (buildWakeupLoop), which floors the issue stage period however
+ * deep that region is cut. The bypass network's forwarding loop needs
+ * no floor of its own: it is a one-hot mux a few gates deep, always
+ * well inside the execute stage's own period.
  */
 
 #ifndef OTFT_CORE_BLOCKS_HPP
@@ -56,7 +60,7 @@ using RegionBlockKey = std::array<int, 6>;
  * blocks, so the key memoizes a block across design points (a
  * front-end block depends only on front-end fields, a back-end block
  * only on back-end ones). The wakeup loop reads a subset of the Issue
- * key and the bypass loop a subset of the Execute key.
+ * key.
  */
 RegionBlockKey regionBlockKey(arch::Region region,
                               const arch::CoreConfig &config);
@@ -77,14 +81,6 @@ netlist::Netlist buildComplexAlu(int divider_rows = 2);
  * matter how many stages the region is cut into.
  */
 netlist::Netlist buildWakeupLoop(const arch::CoreConfig &config);
-
-/**
- * The bypass loop: an ALU result broadcast across all execution
- * pipes, through the operand-select muxes, and back through the
- * adder. Like the wakeup loop, it must close in one cycle for
- * back-to-back dependent ALU operations and floors the execute stage.
- */
-netlist::Netlist buildBypassLoop(const arch::CoreConfig &config);
 
 /**
  * Sequential-state bits of the core's structures (ROB, IQ, LSQ,

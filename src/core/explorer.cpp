@@ -164,8 +164,6 @@ ArchExplorer::evaluate(const arch::CoreConfig &config)
     const sta::StaConfig &sta = synth.staConfig();
     timing_key.add(sta.wireEnabled).add(sta.extraSpanPerNet);
     timing_key.add(sta.registerInputs).add(sta.registerOutputs);
-    timing_key.add(sta.noWireMarginFraction).add(sta.spanCoefficient);
-    timing_key.add(synth.loopSpanCoefficient);
     addConfig(timing_key, config);
     if (!cache::lookup("explorer.timing", timing_key.digest(), payload) ||
         !unpackTiming(payload, point.timing)) {

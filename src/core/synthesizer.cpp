@@ -14,6 +14,16 @@ namespace otft::core {
 using arch::CoreConfig;
 using arch::Region;
 
+namespace {
+
+/**
+ * Broadcast-span coefficient of the wakeup loop floor: its nets route
+ * an extra wakeupSpanFactor * sqrt(core area).
+ */
+constexpr double wakeupSpanFactor = 0.09;
+
+} // namespace
+
 CoreSynthesizer::CoreSynthesizer(const liberty::CellLibrary &library,
                                  sta::StaConfig sta_config)
     : library(library), staConfig_(sta_config),
@@ -52,14 +62,11 @@ CoreSynthesizer::block(Region region, const CoreConfig &config)
 }
 
 const netlist::Netlist &
-CoreSynthesizer::loopNetlist(Region region, const CoreConfig &config)
+CoreSynthesizer::wakeupLoop(const CoreConfig &config)
 {
-    return loopCache.get(regionBlockKey(region, config), [&] {
+    return loopCache.get(regionBlockKey(Region::Issue, config), [&] {
         OTFT_TRACE_SCOPE("synth.block.build");
-        return netlist::bufferize(region == Region::Issue
-                                      ? buildWakeupLoop(config)
-                                      : buildBypassLoop(config),
-                                  6);
+        return netlist::bufferize(buildWakeupLoop(config), 6);
     });
 }
 
@@ -121,39 +128,26 @@ CoreSynthesizer::synthesize(const CoreConfig &config)
         timing.area += rt.area;
     }
 
-    // Single-cycle loop floors (Palacharla/Jouppi): the wakeup-select
-    // and bypass loops must close combinationally regardless of how
-    // deep the issue/execute regions are cut. Their broadcast nets
-    // span the core, so the floor carries a block-span wire term that
-    // is significant in silicon and negligible in organic — the
-    // paper's "communication between the pipelines" effect (Sec. 5.5).
+    // Single-cycle loop floor (Palacharla/Jouppi): the wakeup-select
+    // loop must close combinationally regardless of how deep the
+    // issue region is cut. Its broadcast nets span the core, so the
+    // floor carries a block-span wire term that is significant in
+    // silicon and negligible in organic — the paper's "communication
+    // between the pipelines" effect (Sec. 5.5).
     {
-        const double span =
-            loopSpanCoefficient * std::sqrt(timing.area);
-
         sta::StaConfig loop_cfg = staConfig_;
         loop_cfg.registerInputs = false;
         loop_cfg.registerOutputs = false;
-
-        loop_cfg.extraSpanPerNet = span;
+        loop_cfg.extraSpanPerNet =
+            wakeupSpanFactor * std::sqrt(timing.area);
         const double wakeup_floor =
             sta::StaEngine(library, loop_cfg)
-                .analyze(loopNetlist(Region::Issue, config))
+                .analyze(wakeupLoop(config))
                 .minClockPeriod;
 
-        loop_cfg.extraSpanPerNet =
-            span * static_cast<double>(config.backendWidth()) / 3.0;
-        const double bypass_floor =
-            sta::StaEngine(library, loop_cfg)
-                .analyze(loopNetlist(Region::Execute, config))
-                .minClockPeriod;
-
-        for (RegionTiming &rt : timing.regions) {
+        for (RegionTiming &rt : timing.regions)
             if (rt.region == Region::Issue)
                 rt.clockPeriod = std::max(rt.clockPeriod, wakeup_floor);
-            if (rt.region == Region::Execute)
-                rt.clockPeriod = std::max(rt.clockPeriod, bypass_floor);
-        }
     }
 
     for (const RegionTiming &rt : timing.regions) {

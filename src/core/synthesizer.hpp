@@ -12,7 +12,7 @@
  * the core clock, as a stallable DesignWare unit would be).
  *
  * Every intermediate result is memoized per synthesizer: bufferized
- * region blocks and loop netlists by regionBlockKey() (the
+ * region blocks and the wakeup loop by regionBlockKey() (the
  * configuration fields their builders read), region timings by
  * (block key, stages), and the complex ALU by stage count. A block is
  * propagated once, when it is built: that one analysis is its
@@ -100,12 +100,6 @@ class CoreSynthesizer
     const liberty::CellLibrary &lib() const { return library; }
     const sta::StaConfig &staConfig() const { return staConfig_; }
 
-    /**
-     * Broadcast-span coefficient for the single-cycle loop floors:
-     * loop nets route an extra loopSpanCoefficient * sqrt(core area).
-     */
-    double loopSpanCoefficient = 0.09;
-
   private:
     /** A bufferized comb block and the facts of its one propagation. */
     struct TimedBlock
@@ -127,19 +121,15 @@ class CoreSynthesizer
     const TimedBlock &block(arch::Region region,
                             const arch::CoreConfig &config);
 
-    /**
-     * Bufferized single-cycle loop flooring `region`: the
-     * wakeup-select loop for Issue, the bypass loop for Execute.
-     */
-    const netlist::Netlist &loopNetlist(arch::Region region,
-                                        const arch::CoreConfig &config);
+    /** Bufferized wakeup-select loop flooring the Issue region. */
+    const netlist::Netlist &wakeupLoop(const arch::CoreConfig &config);
 
     const liberty::CellLibrary &library;
     sta::StaConfig staConfig_;
     sta::StaEngine engine;
     sta::Pipeliner pipeliner;
     Memo<RegionBlockKey, TimedBlock> blockCache;
-    /** Keyed by the block key of the region the loop floors. */
+    /** Wakeup loops, keyed by the Issue block key. */
     Memo<RegionBlockKey, netlist::Netlist> loopCache;
     Memo<std::pair<RegionBlockKey, int>, RegionTiming> timingCache;
     /** Complex ALU comb block (one entry: it is width-independent). */

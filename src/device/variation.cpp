@@ -42,14 +42,6 @@ VariationModel::apply(const Level61Params &nominal, double d_vt,
 }
 
 Level61Params
-VariationModel::sample(const Level61Params &nominal, Rng &rng) const
-{
-    return apply(nominal, rng.normal(0.0, config_.vtSigma),
-                 rng.normal(0.0, config_.mobilityLnSigma),
-                 rng.normal(0.0, config_.leakageDecadeSigma));
-}
-
-Level61Params
 VariationModel::sample(const Level61Params &nominal, StreamRng &rng) const
 {
     return sample(nominal, DieVariation{}, rng);
@@ -64,14 +56,6 @@ VariationModel::sample(const Level61Params &nominal,
                  die.dLnMobility +
                      rng.normal(0.0, config_.mobilityLnSigma),
                  rng.normal(0.0, config_.leakageDecadeSigma));
-}
-
-std::shared_ptr<const Level61Model>
-VariationModel::sampleDevice(const Level61Model &nominal, Rng &rng) const
-{
-    return std::make_shared<Level61Model>(
-        nominal.polarity(), nominal.geometry(),
-        sample(nominal.params(), rng));
 }
 
 } // namespace otft::device

@@ -25,7 +25,6 @@
 #define OTFT_DEVICE_VARIATION_HPP
 
 #include "device/level61_model.hpp"
-#include "util/rng.hpp"
 #include "util/stream_rng.hpp"
 
 namespace otft::device {
@@ -80,9 +79,9 @@ struct DieVariation
 };
 
 /**
- * Samples varied device parameter sets. Deterministic given the seed
- * of the caller-provided generator; with StreamRng the draws are also
- * independent of evaluation order across threads.
+ * Samples varied device parameter sets. Draws come from a
+ * caller-provided StreamRng, so they are deterministic given its seed
+ * and path and independent of evaluation order across threads.
  */
 class VariationModel
 {
@@ -94,20 +93,16 @@ class VariationModel
     /** Draw the die-to-die component (two normal draws). */
     DieVariation sampleDie(StreamRng &rng) const;
 
-    /** Draw one varied parameter set around the nominal values. */
-    Level61Params sample(const Level61Params &nominal, Rng &rng) const;
-
-    /** StreamRng overload (per-device component only, die = 0). */
+    /**
+     * Draw one varied parameter set around the nominal values
+     * (per-device component only, die = 0).
+     */
     Level61Params sample(const Level61Params &nominal,
                          StreamRng &rng) const;
 
     /** Per-device draw on top of a shared die component. */
     Level61Params sample(const Level61Params &nominal,
                          const DieVariation &die, StreamRng &rng) const;
-
-    /** Draw a varied device model at the given geometry/polarity. */
-    std::shared_ptr<const Level61Model> sampleDevice(
-        const Level61Model &nominal, Rng &rng) const;
 
     const VariationConfig &config() const { return config_; }
 

@@ -18,6 +18,18 @@ namespace otft::liberty {
 
 namespace {
 
+/**
+ * Slew thresholds as fractions of the swing: transition times are
+ * measured 20-80 %.
+ */
+constexpr double slewLow = 0.2;
+constexpr double slewHigh = 0.8;
+
+/** The DFF testbench's CK rising edge is centred here, seconds. */
+constexpr double flopClock = 2e-3;
+/** Edge time of the DFF testbench's CK and D ramps, seconds. */
+constexpr double flopEdge = 6e-6;
+
 /** The six-cell library roster. */
 const char *const combinationalNames[] = {"inv", "nand2", "nand3",
                                           "nor2", "nor3"};
@@ -59,8 +71,7 @@ hashMeasurementContext(cache::KeyHasher &h,
     const cells::SupplyConfig &v = factory.supply();
     h.add(v.vdd).add(v.vss);
 
-    h.add(cfg.dt).add(cfg.slewLow).add(cfg.slewHigh);
-    h.add(cfg.settleScale);
+    h.add(cfg.dt).add(cfg.settleScale);
 
     h.add(tran.dt).add(tran.tStop).add(tran.fixedStep);
     h.add(tran.lteTol).add(tran.dtMin).add(tran.dtMax);
@@ -130,7 +141,7 @@ Characterizer::measurePoint(const std::string &name, int pin,
     const double vdd = factory.supply().vdd;
 
     // Ramp time for the requested 20-80% transition time.
-    const double t_edge = slew / (config_.slewHigh - config_.slewLow);
+    const double t_edge = slew / (slewHigh - slewLow);
     // Settling window: generous relative to the slowest organic arcs,
     // and scaled up for heavy loads (a 16x fanout NOR rise can take
     // tens of milliseconds through the series pull-up).
@@ -225,10 +236,10 @@ Characterizer::measurePoint(const std::string &name, int pin,
     };
     point.delayFall = delay(true, false, 0.0, t1);
     point.delayRise = delay(false, true, t2, t2);
-    point.slewFall = circuit::measureSlew(out, v_lo, v_hi, config_.slewLow,
-                                          config_.slewHigh, false, t1);
-    point.slewRise = circuit::measureSlew(out, v_lo, v_hi, config_.slewLow,
-                                          config_.slewHigh, true, t2);
+    point.slewFall =
+        circuit::measureSlew(out, v_lo, v_hi, slewLow, slewHigh, false, t1);
+    point.slewRise =
+        circuit::measureSlew(out, v_lo, v_hi, slewLow, slewHigh, true, t2);
 
     if (point.delayFall < 0.0 || point.delayRise < 0.0 ||
         point.slewFall < 0.0 || point.slewRise < 0.0) {
@@ -321,13 +332,11 @@ Characterizer::characterizeCombinational(const std::string &name) const
     return cell;
 }
 
-bool
-Characterizer::flopCaptures(double d_lead, double load_cap) const
+Characterizer::FlopRun
+Characterizer::runFlop(double load_cap, double d_start) const
 {
     cells::BuiltCell cell = instantiate("dff", load_cap);
     const double vdd = factory.supply().vdd;
-    const double t_edge = 6e-6;
-    const double t_ck = 2e-3;
 
     // PRE inactive; pulse CLR low first so Q starts at a known 0
     // (the cross-coupled NAND latch is bistable at the DC operating
@@ -337,23 +346,30 @@ Characterizer::flopCaptures(double d_lead, double load_cap) const
     cell.ckt.setSourceWave(cell.inputSources[3],
                            circuit::Pwl::points({0.0, 0.3e-3, 0.32e-3},
                                                 {0.0, 0.0, vdd}));
-    // D rises d_lead before the CK edge (negative lead = after).
     cell.ckt.setSourceWave(
         cell.inputSources[0],
-        circuit::Pwl::ramp(0.0, vdd, t_ck - d_lead - 0.5 * t_edge,
-                           t_edge));
+        circuit::Pwl::ramp(0.0, vdd, d_start, flopEdge));
     cell.ckt.setSourceWave(
         cell.inputSources[1],
-        circuit::Pwl::ramp(0.0, vdd, t_ck - 0.5 * t_edge, t_edge));
+        circuit::Pwl::ramp(0.0, vdd, flopClock - 0.5 * flopEdge,
+                           flopEdge));
 
     circuit::TransientConfig config;
     config.dt = 6e-6;
-    config.tStop = t_ck + 1.6e-3;
+    config.tStop = flopClock + 1.6e-3;
 
     circuit::TransientAnalysis tran(cell.ckt);
     const auto result = tran.run(config);
-    const auto q = result.node(cell.out);
-    return q.value.back() > 0.5 * vdd;
+    return {result.node(cell.inputs[1]), result.node(cell.out)};
+}
+
+bool
+Characterizer::flopCaptures(double d_lead, double load_cap) const
+{
+    // D rises d_lead before the CK edge (negative lead = after).
+    const circuit::Trace q =
+        runFlop(load_cap, flopClock - d_lead - 0.5 * flopEdge).q;
+    return q.value.back() > 0.5 * factory.supply().vdd;
 }
 
 StdCell
@@ -393,37 +409,14 @@ Characterizer::characterizeFlop() const
     std::vector<double> clkq_rise, q_slew_rise;
     for (double load : load_axis) {
         ProgressTick tick(progress_);
-        cells::BuiltCell flop = instantiate("dff", load);
-        const double t_edge = 6e-6;
-        const double t_ck = 2e-3;
-        flop.ckt.setSourceWave(flop.inputSources[2],
-                               circuit::Pwl::constant(vdd));
-        flop.ckt.setSourceWave(
-            flop.inputSources[3],
-            circuit::Pwl::points({0.0, 0.3e-3, 0.32e-3},
-                                 {0.0, 0.0, vdd}));
-        flop.ckt.setSourceWave(flop.inputSources[0],
-                               circuit::Pwl::ramp(0.0, vdd, 0.5e-3,
-                                                  t_edge));
-        flop.ckt.setSourceWave(
-            flop.inputSources[1],
-            circuit::Pwl::ramp(0.0, vdd, t_ck - 0.5 * t_edge, t_edge));
-
-        circuit::TransientConfig config;
-        config.dt = 6e-6;
-        config.tStop = t_ck + 1.6e-3;
-        circuit::TransientAnalysis tran(flop.ckt);
-        const auto result = tran.run(config);
-        const auto ck = result.node(flop.inputs[1]);
-        const auto q = result.node(flop.out);
+        const auto [ck, q] = runFlop(load, 0.5e-3);
         const double v_lo = q.value.front();
         const double v_hi = q.value.back();
         const double d = circuit::measureDelay(ck, q, 0.0, vdd, true,
                                                v_lo, v_hi, true, 0.0);
-        const double s =
-            circuit::measureSlew(q, v_lo, v_hi, config_.slewLow,
-                                 config_.slewHigh, true,
-                                 t_ck - 0.1e-3);
+        const double s = circuit::measureSlew(q, v_lo, v_hi, slewLow,
+                                              slewHigh, true,
+                                              flopClock - 0.1e-3);
         if (d < 0.0 || s < 0.0)
             fatal("Characterizer: DFF failed to capture at load ", load);
         clkq_rise.push_back(d);

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "cells/topologies.hpp"
+#include "circuit/waveform.hpp"
 #include "liberty/library.hpp"
 
 namespace otft::progress {
@@ -34,9 +35,6 @@ struct CharacterizerConfig
     std::vector<double> loadMultipliers = {0.25, 1.0, 4.0, 12.0};
     /** Transient step, seconds. */
     double dt = 0.3e-6;
-    /** Measure slews between these fractions of the swing. */
-    double slewLow = 0.2;
-    double slewHigh = 0.8;
     /**
      * Multiplier on the post-edge settling window. The nominal
      * windows carry ~8-10x headroom over the slowest golden-device
@@ -94,6 +92,19 @@ class Characterizer
 
     /** Average static power over all input states of a cell. */
     double averageStaticPower(const std::string &name) const;
+
+    /** CK and Q traces of one DFF testbench run. */
+    struct FlopRun
+    {
+        circuit::Trace ck;
+        circuit::Trace q;
+    };
+    /**
+     * The DFF testbench: PRE held high, a CLR pulse forcing Q to 0, D
+     * ramping up from `d_start` and one CK rising edge at 2 ms, with
+     * the output loaded by `load_cap`.
+     */
+    FlopRun runFlop(double load_cap, double d_start) const;
 
     /** Whether a DFF captures a 1 with the given D-before-CK lead. */
     bool flopCaptures(double d_lead, double load_cap) const;

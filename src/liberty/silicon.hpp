@@ -43,7 +43,7 @@ struct SiliconConfig
      * picoseconds of clock uncertainty across a multi-millimeter
      * block; it is overwhelmingly a *wire* effect (RC skew of the
      * clock tree), which is why the no-wire analyses of Fig. 15
-     * shrink it (see StaConfig::noWireMarginFraction).
+     * charge only a fifth of it (the jitter floor, see sta.cpp).
      */
     double clockMargin = 600e-12;
     /** Supply, volts. */

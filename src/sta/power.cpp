@@ -12,6 +12,13 @@ using netlist::GateId;
 using netlist::GateKind;
 using netlist::Netlist;
 
+namespace {
+
+/** Toggle probability assumed at primary inputs per cycle. */
+constexpr double inputActivity = 0.2;
+
+} // namespace
+
 PowerEngine::Activities
 PowerEngine::propagate(const Netlist &nl) const
 {
@@ -35,7 +42,7 @@ PowerEngine::propagate(const Netlist &nl) const
         switch (gate.kind) {
           case GateKind::Input:
             act.one[g] = 0.5;
-            act.toggle[g] = config_.inputActivity;
+            act.toggle[g] = inputActivity;
             break;
           case GateKind::Const0:
             act.one[g] = 0.0;
@@ -98,9 +105,7 @@ PowerEngine::estimate(const Netlist &nl, double frequency) const
 
     const Activities act = propagate(nl);
     const auto fanouts = nl.fanouts();
-    const double vdd = config_.swingOverride > 0.0
-                           ? config_.swingOverride
-                           : library.vdd();
+    const double vdd = library.vdd();
 
     PowerReport report;
 

@@ -21,7 +21,6 @@
 #include "liberty/library.hpp"
 #include "netlist/netlist.hpp"
 #include "sta/wire.hpp"
-#include "sta/sta.hpp"
 
 namespace otft::sta {
 
@@ -42,27 +41,16 @@ struct PowerReport
     }
 };
 
-/** Analysis controls. */
-struct PowerConfig
-{
-    /** Toggle probability assumed at primary inputs per cycle. */
-    double inputActivity = 0.2;
-    /** Supply swing used for CV^2; defaults to the library VDD. */
-    double swingOverride = 0.0;
-    /** Wire model settings (shared with timing). */
-    StaConfig sta = {};
-};
-
 /**
- * Activity-propagation power estimator bound to one library.
+ * Activity-propagation power estimator bound to one library. Primary
+ * inputs toggle with probability 0.2 per cycle, nets swing the full
+ * library VDD, and wire capacitance is always included.
  */
 class PowerEngine
 {
   public:
-    PowerEngine(const liberty::CellLibrary &library,
-                PowerConfig config = {})
-        : library(library), config_(config),
-          wireModel(library.wire(), config.sta.wireEnabled)
+    explicit PowerEngine(const liberty::CellLibrary &library)
+        : library(library), wireModel(library.wire())
     {}
 
     /**
@@ -86,7 +74,6 @@ class PowerEngine
 
   private:
     const liberty::CellLibrary &library;
-    PowerConfig config_;
     WireModel wireModel;
 };
 

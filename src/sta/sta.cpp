@@ -15,6 +15,27 @@ using netlist::GateId;
 using netlist::GateKind;
 using netlist::Netlist;
 
+namespace {
+
+/**
+ * Fraction of the library clock margin charged when the wire model is
+ * disabled. Clock skew is wire RC; with ideal wires only the jitter
+ * floor remains.
+ */
+constexpr double jitterMarginFraction = 0.2;
+
+/**
+ * Wireload block-span scaling: every net additionally routes
+ * spanCoefficient * sqrt(total cell area), the classic block-size
+ * dependence of synthesis wireload models. Bigger blocks (wider
+ * cores, deeper pipelines with their added register ranks) get slower
+ * wires — the feedback that saturates silicon pipelining while leaving
+ * organic (gate-dominated) timing untouched.
+ */
+constexpr double spanCoefficient = 0.15;
+
+} // namespace
+
 StaEngine::StaEngine(const liberty::CellLibrary &library,
                      StaConfig config)
     : library(library), config_(config),
@@ -65,8 +86,8 @@ StaEngine::propagate(const Netlist &nl) const
     for (const Gate &gate : nl.gates())
         if (const liberty::StdCell *cell = cellOf(gate.kind))
             cell_area += cell->area;
-    const double span = config_.extraSpanPerNet +
-                        config_.spanCoefficient * std::sqrt(cell_area);
+    const double span =
+        config_.extraSpanPerNet + spanCoefficient * std::sqrt(cell_area);
 
     // --- Per-net loads: sink pin caps + wire cap; per-net wire delay.
     for (std::size_t g = 0; g < n; ++g) {
@@ -198,7 +219,7 @@ StaEngine::analyze(const Netlist &nl, std::vector<double> *arrival) const
     const double margin =
         config_.wireEnabled
             ? library.clockMargin()
-            : library.clockMargin() * config_.noWireMarginFraction;
+            : library.clockMargin() * jitterMarginFraction;
     result.minClockPeriod = worst_required + margin;
     result.maxFrequency =
         result.minClockPeriod > 0.0 ? 1.0 / result.minClockPeriod : 0.0;

@@ -42,21 +42,6 @@ struct StaConfig
     bool registerInputs = true;
     /** Treat primary outputs as captured by registers (+setup). */
     bool registerOutputs = true;
-    /**
-     * Fraction of the library clock margin charged when the wire
-     * model is disabled. Clock skew is wire RC; with ideal wires only
-     * the jitter floor remains.
-     */
-    double noWireMarginFraction = 0.2;
-    /**
-     * Wireload block-span scaling: every net additionally routes
-     * spanCoefficient * sqrt(total cell area), the classic block-size
-     * dependence of synthesis wireload models. Bigger blocks (wider
-     * cores, deeper pipelines with their added register ranks) get
-     * slower wires — the feedback that saturates silicon pipelining
-     * while leaving organic (gate-dominated) timing untouched.
-     */
-    double spanCoefficient = 0.15;
 };
 
 /** Timing/area report for one netlist under one library. */

@@ -105,17 +105,11 @@ TEST(Blocks, EqualBlockKeysBuildIdenticalNetlists)
                                 buildRegionBlock(region, configs[j])))
                     << arch::toString(region) << " configs " << i
                     << " and " << j;
-                // The loops flooring Issue and Execute share their
-                // region's key.
+                // The wakeup loop flooring Issue shares its key.
                 if (region == arch::Region::Issue) {
                     EXPECT_TRUE(
                         sameNetlist(buildWakeupLoop(configs[i]),
                                     buildWakeupLoop(configs[j])));
-                }
-                if (region == arch::Region::Execute) {
-                    EXPECT_TRUE(
-                        sameNetlist(buildBypassLoop(configs[i]),
-                                    buildBypassLoop(configs[j])));
                 }
             }
         }
@@ -137,15 +131,6 @@ TEST(Blocks, WakeupLoopIsCompactAndCombinational)
     EXPECT_TRUE(nl.dffs().empty());
     EXPECT_LT(nl.depth(), 40);
     EXPECT_GT(nl.numGates(), 100u);
-}
-
-TEST(Blocks, BypassLoopGrowsWithPipesButStaysShallow)
-{
-    const auto small = buildBypassLoop(config(2, 1));
-    const auto big = buildBypassLoop(config(2, 5));
-    EXPECT_GT(big.numGates(), small.numGates());
-    // Tree mux: depth grows logarithmically, not linearly.
-    EXPECT_LT(big.depth(), small.depth() + 14);
 }
 
 TEST(Blocks, StorageBitsScaleWithStructures)

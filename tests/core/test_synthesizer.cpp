@@ -6,6 +6,9 @@
 
 #include "core/synthesizer.hpp"
 #include "liberty/silicon.hpp"
+#include "netlist/bufferize.hpp"
+#include "sta/pipeline.hpp"
+#include "sta/sta.hpp"
 
 namespace otft::core {
 namespace {
@@ -28,8 +31,8 @@ TEST_F(Synthesis, BaselineTimingComplete)
     EXPECT_EQ(timing.regions.size(),
               static_cast<std::size_t>(arch::numRegions));
     EXPECT_GE(timing.complexAluStages, 1);
-    // Core period is the max over regions (or a loop floor on the
-    // issue/execute regions).
+    // Core period is the max over regions (or the wakeup loop floor
+    // on the issue region).
     for (const auto &rt : timing.regions)
         EXPECT_LE(rt.clockPeriod, timing.clockPeriod + 1e-15);
 }
@@ -123,6 +126,36 @@ TEST_F(Synthesis, ReusedSynthesizerMatchesFreshOne)
     reused.synthesize(arch::baselineConfig());
     CoreSynthesizer fresh(library);
     expectSameTiming(reused.synthesize(big), fresh.synthesize(big));
+}
+
+TEST_F(Synthesis, WakeupFloorBindsAtElevenStages)
+{
+    // fig11's 11-stage silicon point, two cuts past the baseline: the
+    // wakeup-select loop, not the Issue block's own stage logic, sets
+    // the Issue region's period.
+    CoreSynthesizer synth(library);
+    arch::CoreConfig config = arch::baselineConfig();
+    config = synth.deepen(synth.deepen(config));
+    const CoreTiming timing = synth.synthesize(config);
+
+    const netlist::Netlist issue = netlist::bufferize(
+        buildRegionBlock(arch::Region::Issue, config), 6);
+    const double block_period =
+        sta::StaEngine(library)
+            .analyze(sta::Pipeliner(library)
+                         .pipeline(issue,
+                                   config.stagesIn(arch::Region::Issue))
+                         .netlist)
+            .minClockPeriod;
+
+    int issue_regions = 0;
+    for (const RegionTiming &rt : timing.regions) {
+        if (rt.region != arch::Region::Issue)
+            continue;
+        ++issue_regions;
+        EXPECT_GT(rt.clockPeriod, block_period);
+    }
+    EXPECT_EQ(issue_regions, 1);
 }
 
 TEST_F(Synthesis, WireOffRaisesFrequency)

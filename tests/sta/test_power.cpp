@@ -102,19 +102,6 @@ TEST(Power, ClockPowerNeedsFlops)
     EXPECT_GT(with_flops.clockPower, 0.0);
 }
 
-TEST(Power, InputActivityKnob)
-{
-    const auto lib = liberty::makeSiliconLibrary();
-    PowerConfig lazy;
-    lazy.inputActivity = 0.01;
-    PowerConfig busy;
-    busy.inputActivity = 0.5;
-    const auto nl = adder(16);
-    const auto p_lazy = PowerEngine(lib, lazy).estimate(nl, 1e8);
-    const auto p_busy = PowerEngine(lib, busy).estimate(nl, 1e8);
-    EXPECT_GT(p_busy.dynamicPower, 10.0 * p_lazy.dynamicPower);
-}
-
 TEST(Power, RejectsNonPositiveFrequency)
 {
     const auto lib = liberty::makeSiliconLibrary();
