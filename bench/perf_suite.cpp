@@ -15,8 +15,7 @@
  * per scenario (under --profile-dir, default cwd), ready for
  * flamegraph.pl / speedscope. The sampling period and the rows of the
  * top-frames report come from the shared session flags
- * (--profile-period-us, --profile-topn, or their OTFT_PROFILE_*
- * environment variables; see util/cli).
+ * --profile-period-us and --profile-topn (see util/cli).
  */
 
 #include <cstdio>

@@ -42,7 +42,6 @@ trap 'rm -rf "${fig_dir}"' EXIT
 footers="${fig_dir}/footers.txt"
 (
     cd "${fig_dir}"
-    unset OTFT_CACHE_DIR
     # Warm-up: characterizes organic.lib in this directory.
     "${bench_bin}/fig13_width_performance" --jobs "${JOBS}" >/dev/null
     for fig in fig13_width_performance fig14_width_area; do

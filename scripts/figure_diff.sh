@@ -21,21 +21,18 @@ if [ $# -ne 2 ]; then
     exit 2
 fi
 
-# Settings that would change what the binaries read or print.
-unset OTFT_CACHE_DIR OTFT_STATS OTFT_STATS_JSON OTFT_TRACE_JSON \
-    OTFT_JOBS OTFT_DIAG_JSON OTFT_DIAG_DIR OTFT_PROFILE_FOLDED
-
 work="$(mktemp -d)"
 trap 'rm -rf "${work}"' EXIT
 status=0
 
 # run_one <bin-dir> <run-dir> <out-dir> <binary> [args...]: run one
-# binary in <run-dir>, its stdout (wall_s masked) to <out-dir>/<binary>.
+# binary in <run-dir> with an empty environment (only PATH), its stdout
+# (wall_s masked) to <out-dir>/<binary>.
 run_one() {
     local bin="$1" dir="$2" out="$3" name="$4"
     shift 4
-    if ! (cd "${dir}" && "${bin}/${name}" "$@" >"${out}/${name}.raw" \
-            2>"${out}/${name}.err"); then
+    if ! (cd "${dir}" && env -i PATH="$PATH" "${bin}/${name}" "$@" \
+            >"${out}/${name}.raw" 2>"${out}/${name}.err"); then
         echo "FAIL: ${bin}/${name} exited non-zero; stderr tail:" >&2
         tail -n 5 "${out}/${name}.err" >&2
         status=1

@@ -1,6 +1,8 @@
 #include "circuit/linear_solver.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "util/logging.hpp"
 #include "util/stats_registry.hpp"
@@ -29,22 +31,6 @@ statSingular()
 } // namespace
 
 bool
-solveLinear(Matrix &a, std::vector<double> &b)
-{
-    if (b.size() != a.size())
-        return false;
-    // One-shot solves reuse a retained factorization object per
-    // thread, so the hot factor/solve path allocates only on first
-    // use (and on a size change). `a` is destroyed either way — here
-    // by the buffer exchange instead of the elimination.
-    thread_local LuFactors lu;
-    if (!lu.factorInPlace(a))
-        return false;
-    lu.solve(b);
-    return true;
-}
-
-bool
 LuFactors::factor(const Matrix &a)
 {
     const std::size_t n = a.size();
@@ -54,21 +40,7 @@ LuFactors::factor(const Matrix &a)
     // Single contiguous copy into the retained storage (the former
     // element-wise at() loop re-derived every row offset).
     std::copy(a.raw(), a.raw() + n * n, lu.raw());
-    return factorStored();
-}
 
-bool
-LuFactors::factorInPlace(Matrix &a)
-{
-    valid_ = false;
-    lu.swap(a);
-    return factorStored();
-}
-
-bool
-LuFactors::factorStored()
-{
-    const std::size_t n = lu.size();
     perm.resize(n);
     for (std::size_t i = 0; i < n; ++i)
         perm[i] = i;

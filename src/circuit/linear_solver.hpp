@@ -6,17 +6,15 @@
  * LU factorization with partial pivoting is both simpler and faster
  * than a sparse solver at this scale.
  *
- * Two entry points: solveLinear() factors and solves in one shot
- * (destroying its inputs), while LuFactors splits factor() from
- * solve() so one factorization can back many right-hand sides — the
- * workhorse of chord (modified) Newton iterations, where the Jacobian
- * is frozen while only the residual changes.
+ * LuFactors splits factor() from solve() so one factorization can
+ * back many right-hand sides — the workhorse of chord (modified)
+ * Newton iterations, where the Jacobian is frozen while only the
+ * residual changes.
  */
 
 #ifndef OTFT_CIRCUIT_LINEAR_SOLVER_HPP
 #define OTFT_CIRCUIT_LINEAR_SOLVER_HPP
 
-#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -49,76 +47,34 @@ class Matrix
     double *raw() { return data.data(); }
     const double *raw() const { return data.data(); }
 
-    /** Reset all entries to zero without reallocating. */
-    void
-    clear()
-    {
-        std::fill(data.begin(), data.end(), 0.0);
-        denseDirty_ = false;
-    }
-
     /**
      * Zero only the given flattened entries (index = r * size() + c).
-     * With the stamp pattern of an MNA assembly this replaces the
-     * O(n^2) clear() by an O(nnz) sweep — valid only while the matrix
-     * is not dense-dirty, i.e. every entry outside the pattern is
-     * still zero from the last clear()/construction. Callers that
-     * restrict their writes to the pattern keep that invariant.
+     * With the stamp pattern of an MNA assembly this is an O(nnz)
+     * sweep instead of an O(n^2) fill; it is sound because every
+     * entry outside the pattern is still zero from construction, as
+     * long as callers restrict their writes to the pattern.
      */
     void
     zeroEntries(const std::vector<std::uint32_t> &entries)
     {
-        assert(!denseDirty_ &&
-               "Matrix::zeroEntries on a dense-dirty matrix");
         for (const std::uint32_t idx : entries) {
             assert(idx < data.size());
             data[idx] = 0.0;
         }
     }
 
-    /**
-     * True when entries outside any stamp pattern may be nonzero
-     * (e.g. after swap()); zeroEntries() is then unsound and callers
-     * must fall back to clear().
-     */
-    bool denseDirty() const { return denseDirty_; }
-
-    /**
-     * Exchange storage with another matrix without copying. Both
-     * matrices become dense-dirty: their contents are whatever the
-     * other side held.
-     */
-    void
-    swap(Matrix &other)
-    {
-        std::swap(n, other.n);
-        data.swap(other.data);
-        denseDirty_ = true;
-        other.denseDirty_ = true;
-    }
-
   private:
     std::size_t n;
     std::vector<double> data;
-    bool denseDirty_ = false;
 };
-
-/**
- * Solve A x = b in place via LU with partial pivoting.
- * @param a coefficient matrix; destroyed by the factorization
- * @param b right-hand side; replaced with the solution
- * @return false if the matrix is numerically singular
- */
-bool solveLinear(Matrix &a, std::vector<double> &b);
 
 /**
  * A reusable LU factorization (partial pivoting).
  *
  * factor() copies the matrix (one contiguous memcpy into retained
- * storage) and factorizes the copy; factorInPlace() skips even that
- * copy by exchanging buffers with the caller's matrix. solve() then
- * applies the stored permutation plus forward/back substitution to
- * any number of right-hand sides without re-factoring. Storage —
+ * storage) and factorizes the copy. solve() then applies the stored
+ * permutation plus forward/back substitution to any number of
+ * right-hand sides without re-factoring. Storage —
  * including the permutation and the solve scratch vector — is
  * retained across calls of the same size, so a Newton loop
  * re-factoring repeatedly allocates only once.
@@ -136,15 +92,6 @@ class LuFactors
      */
     bool factor(const Matrix &a);
 
-    /**
-     * Factor `a` without copying it: the retained factor storage and
-     * `a`'s buffer are exchanged and the factorization runs in place.
-     * On return `a` holds the previously retained storage with
-     * unspecified contents (dense-dirty); callers that need `a`'s
-     * values afterwards must use factor(). @return as factor().
-     */
-    bool factorInPlace(Matrix &a);
-
     /** Solve L U x = P b in place; requires valid(). */
     void solve(std::vector<double> &b) const;
 
@@ -158,9 +105,6 @@ class LuFactors
     void invalidate() { valid_ = false; }
 
   private:
-    /** Eliminate the matrix already sitting in `lu`. */
-    bool factorStored();
-
     Matrix lu{0};
     std::vector<std::size_t> perm;
     /** solve() scratch for the permuted RHS (no per-call alloc). */

@@ -130,15 +130,11 @@ Mna::assemble(const Solution &x, double time, double source_scale,
               double dt, const Solution *x_prev, Matrix *jac,
               std::vector<double> &residual) const
 {
-    if (jac != nullptr) {
-        // Pattern-aware zeroing: only the previously-stamped entries
-        // need resetting; everything else is still zero from the
-        // matrix's construction (assemble never writes off-pattern).
-        if (jac->denseDirty())
-            jac->clear();
-        else
-            jac->zeroEntries(pattern_);
-    }
+    // Pattern-aware zeroing: only the previously-stamped entries need
+    // resetting; everything else is still zero from the matrix's
+    // construction (assemble never writes off-pattern).
+    if (jac != nullptr)
+        jac->zeroEntries(pattern_);
     std::fill(residual.begin(), residual.end(), 0.0);
 
     auto volt = [&](NodeId n) { return nodeVoltage(x, n); };
@@ -303,14 +299,6 @@ Mna::solveNewton(Solution &x, double time, double source_scale, double dt,
         "distribution of iterations per converged solve");
     static stats::Accumulator &stat_time = stats::accumulator(
         "circuit.newton.solve_time", "seconds per Newton solve");
-    static const bool rates_registered = [] {
-        stats::Registry::instance().rate(
-            "circuit.newton.mean_iterations",
-            "circuit.newton.iterations", "circuit.newton.solves",
-            "mean Newton iterations per solve");
-        return true;
-    }();
-    (void)rates_registered;
 
     stat_solves.add();
     trace::Scope scope("mna.solve_newton", &stat_time);

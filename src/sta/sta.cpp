@@ -58,14 +58,6 @@ StaEngine::propagate(const Netlist &nl) const
         "sta.arcs.evaluated", "timing arc lookups during propagation");
     static stats::Counter &stat_wires = stats::counter(
         "sta.wire.evaluations", "wireload model evaluations");
-    static const bool rates_registered = [] {
-        stats::Registry::instance().rate(
-            "sta.arcs_per_pass", "sta.arcs.evaluated",
-            "sta.levelization.passes",
-            "mean arcs evaluated per propagation pass");
-        return true;
-    }();
-    (void)rates_registered;
     OTFT_TRACE_SCOPE("sta.propagate");
     ++stat_passes;
 

@@ -110,7 +110,7 @@ parseYield(const std::string &text, const char *source)
 }
 
 /**
- * Parse and validate a --jobs/OTFT_JOBS value: a positive decimal
+ * Parse and validate a --jobs value: a positive decimal
  * integer, clamped to the hardware concurrency. 0, negative, or
  * non-numeric input is fatal (a silent fallback would quietly run a
  * sweep serial or oversubscribed).
@@ -135,11 +135,6 @@ Session::Session(std::string name_in, int &argc, char **argv,
     : name(std::move(name_in)), footer(footer_in == Footer::On),
       startNs(stats::monotonicNowNs())
 {
-    bool mc_samples_set = false;
-    bool mc_seed_set = false;
-    bool mc_yield_set = false;
-    bool profile_period_set = false;
-    bool profile_top_set = false;
     int i = 1;
     while (i < argc) {
         const char *arg = argv[i];
@@ -187,78 +182,42 @@ Session::Session(std::string name_in, int &argc, char **argv,
                 fatal("cli: --profile-period-us requires a count");
             profilePeriod = static_cast<std::uint64_t>(
                 parsePositiveInt(argv[i + 1], "--profile-period-us"));
-            profile_period_set = true;
             consumeArgs(argc, argv, i, 2);
         } else if (std::strcmp(arg, "--profile-topn") == 0) {
             if (!has_value)
                 fatal("cli: --profile-topn requires a count");
             profileTop =
                 parsePositiveInt(argv[i + 1], "--profile-topn");
-            profile_top_set = true;
             consumeArgs(argc, argv, i, 2);
         } else if (std::strcmp(arg, "--mc-samples") == 0) {
             if (!has_value)
                 fatal("cli: --mc-samples requires a count");
             mcSamples_ =
                 parsePositiveInt(argv[i + 1], "--mc-samples");
-            mc_samples_set = true;
             consumeArgs(argc, argv, i, 2);
         } else if (std::strcmp(arg, "--mc-seed") == 0) {
             if (!has_value)
                 fatal("cli: --mc-seed requires a seed");
             mcSeed_ = parseSeed(argv[i + 1], "--mc-seed");
-            mc_seed_set = true;
             consumeArgs(argc, argv, i, 2);
         } else if (std::strcmp(arg, "--mc-yield") == 0) {
             if (!has_value)
                 fatal("cli: --mc-yield requires a fraction");
             mcYield_ = parseYield(argv[i + 1], "--mc-yield");
-            mc_yield_set = true;
             consumeArgs(argc, argv, i, 2);
         } else {
             ++i;
         }
     }
 
-    if (const char *env = std::getenv("OTFT_STATS"))
-        statsText = statsText || std::strcmp(env, "0") != 0;
+    // The flag wins over its variable; benchmark/otft_benchmark.cpp
+    // sets these two for the runs it traces.
     if (statsJsonPath.empty())
         if (const char *env = std::getenv("OTFT_STATS_JSON"))
             statsJsonPath = env;
     if (traceJsonPath.empty())
         if (const char *env = std::getenv("OTFT_TRACE_JSON"))
             traceJsonPath = env;
-    if (jobs_ == 0)
-        if (const char *env = std::getenv("OTFT_JOBS"))
-            jobs_ = parseJobs(env, "OTFT_JOBS");
-    if (cacheDir.empty())
-        if (const char *env = std::getenv("OTFT_CACHE_DIR"))
-            cacheDir = env;
-    if (diagJsonPath.empty())
-        if (const char *env = std::getenv("OTFT_DIAG_JSON"))
-            diagJsonPath = env;
-    if (diagDir.empty())
-        if (const char *env = std::getenv("OTFT_DIAG_DIR"))
-            diagDir = env;
-    if (profilePath.empty())
-        if (const char *env = std::getenv("OTFT_PROFILE_FOLDED"))
-            profilePath = env;
-    if (!profile_period_set)
-        if (const char *env = std::getenv("OTFT_PROFILE_PERIOD_US"))
-            profilePeriod = static_cast<std::uint64_t>(
-                parsePositiveInt(env, "OTFT_PROFILE_PERIOD_US"));
-    if (!profile_top_set)
-        if (const char *env = std::getenv("OTFT_PROFILE_TOPN"))
-            profileTop = parsePositiveInt(env, "OTFT_PROFILE_TOPN");
-    if (!mc_samples_set)
-        if (const char *env = std::getenv("OTFT_MC_SAMPLES"))
-            mcSamples_ = parsePositiveInt(env, "OTFT_MC_SAMPLES");
-    if (!mc_seed_set)
-        if (const char *env = std::getenv("OTFT_MC_SEED"))
-            mcSeed_ = parseSeed(env, "OTFT_MC_SEED");
-    if (!mc_yield_set)
-        if (const char *env = std::getenv("OTFT_MC_YIELD"))
-            mcYield_ = parseYield(env, "OTFT_MC_YIELD");
     // OTFT_CACHE=0 disables memoization entirely (e.g. to benchmark
     // the uncached paths or bisect a suspected stale-entry problem).
     if (const char *env = std::getenv("OTFT_CACHE"))

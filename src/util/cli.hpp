@@ -1,11 +1,11 @@
 /**
  * @file
  * Shared driver shell for the bench and example binaries: strips the
- * observability flags from argv, honors the OTFT_* environment
- * overrides, and on exit emits the stats report, the trace timeline,
- * and (for benches) a one-line machine-readable JSON footer.
+ * run-option flags from argv and on exit emits the stats report, the
+ * trace timeline, and (for benches) a one-line machine-readable JSON
+ * footer.
  *
- * Flags / environment handled:
+ * Flags handled:
  *   --stats-json <path>   write the stats registry as JSON on exit
  *   --stats               print the stats text table to stderr on exit
  *   --trace-json <path>   collect a Chrome trace_event timeline
@@ -23,20 +23,13 @@
  *   --mc-seed <n>         Monte Carlo master seed (default 1)
  *   --mc-yield <y>        target parametric yield in (0, 1)
  *                         (default 0.99)
- *   OTFT_STATS=1          same as --stats
- *   OTFT_STATS_JSON=path  same as --stats-json
- *   OTFT_TRACE_JSON=path  same as --trace-json
- *   OTFT_JOBS=n           same as --jobs
- *   OTFT_CACHE_DIR=dir    same as --cache-dir
+ *
+ * Each option has one input channel, its flag, so a run is reproducible
+ * from its command line. Three environment variables remain:
+ *   OTFT_STATS_JSON=path  --stats-json when the flag is absent
+ *   OTFT_TRACE_JSON=path  --trace-json when the flag is absent
  *   OTFT_CACHE=0          disable result-cache memoization entirely
- *   OTFT_DIAG_JSON=path   same as --diag-json
- *   OTFT_DIAG_DIR=dir     same as --diag-dir
- *   OTFT_PROFILE_FOLDED=path      same as --profile-folded
- *   OTFT_PROFILE_PERIOD_US=n      same as --profile-period-us
- *   OTFT_PROFILE_TOPN=n           same as --profile-topn
- *   OTFT_MC_SAMPLES=n     same as --mc-samples
- *   OTFT_MC_SEED=n        same as --mc-seed
- *   OTFT_MC_YIELD=y       same as --mc-yield
+ * (the first two let a parent process trace the runs it launches).
  *
  * --jobs must be a positive integer; 0, negative, or non-numeric
  * values are fatal. Values above the hardware concurrency are clamped
@@ -44,10 +37,10 @@
  * process-wide parallel::jobs() default; without the flag the default
  * is the hardware concurrency.
  *
- * Flags take precedence over the environment. Output paths are
- * validated up front: an unwritable --stats-json/--trace-json target
- * is a fatal() at construction (clear message, nonzero exit), not a
- * silent warning after the run has burned its compute.
+ * Output paths are validated up front: an unwritable
+ * --stats-json/--trace-json target is a fatal() at construction (clear
+ * message, nonzero exit), not a silent warning after the run has
+ * burned its compute.
  */
 
 #ifndef OTFT_UTIL_CLI_HPP

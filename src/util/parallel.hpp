@@ -17,7 +17,7 @@
  * fan-out) naturally.
  *
  * The global job count defaults to the hardware concurrency and is
- * set once at startup by cli::Session from `--jobs`/`OTFT_JOBS`;
+ * set once at startup by cli::Session from `--jobs`;
  * tests and benches pin a scope with JobsOverride.
  */
 

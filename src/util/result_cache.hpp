@@ -24,7 +24,7 @@
  * Persistence: in-memory LRU always; optionally backed by a JSON file
  * (`<dir>/result_cache.json`) loaded at setDirectory() and written by
  * flush() when memory no longer matches it. cli::Session wires
- * `--cache-dir` / OTFT_CACHE_DIR to this and flushes on exit, so a
+ * `--cache-dir` to this and flushes on exit, so a
  * fully warm run writes nothing. Corrupt or truncated cache files are
  * never fatal: parse failures warn and behave as a miss.
  */

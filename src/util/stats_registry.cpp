@@ -121,8 +121,6 @@ struct Registry::Node
     Counter counter;
     Accumulator accumulator;
     std::unique_ptr<Histogram> histogram;
-    /** Rate operands (node names, resolved at dump time). */
-    std::string rateNum, rateDen;
 
     explicit Node(NodeKind k) : kind(k) {}
 };
@@ -146,8 +144,6 @@ kindName(NodeKind kind)
         return "accumulator";
       case NodeKind::Histogram:
         return "histogram";
-      case NodeKind::Rate:
-        return "rate";
     }
     return "?";
 }
@@ -195,47 +191,6 @@ Registry::histogram(const std::string &name, double lo, double hi,
     return *node.histogram;
 }
 
-void
-Registry::rate(const std::string &name, const std::string &numerator,
-               const std::string &denominator, const std::string &desc)
-{
-    Node &node = findOrCreate(name, NodeKind::Rate, desc);
-    node.rateNum = numerator;
-    node.rateDen = denominator;
-}
-
-namespace {
-
-/** A node's scalar magnitude for rate evaluation. */
-double
-scalarOf(const Registry::Node *node);
-
-} // namespace
-
-double
-Registry::rateValue(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return rateValueLocked(name);
-}
-
-double
-Registry::rateValueLocked(const std::string &name) const
-{
-    auto it = nodes.find(name);
-    if (it == nodes.end() || it->second->kind != NodeKind::Rate)
-        return 0.0;
-    const Node *num_node = nullptr, *den_node = nullptr;
-    auto num_it = nodes.find(it->second->rateNum);
-    if (num_it != nodes.end())
-        num_node = num_it->second.get();
-    auto den_it = nodes.find(it->second->rateDen);
-    if (den_it != nodes.end())
-        den_node = den_it->second.get();
-    const double den = scalarOf(den_node);
-    return den != 0.0 ? scalarOf(num_node) / den : 0.0;
-}
-
 bool
 Registry::has(const std::string &name) const
 {
@@ -268,26 +223,6 @@ Registry::reset()
 
 namespace {
 
-double
-scalarOf(const Registry::Node *node)
-{
-    if (!node)
-        return 0.0;
-    switch (node->kind) {
-      case NodeKind::Counter:
-        return static_cast<double>(node->counter.value());
-      case NodeKind::Accumulator:
-        return node->accumulator.sum();
-      case NodeKind::Histogram:
-        return node->histogram
-                   ? static_cast<double>(node->histogram->totalSamples())
-                   : 0.0;
-      case NodeKind::Rate:
-        return 0.0; // rates of rates are not supported
-    }
-    return 0.0;
-}
-
 bool
 nodeIsEmpty(const Registry::Node &node)
 {
@@ -298,8 +233,6 @@ nodeIsEmpty(const Registry::Node &node)
         return node.accumulator.count() == 0;
       case NodeKind::Histogram:
         return !node.histogram || node.histogram->totalSamples() == 0;
-      case NodeKind::Rate:
-        return false; // always evaluable
     }
     return true;
 }
@@ -352,9 +285,6 @@ Registry::dumpText(std::ostream &os) const
                   << " p95=" << formatNumber(h.p95());
             break;
           }
-          case NodeKind::Rate:
-            value << formatNumber(rateValueLocked(name));
-            break;
         }
         table.row().add(name).add(value.str()).add(node->desc);
     }
@@ -402,9 +332,6 @@ Registry::dumpJson(std::ostream &os) const
             os << "]}";
             break;
           }
-          case NodeKind::Rate:
-            os << jsonNumber(rateValueLocked(name));
-            break;
         }
     }
     os << "\n}\n";

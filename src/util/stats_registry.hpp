@@ -2,8 +2,8 @@
  * @file
  * Process-wide hierarchical statistics registry, in the spirit of
  * gem5's stats package: named scalar counters, accumulators with
- * count/sum/min/max, fixed-bin histograms, and derived rates
- * (numerator / denominator evaluated at dump time).
+ * count/sum/min/max, and fixed-bin histograms. A ratio of two nodes
+ * is left to the reader of a dump, which holds both operands.
  *
  * Names are dotted paths following the `layer.noun.verb` convention
  * ("circuit.newton.iterations", "sta.arcs.evaluated"). Registration
@@ -184,7 +184,7 @@ class Histogram
 };
 
 /** Node kinds stored in the registry. */
-enum class NodeKind { Counter, Accumulator, Histogram, Rate };
+enum class NodeKind { Counter, Accumulator, Histogram };
 
 /**
  * The registry: an ordered map from dotted name to node. Nodes are
@@ -208,18 +208,6 @@ class Registry
     Histogram &histogram(const std::string &name, double lo, double hi,
                          std::size_t num_bins,
                          const std::string &desc = "");
-
-    /**
-     * Register a derived rate `numerator / denominator`, evaluated at
-     * dump time from two counter or accumulator-sum nodes (missing or
-     * zero denominator evaluates to 0).
-     */
-    void rate(const std::string &name, const std::string &numerator,
-              const std::string &denominator,
-              const std::string &desc = "");
-
-    /** Current value of a derived rate (0 if unregistered). */
-    double rateValue(const std::string &name) const;
 
     /** @return true if `name` is registered (any kind). */
     bool has(const std::string &name) const;
@@ -252,8 +240,6 @@ class Registry
 
     Node &findOrCreate(const std::string &name, NodeKind kind,
                        const std::string &desc);
-
-    double rateValueLocked(const std::string &name) const;
 
     /**
      * Guards the name map (not node values: nodes are heap-allocated,

@@ -37,14 +37,15 @@ testMatrix()
     return a;
 }
 
-TEST(LuFactors, MatchesSolveLinear)
+TEST(LuFactors, MatchesKnownSolution)
 {
     const Matrix a = testMatrix();
-    std::vector<double> b = {1.0, -2.0, 0.5, 4.0};
-
-    Matrix scratch = a;
-    std::vector<double> reference = b;
-    ASSERT_TRUE(solveLinear(scratch, reference));
+    // b = A * reference, so the solve must recover `reference`.
+    const std::vector<double> reference = {0.5, -1.0, 2.0, 1.5};
+    std::vector<double> b(4, 0.0);
+    for (std::size_t r = 0; r < 4; ++r)
+        for (std::size_t c = 0; c < 4; ++c)
+            b[r] += a.at(r, c) * reference[c];
 
     LuFactors lu;
     ASSERT_TRUE(lu.factor(a));
@@ -63,9 +64,11 @@ TEST(LuFactors, OneFactorizationServesManyRhs)
 
     for (int rhs = 0; rhs < 3; ++rhs) {
         std::vector<double> b = {1.0 + rhs, -rhs * 2.0, 0.25, 3.0};
-        Matrix scratch = a;
+        // A fresh factorization per RHS is the reference.
+        LuFactors fresh;
+        ASSERT_TRUE(fresh.factor(a));
         std::vector<double> reference = b;
-        ASSERT_TRUE(solveLinear(scratch, reference));
+        fresh.solve(reference);
         lu.solve(b);
         for (std::size_t i = 0; i < 4; ++i)
             EXPECT_NEAR(b[i], reference[i], 1e-12)

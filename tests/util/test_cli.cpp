@@ -8,6 +8,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/cli.hpp"
@@ -41,7 +42,25 @@ class Args
     int argc_ = 0;
 };
 
-/** Clears the OTFT observability environment for the test body. */
+/**
+ * Variables that once doubled the flags, each with a value the flag
+ * would reject or that differs from its default. Session ignores them.
+ */
+const std::pair<const char *, const char *> removedVariables[] = {
+    {"OTFT_STATS", "1"},
+    {"OTFT_JOBS", "0"},
+    {"OTFT_CACHE_DIR", "/nonexistent-dir-otft/cache"},
+    {"OTFT_DIAG_JSON", "/nonexistent-dir-otft/diag.json"},
+    {"OTFT_DIAG_DIR", "/nonexistent-dir-otft/diag"},
+    {"OTFT_PROFILE_FOLDED", "/nonexistent-dir-otft/prof.folded"},
+    {"OTFT_PROFILE_PERIOD_US", "0"},
+    {"OTFT_PROFILE_TOPN", "-1"},
+    {"OTFT_MC_SAMPLES", "3000000000"},
+    {"OTFT_MC_SEED", "-5"},
+    {"OTFT_MC_YIELD", "1.5"},
+};
+
+/** Clears the environment Session reads (or once read). */
 class CleanEnv : public ::testing::Test
 {
   protected:
@@ -49,26 +68,23 @@ class CleanEnv : public ::testing::Test
     SetUp() override
     {
         setQuiet(true);
-        unsetenv("OTFT_STATS");
-        unsetenv("OTFT_STATS_JSON");
-        unsetenv("OTFT_TRACE_JSON");
-        unsetenv("OTFT_JOBS");
-        unsetenv("OTFT_MC_SAMPLES");
-        unsetenv("OTFT_PROFILE_PERIOD_US");
-        unsetenv("OTFT_PROFILE_TOPN");
+        clearEnv();
     }
 
     void
     TearDown() override
     {
-        unsetenv("OTFT_STATS");
+        clearEnv();
+        setQuiet(false);
+    }
+
+    static void
+    clearEnv()
+    {
         unsetenv("OTFT_STATS_JSON");
         unsetenv("OTFT_TRACE_JSON");
-        unsetenv("OTFT_JOBS");
-        unsetenv("OTFT_MC_SAMPLES");
-        unsetenv("OTFT_PROFILE_PERIOD_US");
-        unsetenv("OTFT_PROFILE_TOPN");
-        setQuiet(false);
+        for (const auto &[name, value] : removedVariables)
+            unsetenv(name);
     }
 
     std::string
@@ -101,44 +117,60 @@ TEST_F(CliSession, ConsumesObservabilityFlagsOnly)
 
 TEST_F(CliSession, EnvironmentFillsInWhenFlagsAbsent)
 {
-    const std::string env_path = tmpPath("cli_env_stats.json");
-    setenv("OTFT_STATS_JSON", env_path.c_str(), 1);
-    setenv("OTFT_STATS", "1", 1);
+    const std::string stats_path = tmpPath("cli_env_stats.json");
+    const std::string trace_path = tmpPath("cli_env_trace.json");
+    setenv("OTFT_STATS_JSON", stats_path.c_str(), 1);
+    setenv("OTFT_TRACE_JSON", trace_path.c_str(), 1);
     Args args({"prog"});
     {
         Session session("test", args.argc(), args.argv());
-        EXPECT_EQ(session.statsJson(), env_path);
-        EXPECT_TRUE(session.statsTextEnabled());
+        EXPECT_EQ(session.statsJson(), stats_path);
+        EXPECT_EQ(session.traceJson(), trace_path);
     }
-    std::remove(env_path.c_str());
+    std::remove(stats_path.c_str());
+    std::remove(trace_path.c_str());
 }
 
 TEST_F(CliSession, FlagsTakePrecedenceOverEnvironment)
 {
-    const std::string env_path = tmpPath("cli_prec_env.json");
-    const std::string flag_path = tmpPath("cli_prec_flag.json");
-    setenv("OTFT_STATS_JSON", env_path.c_str(), 1);
-    setenv("OTFT_STATS", "0", 1);
-    Args args({"prog", "--stats-json", flag_path});
+    const std::string env_stats = tmpPath("cli_prec_env.json");
+    const std::string flag_stats = tmpPath("cli_prec_flag.json");
+    const std::string env_trace = tmpPath("cli_prec_env_trace.json");
+    const std::string flag_trace = tmpPath("cli_prec_flag_trace.json");
+    setenv("OTFT_STATS_JSON", env_stats.c_str(), 1);
+    setenv("OTFT_TRACE_JSON", env_trace.c_str(), 1);
+    Args args({"prog", "--stats-json", flag_stats, "--trace-json",
+               flag_trace});
     {
         Session session("test", args.argc(), args.argv());
-        EXPECT_EQ(session.statsJson(), flag_path);
-        // OTFT_STATS=0 means "off", not "set".
-        EXPECT_FALSE(session.statsTextEnabled());
+        EXPECT_EQ(session.statsJson(), flag_stats);
+        EXPECT_EQ(session.traceJson(), flag_trace);
     }
-    std::remove(flag_path.c_str());
+    std::remove(flag_stats.c_str());
+    std::remove(flag_trace.c_str());
 }
 
-TEST_F(CliSession, ProfileFlagsTakePrecedenceOverEnvironment)
+TEST_F(CliSession, RemovedVariablesAreIgnored)
 {
-    setenv("OTFT_PROFILE_PERIOD_US", "700", 1);
-    setenv("OTFT_PROFILE_TOPN", "9", 1);
-    {
-        Args args({"prog"});
-        Session session("test", args.argc(), args.argv());
-        EXPECT_EQ(session.profilePeriodUs(), 700u);
-        EXPECT_EQ(session.profileTopN(), 9);
-    }
+    for (const auto &[name, value] : removedVariables)
+        setenv(name, value, 1);
+    Args args({"prog"});
+    Session session("test", args.argc(), args.argv());
+    EXPECT_FALSE(session.statsTextEnabled());
+    EXPECT_EQ(session.jobs(), parallel::hardwareJobs());
+    EXPECT_TRUE(session.cacheDirectory().empty());
+    EXPECT_TRUE(session.diagJson().empty());
+    EXPECT_TRUE(session.diagDirectory().empty());
+    EXPECT_TRUE(session.profileFolded().empty());
+    EXPECT_EQ(session.profilePeriodUs(), 1000u);
+    EXPECT_EQ(session.profileTopN(), 5);
+    EXPECT_EQ(session.mcSamples(), 16);
+    EXPECT_EQ(session.mcSeed(), 1u);
+    EXPECT_DOUBLE_EQ(session.mcYield(), 0.99);
+}
+
+TEST_F(CliSession, ProfileFlagsSetPeriodAndTopN)
+{
     Args args({"prog", "--profile-period-us", "200", "--profile-topn",
                "3"});
     Session session("test", args.argc(), args.argv());
@@ -240,22 +272,6 @@ TEST_F(CliSession, JobsMissingValueIsFatal)
                  FatalError);
 }
 
-TEST_F(CliSession, JobsEnvironmentFallback)
-{
-    setenv("OTFT_JOBS", "1", 1);
-    Args args({"prog"});
-    Session session("test", args.argc(), args.argv());
-    EXPECT_EQ(session.jobs(), 1);
-}
-
-TEST_F(CliSession, JobsEnvironmentValueIsValidatedToo)
-{
-    setenv("OTFT_JOBS", "0", 1);
-    Args args({"prog"});
-    EXPECT_THROW(Session("test", args.argc(), args.argv()),
-                 FatalError);
-}
-
 TEST_F(CliSession, CountsAboveIntMaxAreFatalNotTruncated)
 {
     // 3000000000 used to wrap to a negative int and 4294967298 (2^32
@@ -276,24 +292,6 @@ TEST_F(CliSession, McSamplesAcceptsIntMax)
     Args args({"prog", "--mc-samples", "2147483647"});
     Session session("test", args.argc(), args.argv());
     EXPECT_EQ(session.mcSamples(), 2147483647);
-}
-
-TEST_F(CliSession, McSamplesEnvironmentAboveIntMaxIsFatal)
-{
-    setenv("OTFT_MC_SAMPLES", "3000000000", 1);
-    Args args({"prog"});
-    EXPECT_THROW(Session("test", args.argc(), args.argv()),
-                 FatalError);
-}
-
-TEST_F(CliSession, JobsFlagBeatsEnvironment)
-{
-    // The env value is invalid; with the flag present it must never
-    // even be parsed.
-    setenv("OTFT_JOBS", "not-a-number", 1);
-    Args args({"prog", "--jobs", "1"});
-    Session session("test", args.argc(), args.argv());
-    EXPECT_EQ(session.jobs(), 1);
 }
 
 TEST_F(CliSession, StatsJsonIsWrittenOnExit)

@@ -148,21 +148,6 @@ TEST(StatsRegistry, KindMismatchIsFatal)
     EXPECT_THROW(accumulator("test.kind.scalar"), FatalError);
 }
 
-TEST(StatsRegistry, RateDividesAtDumpTime)
-{
-    Registry &reg = Registry::instance();
-    Counter &num = counter("test.rate.num");
-    Counter &den = counter("test.rate.den");
-    num.reset();
-    den.reset();
-    reg.rate("test.rate.value", "test.rate.num", "test.rate.den");
-    EXPECT_DOUBLE_EQ(reg.rateValue("test.rate.value"), 0.0);
-    num += 6;
-    den += 4;
-    EXPECT_DOUBLE_EQ(reg.rateValue("test.rate.value"), 1.5);
-    EXPECT_DOUBLE_EQ(reg.rateValue("test.rate.unregistered"), 0.0);
-}
-
 TEST(StatsRegistry, ResetZeroesValuesButKeepsRegistrations)
 {
     Registry &reg = Registry::instance();
@@ -180,7 +165,6 @@ TEST(StatsRegistry, ResetZeroesValuesButKeepsRegistrations)
 
 TEST(StatsRegistry, JsonDumpRoundTrips)
 {
-    Registry &reg = Registry::instance();
     Counter &c = counter("test.json.counter");
     Accumulator &a = accumulator("test.json.accumulator");
     Histogram &h = histogram("test.json.histogram", 0.0, 4.0, 4);
@@ -193,13 +177,10 @@ TEST(StatsRegistry, JsonDumpRoundTrips)
     h.sample(-1.0);
     h.sample(1.5);
     h.sample(99.0);
-    reg.rate("test.json.rate", "test.json.counter",
-             "test.json.accumulator");
 
     const json::Value doc = parsedDump();
 
     EXPECT_DOUBLE_EQ(doc.number("test.json.counter"), 11.0);
-    EXPECT_DOUBLE_EQ(doc.number("test.json.rate"), 11.0 / 3.0);
     EXPECT_DOUBLE_EQ(doc.number("test.json.missing", -1.0), -1.0);
 
     ASSERT_TRUE(doc.has("test.json.accumulator"));
