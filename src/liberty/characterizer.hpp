@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "cells/topologies.hpp"
+#include "circuit/transient.hpp"
 #include "circuit/waveform.hpp"
 #include "liberty/library.hpp"
 
@@ -42,6 +43,12 @@ struct CharacterizerConfig
      * widens them so a 3-sigma mobility draw still settles.
      */
     double settleScale = 1.0;
+    /**
+     * Solver settings of every measurement transient: the arc points,
+     * the DFF clk->Q sweep and the setup bisection each copy this and
+     * set only their own dt and tStop.
+     */
+    circuit::TransientConfig transient = {};
 };
 
 /** Characterizes the six-cell organic library. */
