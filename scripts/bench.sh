@@ -1,15 +1,19 @@
 #!/usr/bin/env bash
 # Record one point of the performance trajectory: build, run the
-# perf_suite scenario set plus the fig13 and fig14 figures, and write
-# the next BENCH_<seq>.json in the bench-results directory. Compare two
-# points with bench/perf_diff or scripts/perf_gate.sh.
+# perf_suite scenario set plus the fig13 and fig14 figures and a
+# 4-sample Monte Carlo characterization, and write the next
+# BENCH_<seq>.json in the bench-results directory. Compare two points
+# with bench/perf_diff or scripts/perf_gate.sh.
 #
 # The figures run at the script's job count in a fresh temporary
 # directory with no persisted result cache, after one un-recorded
 # warm-up run that characterizes organic.lib there; their footers enter
 # the report as bench.fig13_width_performance and
-# bench.fig14_width_area. perf_suite ingests footers in the invocation
-# that runs the scenario set, so the figures run just before it.
+# bench.fig14_width_area. `mc_characterize --mc-samples 4 --mc-seed 1`
+# runs in the same directory and enters as bench.mc_characterize, the
+# figure-level point for the device/circuit/liberty layers. perf_suite
+# ingests footers in the invocation that runs the scenario set, so
+# these runs come just before it.
 #
 # Usage: scripts/bench.sh [build-dir] [results-dir]
 #
@@ -25,7 +29,7 @@ REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 
 cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" >/dev/null
 cmake --build "${BUILD_DIR}" -j "${JOBS}" --target perf_suite perf_diff \
-    fig13_width_performance fig14_width_area
+    fig13_width_performance fig14_width_area mc_characterize
 
 mkdir -p "${RESULTS_DIR}"
 
@@ -47,6 +51,8 @@ footers="${fig_dir}/footers.txt"
     for fig in fig13_width_performance fig14_width_area; do
         "${bench_bin}/${fig}" --jobs "${JOBS}" | tail -n 1 >>"${footers}"
     done
+    "${bench_bin}/mc_characterize" --jobs "${JOBS}" --mc-samples 4 \
+        --mc-seed 1 | tail -n 1 >>"${footers}"
 )
 
 "${BUILD_DIR}/bench/perf_suite" \
