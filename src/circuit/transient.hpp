@@ -16,6 +16,8 @@
  *    on source-waveform breakpoints (and restart their error history
  *    there, where the input derivative is discontinuous), so ramps
  *    start and stop on a solver step just like the fixed grid.
+ *    Inside a segment, each step's Newton solve starts from the
+ *    linear extrapolation of the last two accepted points.
  *
  *  - fixed (`fixedStep = true`): the original uniform grid at `dt`
  *    with breakpoints inserted, bit-for-bit identical to the

@@ -2,7 +2,8 @@
  * @file
  * Tests of the LTE-controlled adaptive timestep engine: accuracy
  * against the fixed-step reference, exact breakpoint landing, step
- * budget reduction, and the [dtMin, dtMax] bounds.
+ * budget reduction, the [dtMin, dtMax] bounds, and the Newton
+ * predictor's iteration count.
  */
 
 #include <algorithm>
@@ -181,6 +182,54 @@ TEST(AdaptiveTransient, InverterDelaysMatchFixedStep)
             EXPECT_NEAR(adaptive.at(t), fixed.at(t), 0.02 * vdd)
                 << cells::toString(kind) << " at t = " << t;
     }
+}
+
+/**
+ * The Newton predictor: each adaptive step starts from the linear
+ * extrapolation of the last two accepted points, so a switching
+ * inverter converges in fewer iterations per solve than it would from
+ * the previous solution, while the step sequence (steps, LTE
+ * rejections) stays the one the LTE controller chose before.
+ */
+TEST(AdaptiveTransient, PredictorCutsNewtonIterationsPerSolve)
+{
+    stats::Counter &iterations = stats::counter(
+        "circuit.newton.iterations", "Newton iterations executed");
+    stats::Counter &solves = stats::counter("circuit.newton.solves",
+                                            "Newton solves attempted");
+    stats::Counter &steps = stats::counter(
+        "circuit.transient.steps", "transient time steps integrated");
+    stats::Counter &rejections = stats::counter(
+        "circuit.transient.lte_rejections",
+        "adaptive steps rejected for excess local truncation error");
+
+    cells::CellFactory factory;
+    cells::BuiltCell cell = factory.inverter(cells::InverterKind::PseudoE,
+                                             4.0 * factory.inputCap());
+    cell.ckt.setSourceWave(
+        cell.inputSources[0],
+        Pwl::pulse(0.0, cell.supply.vdd, 20e-6, 4e-6, 60e-6));
+    TransientConfig config;
+    config.tStop = 160e-6;
+    config.dt = 0.5e-6;
+    // The DC solve stays outside the counted window.
+    const Solution x0 = DcAnalysis(cell.ckt, config.newton).operatingPoint();
+
+    const std::uint64_t iterations0 = iterations.value();
+    const std::uint64_t solves0 = solves.value();
+    const std::uint64_t steps0 = steps.value();
+    const std::uint64_t rejections0 = rejections.value();
+    (void)TransientAnalysis(cell.ckt).run(config, x0);
+    const double n_iterations =
+        static_cast<double>(iterations.value() - iterations0);
+    const double n_solves = static_cast<double>(solves.value() - solves0);
+
+    // Measured: 509 iterations over 243 solves (2.09 per solve) with
+    // the predictor, 759 (3.12) when each step starts from the last
+    // accepted point. The bound sits between the two.
+    EXPECT_LT(n_iterations / n_solves, 2.6);
+    EXPECT_EQ(steps.value() - steps0, 243u);
+    EXPECT_EQ(rejections.value() - rejections0, 10u);
 }
 
 } // namespace
