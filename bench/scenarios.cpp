@@ -1,5 +1,6 @@
 #include "scenarios.hpp"
 
+#include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <map>
@@ -28,9 +29,11 @@
 #include "netlist/netlist.hpp"
 #include "sta/pipeline.hpp"
 #include "sta/sta.hpp"
+#include "util/logging.hpp"
 #include "util/parallel.hpp"
 #include "util/result_cache.hpp"
 #include "util/rng.hpp"
+#include "util/stats_registry.hpp"
 #include "workload/trace.hpp"
 
 namespace otft::bench {
@@ -146,6 +149,57 @@ addDeviceFit(perf::ScenarioSuite &suite)
             const auto fit = fitter.fitLevel1(curve);
             (void)fit;
             return curve.vgs.size();
+        },
+    });
+}
+
+/**
+ * The level-61 FET evaluation alone, the kernel under every Jacobian
+ * build: the golden p-type pentacene device over a 61 x 61 grid of
+ * (VGS, VDS) in [-15, 15] V, which spans cutoff, deep subthreshold,
+ * both saturation frames and source/drain exchange. Each point takes
+ * one evaluate() (current, gm, gds) and one drainCurrent() (a chord
+ * iteration's call).
+ */
+void
+addLevel61Evaluate(perf::ScenarioSuite &suite)
+{
+    constexpr int steps = 61;
+    // One pass is ~7.4k evaluations (~1 ms); eight keep a rep well
+    // above the diff's 20 us floor.
+    constexpr int rounds = 8;
+    suite.add({
+        "device.level61_evaluate",
+        "device",
+        "level-61 evaluate() + drainCurrent() of the golden pentacene "
+        "device over a 61 x 61 VGS x VDS grid in [-15, 15] V",
+        [] {},
+        []() -> std::uint64_t {
+            // The model has no counter of its own (one would cost an
+            // atomic per evaluation), so the scenario counts its calls.
+            static stats::Counter &stat_evals = stats::counter(
+                "device.level61.bench_evaluations",
+                "level-61 evaluations made by the perf scenario");
+            const auto model = device::makePentaceneGolden();
+            double sink = 0.0;
+            std::uint64_t points = 0;
+            for (int round = 0; round < rounds; ++round) {
+                for (int i = 0; i < steps; ++i) {
+                    const double vgs = -15.0 + 0.5 * i;
+                    for (int j = 0; j < steps; ++j) {
+                        const double vds = -15.0 + 0.5 * j;
+                        const auto e = model->evaluate(vgs, vds);
+                        sink += e.id + e.gm + e.gds +
+                                model->drainCurrent(vgs, vds);
+                        ++points;
+                    }
+                }
+            }
+            // Keep the evaluations observable.
+            if (!std::isfinite(sink))
+                fatal("device.level61_evaluate: non-finite result");
+            stat_evals += 2 * points;
+            return points;
         },
     });
 }
@@ -683,6 +737,7 @@ void
 registerAllScenarios(perf::ScenarioSuite &suite)
 {
     addDeviceFit(suite);
+    addLevel61Evaluate(suite);
     addDcOperatingPoint(suite);
     addLuFactorSolve(suite);
     addTransientStep(suite);
