@@ -14,13 +14,13 @@ DcAnalysis::DcAnalysis(Circuit &circuit, NewtonConfig config)
 }
 
 Solution
-DcAnalysis::operatingPoint() const
+DcAnalysis::operatingPoint()
 {
     return operatingPoint(mna.zeroSolution());
 }
 
 Solution
-DcAnalysis::operatingPoint(const Solution &initial_guess) const
+DcAnalysis::operatingPoint(const Solution &initial_guess)
 {
     static const diag::Counter stat_solves(
         "circuit.dc.solves", "DC operating points computed");
@@ -66,7 +66,7 @@ DcAnalysis::operatingPoint(const Solution &initial_guess) const
     for (double gmin : {1e-3, 1e-5, 1e-7, 1e-9, relaxed.gmin}) {
         NewtonConfig stage_config = mna.config();
         stage_config.gmin = gmin;
-        const Mna stage(ckt, stage_config);
+        Mna stage(ckt, stage_config);
         if (!stage.solveNewton(x, 0.0, 1.0, 0.0, nullptr)) {
             have_solution = false;
             break;
@@ -82,7 +82,7 @@ DcAnalysis::operatingPoint(const Solution &initial_guess) const
 
 SweepResult
 DcAnalysis::sweepSource(SourceId source,
-                        const std::vector<double> &values) const
+                        const std::vector<double> &values)
 {
     const Pwl saved = ckt.voltageSources()[
         static_cast<std::size_t>(source)].wave;

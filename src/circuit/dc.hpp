@@ -31,7 +31,8 @@ struct SweepResult
 /**
  * DC analyses over one circuit. Holds a mutable reference because
  * sweeps temporarily rebind the swept source's waveform (it is
- * restored before the sweep returns).
+ * restored before the sweep returns). Solving uses the owned Mna's
+ * workspace, so one DcAnalysis serves one thread at a time.
  */
 class DcAnalysis
 {
@@ -42,17 +43,17 @@ class DcAnalysis
      * Solve the DC operating point (sources at their t = 0 values).
      * Throws FatalError if the homotopy also fails to converge.
      */
-    Solution operatingPoint() const;
+    Solution operatingPoint();
 
     /** Operating point warm-started from a previous solution. */
-    Solution operatingPoint(const Solution &initial_guess) const;
+    Solution operatingPoint(const Solution &initial_guess);
 
     /**
      * Sweep the given voltage source across `values`, warm-starting
      * each point. All other sources stay at their t = 0 values.
      */
     SweepResult sweepSource(SourceId source,
-                            const std::vector<double> &values) const;
+                            const std::vector<double> &values);
 
     /** Voltage of a node in a solution. */
     double

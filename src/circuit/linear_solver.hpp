@@ -86,6 +86,9 @@ class Matrix
 class LuFactors
 {
   public:
+    /** Storage for an n x n system; factor() resizes it if needed. */
+    explicit LuFactors(std::size_t n = 0) : lu(n), perm(n), scratch(n) {}
+
     /**
      * Factor `a`. @return false when numerically singular (a
      * near-zero pivot); the factors are then invalid.
@@ -98,7 +101,10 @@ class LuFactors
     /** @return true after a successful factor(). */
     bool valid() const { return valid_; }
 
-    /** Dimension of the factored system (0 before factor()). */
+    /**
+     * Dimension of the factored system: the last factor()'s, or the
+     * constructor's before any.
+     */
     std::size_t size() const { return lu.size(); }
 
     /** Drop the factors (e.g. when the matrix structure changes). */

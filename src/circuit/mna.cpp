@@ -101,7 +101,8 @@ Mna::Mna(const Circuit &circuit, NewtonConfig config)
     : ckt(circuit), cfg(config),
       numNodeUnknowns(circuit.numNodes() - 1),
       unknowns(numNodeUnknowns + circuit.voltageSources().size()),
-      pattern_(stampPattern(circuit))
+      pattern_(stampPattern(circuit)), jac_(unknowns), lu_(unknowns),
+      residual_(unknowns, 0.0), delta_(unknowns, 0.0)
 {
 }
 
@@ -137,7 +138,14 @@ Mna::assemble(const Solution &x, double time, double source_scale,
         jac->zeroEntries(pattern_);
     std::fill(residual.begin(), residual.end(), 0.0);
 
-    auto volt = [&](NodeId n) { return nodeVoltage(x, n); };
+    // Node voltages of an iterate, unchecked: every node a circuit
+    // element names is valid by construction.
+    const auto voltage = [](const Solution &sol, NodeId n) {
+        return n == Circuit::ground
+                   ? 0.0
+                   : sol[static_cast<std::size_t>(n - 1)];
+    };
+    auto volt = [&](NodeId n) { return voltage(x, n); };
 
     // Stamp a conductance between two nodes into Jacobian + residual.
     auto stamp_g = [&](NodeId a, NodeId b, double g, double i_extra_a) {
@@ -178,8 +186,8 @@ Mna::assemble(const Solution &x, double time, double source_scale,
             panic("Mna::assemble: transient step without previous state");
         for (const auto &c : ckt.capacitors()) {
             const double g = c.capacitance / dt;
-            const double vp = nodeVoltage(*x_prev, c.a) -
-                              nodeVoltage(*x_prev, c.b);
+            const double vp =
+                voltage(*x_prev, c.a) - voltage(*x_prev, c.b);
             stamp_g(c.a, c.b, g, -g * vp);
         }
     }
@@ -265,7 +273,7 @@ Mna::assemble(const Solution &x, double time, double source_scale,
 
 bool
 Mna::solveNewton(Solution &x, double time, double source_scale, double dt,
-                 const Solution *x_prev) const
+                 const Solution *x_prev)
 {
     return solveNewton(x, time, source_scale, dt, x_prev, nullptr);
 }
@@ -273,7 +281,7 @@ Mna::solveNewton(Solution &x, double time, double source_scale, double dt,
 bool
 Mna::solveNewton(Solution &x, double time, double source_scale, double dt,
                  const Solution *x_prev,
-                 std::vector<diag::IterationSample> *full_trace) const
+                 std::vector<diag::IterationSample> *full_trace)
 {
     if (x.size() != unknowns)
         fatal("Mna::solveNewton: bad solution vector size");
@@ -328,9 +336,10 @@ Mna::solveNewton(Solution &x, double time, double source_scale, double dt,
     if (probe.wantsDump())
         x0 = x;
 
-    Matrix jac(unknowns);
-    LuFactors lu;
-    std::vector<double> residual(unknowns, 0.0);
+    Matrix &jac = jac_;
+    LuFactors &lu = lu_;
+    std::vector<double> &residual = residual_;
+    std::vector<double> &delta = delta_;
 
     // Assemble and factor the Jacobian; on a singular matrix, retry once
     // with a small conductance added to the node diagonals (rescues
@@ -391,7 +400,7 @@ Mna::solveNewton(Solution &x, double time, double source_scale, double dt,
                     std::max(residual_norm, std::abs(residual[i]));
 
         // Solve J * delta = residual; update is x -= delta.
-        std::vector<double> delta = residual;
+        delta = residual;
         lu.solve(delta);
 
         double max_update = 0.0;

@@ -58,7 +58,15 @@ struct NewtonConfig
 /** A solution vector (node voltages + source branch currents). */
 using Solution = std::vector<double>;
 
-/** The assembled MNA problem for one circuit. */
+/**
+ * The assembled MNA problem for one circuit.
+ *
+ * An Mna owns its Newton workspace (Jacobian, LU factors, residual and
+ * update vectors), sized once at construction and reused by every
+ * solveNewton() call, so a solve allocates nothing. solveNewton() is
+ * therefore non-const, and one Mna serves one thread at a time: each
+ * DC or transient analysis builds its own.
+ */
 class Mna
 {
   public:
@@ -83,7 +91,7 @@ class Mna
      * @return true on convergence
      */
     bool solveNewton(Solution &x, double time, double source_scale,
-                     double dt, const Solution *x_prev) const;
+                     double dt, const Solution *x_prev);
 
     /**
      * As above, additionally appending every iteration's
@@ -94,7 +102,7 @@ class Mna
      */
     bool solveNewton(Solution &x, double time, double source_scale,
                      double dt, const Solution *x_prev,
-                     std::vector<diag::IterationSample> *full_trace) const;
+                     std::vector<diag::IterationSample> *full_trace);
 
     /** Voltage of a node in a solution. */
     double nodeVoltage(const Solution &x, NodeId node) const;
@@ -129,6 +137,14 @@ class Mna
     std::size_t unknowns;
     /** Flattened Jacobian entries assemble() writes (sorted). */
     std::vector<std::uint32_t> pattern_;
+
+    // Newton workspace. Entries of jac_ off the stamp pattern stay
+    // zero for the Mna's lifetime; every solve overwrites the rest.
+    Matrix jac_;
+    LuFactors lu_;
+    std::vector<double> residual_;
+    /** The update J^-1 * residual of one iteration. */
+    std::vector<double> delta_;
 };
 
 } // namespace otft::circuit

@@ -259,8 +259,10 @@ TransientAnalysis::runAdaptive(const TransientConfig &config, Mna &mna,
     double h = std::clamp(config.dt, dt_min, dt_max);
     std::size_t next_stop = 0;
     // Divided-difference history (invalid until two accepted steps
-    // inside the current waveform segment).
-    Solution x_before;
+    // inside the current waveform segment). An accepted step rotates
+    // x_before <- x <- x_new, so no step allocates a solution.
+    Solution x_before(x.size(), 0.0);
+    Solution x_new(x.size(), 0.0);
     double h_prev = 0.0;
     bool have_history = false;
 
@@ -289,7 +291,7 @@ TransientAnalysis::runAdaptive(const TransientConfig &config, Mna &mna,
         const double t_new = landing ? bp : t + h;
         // Newton starts from the predictor, or from x while the
         // segment has no history yet.
-        Solution x_new = x;
+        x_new = x;
         if (have_history) {
             const double ratio = h / h_prev;
             for (std::size_t i = 0; i < x_new.size(); ++i)
@@ -329,8 +331,8 @@ TransientAnalysis::runAdaptive(const TransientConfig &config, Mna &mna,
         }
 
         // Accept.
-        x_before = std::move(x);
-        x = std::move(x_new);
+        std::swap(x_before, x);
+        std::swap(x, x_new);
         h_prev = h;
         have_history = true;
         t = t_new;

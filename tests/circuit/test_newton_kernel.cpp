@@ -6,7 +6,10 @@
  * transients.
  */
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 
 #include <gtest/gtest.h>
 
@@ -222,6 +225,82 @@ TEST(ChordNewton, SingularJacobianRecoversViaGminBoost)
     Mna bare(bare_ckt, no_boost);
     Solution y = bare.zeroSolution();
     EXPECT_FALSE(bare.solveNewton(y, 0.0, 1.0, 0.0, nullptr));
+}
+
+TEST(ChordNewton, ReusedWorkspaceMatchesFreshSolver)
+{
+    // An Mna reuses its Jacobian, LU factors and vectors across
+    // solves. Run DC, three transient steps at different h, a
+    // singular-recovery solve and a normal one on one Mna: each must
+    // equal a fresh Mna's solve bit for bit, in the same iterations,
+    // so nothing of an earlier solve (the recovery's diagonal boost
+    // included) leaks into a later one.
+    //
+    // `hold` reaches ground only through a level-1 FET gated by `in`
+    // (exactly zero gm and gds in cutoff) and a capacitor to `out`.
+    // With gmin off, a DC solve after `in` falls has an all-zero
+    // `hold` column; transient steps stay regular through the
+    // capacitor.
+    Circuit ckt;
+    const NodeId in = ckt.addNode("in");
+    const NodeId out = ckt.addNode("out");
+    const NodeId hold = ckt.addNode("hold");
+    ckt.addVoltageSource(in, Circuit::ground,
+                         Pwl::points({0.0, 1e-5, 2e-5}, {5.0, 5.0, 0.0}));
+    ckt.addResistor(in, out, 1e4);
+    ckt.addCapacitor(out, Circuit::ground, 1e-8);
+    ckt.addFet(device::makePentaceneGolden(), out, out, Circuit::ground);
+    ckt.addCapacitor(out, hold, 1e-9);
+    ckt.addFet(std::make_shared<device::Level1Model>(
+                   device::Polarity::NType, device::pentaceneGeometry(),
+                   device::Level1Params{}),
+               hold, in, Circuit::ground);
+
+    NewtonConfig cfg;
+    cfg.gmin = 0.0;
+
+    stats::Counter &iterations = stats::counter(
+        "circuit.newton.iterations", "Newton iterations executed");
+    stats::Counter &recoveries = stats::counter(
+        "circuit.newton.singular_recoveries",
+        "singular Jacobians recovered via a diagonal gmin boost");
+
+    Mna reused(ckt, cfg);
+    // Solve from `guess` on a fresh Mna and on the reused one; return
+    // the reused one's solution after checking that both agree.
+    const auto solve = [&](const Solution &guess, double time, double dt,
+                           const Solution *x_prev, bool singular) {
+        Mna fresh(ckt, cfg);
+        Solution expected = guess;
+        const std::uint64_t fresh_iters = iterations.value();
+        const std::uint64_t fresh_recoveries = recoveries.value();
+        EXPECT_TRUE(fresh.solveNewton(expected, time, 1.0, dt, x_prev));
+        const std::uint64_t expected_iters =
+            iterations.value() - fresh_iters;
+        EXPECT_EQ(recoveries.value() > fresh_recoveries, singular);
+
+        Solution x = guess;
+        const std::uint64_t reused_iters = iterations.value();
+        EXPECT_TRUE(reused.solveNewton(x, time, 1.0, dt, x_prev));
+        EXPECT_EQ(iterations.value() - reused_iters, expected_iters);
+        EXPECT_EQ(x.size(), expected.size());
+        for (std::size_t i = 0; i < x.size(); ++i)
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(x[i]),
+                      std::bit_cast<std::uint64_t>(expected[i]))
+                << "t = " << time << ", unknown " << i;
+        return x;
+    };
+
+    // Start DC with the gate already high, so no iteration sees the
+    // level-1 FET in cutoff.
+    Solution guess = reused.zeroSolution();
+    guess[static_cast<std::size_t>(in - 1)] = 5.0;
+    const Solution x0 = solve(guess, 0.0, 0.0, nullptr, false);
+    const Solution x1 = solve(x0, 1e-6, 1e-6, &x0, false);
+    const Solution x2 = solve(x1, 6e-6, 5e-6, &x1, false);
+    const Solution x3 = solve(x2, 2.6e-5, 2e-5, &x2, false);
+    const Solution x4 = solve(x3, 1e-3, 0.0, nullptr, true);
+    (void)solve(x4, 1.01e-3, 1e-5, &x4, false);
 }
 
 TEST(ChordNewton, WarmStartedTransientIsBitIdentical)
