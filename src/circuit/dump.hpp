@@ -6,7 +6,7 @@
  * When diagnostics dumps are enabled (`--diag-dir`), the Newton kernel
  * and the transient engine call writeFailureDump() on non-convergence,
  * unrecoverable singular Jacobians, or LTE budget exhaustion. The dump
- * ("otft-diag-dump-1") captures everything that determines the solve:
+ * ("otft-diag-dump-2") captures everything that determines the solve:
  * full topology, device model parameters, solver configuration, the
  * initial iterate, the previous-timestep state, run attributes (RNG
  * seed), and the ring-buffered iteration trace leading to the failure.
@@ -36,7 +36,7 @@
 namespace otft::circuit::dump {
 
 /** Schema tag of a failure-dump document. */
-inline constexpr const char *dumpSchema = "otft-diag-dump-1";
+inline constexpr const char *dumpSchema = "otft-diag-dump-2";
 
 /** Everything a dump captures, parsed back into memory. */
 struct FailureDump

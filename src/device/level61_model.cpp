@@ -74,11 +74,13 @@ Level61Model::forward(double vgs, double vds) const
     const double mobility = p.u0 * std::pow(vov / p.vaa, p.gamma);
 
     // Soft saturation knee at vsat = alphaSat * vov:
-    // vdse = vds / q^(1/m) with q = 1 + (vds / vsat)^m.
+    // vdse = vds / q^(1/4) with q = 1 + (vds / vsat)^4, the RPI
+    // model's knee sharpness M fixed at 4 (two sqrt, no pow).
     const double vsat = p.alphaSat * vov;
     const double ratio = vds / vsat;
-    const double q = 1.0 + std::pow(ratio, p.mSat);
-    const double q_root = std::pow(q, 1.0 / p.mSat);
+    const double r2 = ratio * ratio;
+    const double q = 1.0 + r2 * r2;
+    const double q_root = std::sqrt(std::sqrt(q));
     const double vdse = vds / q_root;
 
     const double gch = geometry().aspect() * mobility * geometry().ci * vov;
@@ -93,8 +95,8 @@ Level61Model::forward(double vgs, double vds) const
     e.id = channel + leak;
     if constexpr (Slopes) {
         // d channel / d vov at fixed vds: gch goes as vov^(1 + gamma),
-        // and vdse gains vdse * r^m / (q * vov) as the knee moves out.
-        // r^m / q is written 1 - 1/q, which stays finite when r^m
+        // and vdse gains vdse * r^4 / (q * vov) as the knee moves out.
+        // r^4 / q is written 1 - 1/q, which stays finite when r^4
         // overflows.
         const double d_vov = geometry().aspect() * geometry().ci *
                              mobility * vdse * clm *

@@ -14,6 +14,8 @@
  * saturation knee, drain-induced threshold shift, ohmic leakage) in a
  * compact single-piece equation that is continuous in all regions,
  * which matters for Newton-Raphson convergence in the circuit solver.
+ * The knee sharpness (M in the RPI model) is fixed at 4, so the knee
+ * takes two square roots instead of two pow calls.
  */
 
 #ifndef OTFT_DEVICE_LEVEL61_MODEL_HPP
@@ -63,8 +65,6 @@ struct Level61Params
     double vaa = 7.0;
     /** Subthreshold slope parameter, volts per decade. */
     double ss = 0.2634;
-    /** Saturation knee sharpness (M in the RPI model). */
-    double mSat = 4.0;
     /** Saturation voltage as a fraction of overdrive (ALPHASAT). */
     double alphaSat = 0.6;
     /** Channel length modulation, 1/V. */

@@ -62,7 +62,7 @@ hashMeasurementContext(cache::KeyHasher &h,
     const device::Level61Params &p = factory.params();
     h.add(p.vt0).add(p.vdsRef).add(p.dibl).add(p.diblVmax);
     h.add(p.u0).add(p.gamma).add(p.vaa).add(p.ss);
-    h.add(p.mSat).add(p.alphaSat).add(p.lambda).add(p.iOff);
+    h.add(p.alphaSat).add(p.lambda).add(p.iOff);
 
     const cells::CellSizing &s = factory.sizing();
     h.add(s.l).add(s.wDrive).add(s.wLoad);
@@ -160,7 +160,7 @@ Characterizer::measurePoint(const std::string &name, int pin,
     // Memoized arc point: the key covers every input of the
     // measurement, so a hit is the exact result a cold run produces.
     cache::KeyHasher arc_key;
-    arc_key.add("arcpoint-v3").add(name).add(pin).add(slew);
+    arc_key.add("arcpoint-v4").add(name).add(pin).add(slew);
     arc_key.add(load_cap);
     hashMeasurementContext(arc_key, factory, config_, config);
     const std::uint64_t arc_digest = arc_key.digest();
@@ -196,7 +196,7 @@ Characterizer::measurePoint(const std::string &name, int pin,
     // verbatim as the initial condition — exactly the bits the cold
     // DC solve produced.
     cache::KeyHasher dc_key;
-    dc_key.add("dcop-v2").add(name).add(pin).add(load_cap);
+    dc_key.add("dcop-v3").add(name).add(pin).add(load_cap);
     hashMeasurementContext(dc_key, factory, config_, config);
     const std::size_t n_unknowns =
         cell.ckt.numNodes() - 1 + cell.ckt.voltageSources().size();

@@ -153,6 +153,30 @@ TEST(DiagDump, SerializedDoublesAreBitExact)
     EXPECT_EQ(parsed.x0[0], std::nextafter(-2.5, 0.0));
 }
 
+TEST(DiagDump, RejectsThePreviousSchema)
+{
+    // An otft-diag-dump-1 document lists twelve level-61 params, the
+    // knee exponent among them; the reader now expects eleven, so the
+    // schema check turns the old document away before any parsing.
+    Circuit ckt = diodeCircuit();
+    NewtonConfig cfg;
+    Mna mna(ckt, cfg);
+    std::string body = dump::serializeDump(
+        ckt, cfg, mna.zeroSolution(), diag::SolveKind::Dc, 0.0, 1.0,
+        0.0, nullptr, "old_schema", "", {}, {});
+    const std::string tag = dump::dumpSchema;
+    ASSERT_EQ(tag, "otft-diag-dump-2");
+    body.replace(body.find(tag), tag.size(), "otft-diag-dump-1");
+    try {
+        (void)dump::parseFailureDump(body);
+        FAIL() << "a -1 document parsed";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("schema mismatch"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(DiagDump, ForcedNonConvergenceWritesAReplayableDump)
 {
     DumpDirGuard guard("diag_dump_test_dir");

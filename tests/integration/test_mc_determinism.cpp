@@ -93,16 +93,17 @@ TEST(McDeterminism, StatLibraryBytesIdenticalWithCacheDisabled)
  * 2x2 grid; the flop covers the clk->Q, setup and hold moments.
  * Captured before the Monte Carlo and analytic corners shared one
  * corner-cell builder; re-pinned when the Newton Jacobian took the
- * device models' closed-form derivatives (known modeling delta 6) and
+ * device models' closed-form derivatives (known modeling delta 6),
  * when adaptive transient steps started Newton from a linear
- * predictor (known modeling delta 7).
+ * predictor (known modeling delta 7) and when the level-61 saturation
+ * knee took a fixed exponent of 4 (known modeling delta 8).
  */
 TEST(McDeterminism, CornerBytesHashIsBitExact)
 {
     liberty::McConfig config = smallConfig();
     config.roster = {"inv", "nand2", "dff"};
     const liberty::StatLibrary stat = liberty::McCharacterizer(config).run();
-    EXPECT_EQ(bytesHash(cornerText(stat)), 0xb902bbfa75931d24ull);
+    EXPECT_EQ(bytesHash(cornerText(stat)), 0x7e94a63aa45fbc9eull);
 }
 
 /** Golden corner bytes of the silicon analytic corners at 1.5% sigma. */
