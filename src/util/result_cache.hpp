@@ -45,7 +45,7 @@ namespace otft::cache {
  * FNV-1a 64-bit streaming hasher for cache keys. Doubles are hashed
  * by bit pattern (after normalizing -0.0 to +0.0), strings with a
  * length prefix so concatenations cannot collide, and every key
- * should start with a versioned salt ("arcpoint-v3") so a change in
+ * should start with a versioned salt ("arcpoint-v4") so a change in
  * the producing algorithm retires stale entries.
  */
 class KeyHasher
