@@ -463,6 +463,30 @@ addNldmCharacterize(perf::ScenarioSuite &suite)
     });
 }
 
+/**
+ * The nominal DFF on the library's default load axis: the clk->Q load
+ * sweep and the setup bisection at fanout-1 load, one transient per
+ * probe. The flop never reads the result cache, so no clear is needed.
+ */
+void
+addFlopCharacterize(perf::ScenarioSuite &suite)
+{
+    suite.add({
+        "liberty.flop_characterize",
+        "liberty",
+        "DFF characterization of the golden device: clk->Q over the "
+        "four default loads plus the setup-time bisection",
+        [] { fixtures().getFactory(); },
+        []() -> std::uint64_t {
+            liberty::Characterizer chr(fixtures().getFactory());
+            const auto cell = chr.characterizeFlop();
+            (void)cell;
+            // One clk->Q point per load, plus the setup time.
+            return chr.config().loadMultipliers.size() + 1;
+        },
+    });
+}
+
 void
 addNetlistGenerate(perf::ScenarioSuite &suite)
 {
@@ -744,6 +768,7 @@ registerAllScenarios(perf::ScenarioSuite &suite)
     addTransientModes(suite);
     addVtcSweep(suite);
     addNldmCharacterize(suite);
+    addFlopCharacterize(suite);
     addNetlistGenerate(suite);
     addStaPipeline(suite);
     addWorkloadTrace(suite);
