@@ -87,20 +87,22 @@ TransientAnalysis::run(const TransientConfig &config) const
 
     // Initial condition: DC operating point with sources at t = 0.
     DcAnalysis dc(ckt, config.newton);
-    return integrate(config, dc.operatingPoint());
+    return integrate(config, dc.operatingPoint(), {});
 }
 
 TransientResult
 TransientAnalysis::run(const TransientConfig &config,
-                       const Solution &initial) const
+                       const Solution &initial,
+                       const TransientStop &stop) const
 {
     if (config.tStop <= 0.0 || config.dt <= 0.0)
         fatal("TransientAnalysis: tStop and dt must be positive");
-    return integrate(config, initial);
+    return integrate(config, initial, stop);
 }
 
 TransientResult
-TransientAnalysis::integrate(const TransientConfig &config, Solution x) const
+TransientAnalysis::integrate(const TransientConfig &config, Solution x,
+                             const TransientStop &stop) const
 {
     static const diag::Counter stat_runs("circuit.transient.runs",
                                          "transient analyses executed");
@@ -113,8 +115,8 @@ TransientAnalysis::integrate(const TransientConfig &config, Solution x) const
               " unknowns, circuit needs ", mna.numUnknowns());
 
     if (config.fixedStep)
-        return runFixed(config, mna, std::move(x));
-    return runAdaptive(config, mna, std::move(x));
+        return runFixed(config, mna, std::move(x), stop);
+    return runAdaptive(config, mna, std::move(x), stop);
 }
 
 /**
@@ -124,7 +126,7 @@ TransientAnalysis::integrate(const TransientConfig &config, Solution x) const
  */
 TransientResult
 TransientAnalysis::runFixed(const TransientConfig &config, Mna &mna,
-                            Solution x) const
+                            Solution x, const TransientStop &stop) const
 {
     // Build the time grid: uniform steps plus waveform breakpoints.
     std::set<double> grid;
@@ -143,16 +145,21 @@ TransientAnalysis::runFixed(const TransientConfig &config, Mna &mna,
     const std::size_t n_sources = ckt.voltageSources().size();
     std::vector<std::vector<double>> node_v(n_nodes);
     std::vector<std::vector<double>> source_i(n_sources);
+    std::vector<double> v_now(n_nodes);
 
-    auto record = [&](const Solution &sol) {
-        for (std::size_t n = 0; n < n_nodes; ++n)
-            node_v[n].push_back(
-                mna.nodeVoltage(sol, static_cast<NodeId>(n)));
+    // Record a point; true once the stop predicate accepts it.
+    auto record = [&](double t, const Solution &sol) {
+        for (std::size_t n = 0; n < n_nodes; ++n) {
+            v_now[n] = mna.nodeVoltage(sol, static_cast<NodeId>(n));
+            node_v[n].push_back(v_now[n]);
+        }
         for (std::size_t s = 0; s < n_sources; ++s)
             source_i[s].push_back(
                 mna.sourceCurrent(sol, static_cast<SourceId>(s)));
+        return stop && stop(t, v_now);
     };
-    record(x);
+    if (record(times.front(), x))
+        times.resize(1);
 
     for (std::size_t k = 1; k < times.size(); ++k) {
         const double t = times[k];
@@ -174,7 +181,8 @@ TransientAnalysis::runFixed(const TransientConfig &config, Mna &mna,
             }
         }
         x = std::move(x_next);
-        record(x);
+        if (record(t, x))
+            times.resize(k + 1); // ends the loop
     }
 
     return TransientResult(std::move(times), std::move(node_v),
@@ -208,7 +216,7 @@ TransientAnalysis::runFixed(const TransientConfig &config, Mna &mna,
  */
 TransientResult
 TransientAnalysis::runAdaptive(const TransientConfig &config, Mna &mna,
-                               Solution x) const
+                               Solution x, const TransientStop &stop) const
 {
     static const diag::Counter stat_rejections(
         "circuit.transient.lte_rejections",
@@ -236,17 +244,21 @@ TransientAnalysis::runAdaptive(const TransientConfig &config, Mna &mna,
     std::vector<double> times;
     std::vector<std::vector<double>> node_v(n_nodes);
     std::vector<std::vector<double>> source_i(n_sources);
+    std::vector<double> v_now(n_nodes);
 
+    // Record a point; true once the stop predicate accepts it.
     auto record = [&](double t, const Solution &sol) {
         times.push_back(t);
-        for (std::size_t n = 0; n < n_nodes; ++n)
-            node_v[n].push_back(
-                mna.nodeVoltage(sol, static_cast<NodeId>(n)));
+        for (std::size_t n = 0; n < n_nodes; ++n) {
+            v_now[n] = mna.nodeVoltage(sol, static_cast<NodeId>(n));
+            node_v[n].push_back(v_now[n]);
+        }
         for (std::size_t s = 0; s < n_sources; ++s)
             source_i[s].push_back(
                 mna.sourceCurrent(sol, static_cast<SourceId>(s)));
+        return stop && stop(t, v_now);
     };
-    record(0.0, x);
+    bool stopped = record(0.0, x);
 
     // Runaway guard: no well-posed run needs more attempts than
     // resolving the whole span at dt_min with every step rejected once.
@@ -266,7 +278,7 @@ TransientAnalysis::runAdaptive(const TransientConfig &config, Mna &mna,
     double h_prev = 0.0;
     bool have_history = false;
 
-    while (t < config.tStop && next_stop < stops.size()) {
+    while (!stopped && t < config.tStop && next_stop < stops.size()) {
         if (++attempts > max_attempts) {
             // LTE budget exhausted: a reject/shrink loop that never
             // advances. Leave a forensics artifact before bailing.
@@ -336,7 +348,7 @@ TransientAnalysis::runAdaptive(const TransientConfig &config, Mna &mna,
         h_prev = h;
         have_history = true;
         t = t_new;
-        record(t, x);
+        stopped = record(t, x);
 
         if (landing) {
             ++next_stop;

@@ -23,11 +23,17 @@
  *    with breakpoints inserted, bit-for-bit identical to the
  *    historical engine; the reference for accuracy tests and for any
  *    trajectory that predates adaptive stepping.
+ *
+ * Both modes are causal: a point depends only on the points before it
+ * and on the breakpoints up to it (tStop enters only as the last
+ * landing). A run ended early by a stop predicate therefore returns a
+ * bit-identical prefix of the full run.
  */
 
 #ifndef OTFT_CIRCUIT_TRANSIENT_HPP
 #define OTFT_CIRCUIT_TRANSIENT_HPP
 
+#include <functional>
 #include <vector>
 
 #include "circuit/dc.hpp"
@@ -63,6 +69,14 @@ struct TransientConfig
     /** Largest adaptive step; 0 derives dt * 64. */
     double dtMax = 0.0;
 };
+
+/**
+ * Early end of a transient run: called after each recorded point with
+ * its time and node voltages (indexed by NodeId; entry 0 is ground).
+ * The run ends at the first point for which it returns true.
+ */
+using TransientStop =
+    std::function<bool(double t, const std::vector<double> &v)>;
 
 /** Sampled node voltages and source currents over a transient run. */
 class TransientResult
@@ -112,18 +126,22 @@ class TransientAnalysis
     /**
      * Run with an explicit initial state (the converged t = 0
      * operating point, e.g. a memoized one), skipping the DC solve.
-     * The caller must supply a solution of the right size.
+     * The caller must supply a solution of the right size. A `stop`
+     * predicate, if given, ends the run at the first recorded point it
+     * accepts; the result is then a prefix of the full run.
      */
     TransientResult run(const TransientConfig &config,
-                        const Solution &initial) const;
+                        const Solution &initial,
+                        const TransientStop &stop = {}) const;
 
   private:
-    TransientResult integrate(const TransientConfig &config,
-                              Solution x) const;
+    TransientResult integrate(const TransientConfig &config, Solution x,
+                              const TransientStop &stop) const;
     TransientResult runFixed(const TransientConfig &config, Mna &mna,
-                             Solution x) const;
-    TransientResult runAdaptive(const TransientConfig &config,
-                                Mna &mna, Solution x) const;
+                             Solution x, const TransientStop &stop) const;
+    TransientResult runAdaptive(const TransientConfig &config, Mna &mna,
+                                Solution x,
+                                const TransientStop &stop) const;
 
     Circuit &ckt;
 };

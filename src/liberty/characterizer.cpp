@@ -208,41 +208,78 @@ Characterizer::measurePoint(const std::string &name, int pin,
         cache::store("circuit.dcop", dc_key.digest(), x0);
     }
 
-    const circuit::TransientResult result =
-        circuit::TransientAnalysis(cell.ckt).run(config, x0);
-    const auto in = result.node(cell.inputs[static_cast<std::size_t>(pin)]);
-    const auto out = result.node(cell.out);
+    // Every value the point reads, from a run or from a prefix of one;
+    // a crossing the traces do not (yet) hold reads as -1.
+    const auto measure = [&](const circuit::Trace &in,
+                             const circuit::Trace &out) {
+        // Settled output levels define the measured swing.
+        const double v_hi = out.value.front();
+        const double v_lo = out.at(t2 - 0.05 * settle);
 
-    // Settled output levels define the measured swing.
-    const double v_hi = out.value.front();
-    const double v_lo = out.at(t2 - 0.05 * settle);
-
-    // Delay = input 50% crossing to output 50% crossing. The output
-    // crossing is searched from its edge start (not from the input
-    // reference): a sample whose switching threshold sits past the
-    // 50% mark — routine under Monte Carlo VT shifts — completes the
-    // output transition at a slow slew *before* the input reference
-    // crossing, which is a zero-delay arc, not a failure. Nominal arcs
-    // cross after the reference, so their measured values are
-    // unchanged; early crossings clamp to zero.
-    const auto delay = [&](bool in_rising, bool out_rising,
-                           double in_from, double out_from) {
-        const double t_in = in.firstCrossing(0.5 * vdd, in_rising, in_from);
-        const double t_out =
-            out.firstCrossing(0.5 * (v_lo + v_hi), out_rising, out_from);
-        if (t_in < 0.0 || t_out < 0.0)
-            return -1.0;
-        return std::max(t_out - t_in, 0.0);
+        // Delay = input 50% crossing to output 50% crossing. The output
+        // crossing is searched from its edge start (not from the input
+        // reference): a sample whose switching threshold sits past the
+        // 50% mark — routine under Monte Carlo VT shifts — completes
+        // the output transition at a slow slew *before* the input
+        // reference crossing, which is a zero-delay arc, not a
+        // failure. Nominal arcs cross after the reference, so their
+        // measured values are unchanged; early crossings clamp to zero.
+        const auto delay = [&](bool in_rising, bool out_rising,
+                               double in_from, double out_from) {
+            const double t_in =
+                in.firstCrossing(0.5 * vdd, in_rising, in_from);
+            const double t_out = out.firstCrossing(0.5 * (v_lo + v_hi),
+                                                   out_rising, out_from);
+            if (t_in < 0.0 || t_out < 0.0)
+                return -1.0;
+            return std::max(t_out - t_in, 0.0);
+        };
+        ArcPoint p;
+        p.delayFall = delay(true, false, 0.0, t1);
+        p.delayRise = delay(false, true, t2, t2);
+        p.slewFall = circuit::measureSlew(out, v_lo, v_hi, slewLow,
+                                          slewHigh, false, t1);
+        p.slewRise = circuit::measureSlew(out, v_lo, v_hi, slewLow,
+                                          slewHigh, true, t2);
+        return p;
     };
-    point.delayFall = delay(true, false, 0.0, t1);
-    point.delayRise = delay(false, true, t2, t2);
-    point.slewFall =
-        circuit::measureSlew(out, v_lo, v_hi, slewLow, slewHigh, false, t1);
-    point.slewRise =
-        circuit::measureSlew(out, v_lo, v_hi, slewLow, slewHigh, true, t2);
+    const auto complete = [](const ArcPoint &p) {
+        return p.delayFall >= 0.0 && p.delayRise >= 0.0 &&
+               p.slewFall >= 0.0 && p.slewRise >= 0.0;
+    };
 
-    if (point.delayFall < 0.0 || point.delayRise < 0.0 ||
-        point.slewFall < 0.0 || point.slewRise < 0.0) {
+    // End the run once nothing it reads can change. Each value is the
+    // first crossing of a fixed level after a fixed time (or a sample
+    // before t2), so a prefix holding all of them measures exactly what
+    // the full run would. The last to arrive is the input's falling
+    // 50 % crossing (done by t2 + t_edge) or the output's rising 80 %
+    // one; at the first sample past both, the prefix is measured once,
+    // and the run stops if that measurement is complete. Otherwise it
+    // runs on to tStop as before.
+    const circuit::NodeId in_node =
+        cell.inputs[static_cast<std::size_t>(pin)];
+    circuit::Trace in_seen, out_seen;
+    bool armed = true;
+    const circuit::TransientStop stop = [&](double t,
+                                            const std::vector<double> &v) {
+        in_seen.time.push_back(t);
+        in_seen.value.push_back(v[static_cast<std::size_t>(in_node)]);
+        out_seen.time.push_back(t);
+        out_seen.value.push_back(v[static_cast<std::size_t>(cell.out)]);
+        if (!armed || t < t2 + t_edge)
+            return false;
+        const double v_hi = out_seen.value.front();
+        const double v_lo = out_seen.at(t2 - 0.05 * settle);
+        if (out_seen.value.back() < v_lo + slewHigh * (v_hi - v_lo))
+            return false;
+        armed = false;
+        return complete(measure(in_seen, out_seen));
+    };
+
+    const circuit::TransientResult result =
+        circuit::TransientAnalysis(cell.ckt).run(config, x0, stop);
+    point = measure(result.node(in_node), result.node(cell.out));
+    if (!complete(point)) {
         fatal("Characterizer: cell ", name, " pin ", pin,
               " failed to switch at slew ", slew, ", load ", load_cap);
     }
@@ -435,7 +472,17 @@ Characterizer::characterizeFlop() const
         // Zero lead already captures: setup is essentially zero.
         cell.flop.setup = 0.0;
     } else {
-        for (int it = 0; it < 10; ++it) {
+        // Bisection takes capture to be monotone in lead, so when the
+        // lead of five passing halvings (1.3 ms / 32) captures, those
+        // halvings are known and the search starts on [0, 1.3 ms / 32]
+        // with the same bracket doubles. A flop too slow for it runs
+        // the full ten halvings.
+        int it = 0;
+        if (flopCaptures(lead_pass / 32.0, nominal_load)) {
+            lead_pass /= 32.0;
+            it = 5;
+        }
+        for (; it < 10; ++it) {
             const double mid = 0.5 * (lead_fail + lead_pass);
             if (flopCaptures(mid, nominal_load))
                 lead_pass = mid;

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -230,6 +231,68 @@ TEST(AdaptiveTransient, PredictorCutsNewtonIterationsPerSolve)
     EXPECT_LT(n_iterations / n_solves, 2.6);
     EXPECT_EQ(steps.value() - steps0, 243u);
     EXPECT_EQ(rejections.value() - rejections0, 10u);
+}
+
+/**
+ * An adaptive run ended by a stop predicate is a bit-identical prefix
+ * of the full run: times, every node voltage and every source current
+ * up to the first point the predicate accepts. A predicate that never
+ * fires reproduces the full run.
+ */
+TEST(AdaptiveTransient, StopPredicateEndsRunOnAPrefix)
+{
+    cells::CellFactory factory;
+    cells::BuiltCell cell = factory.inverter(cells::InverterKind::PseudoE,
+                                             4.0 * factory.inputCap());
+    const double vdd = cell.supply.vdd;
+    cell.ckt.setSourceWave(cell.inputSources[0],
+                           Pwl::pulse(0.0, vdd, 20e-6, 4e-6, 60e-6));
+    TransientConfig config;
+    config.tStop = 160e-6;
+    config.dt = 0.5e-6;
+    const Solution x0 = DcAnalysis(cell.ckt, config.newton).operatingPoint();
+    const auto full = TransientAnalysis(cell.ckt).run(config, x0);
+
+    // Stop where the (slow, loaded) output falls past 80 % of VDD.
+    const std::size_t out = static_cast<std::size_t>(cell.out);
+    const auto stopped = TransientAnalysis(cell.ckt).run(
+        config, x0, [&](double, const std::vector<double> &v) {
+            return v[out] < 0.8 * vdd;
+        });
+    const auto never = TransientAnalysis(cell.ckt).run(
+        config, x0, [](double, const std::vector<double> &) {
+            return false;
+        });
+
+    const std::size_t n = stopped.time().size();
+    ASSERT_GT(n, 2u);
+    ASSERT_LT(n, full.time().size());
+    EXPECT_LT(stopped.node(cell.out).value[n - 1], 0.8 * vdd);
+    EXPECT_GE(stopped.node(cell.out).value[n - 2], 0.8 * vdd);
+    EXPECT_TRUE(std::equal(stopped.time().begin(), stopped.time().end(),
+                           full.time().begin()));
+    for (NodeId node = 0;
+         node < static_cast<NodeId>(cell.ckt.numNodes()); ++node) {
+        const Trace part = stopped.node(node);
+        const Trace whole = full.node(node);
+        EXPECT_TRUE(std::equal(part.value.begin(), part.value.end(),
+                               whole.value.begin()))
+            << "node " << node;
+    }
+    for (SourceId src = 0;
+         src < static_cast<SourceId>(cell.ckt.voltageSources().size());
+         ++src) {
+        const Trace part = stopped.source(src);
+        EXPECT_TRUE(std::equal(part.value.begin(), part.value.end(),
+                               full.source(src).value.begin()))
+            << "source " << src;
+    }
+
+    EXPECT_EQ(never.time(), full.time());
+    for (NodeId node = 0;
+         node < static_cast<NodeId>(cell.ckt.numNodes()); ++node)
+        EXPECT_EQ(never.node(node).value, full.node(node).value)
+            << "node " << node;
 }
 
 } // namespace
