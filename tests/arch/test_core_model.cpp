@@ -407,6 +407,51 @@ TEST(CoreModel, LongLatencyGridHashIsBitExact)
     EXPECT_EQ(hash, 0x2e2e90578f4228b7ull);
 }
 
+/**
+ * Queue-limit grid: the grids above keep the AnyCore-class ROB, IQ and
+ * LSQ sizes, which rarely fill. Here every paper workload runs on a
+ * 4-wide core with each structure shrunk until its limit binds: a
+ * 24-entry ROB (not a power of two, so the ring is larger than the
+ * ROB), a 6-entry issue queue, a 3-entry LSQ, and all three at once.
+ * Each limited configuration must take more cycles than the unlimited
+ * one, so each limit is really exercised.
+ */
+TEST(CoreModel, QueueLimitGridHashIsBitExact)
+{
+    CoreConfig base = baselineConfig();
+    base.fetchWidth = 4;
+    base.aluPipes = 3;
+    CoreConfig rob = base;
+    rob.robSize = 24;
+    CoreConfig iq = base;
+    iq.iqSize = 6;
+    CoreConfig lsq = base;
+    lsq.lsqSize = 3;
+    CoreConfig all = rob;
+    all.iqSize = iq.iqSize;
+    all.lsqSize = lsq.lsqSize;
+    const CoreConfig configs[] = {base, rob, iq, lsq, all};
+
+    std::uint64_t hash = 1469598103934665603ull; // FNV offset basis
+    std::uint64_t cycles[std::size(configs)] = {};
+    for (std::size_t c = 0; c < std::size(configs); ++c) {
+        for (const auto &profile : workload::paperWorkloads()) {
+            workload::TraceGenerator gen(profile, 7);
+            const SimStats s = CoreModel(configs[c], gen).run(5000, 2000);
+            for (std::uint64_t field :
+                 {s.cycles, s.instructions, s.branches, s.mispredicts,
+                  s.loads, s.stores, s.l1Misses, s.l2Misses})
+                hash = fnv1a(hash, field);
+            cycles[c] += s.cycles;
+        }
+    }
+    for (std::size_t c = 1; c < std::size(configs); ++c)
+        EXPECT_GT(cycles[c], cycles[0]) << "config " << c;
+    EXPECT_EQ(cycles[0] + cycles[1] + cycles[2] + cycles[3] + cycles[4],
+              1096380u);
+    EXPECT_EQ(hash, 0xdef6f86bcbc24293ull);
+}
+
 /** Sweep: every paper workload runs on a mid-size config. */
 class AllWorkloadsRun : public ::testing::TestWithParam<const char *>
 {
