@@ -55,12 +55,19 @@
  *    the issue-queue occupancy.
  *  - Completions: Issued instructions sit on a completion wheel of
  *    bit_ceil(maxLatency + 1) buckets, bucket `done & mask` holding
- *    the serials that finish in cycle `done`, oldest first; maxLatency
- *    is the largest completionDelay(), the function issue uses. Every
- *    delay lies in [1, maxLatency] (the constructor rejects shorter
- *    ones), so live buckets never alias and doComplete() drains
- *    exactly this cycle's bucket. A bitmap of non-empty buckets gives
- *    nextEventCycle() the earliest completion by find-first-set.
+ *    the entries that finish in cycle `done` as an intrusive list
+ *    through RobEntry::nextDone; maxLatency is the largest
+ *    completionDelay(). Every delay lies in [1, maxLatency] (the
+ *    constructor rejects shorter ones), so live buckets never alias
+ *    and doComplete() drains exactly this cycle's bucket. A bitmap of
+ *    non-empty buckets gives nextEventCycle() the earliest completion
+ *    by find-first-set.
+ *  - The order inside a bucket is free: issue pushes to the front, and
+ *    no result depends on the order in which one cycle's completions
+ *    are processed. Waking a consumer inserts it into the age-sorted
+ *    readyQueue, the pending-operand decrements commute, and at most
+ *    one mispredicted branch is in flight (see below), so the fetch
+ *    redirect is the same wherever it sits in its bucket.
  *
  * Contiguous-serial invariant: fetch stops behind a mispredicted
  * branch (wrong-path work is not modeled), so when such a branch
@@ -161,6 +168,9 @@ class CoreModel
          */
         std::uint64_t firstConsumer = 0;
         std::uint64_t nextConsumer[2] = {0, 0};
+        /** Next serial of this entry's completion-wheel bucket; 0 ends
+         *  the list. */
+        std::uint64_t nextDone = 0;
         workload::OpClass op = workload::OpClass::IntAlu;
         /** Completed: the result is available to consumers. */
         bool done = false;
@@ -172,7 +182,8 @@ class CoreModel
     /**
      * Cycles from issue to completion of an `op`; `memory_latency` is
      * the access latency of a load and unused otherwise. The wheel is
-     * sized from it too, so no completion can outrun the wheel.
+     * sized from it, so no completion can outrun the wheel; issue reads
+     * it through delayOf.
      */
     int completionDelay(workload::OpClass op, int memory_latency) const;
 
@@ -229,34 +240,45 @@ class CoreModel
     /** Serial of the ROB head entry (oldest in flight). */
     std::uint64_t headSerial = 1;
     /** ROB ring: power-of-two capacity >= robSize. */
-    std::vector<RobEntry> rob;
+    std::unique_ptr<RobEntry[]> rob;
     std::uint64_t robMask = 0;
     /** Waiting entries (issue-queue occupancy). */
     int waitingCount = 0;
     /** Serials of the Waiting entries with every operand ready, oldest
      *  first; the rest wait on their producers' consumer lists. */
     std::vector<std::uint64_t> readyQueue;
-    /** Completion wheel: wheel[done & wheelMask] holds the serials of
-     *  the Issued entries completing in cycle `done`, ascending. */
-    std::vector<std::vector<std::uint64_t>> wheel;
+    /** Completion wheel: wheel[done & wheelMask] is the first serial
+     *  of the list of Issued entries completing in cycle `done` (0 if
+     *  none), in no particular order. */
+    std::vector<std::uint64_t> wheel;
     std::uint64_t wheelMask = 0;
     /** Bit b of word b / 64 is set iff wheel[b] is non-empty. */
     std::vector<std::uint64_t> wheelOccupied;
-    /** cfg.wakeupPenalty(), read on every issue. */
+    /** cfg.wakeupPenalty(). */
     int wakeup = 0;
-    /** Fetch cycle of frontEnd.front() (unless fetchBlocked). */
+    /** completionDelay(op, 0) per op: a load adds its memory latency. */
+    std::uint64_t delayOf[workload::numOpClasses] = {};
+    /** Instructions committed per cycle at most. */
+    int commitWidth = 1;
+    /** Cycles from dispatch to the earliest issue. */
+    std::uint64_t issueStages = 0;
+    /** Fetch cycle of the cursor's instruction (unless fetchBlocked). */
     std::uint64_t fetchCycle = 0;
-    /** frontEnd.front()'s position in its fetch group. */
+    /** The cursor instruction's position in its fetch group. */
     int fetchSlot = 0;
     /** Fetch is blocked behind an unresolved mispredicted branch, so
-     *  frontEnd.front() has no fetch cycle yet. */
+     *  the cursor's instruction has no fetch cycle yet. */
     bool fetchBlocked = false;
-    /** Newest producer serial per architectural register (0 or a
-     *  committed serial = the architectural value is ready). */
-    std::vector<std::uint64_t> renameMap =
-        std::vector<std::uint64_t>(workload::numArchRegs, 0);
+    /** Newest producer serial per architectural register, indexed by
+     *  the packed word's biased register field (0 or a committed serial
+     *  = the architectural value is ready). Slot 0, "no register",
+     *  is written like any other and reset to 0 after each write. */
+    std::uint64_t renameMap[workload::numArchRegs + 1] = {};
     /** Per-ALU-pipe busy horizon (divide blocks its pipe). */
     std::vector<std::uint64_t> aluBusyUntil;
+    /** The latest divide completion so far: from this cycle on every
+     *  ALU pipe is free. */
+    std::uint64_t divideHorizon = 0;
     /** In-flight memory operations (LSQ occupancy). */
     int memInFlight = 0;
 };

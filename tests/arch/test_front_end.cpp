@@ -59,10 +59,10 @@ TEST(FrontEndStream, MatchesGeneratorAndPredictorAcrossChunks)
                 ++branches;
                 mispredicts += mispredicted;
             }
-            const FrontEndInst &got = cursor.front();
+            const FrontEndInst got = FrontEndStream::unpack(cursor.word());
             if (got.op != want.op || got.src1 != want.src1 ||
                 got.src2 != want.src2 || got.dest != want.dest ||
-                got.taken != want.taken || got.address != want.address ||
+                got.taken != want.taken || cursor.address() != want.address ||
                 got.mispredicted != mispredicted) {
                 ADD_FAILURE() << profile.name << ": instruction " << i
                               << " differs";
@@ -89,9 +89,10 @@ TEST(FrontEndStream, BorrowedGeneratorContinuesFromItsPosition)
     FrontEndCursor cursor(stream);
     for (int i = 0; i < 1000; ++i, cursor.pop()) {
         const workload::TraceInst want = reference.next();
-        ASSERT_EQ(cursor.front().op, want.op) << i;
-        ASSERT_EQ(cursor.front().dest, want.dest) << i;
-        ASSERT_EQ(cursor.front().address, want.address) << i;
+        const FrontEndInst got = FrontEndStream::unpack(cursor.word());
+        ASSERT_EQ(got.op, want.op) << i;
+        ASSERT_EQ(got.dest, want.dest) << i;
+        ASSERT_EQ(cursor.address(), want.address) << i;
     }
 }
 

@@ -289,15 +289,8 @@ digestStream(arch::FrontEndStream &stream, std::size_t count)
     arch::FrontEndCursor cursor(stream);
     std::uint64_t hash = 1469598103934665603ull;
     for (std::size_t i = 0; i < count; ++i, cursor.pop()) {
-        const arch::FrontEndInst &inst = cursor.front();
         for (std::uint64_t word :
-             {static_cast<std::uint64_t>(inst.op),
-              static_cast<std::uint64_t>(inst.src1 + 1) << 16 |
-                  static_cast<std::uint64_t>(inst.src2 + 1) << 8 |
-                  static_cast<std::uint64_t>(inst.dest + 1),
-              static_cast<std::uint64_t>(inst.taken) << 1 |
-                  static_cast<std::uint64_t>(inst.mispredicted),
-              inst.address})
+             {static_cast<std::uint64_t>(cursor.word()), cursor.address()})
             hash = (hash ^ word) * 1099511628211ull;
     }
     return hash;
