@@ -60,7 +60,7 @@ FrontEndStream::buildChunk()
             // would.
             mispredicted = predictor.predict(inst.pc) != inst.taken;
             predictor.update(inst.pc, inst.taken);
-        } else if (inst.op == OpClass::Load || inst.op == OpClass::Store) {
+        } else if (workload::isMemory(inst.op)) {
             chunk->addresses.push_back(inst.address);
         }
         chunk->insts.push_back(pack(inst, mispredicted));
