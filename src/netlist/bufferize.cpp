@@ -97,9 +97,8 @@ bufferize(const Netlist &nl, int max_fanout)
     };
 
     std::size_t input_idx = 0;
-    for (GateId id : nl.topoOrder()) {
-        const std::size_t g = static_cast<std::size_t>(id);
-        const Gate &gate = nl.gate(id);
+    for (std::size_t g = 0; g < n; ++g) {
+        const Gate &gate = nl.gates()[g];
         switch (gate.kind) {
           case GateKind::Input:
             remap[g] = out.addInput(nl.inputNames()[input_idx++]);

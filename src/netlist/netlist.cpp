@@ -165,19 +165,6 @@ Netlist::fanouts() const
     return table;
 }
 
-std::vector<GateId>
-Netlist::topoOrder() const
-{
-    // Gates are created fanin-first (the builder API enforces valid
-    // ids at insertion), so insertion order IS a topological order for
-    // the combinational graph; DFFs break cycles by construction
-    // because their output is a source.
-    std::vector<GateId> order(gates_.size());
-    for (std::size_t i = 0; i < gates_.size(); ++i)
-        order[i] = static_cast<GateId>(i);
-    return order;
-}
-
 std::vector<int>
 Netlist::levels() const
 {

@@ -83,7 +83,15 @@ struct FanoutTable
     }
 };
 
-/** The gate-level netlist. */
+/**
+ * The gate-level netlist.
+ *
+ * Insertion order is topological: every gate's fanins exist when it
+ * is added (addGate and addDff check them), so a gate's id is larger
+ * than its fanins' ids and a pass that walks ids 0..numGates()-1 sees
+ * fanins before fanouts. A DFF's output is a source (its D input is a
+ * sink), so sequential netlists keep the order too.
+ */
 class Netlist
 {
   public:
@@ -118,13 +126,6 @@ class Netlist
 
     /** Fanout gate lists, indexed by gate id (computed on demand). */
     FanoutTable fanouts() const;
-
-    /**
-     * Gate ids in topological order (fanins before fanouts). DFF
-     * outputs are sources (their D input is a sink), so sequential
-     * netlists are handled naturally.
-     */
-    std::vector<GateId> topoOrder() const;
 
     /**
      * Combinational depth of each gate in cell levels (inputs, consts

@@ -63,8 +63,8 @@ struct StageAssigner
             "search");
         ++stat_passes;
 
-        // Gate ids ascend in topological order (Netlist::topoOrder),
-        // so every entry is written before any later gate reads it.
+        // Gate ids ascend in topological order (see Netlist), so
+        // every entry is written before any later gate reads it.
         const std::size_t n = nl.numGates();
         stage.resize(n);
         intra.resize(n);
@@ -131,9 +131,8 @@ Pipeliner::combDelays(const Netlist &comb,
     CombDelays delays;
     delays.gate.assign(n, 0.0);
     const double launch = library.cell("dff").flop.clkToQ;
-    for (GateId id : comb.topoOrder()) {
-        const std::size_t g = static_cast<std::size_t>(id);
-        const Gate &gate = comb.gate(id);
+    for (std::size_t g = 0; g < n; ++g) {
+        const Gate &gate = comb.gates()[g];
         const int fan_in = netlist::fanInOf(gate.kind);
         if (fan_in == 0 || arrival[g] < 0.0)
             continue;
@@ -262,9 +261,8 @@ Pipeliner::pipeline(const Netlist &comb, const CombDelays &delays,
     };
 
     std::size_t input_idx = 0;
-    for (GateId id : comb.topoOrder()) {
-        const std::size_t g = static_cast<std::size_t>(id);
-        const Gate &gate = comb.gate(id);
+    for (std::size_t g = 0; g < n; ++g) {
+        const Gate &gate = comb.gates()[g];
         switch (gate.kind) {
           case GateKind::Input:
             remap[g] = out.addInput(comb.inputNames()[input_idx++]);

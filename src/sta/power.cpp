@@ -27,9 +27,8 @@ PowerEngine::propagate(const Netlist &nl) const
     act.one.assign(n, 0.0);
     act.toggle.assign(n, 0.0);
 
-    for (GateId id : nl.topoOrder()) {
-        const std::size_t g = static_cast<std::size_t>(id);
-        const Gate &gate = nl.gate(id);
+    for (std::size_t g = 0; g < n; ++g) {
+        const Gate &gate = nl.gates()[g];
         auto p1 = [&](int k) {
             return act.one[static_cast<std::size_t>(
                 gate.fanin[static_cast<std::size_t>(k)])];

@@ -98,9 +98,8 @@ StaEngine::propagate(const Netlist &nl) const
     const double launch =
         config_.registerInputs ? dff_cell.flop.clkToQ : 0.0;
 
-    for (GateId id : nl.topoOrder()) {
-        const std::size_t g = static_cast<std::size_t>(id);
-        const Gate &gate = nl.gate(id);
+    for (std::size_t g = 0; g < n; ++g) {
+        const Gate &gate = nl.gates()[g];
         switch (gate.kind) {
           case GateKind::Input:
             p.arrival[g] = launch;
