@@ -17,7 +17,6 @@
 #include "core/blocks.hpp"
 #include "liberty/characterizer.hpp"
 #include "liberty/silicon.hpp"
-#include "netlist/bufferize.hpp"
 #include "sta/pipeline.hpp"
 #include "sta/power.hpp"
 #include "util/cli.hpp"
@@ -30,7 +29,7 @@ namespace {
 std::size_t
 runSweep(const liberty::CellLibrary &library)
 {
-    const auto alu = netlist::bufferize(core::buildComplexAlu(), 6);
+    const netlist::Netlist &alu = core::complexAluNetlist();
     sta::Pipeliner pipeliner(library);
     sta::StaEngine timing(library);
     sta::PowerEngine power(library);

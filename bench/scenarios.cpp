@@ -598,7 +598,8 @@ addExplorerPoint(perf::ScenarioSuite &suite)
         "core",
         "end-to-end design-point evaluation (synthesis + STA + IPC) "
         "of the baseline core on the silicon library; the process-wide "
-        "result cache stays warm across reps, as it does in a sweep",
+        "result cache and block netlists stay warm across reps, as "
+        "they do in a sweep",
         [] { fixtures().getSilicon(); },
         []() -> std::uint64_t {
             // Pinned serial for trajectory continuity (see
@@ -653,8 +654,12 @@ addIpcFanout(perf::ScenarioSuite &suite)
 /**
  * A reduced width-sweep grid as a serial/parallel pair; exercises
  * ArchExplorer::widthSweep with every point synthesizing through the
- * explorer's one shared synthesizer (each explorer is fresh per rep,
- * so its block memo starts cold).
+ * explorer's one shared synthesizer. Each explorer is fresh per rep,
+ * so its block timings start cold, but the block netlists come from
+ * the process-wide table (core/blocks.hpp), which is warm after the
+ * first rep: a rep times STA, pipelining and IPC, not block builds.
+ * netlist.generate_bufferize is the scenario that still times a cold
+ * build.
  */
 void
 addExplorerSweep(perf::ScenarioSuite &suite)
@@ -673,16 +678,16 @@ addExplorerSweep(perf::ScenarioSuite &suite)
     suite.add({
         "core.explorer_sweep_serial",
         "core",
-        "2x2 width-sweep grid (synthesis + STA + IPC per point), "
-        "pinned to one worker",
+        "2x2 width-sweep grid (STA + pipelining of the process-wide "
+        "block netlists + IPC per point), pinned to one worker",
         [] { fixtures().getSilicon(); },
         [body]() -> std::uint64_t { return body(1); },
     });
     suite.add({
         "core.explorer_sweep_parallel",
         "core",
-        "2x2 width-sweep grid (synthesis + STA + IPC per point) "
-        "across all hardware threads",
+        "2x2 width-sweep grid (STA + pipelining of the process-wide "
+        "block netlists + IPC per point) across all hardware threads",
         [] { fixtures().getSilicon(); },
         [body]() -> std::uint64_t {
             return body(parallel::hardwareJobs());

@@ -15,7 +15,6 @@
 #include "core/explorer.hpp"
 #include "liberty/characterizer.hpp"
 #include "liberty/silicon.hpp"
-#include "netlist/bufferize.hpp"
 #include "core/blocks.hpp"
 #include "sta/path_report.hpp"
 #include "util/cli.hpp"
@@ -72,10 +71,8 @@ main(int argc, char **argv)
     std::printf("\n# critical path of the organic execute block "
                 "(baseline widths)\n");
     sta::StaEngine engine(organic);
-    const auto block = netlist::bufferize(
-        core::buildRegionBlock(arch::Region::Execute,
-                               arch::baselineConfig()),
-        6);
+    const netlist::Netlist &block = core::regionNetlist(
+        arch::Region::Execute, arch::baselineConfig());
     const auto report = sta::reportCriticalPath(engine, block);
     report.render(std::cout);
 

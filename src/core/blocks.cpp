@@ -1,9 +1,14 @@
 #include "core/blocks.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <utility>
 
+#include "netlist/bufferize.hpp"
 #include "netlist/generators.hpp"
 #include "util/logging.hpp"
+#include "util/memo.hpp"
+#include "util/trace.hpp"
 
 namespace otft::core {
 
@@ -568,6 +573,47 @@ buildComplexAlu(int divider_rows)
     b.outputBus("q", div.quotient);
     b.outputBus("r", div.remainder);
     return nl;
+}
+
+namespace {
+
+/** What a shared-block key builds. */
+enum class BlockKind { Region, WakeupLoop, ComplexAlu };
+
+/** The entry of the process-wide block table, built on first use. */
+const Netlist &
+sharedBlock(BlockKind kind, const RegionBlockKey &key,
+            const std::function<Netlist()> &build)
+{
+    static Memo<std::pair<BlockKind, RegionBlockKey>, Netlist> table;
+    return table.get({kind, key}, [&] {
+        OTFT_TRACE_SCOPE("synth.block.build");
+        return netlist::bufferize(build(), blockMaxFanout);
+    });
+}
+
+} // namespace
+
+const Netlist &
+regionNetlist(Region region, const CoreConfig &config)
+{
+    return sharedBlock(BlockKind::Region, regionBlockKey(region, config),
+                       [&] { return buildRegionBlock(region, config); });
+}
+
+const Netlist &
+wakeupLoopNetlist(const CoreConfig &config)
+{
+    return sharedBlock(BlockKind::WakeupLoop,
+                       regionBlockKey(Region::Issue, config),
+                       [&] { return buildWakeupLoop(config); });
+}
+
+const Netlist &
+complexAluNetlist()
+{
+    return sharedBlock(BlockKind::ComplexAlu, {},
+                       [] { return buildComplexAlu(); });
 }
 
 std::size_t

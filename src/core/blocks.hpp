@@ -26,6 +26,16 @@
  * deep that region is cut. The bypass network's forwarding loop needs
  * no floor of its own: it is a one-hot mux a few gates deep, always
  * well inside the execute stage's own period.
+ *
+ * No builder reads a technology library, so a block's gate netlist is
+ * the same under every library and STA set-up; only its timing
+ * differs. regionNetlist(), wakeupLoopNetlist() and
+ * complexAluNetlist() therefore hand out each bufferized block from
+ * one process-wide, compute-once table: the first caller of a key
+ * builds it (a `synth.block.build` span), concurrent callers of the
+ * same key wait for that build, and every later caller gets the same
+ * netlist at the same address. Entries are pure functions of their
+ * keys, so they are never evicted and live until the process exits.
  */
 
 #ifndef OTFT_CORE_BLOCKS_HPP
@@ -81,6 +91,30 @@ netlist::Netlist buildComplexAlu(int divider_rows = 2);
  * matter how many stages the region is cut into.
  */
 netlist::Netlist buildWakeupLoop(const arch::CoreConfig &config);
+
+/** Fanout limit the shared blocks are bufferized to. */
+inline constexpr int blockMaxFanout = 6;
+
+/**
+ * buildRegionBlock(region, config) bufferized to blockMaxFanout, from
+ * the process-wide table, keyed by regionBlockKey(region, config).
+ * Safe to call concurrently.
+ */
+const netlist::Netlist &regionNetlist(arch::Region region,
+                                      const arch::CoreConfig &config);
+
+/**
+ * buildWakeupLoop(config) bufferized to blockMaxFanout, from the
+ * process-wide table, keyed by the Issue block key. Safe to call
+ * concurrently.
+ */
+const netlist::Netlist &wakeupLoopNetlist(const arch::CoreConfig &config);
+
+/**
+ * buildComplexAlu() bufferized to blockMaxFanout, from the
+ * process-wide table. Safe to call concurrently.
+ */
+const netlist::Netlist &complexAluNetlist();
 
 /**
  * Sequential-state bits of the core's structures (ROB, IQ, LSQ,

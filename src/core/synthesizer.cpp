@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "netlist/bufferize.hpp"
 #include "util/logging.hpp"
 #include "util/stats_registry.hpp"
 #include "util/trace.hpp"
@@ -32,13 +31,13 @@ CoreSynthesizer::CoreSynthesizer(const liberty::CellLibrary &library,
 }
 
 CoreSynthesizer::TimedBlock
-CoreSynthesizer::timeBlock(netlist::Netlist comb) const
+CoreSynthesizer::timeBlock(const netlist::Netlist &comb) const
 {
     TimedBlock timed;
-    timed.netlist = std::move(comb);
+    timed.netlist = &comb;
     std::vector<double> arrival;
-    timed.oneStage = engine.analyze(timed.netlist, &arrival);
-    timed.delays = pipeliner.combDelays(timed.netlist, arrival);
+    timed.oneStage = engine.analyze(comb, &arrival);
+    timed.delays = pipeliner.combDelays(comb, arrival);
     return timed;
 }
 
@@ -48,25 +47,14 @@ CoreSynthesizer::analyzeAt(const TimedBlock &block, int stages) const
     if (stages == 1)
         return block.oneStage;
     return engine.analyze(
-        pipeliner.pipeline(block.netlist, block.delays, stages).netlist);
+        pipeliner.pipeline(*block.netlist, block.delays, stages).netlist);
 }
 
 const CoreSynthesizer::TimedBlock &
 CoreSynthesizer::block(Region region, const CoreConfig &config)
 {
     return blockCache.get(regionBlockKey(region, config), [&] {
-        OTFT_TRACE_SCOPE("synth.block.build");
-        return timeBlock(
-            netlist::bufferize(buildRegionBlock(region, config), 6));
-    });
-}
-
-const netlist::Netlist &
-CoreSynthesizer::wakeupLoop(const CoreConfig &config)
-{
-    return loopCache.get(regionBlockKey(Region::Issue, config), [&] {
-        OTFT_TRACE_SCOPE("synth.block.build");
-        return netlist::bufferize(buildWakeupLoop(config), 6);
+        return timeBlock(regionNetlist(region, config));
     });
 }
 
@@ -74,10 +62,8 @@ std::pair<double, double>
 CoreSynthesizer::complexAluTiming(int stages)
 {
     return aluTimingCache.get(stages, [&] {
-        const TimedBlock &alu = aluCache.get(0, [&] {
-            OTFT_TRACE_SCOPE("synth.block.build");
-            return timeBlock(netlist::bufferize(buildComplexAlu(), 6));
-        });
+        const TimedBlock &alu =
+            aluCache.get(0, [&] { return timeBlock(complexAluNetlist()); });
         const sta::StaResult sta = analyzeAt(alu, stages);
         return std::make_pair(sta.minClockPeriod, sta.area);
     });
@@ -142,7 +128,7 @@ CoreSynthesizer::synthesize(const CoreConfig &config)
             wakeupSpanFactor * std::sqrt(timing.area);
         const double wakeup_floor =
             sta::StaEngine(library, loop_cfg)
-                .analyze(wakeupLoop(config))
+                .analyze(wakeupLoopNetlist(config))
                 .minClockPeriod;
 
         for (RegionTiming &rt : timing.regions)

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/blocks.hpp"
+#include "netlist/bufferize.hpp"
 
 namespace otft::core {
 namespace {
@@ -115,6 +116,60 @@ TEST(Blocks, EqualBlockKeysBuildIdenticalNetlists)
         }
         EXPECT_GT(equal_pairs, 0) << arch::toString(region);
     }
+}
+
+// The shared block table cannot be reset, so these tests hold whether
+// an earlier test of the process filled it or not.
+
+TEST(Blocks, SharedBlocksMatchFreshBuilds)
+{
+    for (const arch::CoreConfig &cfg : {config(2, 2), config(4, 3)}) {
+        for (int r = 0; r < arch::numRegions; ++r) {
+            const auto region = static_cast<arch::Region>(r);
+            EXPECT_TRUE(sameNetlist(
+                regionNetlist(region, cfg),
+                netlist::bufferize(buildRegionBlock(region, cfg),
+                                   blockMaxFanout)))
+                << arch::toString(region) << " fe " << cfg.fetchWidth;
+        }
+        EXPECT_TRUE(sameNetlist(
+            wakeupLoopNetlist(cfg),
+            netlist::bufferize(buildWakeupLoop(cfg), blockMaxFanout)));
+    }
+    EXPECT_TRUE(sameNetlist(
+        complexAluNetlist(),
+        netlist::bufferize(buildComplexAlu(), blockMaxFanout)));
+}
+
+TEST(Blocks, EqualSharedKeysReturnOneNetlist)
+{
+    // Only fields no builder reads differ.
+    const arch::CoreConfig a = config(3, 2);
+    arch::CoreConfig b = a;
+    b.lsqSize = 16;
+    b.predictorBits = 10;
+    b.stages[0] = 3;
+    b.mulLatency = 5;
+    arch::CoreConfig bigger_rob = a;
+    bigger_rob.robSize = 256;
+
+    for (int r = 0; r < arch::numRegions; ++r) {
+        const auto region = static_cast<arch::Region>(r);
+        EXPECT_EQ(&regionNetlist(region, a), &regionNetlist(region, b))
+            << arch::toString(region);
+    }
+    EXPECT_EQ(&wakeupLoopNetlist(a), &wakeupLoopNetlist(b));
+    EXPECT_EQ(&complexAluNetlist(), &complexAluNetlist());
+
+    // The key holds the block kind: the wakeup loop shares the Issue
+    // block's key fields but is its own netlist.
+    EXPECT_NE(&wakeupLoopNetlist(a),
+              &regionNetlist(arch::Region::Issue, a));
+    // A field a builder reads keys a different netlist.
+    EXPECT_NE(&regionNetlist(arch::Region::Retire, a),
+              &regionNetlist(arch::Region::Retire, bigger_rob));
+    EXPECT_EQ(&regionNetlist(arch::Region::Fetch, a),
+              &regionNetlist(arch::Region::Fetch, bigger_rob));
 }
 
 TEST(Blocks, ComplexAluContainsMultiplierAndDivider)

@@ -9,6 +9,7 @@
 #include "netlist/bufferize.hpp"
 #include "sta/pipeline.hpp"
 #include "sta/sta.hpp"
+#include "util/stats_registry.hpp"
 
 namespace otft::core {
 namespace {
@@ -156,6 +157,57 @@ TEST_F(Synthesis, WakeupFloorBindsAtElevenStages)
         EXPECT_GT(rt.clockPeriod, block_period);
     }
     EXPECT_EQ(issue_regions, 1);
+}
+
+TEST_F(Synthesis, SecondSynthesizerReusesTheSharedBlocks)
+{
+    // Every region one stage deep, so no region is pipelined: the
+    // only gates a synthesis can create besides block builds are the
+    // pipelined copies of the complex ALU.
+    arch::CoreConfig config = arch::baselineConfig();
+    config.fetchWidth = 3;
+    config.aluPipes = 2;
+    for (int &stages : config.stages)
+        stages = 1;
+    sta::StaConfig no_wire;
+    no_wire.wireEnabled = false;
+
+    CoreSynthesizer wired(library);
+    wired.synthesize(config);
+
+    // Time every ALU depth synthesize() can try on `unwired` first.
+    CoreSynthesizer unwired(library, no_wire);
+    const int alu_stages = CoreSynthesizer(library, no_wire)
+                               .synthesize(config)
+                               .complexAluStages;
+    for (int stages = 1; stages <= alu_stages; ++stages)
+        unwired.complexAluTiming(stages);
+
+    const stats::Counter &created =
+        stats::counter("netlist.gates.created");
+    const std::uint64_t before = created.value();
+    const CoreTiming timing = unwired.synthesize(config);
+    EXPECT_EQ(created.value(), before)
+        << "a block was built again for a second synthesizer";
+
+    // The shared blocks time exactly as fresh builds do.
+    const sta::StaEngine engine(library, no_wire);
+    for (const RegionTiming &rt : timing.regions) {
+        const std::string region = arch::toString(rt.region);
+        const sta::StaResult fresh = engine.analyze(netlist::bufferize(
+            buildRegionBlock(rt.region, config), blockMaxFanout));
+        EXPECT_EQ(rt.area, fresh.area) << region;
+        EXPECT_EQ(rt.cells, fresh.cellCount) << region;
+        // The wakeup-loop floor may raise the Issue period.
+        if (rt.region == arch::Region::Issue)
+            EXPECT_GE(rt.clockPeriod, fresh.minClockPeriod) << region;
+        else
+            EXPECT_EQ(rt.clockPeriod, fresh.minClockPeriod) << region;
+    }
+    const sta::StaResult alu = engine.analyze(
+        netlist::bufferize(buildComplexAlu(), blockMaxFanout));
+    EXPECT_EQ(unwired.complexAluTiming(1),
+              std::make_pair(alu.minClockPeriod, alu.area));
 }
 
 TEST_F(Synthesis, WireOffRaisesFrequency)

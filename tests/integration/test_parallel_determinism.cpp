@@ -126,6 +126,53 @@ TEST(ParallelDeterminism, NldmCharacterizationByteIdentical)
     EXPECT_EQ(cache::ResultCache::instance().size(), 0u);
 }
 
+TEST(ParallelDeterminism, SynthesizersOfTwoStaSetupsShareBlocks)
+{
+    // A wires-on and a wires-off synthesizer time the fig14 grid
+    // (fe 1-6 x be 3-7) side by side, each point asked of both in
+    // consecutive tasks. Both read their blocks from the process-wide
+    // table, so while it is cold the tasks of one synthesizer wait on
+    // builds started by the other's.
+    const liberty::CellLibrary silicon =
+        liberty::makeSiliconLibrary();
+    sta::StaConfig no_wire;
+    no_wire.wireEnabled = false;
+    std::vector<arch::CoreConfig> grid;
+    for (int be = 3; be <= 7; ++be) {
+        for (int fe = 1; fe <= 6; ++fe) {
+            arch::CoreConfig config = arch::baselineConfig();
+            config.fetchWidth = fe;
+            config.aluPipes = be - config.memPipes - config.branchPipes;
+            grid.push_back(config);
+        }
+    }
+
+    // Entry 2 * i is point i wires on, 2 * i + 1 wires off.
+    const auto concurrent = [&](int jobs_count) {
+        parallel::JobsOverride pin(jobs_count);
+        core::CoreSynthesizer wired(silicon);
+        core::CoreSynthesizer unwired(silicon, no_wire);
+        std::vector<std::string> out(2 * grid.size());
+        parallel::parallelFor(out.size(), [&](std::size_t k) {
+            core::CoreSynthesizer &synth = k % 2 ? unwired : wired;
+            out[k] = dumpTiming(synth.synthesize(grid[k / 2]));
+        });
+        return out;
+    };
+    const std::vector<std::string> at_4 = concurrent(4);
+
+    core::CoreSynthesizer wired(silicon);
+    core::CoreSynthesizer unwired(silicon, no_wire);
+    std::vector<std::string> serial;
+    for (const arch::CoreConfig &config : grid) {
+        serial.push_back(dumpTiming(wired.synthesize(config)));
+        serial.push_back(dumpTiming(unwired.synthesize(config)));
+    }
+    EXPECT_NE(serial[0], serial[1]) << "wires must move the timing";
+    EXPECT_EQ(at_4, serial);
+    EXPECT_EQ(concurrent(1), serial);
+}
+
 TEST(ParallelDeterminism, ExplorerSweepByteIdentical)
 {
     const liberty::CellLibrary silicon =
