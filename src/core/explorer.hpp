@@ -10,7 +10,8 @@
  * critical stage under each library; width sweeps cover the paper's
  * front-end 1-6 x back-end 3-7 grid, evaluating the points in
  * parallel through the explorer's one synthesizer so that each region
- * block is synthesized once per sweep, not once per design point.
+ * block is timed once per sweep, not once per design point (and
+ * built once per process, see core/blocks.hpp).
  */
 
 #ifndef OTFT_CORE_EXPLORER_HPP
