@@ -1,19 +1,14 @@
 /**
  * @file
- * Compare two BENCH_*.json reports under the MAD-based noise gate and
- * exit nonzero when a regression clears it — the enforcement half of
- * the perf flight recorder (scripts/perf_gate.sh and the perf_smoke
- * ctest label wrap this binary).
+ * Compare two BENCH_*.json reports by the paired rule of
+ * perf::diffReports and exit nonzero when a scenario regressed.
+ * scripts/bench.sh runs it on the reports of two builds recorded in
+ * alternating rounds.
  *
  * Usage:
  *   perf_diff BASELINE.json CURRENT.json
  *
- * The gate is fixed (see perf::diffReports): a median wall time that
- * moves by more than max(10 %, 3 MAD, 20 us), or a counter that moves
- * by more than 2 %, is flagged.
- *
- * Exit codes: 0 no regressions, 1 regressions past the gate,
- * 2 usage or I/O error.
+ * Exit codes: 0 no regressions, 1 a regression, 2 usage or I/O error.
  */
 
 #include <cstdio>
@@ -27,13 +22,6 @@
 using namespace otft;
 
 namespace {
-
-void
-usage()
-{
-    std::fprintf(stderr,
-                 "usage: perf_diff BASELINE.json CURRENT.json\n");
-}
 
 perf::BenchReport
 load(const std::string &path)
@@ -50,7 +38,8 @@ int
 main(int argc, char **argv)
 {
     if (argc != 3 || argv[1][0] == '-' || argv[2][0] == '-') {
-        usage();
+        std::fprintf(stderr,
+                     "usage: perf_diff BASELINE.json CURRENT.json\n");
         return 2;
     }
     const std::string baseline_path = argv[1];
@@ -59,9 +48,6 @@ main(int argc, char **argv)
     try {
         const auto baseline = load(baseline_path);
         const auto current = load(current_path);
-        if (baseline.env.gitSha != current.env.gitSha)
-            inform("comparing ", baseline.env.gitSha, " -> ",
-                   current.env.gitSha);
         const auto diff = perf::diffReports(baseline, current);
         perf::renderDiff(diff, std::cout);
         return diff.regressions > 0 ? 1 : 0;

@@ -3,12 +3,16 @@
  * The perf flight recorder front-end: runs the registered scenario
  * suite (every layer of the paper flow), prints a timing/counter
  * table, and writes the canonical schema-versioned BENCH_*.json
- * report that perf_diff and scripts/perf_gate.sh compare against.
+ * report that perf_diff compares.
  *
  * Usage:
  *   perf_suite [--reps N] [--warmup N] [--filter SUBSTR]
  *              [--out FILE.json] [--ingest FOOTERS.txt] [--list]
  *              [--profile] [--profile-dir DIR]
+ *
+ * --out onto a report of the same build (git SHA) appends the run as
+ * one more round (perf::appendReport); scripts/bench.sh records its
+ * rounds this way.
  *
  * --profile runs the sampling profiler across each scenario's timed
  * reps and writes one `PROF_<scenario>.folded` collapsed-stack file
@@ -114,9 +118,6 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (options.reps == 0)
-        fatal("perf_suite: --reps must be >= 1");
-
     perf::ScenarioSuite suite;
     bench::registerAllScenarios(suite);
 
@@ -151,12 +152,7 @@ main(int argc, char **argv)
     printResults(report.scenarios);
 
     if (!out_path.empty()) {
-        std::ofstream os(out_path);
-        if (!os)
-            fatal("perf_suite: cannot write ", out_path);
-        perf::writeReport(report, os);
-        if (!os)
-            fatal("perf_suite: write to ", out_path, " failed");
+        perf::appendReport(out_path, report);
         inform("wrote ", out_path);
     } else {
         perf::writeReport(report, std::cout);

@@ -1,5 +1,7 @@
 #include "scenarios.hpp"
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -7,6 +9,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -696,6 +699,27 @@ addExplorerSweep(perf::ScenarioSuite &suite)
 }
 
 /**
+ * This process's own scratch directory, removed when the process ends,
+ * so concurrent suites never share or delete each other's files.
+ */
+struct ProcessTempDir
+{
+    ProcessTempDir() = default;
+    ProcessTempDir(const ProcessTempDir &) = delete;
+    ProcessTempDir &operator=(const ProcessTempDir &) = delete;
+    ~ProcessTempDir()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(path, ec);
+    }
+
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("otft_perf_result_cache_reload." + std::to_string(::getpid())))
+            .string();
+};
+
+/**
  * A warm figure re-run's cache I/O: drop the in-memory cache, reload
  * a persisted ~120-entry file shaped like the fig13+fig14 one (60
  * `explorer.timing` payloads of 46 values, 60 `explorer.ipc` payloads
@@ -706,10 +730,8 @@ void
 addResultCacheReload(perf::ScenarioSuite &suite)
 {
     static std::vector<std::pair<std::string, std::uint64_t>> keys;
-    static const std::string dir =
-        (std::filesystem::temp_directory_path() /
-         "otft_perf_result_cache_reload")
-            .string();
+    static const ProcessTempDir scratch;
+    static const std::string &dir = scratch.path;
     suite.add({
         "util.result_cache_reload",
         "util",

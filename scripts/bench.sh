@@ -1,70 +1,88 @@
 #!/usr/bin/env bash
-# Record one point of the performance trajectory: build, run the
-# perf_suite scenario set plus the fig13 and fig14 figures and a
-# 4-sample Monte Carlo characterization, and write the next
-# BENCH_<seq>.json in the bench-results directory. Compare two points
-# with bench/perf_diff or scripts/perf_gate.sh.
+# Time prebuilt builds: the one way to compare two builds, and to
+# record a point of the performance trajectory.
 #
-# The figures run at the script's job count in a fresh temporary
-# directory with no persisted result cache, after one un-recorded
-# warm-up run that characterizes organic.lib there; their footers enter
-# the report as bench.fig13_width_performance and
-# bench.fig14_width_area. `mc_characterize --mc-samples 4 --mc-seed 1`
-# runs in the same directory and enters as bench.mc_characterize, the
-# figure-level point for the device/circuit/liberty layers. perf_suite
-# ingests footers in the invocation that runs the scenario set, so
-# these runs come just before it.
+# Usage: scripts/bench.sh compare <base-build-dir> <new-build-dir>
+#        scripts/bench.sh record <build-dir> [results-dir]
 #
-# Usage: scripts/bench.sh [build-dir] [results-dir]
-#
-# Environment:
-#   OTFT_BENCH_REPS    repetitions per scenario (default 5)
-#   OTFT_BENCH_WARMUP  warmup reps per scenario (default 1)
+# compare runs `ctest -L perf_smoke` on the new build, then 10 rounds
+# of both builds, alternating which runs first, and exits with the
+# status of perf_diff on their reports (1 on a regression). record
+# writes the next BENCH_<n>.json in results-dir (default
+# bench-results) from 10 rounds of one build. Each build runs in its
+# own fresh directory, where an untimed fig13 run first characterizes
+# organic.lib. A round is fig13, fig14, `mc_characterize
+# --mc-samples 4 --mc-seed 1` and one rep of every perf_suite scenario,
+# which ingests the three footers and appends the round to the build's
+# report: about 4 s per round and build on a 4-vCPU host.
 set -euo pipefail
 
-BUILD_DIR="${1:-build}"
-RESULTS_DIR="${2:-bench-results}"
+ROUNDS=10
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
-REPO_ROOT="$(cd "$(dirname "$0")/.." && pwd)"
+work="$(mktemp -d)"
+trap 'rm -rf "${work}"' EXIT
 
-cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" >/dev/null
-cmake --build "${BUILD_DIR}" -j "${JOBS}" --target perf_suite perf_diff \
-    fig13_width_performance fig14_width_area mc_characterize
-
-mkdir -p "${RESULTS_DIR}"
-
-# Next unused sequence number in the results directory.
-seq=1
-while [ -e "${RESULTS_DIR}/BENCH_${seq}.json" ]; do
-    seq=$((seq + 1))
-done
-out="${RESULTS_DIR}/BENCH_${seq}.json"
-
-bench_bin="$(cd "${BUILD_DIR}/bench" && pwd)"
-fig_dir="$(mktemp -d)"
-trap 'rm -rf "${fig_dir}"' EXIT
-footers="${fig_dir}/footers.txt"
-(
-    cd "${fig_dir}"
-    # Warm-up: characterizes organic.lib in this directory.
-    "${bench_bin}/fig13_width_performance" --jobs "${JOBS}" >/dev/null
-    for fig in fig13_width_performance fig14_width_area; do
-        "${bench_bin}/${fig}" --jobs "${JOBS}" | tail -n 1 >>"${footers}"
+# prepare <label> <build-dir>: check that the build has every binary a
+# round runs, and characterize organic.lib in ${work}/<label>.
+prepare() {
+    local name
+    for name in perf_suite perf_diff fig13_width_performance \
+        fig14_width_area mc_characterize; do
+        if [ ! -x "$2/bench/${name}" ]; then
+            echo "bench.sh: build $2 lacks bench/${name}" >&2
+            exit 2
+        fi
     done
-    "${bench_bin}/mc_characterize" --jobs "${JOBS}" --mc-samples 4 \
-        --mc-seed 1 | tail -n 1 >>"${footers}"
+    mkdir "${work}/$1"
+    ln -s "$(cd "$2/bench" && pwd)" "${work}/$1.bin"
+    (cd "${work}/$1" && ../"$1.bin"/fig13_width_performance \
+        --jobs "${JOBS}" >/dev/null)
+}
+
+# round <label>: one round of that build, appended to ${work}/<label>.json.
+round() (
+    cd "${work}/$1"
+    local bin="../$1.bin" fig
+    : >footers.txt
+    for fig in fig13_width_performance fig14_width_area; do
+        "${bin}/${fig}" --jobs "${JOBS}" | tail -n 1 >>footers.txt
+    done
+    "${bin}/mc_characterize" --jobs "${JOBS}" --mc-samples 4 \
+        --mc-seed 1 | tail -n 1 >>footers.txt
+    OTFT_LOG_LEVEL=warn "${bin}/perf_suite" --reps 1 --warmup 1 \
+        --ingest footers.txt --out "../$1.json" >/dev/null
 )
 
-"${BUILD_DIR}/bench/perf_suite" \
-    --reps "${OTFT_BENCH_REPS:-5}" \
-    --warmup "${OTFT_BENCH_WARMUP:-1}" \
-    --ingest "${footers}" \
-    --out "${out}"
-
-echo "recorded ${out}"
-prev="${RESULTS_DIR}/BENCH_$((seq - 1)).json"
-if [ -e "${prev}" ]; then
-    echo "comparing against ${prev}:"
-    # Informational here: recording must succeed even when slower.
-    "${BUILD_DIR}/bench/perf_diff" "${prev}" "${out}" || true
-fi
+case "${1:-} $#" in
+"compare 3")
+    prepare base "$2"
+    prepare new "$3"
+    ctest --test-dir "$3" -L perf_smoke --no-tests=error \
+        --output-on-failure
+    for ((r = 1; r <= ROUNDS; ++r)); do
+        order="base new"
+        ((r % 2)) || order="new base"
+        for side in ${order}; do round "${side}"; done
+        echo "bench.sh: round ${r}/${ROUNDS} done" >&2
+    done
+    "${work}/new.bin/perf_diff" "${work}/base.json" "${work}/new.json"
+    ;;
+"record 2" | "record 3")
+    results="${3:-bench-results}"
+    prepare run "$2"
+    for ((r = 1; r <= ROUNDS; ++r)); do
+        round run
+        echo "bench.sh: round ${r}/${ROUNDS} done" >&2
+    done
+    seq=1
+    while [ -e "${results}/BENCH_${seq}.json" ]; do seq=$((seq + 1)); done
+    mkdir -p "${results}"
+    cp "${work}/run.json" "${results}/BENCH_${seq}.json"
+    echo "recorded ${results}/BENCH_${seq}.json"
+    ;;
+*)
+    echo "usage: $0 compare <base-build> <new-build>" >&2
+    echo "       $0 record <build> [results-dir]" >&2
+    exit 2
+    ;;
+esac

@@ -3,17 +3,13 @@
 # the tier1-labelled test suite. This is the gate every change must
 # pass; CI runs exactly this script.
 #
-# Usage: scripts/verify.sh [--tsan|--asan|--bench|--diag|--profile|
-#        --mc] [build-dir]
+# Usage: scripts/verify.sh [--tsan|--asan|--diag|--profile|--mc]
+#        [build-dir]
 #
 #   --tsan   build with -fsanitize=thread into <build-dir>-tsan and
 #            run the concurrency-labelled tests under it
 #   --asan   build with -fsanitize=address into <build-dir>-asan and
 #            run the full tier1 label under it
-#   --bench  perf smoke lane: one-rep perf_suite run diffed against
-#            the committed bench-results/BENCH_seed.json baseline
-#            (informational timings, hard-fails only on crashes or a
-#            malformed report). Off by default; tier-1 stays perf-free.
 #   --diag   observability smoke lane: run a short perf_suite pass
 #            with --diag-json enabled, then validate the report with
 #            `diag_replay --check-diag`. Catches bit-rot in the
@@ -34,41 +30,34 @@
 # The sanitizer lanes keep their own build trees so the default tree
 # stays warm for the plain gate.
 #
-# A refactor that must not move any printed number is checked
-# separately, against a build of the parent commit:
-# scripts/figure_diff.sh <base-build> <new-build> diffs the stdout of
-# every figure and extension binary and cmps every .lib they write.
+# Two builds are compared separately, against a build of the parent
+# commit: scripts/figure_diff.sh <base-build> <new-build> diffs the
+# stdout of every figure and extension binary and cmps every .lib they
+# write, so a refactor moves no printed number, and
+# scripts/bench.sh compare <base-build> <new-build> times them.
 set -euo pipefail
 
 SANITIZE=""
 LANE_SUFFIX=""
 TEST_LABEL="tier1"
-PERF_SMOKE=0
-DIAG_SMOKE=0
-PROFILE_SMOKE=0
-MC_SMOKE=0
-if [[ "${1:-}" == "--tsan" ]]; then
+LANE=""
+case "${1:-}" in
+--tsan)
     SANITIZE="thread"
     LANE_SUFFIX="-tsan"
     TEST_LABEL="concurrency"
     shift
-elif [[ "${1:-}" == "--asan" ]]; then
+    ;;
+--asan)
     SANITIZE="address"
     LANE_SUFFIX="-asan"
     shift
-elif [[ "${1:-}" == "--bench" ]]; then
-    PERF_SMOKE=1
+    ;;
+--diag | --profile | --mc)
+    LANE="$1"
     shift
-elif [[ "${1:-}" == "--diag" ]]; then
-    DIAG_SMOKE=1
-    shift
-elif [[ "${1:-}" == "--profile" ]]; then
-    PROFILE_SMOKE=1
-    shift
-elif [[ "${1:-}" == "--mc" ]]; then
-    MC_SMOKE=1
-    shift
-fi
+    ;;
+esac
 
 BUILD_DIR="${1:-build}${LANE_SUFFIX}"
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
@@ -79,26 +68,7 @@ cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" -DOTFT_WERROR=ON \
     -DOTFT_SANITIZE="${SANITIZE}"
 cmake --build "${BUILD_DIR}" -j "${JOBS}"
 
-if [[ "${PERF_SMOKE}" == "1" ]]; then
-    cmake --build "${BUILD_DIR}" -j "${JOBS}" \
-        --target perf_suite perf_diff
-    BASELINE="${REPO_ROOT}/bench-results/BENCH_seed.json"
-    SMOKE_OUT="${BUILD_DIR}/BENCH_smoke.json"
-    "${BUILD_DIR}/bench/perf_suite" --reps 1 --warmup 0 \
-        --out "${SMOKE_OUT}"
-    if [ -e "${BASELINE}" ]; then
-        echo "perf smoke vs committed seed baseline:"
-        # One rep is too noisy to gate on; regressions are reported,
-        # not fatal. A crash or malformed report still fails the lane.
-        "${BUILD_DIR}/bench/perf_diff" "${BASELINE}" "${SMOKE_OUT}" \
-            || true
-    else
-        echo "warning: ${BASELINE} missing; recorded smoke run only"
-    fi
-    exit 0
-fi
-
-if [[ "${DIAG_SMOKE}" == "1" ]]; then
+if [[ "${LANE}" == "--diag" ]]; then
     cmake --build "${BUILD_DIR}" -j "${JOBS}" \
         --target perf_suite diag_replay
     DIAG_OUT="${BUILD_DIR}/diag_smoke.json"
@@ -111,7 +81,7 @@ if [[ "${DIAG_SMOKE}" == "1" ]]; then
     exit 0
 fi
 
-if [[ "${PROFILE_SMOKE}" == "1" ]]; then
+if [[ "${LANE}" == "--profile" ]]; then
     cmake --build "${BUILD_DIR}" -j "${JOBS}" \
         --target perf_suite fig06_inverter_comparison \
         test_profile_smoke
@@ -144,7 +114,7 @@ if [[ "${PROFILE_SMOKE}" == "1" ]]; then
     exit 0
 fi
 
-if [[ "${MC_SMOKE}" == "1" ]]; then
+if [[ "${LANE}" == "--mc" ]]; then
     cmake --build "${BUILD_DIR}" -j "${JOBS}" \
         --target mc_characterize yield_sweep test_mc_smoke
     ctest --test-dir "${BUILD_DIR}" -L mc_smoke \

@@ -336,23 +336,10 @@ readReport(std::istream &is)
         s.layer = item.string("layer");
         s.description = item.string("description");
         s.points = static_cast<std::uint64_t>(item.number("points"));
-        if (item.has("samples_s"))
-            for (const json::Value &v :
-                 item.at("samples_s").asArray())
-                s.samplesS.push_back(v.asNumber());
-        if (item.has("wall_s")) {
-            const json::Value &w = item.at("wall_s");
-            s.timing.reps =
-                static_cast<std::uint64_t>(item.number("reps"));
-            s.timing.minS = w.number("min");
-            s.timing.medianS = w.number("median");
-            s.timing.madS = w.number("mad");
-            s.timing.p95S = w.number("p95");
-            s.timing.meanS = w.number("mean");
-            s.timing.totalS = w.number("total");
-        } else {
-            s.timing = summarizeTimes(s.samplesS);
-        }
+        // The samples are the record; the written summary is derived.
+        for (const json::Value &v : item.at("samples_s").asArray())
+            s.samplesS.push_back(v.asNumber());
+        s.timing = summarizeTimes(s.samplesS);
         if (item.has("counters"))
             for (const auto &[name, value] :
                  item.at("counters").asObject())
@@ -360,6 +347,66 @@ readReport(std::istream &is)
         report.scenarios.push_back(std::move(s));
     }
     return report;
+}
+
+namespace {
+
+/**
+ * Append `more`'s samples to `into`'s in order. Counters become the
+ * per-rep mean over both (a counter absent on one side did not move
+ * there); points are the latest.
+ */
+void
+appendSamples(ScenarioResult &into, const ScenarioResult &more)
+{
+    const double n_into = static_cast<double>(into.samplesS.size());
+    const double n_more = static_cast<double>(more.samplesS.size());
+    for (auto &[name, value] : into.counters)
+        value *= n_into;
+    for (const auto &[name, value] : more.counters)
+        into.counters[name] += value * n_more;
+    for (auto &[name, value] : into.counters)
+        value /= n_into + n_more;
+    into.samplesS.insert(into.samplesS.end(), more.samplesS.begin(),
+                         more.samplesS.end());
+    into.points = more.points;
+    into.timing = summarizeTimes(into.samplesS);
+}
+
+/** Merge `more` into the result of the same name, else add it. */
+void
+addResult(std::vector<ScenarioResult> &results, ScenarioResult more)
+{
+    for (ScenarioResult &r : results)
+        if (r.name == more.name)
+            return appendSamples(r, more);
+    results.push_back(std::move(more));
+}
+
+} // namespace
+
+void
+appendReport(const std::string &path, const BenchReport &run)
+{
+    BenchReport report = run;
+    if (std::ifstream is{path}) {
+        try {
+            report = readReport(is);
+        } catch (const FatalError &) {
+            fatal("perf: ", path, " is not a report; not overwriting it");
+        }
+        if (report.env.gitSha != run.env.gitSha)
+            fatal("perf: ", path, " holds a report of build ",
+                  report.env.gitSha, ", not ", run.env.gitSha,
+                  "; not overwriting it");
+        report.reps += run.reps;
+        for (const ScenarioResult &s : run.scenarios)
+            addResult(report.scenarios, s);
+    }
+    std::ofstream os(path);
+    writeReport(report, os);
+    if (!os)
+        fatal("perf: cannot write ", path);
 }
 
 std::vector<ScenarioResult>
@@ -397,13 +444,13 @@ ingestFooters(std::istream &is)
             if (value.isNumber())
                 s.counters[key] = value.asNumber();
         }
-        results.push_back(std::move(s));
+        addResult(results, std::move(s));
     }
     return results;
 }
 
 // ---------------------------------------------------------------------
-// Diffing.
+// Paired diffing.
 // ---------------------------------------------------------------------
 
 const char *
@@ -416,6 +463,8 @@ toString(DiffStatus status)
         return "improved";
       case DiffStatus::Regressed:
         return "REGRESSED";
+      case DiffStatus::Unpaired:
+        return "unpaired";
       case DiffStatus::Added:
         return "added";
       case DiffStatus::Removed:
@@ -426,23 +475,42 @@ toString(DiffStatus status)
 
 namespace {
 
-/** Relative wall-time change that counts as real. */
-constexpr double wallThreshold = 0.10;
-/** Noise gate width in MADs (of the noisier report). */
-constexpr double madK = 3.0;
-/** Absolute wall-time floor, seconds (clock granularity). */
-constexpr double minWallDeltaS = 20e-6;
 /** Relative threshold for per-rep counter deltas. */
 constexpr double counterThreshold = 0.02;
+/** Fewest pairs that give a wall-time verdict. */
+constexpr std::size_t minPairs = 10;
 
-DiffStatus
-classify(double baseline, double current, double gate)
+/** Relative change from `base` to `cur`; 0 for a zero base. */
+double
+relative(double base, double cur)
 {
-    if (current - baseline > gate)
-        return DiffStatus::Regressed;
-    if (baseline - current > gate)
-        return DiffStatus::Improved;
-    return DiffStatus::Unchanged;
+    return base > 0.0 ? (cur - base) / base : 0.0;
+}
+
+/** The paired wall-time verdict of `cur` against `base`. */
+void
+comparePaired(const ScenarioResult &base, const ScenarioResult &cur,
+              DiffEntry &wall)
+{
+    const std::size_t n = base.samplesS.size();
+    if (n != cur.samplesS.size() || n < minPairs) {
+        wall.status = DiffStatus::Unpaired;
+        return;
+    }
+    wall.pairs = n;
+    for (std::size_t i = 0; i < n; ++i) {
+        wall.wins += cur.samplesS[i] < base.samplesS[i];
+        wall.losses += cur.samplesS[i] > base.samplesS[i];
+    }
+    std::vector<double> sorted = base.samplesS;
+    std::sort(sorted.begin(), sorted.end());
+    wall.baselineIqr =
+        percentileSorted(sorted, 75.0) - percentileSorted(sorted, 25.0);
+    const double gap = wall.current - wall.baseline;
+    if (10 * wall.losses >= 9 * n && gap > wall.baselineIqr)
+        wall.status = DiffStatus::Regressed;
+    else if (10 * wall.wins >= 9 * n && -gap > wall.baselineIqr)
+        wall.status = DiffStatus::Improved;
 }
 
 /**
@@ -505,67 +573,52 @@ diffReports(const BenchReport &baseline, const BenchReport &current)
     for (const ScenarioResult &cur : current.scenarios) {
         auto it = base_by_name.find(cur.name);
         if (it == base_by_name.end()) {
-            DiffEntry entry;
-            entry.scenario = cur.name;
-            entry.metric = "wall_s";
-            entry.current = cur.timing.medianS;
-            entry.status = DiffStatus::Added;
-            diff.entries.push_back(entry);
+            count({.scenario = cur.name,
+                   .metric = "wall_s",
+                   .current = cur.timing.medianS,
+                   .status = DiffStatus::Added});
             continue;
         }
         const ScenarioResult &base = *it->second;
         base_by_name.erase(it);
 
-        DiffEntry wall;
-        wall.scenario = cur.name;
-        wall.metric = "wall_s";
-        wall.baseline = base.timing.medianS;
-        wall.current = cur.timing.medianS;
-        wall.gate = std::max(
-            {wallThreshold * base.timing.medianS,
-             madK * std::max(base.timing.madS, cur.timing.madS),
-             minWallDeltaS});
-        wall.delta = base.timing.medianS > 0.0
-                         ? (cur.timing.medianS - base.timing.medianS) /
-                               base.timing.medianS
-                         : 0.0;
-        wall.status = classify(base.timing.medianS,
-                               cur.timing.medianS, wall.gate);
+        const double base_s = base.timing.medianS;
+        const double cur_s = cur.timing.medianS;
+        DiffEntry wall{.scenario = cur.name,
+                       .metric = "wall_s",
+                       .baseline = base_s,
+                       .current = cur_s,
+                       .delta = relative(base_s, cur_s)};
+        comparePaired(base, cur, wall);
         count(wall);
 
         // Counters present in both runs: near-deterministic, so a
-        // tight relative gate catches algorithmic drift that wall
-        // noise would hide.
+        // tight relative threshold catches algorithmic drift that
+        // wall noise would hide.
         for (const auto &[name, cur_value] : cur.counters) {
             auto base_it = base.counters.find(name);
             if (base_it == base.counters.end())
                 continue;
             const double base_value = base_it->second;
-            DiffEntry entry;
-            entry.scenario = cur.name;
-            entry.metric = name;
-            entry.baseline = base_value;
-            entry.current = cur_value;
-            entry.gate = std::max(counterThreshold * base_value, 1.0);
-            entry.delta =
-                base_value > 0.0
-                    ? (cur_value - base_value) / base_value
-                    : 0.0;
-            entry.status =
-                classify(base_value, cur_value, entry.gate);
-            if (entry.status != DiffStatus::Unchanged)
-                count(entry);
+            const double moved = cur_value - base_value;
+            if (std::abs(moved) <=
+                std::max(counterThreshold * base_value, 1.0))
+                continue;
+            count({.scenario = cur.name,
+                   .metric = name,
+                   .baseline = base_value,
+                   .current = cur_value,
+                   .delta = relative(base_value, cur_value),
+                   .status = moved > 0.0 ? DiffStatus::Regressed
+                                         : DiffStatus::Improved});
         }
     }
 
-    for (const auto &[name, base] : base_by_name) {
-        DiffEntry entry;
-        entry.scenario = name;
-        entry.metric = "wall_s";
-        entry.baseline = base->timing.medianS;
-        entry.status = DiffStatus::Removed;
-        diff.entries.push_back(entry);
-    }
+    for (const auto &[name, base] : base_by_name)
+        count({.scenario = name,
+               .metric = "wall_s",
+               .baseline = base->timing.medianS,
+               .status = DiffStatus::Removed});
     return diff;
 }
 
@@ -578,7 +631,8 @@ renderDiff(const DiffReport &diff, std::ostream &os)
     if (!diff.envWarnings.empty())
         os << "\n";
     Table table({"scenario", "metric", "baseline", "current", "delta",
-                 "gate", "verdict"});
+                 "base IQR", "won/lost", "verdict"});
+    int unpaired = 0;
     for (const DiffEntry &entry : diff.entries) {
         std::string delta = "-";
         if (entry.status != DiffStatus::Added &&
@@ -593,19 +647,27 @@ renderDiff(const DiffReport &diff, std::ostream &os)
         auto render_value = [is_wall](double v) {
             return is_wall ? formatSi(v, "s") : formatNumber(v);
         };
+        unpaired += entry.status == DiffStatus::Unpaired;
+        const bool paired = entry.pairs > 0;
+        const std::string won_lost = std::to_string(entry.wins) + "/" +
+                                     std::to_string(entry.losses) +
+                                     " of " + std::to_string(entry.pairs);
         table.row()
             .add(entry.scenario)
             .add(entry.metric)
             .add(render_value(entry.baseline))
             .add(render_value(entry.current))
             .add(delta)
-            .add(render_value(entry.gate))
+            .add(paired ? formatSi(entry.baselineIqr, "s") : "-")
+            .add(paired ? won_lost : "-")
             .add(toString(entry.status));
     }
     table.render(os);
     os << "\n"
        << diff.regressions << " regression(s), " << diff.improvements
-       << " improvement(s) past the noise gate\n";
+       << " improvement(s), " << unpaired
+       << " unpaired (unequal sample counts, or fewer than " << minPairs
+       << ")\n";
 }
 
 } // namespace otft::perf

@@ -1,7 +1,7 @@
 /**
  * @file
  * Perf flight recorder: scenario suite runner, canonical BENCH_*.json
- * reports, and noise-aware report diffing.
+ * reports, and the paired comparison of two builds.
  *
  * The pieces fit together as a longitudinal performance record:
  *
@@ -14,23 +14,19 @@
  *  - writeReport()/readReport() serialize a schema-versioned report
  *    ("otft-bench-1") with an environment fingerprint (git SHA,
  *    compiler, build type, CPU count) for apples-to-apples trend
- *    lines;
- *  - diffReports() compares two reports with a noise gate derived
- *    from the median absolute deviation (MAD) of the wall-time
- *    samples: a scenario only counts as a regression when its median
- *    moved by more than max(rel-threshold x baseline, K x MAD,
- *    absolute floor). Counter deltas are near-deterministic, so they
- *    use a tight relative threshold.
+ *    lines; appendReport() adds a round to a report of the same build;
+ *  - diffReports() compares two reports round by round (the paired
+ *    rule), counters by a tight relative threshold.
  *
  * The `perf_suite` bench binary provides the scenarios and CLI; the
  * `perf_diff` binary wraps diffReports() with table output and a
- * nonzero exit on regression, which is what scripts/perf_gate.sh and
- * the perf_smoke ctest label gate on.
+ * nonzero exit on regression; scripts/bench.sh drives both.
  */
 
 #ifndef OTFT_UTIL_PERF_REPORT_HPP
 #define OTFT_UTIL_PERF_REPORT_HPP
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
@@ -121,7 +117,11 @@ struct ScenarioResult
     std::string description;
     std::uint64_t points = 0;
     TimingSummary timing;
-    /** Per-rep wall times, seconds, in run order. */
+    /**
+     * Per-rep wall times, seconds, in run order; appended rounds
+     * follow in round order, so sample i of two reports recorded
+     * round by round is one pair.
+     */
     std::vector<double> samplesS;
     /**
      * Per-rep stats-registry counter deltas (total across measured
@@ -195,20 +195,31 @@ void writeReport(const BenchReport &report, std::ostream &os);
 BenchReport readReport(std::istream &is);
 
 /**
+ * Write `run` to `path`, or append it to the report already there as
+ * one more round: samples follow those of the same scenario, counters
+ * become per-rep means over all rounds. Fatal, leaving the file as it
+ * is, when it does not parse or holds another build's report (SHA).
+ */
+void appendReport(const std::string &path, const BenchReport &run);
+
+/**
  * Parse newline-delimited bench footers (the last stdout line of
- * every fig / ext bench) into single-sample scenario results under
- * layer "bench". Numeric footer fields beyond wall_s/points are kept
- * as counter-style metrics so they join the trajectory. Lines that are
- * not footer objects are skipped.
+ * every fig / ext bench) into scenario results under layer "bench",
+ * one sample per footer; footers that share a bench name merge into
+ * one result in line order. Numeric footer fields beyond
+ * wall_s/points are kept as counter-style metrics so they join the
+ * trajectory. Lines that are not footer objects are skipped.
  */
 std::vector<ScenarioResult> ingestFooters(std::istream &is);
 
 // ---------------------------------------------------------------------
-// Noise-aware diffing.
+// Paired diffing.
 // ---------------------------------------------------------------------
 
-/** Verdict for one compared metric. */
-enum class DiffStatus { Unchanged, Improved, Regressed, Added, Removed };
+/** Verdict for one compared metric (see diffReports()). */
+enum class DiffStatus {
+    Unchanged, Improved, Regressed, Unpaired, Added, Removed
+};
 
 /** @return printable status ("ok", "REGRESSED", ...). */
 const char *toString(DiffStatus status);
@@ -223,8 +234,10 @@ struct DiffEntry
     double current = 0.0;
     /** Relative change (current - baseline) / baseline. */
     double delta = 0.0;
-    /** The absolute change the gate required before flagging. */
-    double gate = 0.0;
+    /** Wall time: the baseline's interquartile range, seconds. */
+    double baselineIqr = 0.0;
+    /** Wall time: pairs the current report won, lost, and in all. */
+    std::size_t wins = 0, losses = 0, pairs = 0;
     DiffStatus status = DiffStatus::Unchanged;
 };
 
@@ -233,7 +246,7 @@ struct DiffReport
 {
     /**
      * One wall_s entry per scenario (matched, added, or removed) plus
-     * one entry per counter whose change cleared the gate.
+     * one entry per counter that moved past its threshold.
      */
     std::vector<DiffEntry> entries;
     int regressions = 0;
@@ -249,9 +262,12 @@ struct DiffReport
 };
 
 /**
- * Compare `current` against `baseline`. A scenario's median wall time
- * is flagged when it moves by more than max(10 % of the baseline,
- * 3 MADs of the noisier report, 20 us); a per-rep counter when it
+ * Compare `current` against `baseline`. Wall times are compared pair
+ * by pair (samplesS[i] of each side; ties count for neither): a
+ * scenario regressed when `current` loses at least 90 % of the pairs
+ * and its median is higher by more than the baseline's interquartile
+ * range, and improved in the mirror case; sample counts that differ or
+ * are under ten are Unpaired. A per-rep counter is flagged when it
  * moves by more than max(2 %, 1).
  */
 DiffReport diffReports(const BenchReport &baseline,

@@ -4,7 +4,7 @@
  * tier-1): the registered scenario set covers every flow layer, a
  * short run produces sane timings plus nonzero counter deltas, the
  * report round-trips through the canonical JSON, and an injected
- * slowdown is flagged by the noise-gated diff.
+ * slowdown is flagged by the paired diff.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +19,9 @@
 namespace otft {
 namespace {
 
+/** Enough reps for the paired rule's 9-of-10 verdict. */
+constexpr std::uint64_t suiteReps = 10;
+
 class PerfSuite : public ::testing::Test
 {
   protected:
@@ -29,7 +32,7 @@ class PerfSuite : public ::testing::Test
         perf::ScenarioSuite suite;
         bench::registerAllScenarios(suite);
         perf::SuiteOptions options;
-        options.reps = 2;
+        options.reps = suiteReps;
         options.warmup = 1;
         report = new perf::BenchReport();
         report->reps = options.reps;
@@ -70,7 +73,7 @@ TEST_F(PerfSuite, EveryScenarioTimesAndCounts)
     ASSERT_GE(report->scenarios.size(), 9u);
     for (const auto &s : report->scenarios) {
         SCOPED_TRACE(s.name);
-        EXPECT_EQ(s.timing.reps, 2u);
+        EXPECT_EQ(s.timing.reps, suiteReps);
         EXPECT_GT(s.timing.minS, 0.0);
         EXPECT_GE(s.timing.p95S, s.timing.medianS);
         EXPECT_GE(s.timing.medianS, s.timing.minS);
@@ -98,10 +101,11 @@ TEST_F(PerfSuite, ReportRoundTripsAndSelfDiffsClean)
 TEST_F(PerfSuite, InjectedSlowdownTripsTheGate)
 {
     perf::BenchReport slowed = *report;
-    // Slow down the scenario with the smallest measured relative
-    // spread (madS / medianS). The gate widens with the MAD, so the
-    // 4x slowdown clears it by the widest margin there; the longest
-    // median is not the steadiest on a loaded host.
+    // Slow down every rep of the scenario with the smallest measured
+    // relative spread (madS / medianS). The rule needs the median gap
+    // above the baseline's interquartile range, so the 4x slowdown
+    // clears it by the widest margin there; the longest median is not
+    // the steadiest on a loaded host.
     const auto spread = [](const perf::ScenarioResult &s) {
         return s.timing.madS / s.timing.medianS;
     };

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -92,12 +95,26 @@ TEST(PerfReport, DuplicateScenarioNameIsFatal)
                  FatalError);
 }
 
-/** A two-scenario report with controlled timings and counters. */
+/**
+ * Ten rounds around 1.0: sorted 0.96 ... 1.05 in steps of 0.01, so the
+ * median is 1.005 and the quartiles 0.9825 and 1.0275 (IQR 0.045).
+ */
+std::vector<double>
+tenRounds(double scale)
+{
+    std::vector<double> samples;
+    for (double v :
+         {1.00, 1.04, 0.97, 1.02, 0.99, 1.05, 0.96, 1.01, 0.98, 1.03})
+        samples.push_back(v * scale);
+    return samples;
+}
+
+/** A two-scenario report of ten rounds with controlled timings. */
 BenchReport
 makeReport(double median_scale, double arcs)
 {
     BenchReport report;
-    report.reps = 3;
+    report.reps = 10;
     report.warmup = 1;
     report.env.gitSha = "abc1234";
     report.env.compiler = "testc++ 1.0";
@@ -111,8 +128,7 @@ makeReport(double median_scale, double arcs)
     fast.layer = "unit";
     fast.description = "a fast scenario";
     fast.points = 10;
-    fast.samplesS = {0.010 * median_scale, 0.011 * median_scale,
-                     0.012 * median_scale};
+    fast.samplesS = tenRounds(0.010 * median_scale);
     fast.timing = summarizeTimes(fast.samplesS);
     fast.counters["sta.arcs.evaluated"] = arcs;
 
@@ -121,11 +137,23 @@ makeReport(double median_scale, double arcs)
     slow.layer = "unit";
     slow.description = "a slow scenario";
     slow.points = 99;
-    slow.samplesS = {1.0, 1.1, 1.2};
+    slow.samplesS = tenRounds(1.0);
     slow.timing = summarizeTimes(slow.samplesS);
 
     report.scenarios = {fast, slow};
     return report;
+}
+
+/** The entry of one scenario's metric; fails the test when absent. */
+DiffEntry
+entryFor(const DiffReport &diff, const std::string &scenario,
+         const std::string &metric)
+{
+    for (const DiffEntry &entry : diff.entries)
+        if (entry.scenario == scenario && entry.metric == metric)
+            return entry;
+    ADD_FAILURE() << "no entry " << scenario << "/" << metric;
+    return {};
 }
 
 TEST(PerfReport, WriteReadRoundTrips)
@@ -135,7 +163,7 @@ TEST(PerfReport, WriteReadRoundTrips)
     writeReport(original, ss);
     const BenchReport parsed = readReport(ss);
 
-    EXPECT_EQ(parsed.reps, 3u);
+    EXPECT_EQ(parsed.reps, 10u);
     EXPECT_EQ(parsed.warmup, 1u);
     EXPECT_EQ(parsed.env.gitSha, "abc1234");
     EXPECT_EQ(parsed.env.compiler, "testc++ 1.0");
@@ -145,10 +173,10 @@ TEST(PerfReport, WriteReadRoundTrips)
     EXPECT_EQ(s.name, "unit.fast");
     EXPECT_EQ(s.layer, "unit");
     EXPECT_EQ(s.points, 10u);
-    EXPECT_EQ(s.timing.reps, 3u);
-    EXPECT_DOUBLE_EQ(s.timing.medianS, 0.011);
-    ASSERT_EQ(s.samplesS.size(), 3u);
-    EXPECT_DOUBLE_EQ(s.samplesS[1], 0.011);
+    EXPECT_EQ(s.timing.reps, 10u);
+    EXPECT_DOUBLE_EQ(s.timing.medianS, 0.01005);
+    ASSERT_EQ(s.samplesS.size(), 10u);
+    EXPECT_DOUBLE_EQ(s.samplesS[1], 0.0104);
     EXPECT_DOUBLE_EQ(s.counters.at("sta.arcs.evaluated"), 1000.0);
 }
 
@@ -180,7 +208,74 @@ TEST(PerfReport, IngestFootersSkipsNoiseAndKeepsExtras)
     EXPECT_EQ(results[1].name, "bench.fig13");
 }
 
-TEST(PerfReport, DiffIdentityIsClean)
+TEST(PerfReport, IngestFootersMergesSameNameInLineOrder)
+{
+    std::istringstream is(
+        "{\"bench\": \"fig13\", \"wall_s\": 1.5, \"points\": 6, "
+        "\"f_max_hz\": 200}\n"
+        "{\"bench\": \"fig14\", \"wall_s\": 0.5, \"points\": 6}\n"
+        "{\"bench\": \"fig13\", \"wall_s\": 1.25, \"points\": 6, "
+        "\"f_max_hz\": 210}\n");
+    const auto results = ingestFooters(is);
+    ASSERT_EQ(results.size(), 2u);
+    EXPECT_EQ(results[0].name, "bench.fig13");
+    EXPECT_EQ(results[0].samplesS, (std::vector<double>{1.5, 1.25}));
+    EXPECT_EQ(results[0].timing.reps, 2u);
+    EXPECT_DOUBLE_EQ(results[0].counters.at("f_max_hz"), 205.0);
+    EXPECT_EQ(results[1].samplesS, (std::vector<double>{0.5}));
+}
+
+TEST(PerfReport, AppendReportAddsRoundsAndRefusesForeignReports)
+{
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("otft_perf_report_append." + std::to_string(::getpid()) +
+          ".json"))
+            .string();
+    std::filesystem::remove(path);
+    const auto read_back = [&path] {
+        std::ifstream is(path);
+        return readReport(is);
+    };
+
+    // Two one-rep rounds: the second appends to the first, in order.
+    BenchReport round = makeReport(1.0, 1000.0);
+    round.reps = 1;
+    for (ScenarioResult &s : round.scenarios)
+        s.samplesS.resize(1);
+    appendReport(path, round);
+    round.scenarios[0].samplesS = {0.5};
+    round.scenarios[0].counters["sta.arcs.evaluated"] = 3000.0;
+    round.scenarios[0].counters["sta.new.counter"] = 4.0;
+    appendReport(path, round);
+    const BenchReport merged = read_back();
+    EXPECT_EQ(merged.reps, 2u);
+    ASSERT_EQ(merged.scenarios.size(), 2u);
+    const ScenarioResult &fast = merged.scenarios[0];
+    EXPECT_EQ(fast.samplesS, (std::vector<double>{0.010, 0.5}));
+    EXPECT_EQ(fast.timing.reps, 2u);
+    // Counters are per-rep means; a counter that did not move in one
+    // round counts as zero there.
+    EXPECT_DOUBLE_EQ(fast.counters.at("sta.arcs.evaluated"), 2000.0);
+    EXPECT_DOUBLE_EQ(fast.counters.at("sta.new.counter"), 2.0);
+
+    // Another build's run must neither merge nor overwrite the file.
+    BenchReport foreign = round;
+    foreign.env.gitSha = "def5678";
+    EXPECT_THROW(appendReport(path, foreign), FatalError);
+    EXPECT_EQ(read_back().scenarios[0].samplesS.size(), 2u);
+
+    // Nor may a run overwrite a file that is not a report.
+    std::ofstream(path) << "not json\n";
+    EXPECT_THROW(appendReport(path, round), FatalError);
+    std::ifstream is(path);
+    std::string text;
+    std::getline(is, text);
+    EXPECT_EQ(text, "not json");
+    std::filesystem::remove(path);
+}
+
+TEST(PerfReport, DiffIdenticalRoundsAreClean)
 {
     const BenchReport report = makeReport(1.0, 1000.0);
     const DiffReport diff = diffReports(report, report);
@@ -190,86 +285,124 @@ TEST(PerfReport, DiffIdentityIsClean)
         EXPECT_EQ(entry.status, DiffStatus::Unchanged);
 }
 
-TEST(PerfReport, DiffFlagsInjectedSlowdown)
+TEST(PerfReport, DiffFlagsFourfoldSlowdownInEveryRound)
 {
     const BenchReport baseline = makeReport(1.0, 1000.0);
-    // 1.8x slower and 5% more arc evaluations: both gates trip.
-    const BenchReport current = makeReport(1.8, 1050.0);
+    // 4x slower in every round and 5% more arc evaluations: both
+    // rules trip.
+    const BenchReport current = makeReport(4.0, 1050.0);
     const DiffReport diff = diffReports(baseline, current);
     EXPECT_EQ(diff.regressions, 2);
-    bool wall_flagged = false;
-    bool counter_flagged = false;
-    for (const DiffEntry &entry : diff.entries) {
-        if (entry.status != DiffStatus::Regressed)
-            continue;
-        if (entry.scenario == "unit.fast" && entry.metric == "wall_s")
-            wall_flagged = true;
-        if (entry.metric == "sta.arcs.evaluated")
-            counter_flagged = true;
-    }
-    EXPECT_TRUE(wall_flagged);
-    EXPECT_TRUE(counter_flagged);
+    const DiffEntry wall = entryFor(diff, "unit.fast", "wall_s");
+    EXPECT_EQ(wall.status, DiffStatus::Regressed);
+    EXPECT_EQ(wall.losses, 10u);
+    EXPECT_EQ(wall.pairs, 10u);
+    EXPECT_EQ(entryFor(diff, "unit.fast", "sta.arcs.evaluated").status,
+              DiffStatus::Regressed);
 
     // The reverse comparison is an improvement, not a regression.
     const DiffReport reverse = diffReports(current, baseline);
     EXPECT_EQ(reverse.regressions, 0);
     EXPECT_EQ(reverse.improvements, 2);
+    EXPECT_EQ(entryFor(reverse, "unit.fast", "wall_s").wins, 10u);
 }
 
-TEST(PerfReport, DiffNoiseGateAbsorbsSmallDrift)
+TEST(PerfReport, DiffDriftInsideBaselineIqrIsOk)
 {
     const BenchReport baseline = makeReport(1.0, 1000.0);
-    // 4% drift: inside the 10% relative wall gate; the counter moved
-    // by less than its 2% floor-of-one gate.
+    // 4% slower in all ten pairs, but the 0.40 ms median gap is inside
+    // the baseline's 0.45 ms IQR; the counter moved by less than its
+    // 2% floor-of-one threshold.
     const BenchReport current = makeReport(1.04, 1000.5);
     const DiffReport diff = diffReports(baseline, current);
     EXPECT_EQ(diff.regressions, 0);
     EXPECT_EQ(diff.improvements, 0);
+    EXPECT_EQ(entryFor(diff, "unit.fast", "wall_s").losses, 10u);
 }
 
-TEST(PerfReport, DiffMadGateWidensForNoisySamples)
+TEST(PerfReport, DiffEightOfTenLossesIsOkWhateverTheGap)
 {
-    BenchReport baseline = makeReport(1.0, 1000.0);
-    BenchReport current = makeReport(1.0, 1000.0);
-    // Very noisy baseline samples: MAD 0.5 around a 1.0 median. A
-    // 1.2x median shift is real by the relative gate but inside
-    // 3 x MAD, so it must not be flagged.
-    baseline.scenarios[1].samplesS = {0.5, 1.0, 1.5};
-    baseline.scenarios[1].timing =
-        summarizeTimes(baseline.scenarios[1].samplesS);
-    current.scenarios[1].samplesS = {0.7, 1.2, 1.7};
-    current.scenarios[1].timing =
-        summarizeTimes(current.scenarios[1].samplesS);
+    const BenchReport baseline = makeReport(1.0, 1000.0);
+    BenchReport current = baseline;
+    // Eight rounds twice as slow, two twice as fast: the median gap is
+    // far above the IQR, but 8/10 is short of 9/10.
+    std::vector<double> &samples = current.scenarios[1].samplesS;
+    for (std::size_t i = 0; i < samples.size(); ++i)
+        samples[i] *= i < 8 ? 2.0 : 0.5;
+    current.scenarios[1].timing = summarizeTimes(samples);
     const DiffReport diff = diffReports(baseline, current);
     EXPECT_EQ(diff.regressions, 0);
+    const DiffEntry wall = entryFor(diff, "unit.slow", "wall_s");
+    EXPECT_EQ(wall.losses, 8u);
+    EXPECT_EQ(wall.status, DiffStatus::Unchanged);
 }
 
-TEST(PerfReport, DiffGateIsTenPercentThreeMadTwentyMicrosOrTwoPercent)
+TEST(PerfReport, DiffRuleIsNineOfTenPairsPastBaselineIqrOrTwoPercent)
 {
-    BenchReport baseline = makeReport(1.0, 1000.0);
-    // unit.slow: constant 1 s samples (MAD 0), so 10 % of the median
-    // is the widest gate.
-    baseline.scenarios[1].samplesS = {1.0, 1.0, 1.0};
-    baseline.scenarios[1].timing =
-        summarizeTimes(baseline.scenarios[1].samplesS);
-    // unit.tiny: 5 us, so the 20 us clock floor is.
-    ScenarioResult tiny = baseline.scenarios[1];
-    tiny.name = "unit.tiny";
-    tiny.samplesS = {5e-6, 5e-6, 5e-6};
-    tiny.timing = summarizeTimes(tiny.samplesS);
-    baseline.scenarios.push_back(tiny);
-    BenchReport current = baseline;
-    current.scenarios[0].counters["sta.arcs.evaluated"] = 1100.0;
+    const BenchReport baseline = makeReport(1.0, 1000.0);
+    // unit.slow: IQR 0.045 s. The current side wins the round at the
+    // baseline's fastest sample (index 6, 0.96 s) and loses the other
+    // nine by `gap`, so its median is higher by exactly `gap`.
+    const auto slowed_by = [&baseline](double gap) {
+        BenchReport current = baseline;
+        std::vector<double> &samples = current.scenarios[1].samplesS;
+        for (std::size_t i = 0; i < samples.size(); ++i)
+            samples[i] += i == 6 ? -0.01 : gap;
+        current.scenarios[1].timing = summarizeTimes(samples);
+        return entryFor(diffReports(baseline, current), "unit.slow",
+                        "wall_s");
+    };
+    const DiffEntry above = slowed_by(0.046);
+    EXPECT_NEAR(above.baselineIqr, 0.045, 1e-12);
+    EXPECT_EQ(above.losses, 9u);
+    EXPECT_EQ(above.wins, 1u);
+    EXPECT_EQ(above.status, DiffStatus::Regressed);
+    EXPECT_EQ(slowed_by(0.044).status, DiffStatus::Unchanged);
 
-    std::map<std::string, double> gates;
-    for (const DiffEntry &entry : diffReports(baseline, current).entries)
-        gates[entry.scenario + "/" + entry.metric] = entry.gate;
-    // unit.fast: median 11 ms, MAD 1 ms, so 3 MAD = 3 ms.
-    EXPECT_NEAR(gates.at("unit.fast/wall_s"), 3e-3, 1e-12);
-    EXPECT_NEAR(gates.at("unit.slow/wall_s"), 0.1, 1e-12);
-    EXPECT_NEAR(gates.at("unit.tiny/wall_s"), 20e-6, 1e-15);
-    // Counters: 2 % of the baseline (never below one).
-    EXPECT_NEAR(gates.at("unit.fast/sta.arcs.evaluated"), 20.0, 1e-9);
+    // Counters: 2 % of the baseline (never below one) per rep.
+    const auto counter_status = [&baseline](double base, double cur) {
+        BenchReport before = baseline;
+        BenchReport after = baseline;
+        before.scenarios[0].counters["sta.arcs.evaluated"] = base;
+        after.scenarios[0].counters["sta.arcs.evaluated"] = cur;
+        for (const DiffEntry &entry : diffReports(before, after).entries)
+            if (entry.metric == "sta.arcs.evaluated")
+                return entry.status;
+        return DiffStatus::Unchanged;
+    };
+    EXPECT_EQ(counter_status(1000.0, 1020.0), DiffStatus::Unchanged);
+    EXPECT_EQ(counter_status(1000.0, 1021.0), DiffStatus::Regressed);
+    EXPECT_EQ(counter_status(1000.0, 979.0), DiffStatus::Improved);
+    EXPECT_EQ(counter_status(10.0, 11.0), DiffStatus::Unchanged);
+    EXPECT_EQ(counter_status(10.0, 11.5), DiffStatus::Regressed);
+}
+
+TEST(PerfReport, DiffGivesNoWallVerdictWithoutTenPairs)
+{
+    const BenchReport baseline = makeReport(1.0, 1000.0);
+    BenchReport current = makeReport(4.0, 1000.0);
+    // Unequal counts: a 5-rep recording against ten rounds.
+    current.scenarios[0].samplesS.resize(5);
+    current.scenarios[0].timing =
+        summarizeTimes(current.scenarios[0].samplesS);
+    // Equal counts, but too few pairs for a 9-in-10 verdict.
+    BenchReport short_base = baseline;
+    for (BenchReport *r : {&short_base, &current}) {
+        r->scenarios[1].samplesS.resize(5);
+        r->scenarios[1].timing = summarizeTimes(r->scenarios[1].samplesS);
+    }
+    const DiffReport diff = diffReports(short_base, current);
+    EXPECT_EQ(diff.regressions, 0);
+    const DiffEntry fast = entryFor(diff, "unit.fast", "wall_s");
+    EXPECT_EQ(fast.status, DiffStatus::Unpaired);
+    // Both medians are still reported.
+    EXPECT_NEAR(fast.baseline, 0.01005, 1e-12);
+    EXPECT_NEAR(fast.current, 0.040, 1e-12);
+    EXPECT_EQ(entryFor(diff, "unit.slow", "wall_s").status,
+              DiffStatus::Unpaired);
+    std::ostringstream os;
+    renderDiff(diff, os);
+    EXPECT_NE(os.str().find("2 unpaired"), std::string::npos);
 }
 
 TEST(PerfReport, DiffReportsAddedAndRemovedScenarios)
