@@ -57,6 +57,13 @@ case "${1:-}" in
     LANE="$1"
     shift
     ;;
+-*)
+    # An unknown option is not a build directory: print the usage
+    # block above and fail.
+    awk '/^# Usage:/ { p = 1 } /^# The sanitizer lanes/ { exit }
+        p { sub(/^# ?/, ""); print }' "$0" >&2
+    exit 2
+    ;;
 esac
 
 BUILD_DIR="${1:-build}${LANE_SUFFIX}"

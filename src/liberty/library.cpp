@@ -1,25 +1,9 @@
 #include "liberty/library.hpp"
 
-#include <algorithm>
-
 #include "util/logging.hpp"
 #include "util/result_cache.hpp"
 
 namespace otft::liberty {
-
-double
-TimingArc::worstDelay(double slew, double load) const
-{
-    return std::max(delay[0].lookup(slew, load),
-                    delay[1].lookup(slew, load));
-}
-
-double
-TimingArc::worstSlew(double slew, double load) const
-{
-    return std::max(outputSlew[0].lookup(slew, load),
-                    outputSlew[1].lookup(slew, load));
-}
 
 const TimingArc &
 StdCell::arc(int pin) const
@@ -34,6 +18,16 @@ CellLibrary::addCell(StdCell cell)
 {
     if (cells.count(cell.name))
         fatal("CellLibrary: duplicate cell ", cell.name);
+    // TimingArc::locate() serves all four tables of an arc.
+    for (const TimingArc &arc : cell.arcs) {
+        const NldmTable &ref = arc.delay[0];
+        for (const NldmTable *t :
+             {&arc.delay[1], &arc.outputSlew[0], &arc.outputSlew[1]})
+            if (t->slewAxis() != ref.slewAxis() ||
+                t->loadAxis() != ref.loadAxis())
+                fatal("CellLibrary: cell ", cell.name, " arc ",
+                      arc.fromPin, " has tables on different axes");
+    }
     order.push_back(cell.name);
     cells.emplace(cell.name, std::move(cell));
 }

@@ -13,6 +13,7 @@
 #ifndef OTFT_LIBERTY_LIBRARY_HPP
 #define OTFT_LIBERTY_LIBRARY_HPP
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -34,11 +35,36 @@ struct TimingArc
     /** Output transition-time tables indexed by output sense. */
     NldmTable outputSlew[2];
 
-    /** Worst-case delay at an operating point (max of rise/fall). */
-    double worstDelay(double slew, double load) const;
+    /**
+     * Locate (slew, load) once for all four tables. They share both
+     * axes: CellLibrary::addCell refuses an arc whose tables do not.
+     */
+    NldmPoint
+    locate(double slew, double load) const
+    {
+        return delay[0].locate(slew, load);
+    }
 
-    /** Worst-case output slew at an operating point. */
-    double worstSlew(double slew, double load) const;
+    /** Worst-case delay at a located point (max of rise/fall). */
+    double
+    worstDelay(const NldmPoint &p) const
+    {
+        return std::max(delay[0].at(p), delay[1].at(p));
+    }
+
+    /** Worst-case output slew at a located point. */
+    double
+    worstSlew(const NldmPoint &p) const
+    {
+        return std::max(outputSlew[0].at(p), outputSlew[1].at(p));
+    }
+
+    /** Worst-case delay at an operating point (max of rise/fall). */
+    double
+    worstDelay(double slew, double load) const
+    {
+        return worstDelay(locate(slew, load));
+    }
 };
 
 /** Sequential timing parameters of a flip-flop. */
@@ -101,7 +127,10 @@ class CellLibrary
         : name_(std::move(name)), vdd_(vdd)
     {}
 
-    /** Add a cell; name must be unique. */
+    /**
+     * Add a cell; name must be unique, and the four tables of each
+     * arc must share both axes (fatal otherwise).
+     */
     void addCell(StdCell cell);
 
     /** @return the cell with this name; fatal if missing. */

@@ -32,31 +32,20 @@ NldmTable::segment(const std::vector<double> &axis, double x)
     return hi - 1;
 }
 
-double
-NldmTable::lookup(double slew, double load) const
+NldmPoint
+NldmTable::locate(double slew, double load) const
 {
     if (values_.empty())
         fatal("NldmTable::lookup on an empty table");
 
-    const std::size_t i = segment(slewAxis_, slew);
-    const std::size_t j = segment(loadAxis_, load);
-    const std::size_t n_load = loadAxis_.size();
-
-    const double s0 = slewAxis_[i], s1 = slewAxis_[i + 1];
-    const double l0 = loadAxis_[j], l1 = loadAxis_[j + 1];
-    const double ts = (slew - s0) / (s1 - s0);
-    const double tl = (load - l0) / (l1 - l0);
-
-    const double v00 = values_[i * n_load + j];
-    const double v01 = values_[i * n_load + j + 1];
-    const double v10 = values_[(i + 1) * n_load + j];
-    const double v11 = values_[(i + 1) * n_load + j + 1];
-
-    // Bilinear; ts/tl may lie outside [0,1], giving linear
-    // extrapolation from the edge cell.
-    const double a = v00 + (v01 - v00) * tl;
-    const double b = v10 + (v11 - v10) * tl;
-    return a + (b - a) * ts;
+    NldmPoint p;
+    p.i = segment(slewAxis_, slew);
+    p.j = segment(loadAxis_, load);
+    const double s0 = slewAxis_[p.i], s1 = slewAxis_[p.i + 1];
+    const double l0 = loadAxis_[p.j], l1 = loadAxis_[p.j + 1];
+    p.ts = (slew - s0) / (s1 - s0);
+    p.tl = (load - l0) / (l1 - l0);
+    return p;
 }
 
 } // namespace otft::liberty

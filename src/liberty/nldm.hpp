@@ -18,6 +18,20 @@
 
 namespace otft::liberty {
 
+/**
+ * An operating point located on a table's axes: the lower grid cell
+ * (i along slew, j along load) and the fractional position inside it
+ * (ts, tl; outside [0, 1] when extrapolating). Valid for every table
+ * with the same axes as the one that located it.
+ */
+struct NldmPoint
+{
+    std::size_t i = 0;
+    std::size_t j = 0;
+    double ts = 0.0;
+    double tl = 0.0;
+};
+
 /** A 2-D NLDM table over (input slew, output load). */
 class NldmTable
 {
@@ -34,7 +48,38 @@ class NldmTable
               std::vector<double> values);
 
     /** Bilinear lookup with linear extrapolation outside the grid. */
-    double lookup(double slew, double load) const;
+    double lookup(double slew, double load) const
+    {
+        return at(locate(slew, load));
+    }
+
+    /**
+     * The axis search half of lookup(): where (slew, load) falls on
+     * this table's axes. Fatal on an empty table.
+     */
+    NldmPoint locate(double slew, double load) const;
+
+    /**
+     * The interpolation half of lookup(), with the same arithmetic in
+     * the same order. `p` must come from locate() on a table with the
+     * same axes (the tables of one TimingArc share them), so one
+     * locate serves several tables bit-exactly.
+     */
+    double
+    at(const NldmPoint &p) const
+    {
+        const std::size_t n_load = loadAxis_.size();
+        const double v00 = values_[p.i * n_load + p.j];
+        const double v01 = values_[p.i * n_load + p.j + 1];
+        const double v10 = values_[(p.i + 1) * n_load + p.j];
+        const double v11 = values_[(p.i + 1) * n_load + p.j + 1];
+
+        // Bilinear; ts/tl may lie outside [0,1], giving linear
+        // extrapolation from the edge cell.
+        const double a = v00 + (v01 - v00) * p.tl;
+        const double b = v10 + (v11 - v10) * p.tl;
+        return a + (b - a) * p.ts;
+    }
 
     bool empty() const { return values_.empty(); }
 

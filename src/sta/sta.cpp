@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "util/logging.hpp"
@@ -43,8 +44,10 @@ StaEngine::StaEngine(const liberty::CellLibrary &library,
 {
     for (std::size_t k = 0; k < netlist::numGateKinds; ++k) {
         const char *name = netlist::cellNameOf(static_cast<GateKind>(k));
-        if (name && library.hasCell(name))
+        if (name && library.hasCell(name)) {
             kindCells[k] = &library.cell(name);
+            kindInputCap[k] = kindCells[k]->inputCap;
+        }
     }
 }
 
@@ -60,6 +63,9 @@ StaEngine::propagate(const Netlist &nl) const
         "sta.wire.evaluations", "wireload model evaluations");
     OTFT_TRACE_SCOPE("sta.propagate");
     ++stat_passes;
+    // The loops count locally: a shared atomic touched per net and
+    // per arc serializes concurrent passes (util/stats_registry.hpp).
+    std::uint64_t arcs_evaluated = 0;
 
     const std::size_t n = nl.numGates();
     const auto fanouts = nl.fanouts();
@@ -82,12 +88,13 @@ StaEngine::propagate(const Netlist &nl) const
         config_.extraSpanPerNet + spanCoefficient * std::sqrt(cell_area);
 
     // --- Per-net loads: sink pin caps + wire cap; per-net wire delay.
+    // Every gate kind was resolved to a cell (or fatal) by the area
+    // loop above, so a non-cell sink adds its 0.0 pin cap.
     for (std::size_t g = 0; g < n; ++g) {
         double sink_cap = 0.0;
         for (GateId s : fanouts[g])
-            if (const liberty::StdCell *cell = cellOf(nl.gate(s).kind))
-                sink_cap += cell->inputCap;
-        ++stat_wires;
+            sink_cap +=
+                kindInputCap[static_cast<std::size_t>(nl.gate(s).kind)];
         const WireEstimate wire = wireModel.estimate(
             static_cast<int>(fanouts[g].size()), sink_cap, span);
         p.netLoad[g] = sink_cap + wire.cap;
@@ -115,10 +122,10 @@ StaEngine::propagate(const Netlist &nl) const
             // Launch point: load-dependent clk->Q through the D->Q
             // arc tables.
             const liberty::TimingArc &arc = dff_cell.arc(0);
-            p.arrival[g] = arc.worstDelay(library.defaultSlew(),
-                                          p.netLoad[g]);
-            p.slew[g] =
-                arc.worstSlew(library.defaultSlew(), p.netLoad[g]);
+            const liberty::NldmPoint at =
+                arc.locate(library.defaultSlew(), p.netLoad[g]);
+            p.arrival[g] = arc.worstDelay(at);
+            p.slew[g] = arc.worstSlew(at);
             continue;
           }
           default:
@@ -134,13 +141,15 @@ StaEngine::propagate(const Netlist &nl) const
             const std::size_t s = static_cast<std::size_t>(src);
             if (p.arrival[s] < 0.0)
                 continue; // constant fanin
-            ++stat_arcs;
+            ++arcs_evaluated;
             const liberty::TimingArc &arc = cell.arc(pin);
-            const double t = p.arrival[s] + p.netWireDelay[s] +
-                             arc.worstDelay(p.slew[s], p.netLoad[g]);
+            const liberty::NldmPoint at =
+                arc.locate(p.slew[s], p.netLoad[g]);
+            const double t =
+                p.arrival[s] + p.netWireDelay[s] + arc.worstDelay(at);
             if (t > best) {
                 best = t;
-                best_slew = arc.worstSlew(p.slew[s], p.netLoad[g]);
+                best_slew = arc.worstSlew(at);
                 best_pred = src;
             }
         }
@@ -154,6 +163,8 @@ StaEngine::propagate(const Netlist &nl) const
             p.criticalPred[g] = best_pred;
         }
     }
+    stat_wires += n;
+    stat_arcs += arcs_evaluated;
     return p;
 }
 

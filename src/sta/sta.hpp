@@ -126,6 +126,8 @@ class StaEngine
      */
     std::array<const liberty::StdCell *, netlist::numGateKinds>
         kindCells{};
+    /** Input pin cap per GateKind (0.0 where kindCells is null). */
+    std::array<double, netlist::numGateKinds> kindInputCap{};
 };
 
 } // namespace otft::sta

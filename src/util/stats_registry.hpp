@@ -26,6 +26,13 @@
  * registration is safe. Reads taken while writers are active see a
  * consistent per-node snapshot but no cross-node atomicity — dump
  * after joining workers for exact totals.
+ *
+ * Exact is not cheap: every update of a counter is an atomic
+ * read-modify-write on one cache line that all workers share, so
+ * bumping it once per element of a hot loop serializes the workers
+ * on that line. A hot loop counts in a local variable and adds the
+ * total once per pass (sta.cpp's propagate adds `sta.arcs.evaluated`
+ * once per pass, not once per arc); the totals stay exact.
  */
 
 #ifndef OTFT_UTIL_STATS_REGISTRY_HPP

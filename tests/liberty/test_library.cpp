@@ -73,6 +73,49 @@ TEST(Library, WorstDelayPicksMaxSense)
                      std::max(rise, fall));
 }
 
+TEST(Library, LocatedWorstMatchesPerTableLookups)
+{
+    // One locate() serves all four tables of an arc, bit for bit.
+    const auto cell = makeCell("nand2", 2);
+    const auto &arc = cell.arc(1);
+    for (double slew : {1e-13, 1e-12, 3e-11, 1e-10, 4e-10})
+        for (double load : {1e-16, 1e-15, 2e-14, 1e-13, 5e-13}) {
+            const NldmPoint p = arc.locate(slew, load);
+            EXPECT_EQ(arc.worstDelay(p),
+                      std::max(arc.delay[0].lookup(slew, load),
+                               arc.delay[1].lookup(slew, load)));
+            EXPECT_EQ(arc.worstSlew(p),
+                      std::max(arc.outputSlew[0].lookup(slew, load),
+                               arc.outputSlew[1].lookup(slew, load)));
+            EXPECT_EQ(arc.worstDelay(slew, load), arc.worstDelay(p));
+        }
+}
+
+TEST(Library, ArcTablesMustShareAxes)
+{
+    // worstDelay/worstSlew locate once on delay[0]'s axes for all four
+    // tables, so addCell refuses an arc whose tables disagree.
+    const NldmTable other_slews = NldmTable::fromModel(
+        {1e-12, 2e-10}, {1e-15, 1e-13},
+        [](double s, double l) { return 0.1 * s + 1e3 * l; });
+    const NldmTable other_loads = NldmTable::fromModel(
+        {1e-12, 1e-10}, {1e-15, 3e-13},
+        [](double s, double l) { return 0.1 * s + 1e3 * l; });
+    for (const NldmTable *t : {&other_slews, &other_loads}) {
+        // Tables 0-1: delay rise/fall; 2-3: output slew rise/fall.
+        for (int table = 0; table < 4; ++table) {
+            StdCell cell = makeCell("nand2", 2);
+            TimingArc &arc = cell.arcs[1];
+            (table < 2 ? arc.delay[table] : arc.outputSlew[table - 2]) =
+                *t;
+            CellLibrary lib("test", 1.0);
+            EXPECT_THROW(lib.addCell(std::move(cell)), FatalError)
+                << "table " << table;
+            EXPECT_FALSE(lib.hasCell("nand2"));
+        }
+    }
+}
+
 TEST(Library, WireAndMarginAccessors)
 {
     CellLibrary lib("test", 5.0);

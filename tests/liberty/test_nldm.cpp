@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <vector>
+
 #include "liberty/nldm.hpp"
 #include "util/logging.hpp"
 
@@ -41,6 +45,88 @@ TEST(Nldm, LinearExtrapolationOutsideGrid)
     EXPECT_NEAR(t.lookup(0.5, 5.0), 2.0 * 0.5 + 3.0 * 5.0, 1e-12);
 }
 
+/**
+ * The one-call bilinear lookup as written before it was split into
+ * locate() and at(): the split must reproduce its rounding exactly.
+ */
+double
+referenceLookup(const NldmTable &t, double slew, double load)
+{
+    const auto segment = [](const std::vector<double> &axis, double x) {
+        const auto it = std::upper_bound(axis.begin(), axis.end(), x);
+        std::size_t hi = static_cast<std::size_t>(it - axis.begin());
+        hi = std::clamp<std::size_t>(hi, 1, axis.size() - 1);
+        return hi - 1;
+    };
+    const auto &sa = t.slewAxis();
+    const auto &la = t.loadAxis();
+    const auto &v = t.values();
+    const std::size_t i = segment(sa, slew);
+    const std::size_t j = segment(la, load);
+    const std::size_t n_load = la.size();
+    const double ts = (slew - sa[i]) / (sa[i + 1] - sa[i]);
+    const double tl = (load - la[j]) / (la[j + 1] - la[j]);
+    const double v00 = v[i * n_load + j];
+    const double v01 = v[i * n_load + j + 1];
+    const double v10 = v[(i + 1) * n_load + j];
+    const double v11 = v[(i + 1) * n_load + j + 1];
+    const double a = v00 + (v01 - v00) * tl;
+    const double b = v10 + (v11 - v10) * tl;
+    return a + (b - a) * ts;
+}
+
+bool
+sameBits(double x, double y)
+{
+    return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+TEST(Nldm, LocateThenAtIsLookupBitForBit)
+{
+    // A non-linear table, so interpolation and extrapolation both
+    // round; the split lookup must round identically.
+    const auto t = NldmTable::fromModel(
+        {1e-12, 3e-12, 1e-11, 4e-11}, {1e-15, 2e-15, 7e-15},
+        [](double s, double l) {
+            return 1e-12 + 0.7 * s + 3e3 * l + 1e13 * s * l +
+                   2e10 * s * s;
+        });
+    const std::vector<double> slews = {
+        2e-13,  1e-12, 1.7e-12, 3e-12, 5.5e-12, 1e-11,
+        2.9e-11, 4e-11, 9e-11};
+    const std::vector<double> loads = {
+        1e-16, 1e-15, 1.3e-15, 2e-15, 4.1e-15, 7e-15, 2e-14};
+    for (double s : slews)
+        for (double l : loads) {
+            const double split = t.at(t.locate(s, l));
+            EXPECT_TRUE(sameBits(split, t.lookup(s, l)))
+                << "slew " << s << " load " << l;
+            EXPECT_TRUE(sameBits(split, referenceLookup(t, s, l)))
+                << "slew " << s << " load " << l;
+        }
+}
+
+TEST(Nldm, LocateFindsTheGridCell)
+{
+    const auto t = makeLinearTable();
+    const NldmPoint inside = t.locate(1.5, 30.0);
+    EXPECT_EQ(inside.i, 0u);
+    EXPECT_EQ(inside.j, 1u);
+    EXPECT_DOUBLE_EQ(inside.ts, 0.5);
+    EXPECT_DOUBLE_EQ(inside.tl, 0.5);
+    // Outside the grid: the edge cell, weights outside [0, 1].
+    const NldmPoint below = t.locate(0.5, 5.0);
+    EXPECT_EQ(below.i, 0u);
+    EXPECT_EQ(below.j, 0u);
+    EXPECT_LT(below.ts, 0.0);
+    EXPECT_LT(below.tl, 0.0);
+    const NldmPoint above = t.locate(8.0, 80.0);
+    EXPECT_EQ(above.i, 1u);
+    EXPECT_EQ(above.j, 1u);
+    EXPECT_GT(above.ts, 1.0);
+    EXPECT_GT(above.tl, 1.0);
+}
+
 TEST(Nldm, ValidatesConstruction)
 {
     EXPECT_THROW(NldmTable({1.0}, {1.0, 2.0}, {1.0, 2.0}), FatalError);
@@ -55,6 +141,7 @@ TEST(Nldm, EmptyLookupIsFatal)
     NldmTable empty;
     EXPECT_TRUE(empty.empty());
     EXPECT_THROW(empty.lookup(1.0, 1.0), FatalError);
+    EXPECT_THROW(empty.locate(1.0, 1.0), FatalError);
 }
 
 /** Property: lookup is monotone when the table is monotone. */
