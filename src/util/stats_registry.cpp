@@ -1,9 +1,11 @@
 #include "util/stats_registry.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <ostream>
 #include <sstream>
+#include <variant>
 
 #include "util/json.hpp"
 #include "util/logging.hpp"
@@ -11,60 +13,137 @@
 
 namespace otft::stats {
 
+std::size_t
+detail::claimShard()
+{
+    static std::atomic<std::size_t> next{0};
+    return next.fetch_add(1, std::memory_order_relaxed) % shardCount;
+}
+
+std::uint64_t
+Counter::value() const
+{
+    std::uint64_t total = 0;
+    for (const Shard &s : shards_)
+        total += s.value.load(std::memory_order_relaxed);
+    return total;
+}
+
+void
+Counter::reset()
+{
+    for (Shard &s : shards_)
+        s.value.store(0, std::memory_order_relaxed);
+}
+
+void
+Accumulator::Moments::merge(const Moments &other)
+{
+    if (other.count == 0)
+        return;
+    if (count == 0) {
+        // Start from the first non-empty shard, so a node one thread
+        // fed reads back exactly the sum that thread added.
+        *this = other;
+        return;
+    }
+    if (other.min < min)
+        min = other.min;
+    if (other.max > max)
+        max = other.max;
+    count += other.count;
+    sum += other.sum;
+}
+
+Accumulator::Moments
+Accumulator::merged() const
+{
+    Moments total;
+    for (const Shard &s : shards_) {
+        std::lock_guard<std::mutex> lock(s.mutex);
+        total.merge(s.moments);
+    }
+    return total;
+}
+
+void
+Accumulator::reset()
+{
+    for (Shard &s : shards_) {
+        std::lock_guard<std::mutex> lock(s.mutex);
+        s.moments = Moments{};
+    }
+}
+
 Histogram::Histogram(double lo, double hi, std::size_t num_bins)
-    : lo_(lo), hi_(hi), bins_(num_bins, 0)
+    : lo_(lo), hi_(hi), numBins_(num_bins)
 {
     if (num_bins == 0 || hi <= lo)
         fatal("Histogram: need num_bins >= 1 and hi > lo");
+    for (Shard &s : shards_)
+        s.lines.resize((num_bins + binsPerLine - 1) / binsPerLine);
 }
 
 void
 Histogram::sample(double v)
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    Shard &s = shards_[detail::shardSlot()];
+    // A NaN fails both range tests, so it counts as overflow rather
+    // than reaching the index cast.
+    std::uint64_t *count = &s.overflow;
     if (v < lo_) {
-        ++underflow_;
-        return;
+        count = &s.underflow;
+    } else if (v < hi_) {
+        const double frac = (v - lo_) / (hi_ - lo_);
+        auto idx = static_cast<std::size_t>(
+            frac * static_cast<double>(numBins_));
+        if (idx >= numBins_) // guard the v ~ hi_ rounding edge
+            idx = numBins_ - 1;
+        count = &s.lines[idx / binsPerLine].n[idx % binsPerLine];
     }
-    if (v >= hi_) {
-        ++overflow_;
-        return;
-    }
-    const double frac = (v - lo_) / (hi_ - lo_);
-    auto idx = static_cast<std::size_t>(
-        frac * static_cast<double>(bins_.size()));
-    if (idx >= bins_.size()) // guard the v ~ hi_ rounding edge
-        idx = bins_.size() - 1;
-    ++bins_[idx];
+    std::lock_guard<std::mutex> lock(s.mutex);
+    ++*count;
 }
 
 std::vector<std::uint64_t>
 Histogram::binsSnapshot() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return bins_;
+    std::vector<std::uint64_t> bins(numBins_, 0);
+    for (const Shard &s : shards_) {
+        std::lock_guard<std::mutex> lock(s.mutex);
+        for (std::size_t i = 0; i < numBins_; ++i)
+            bins[i] += s.lines[i / binsPerLine].n[i % binsPerLine];
+    }
+    return bins;
 }
 
 std::uint64_t
 Histogram::underflow() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return underflow_;
+    std::uint64_t total = 0;
+    for (const Shard &s : shards_) {
+        std::lock_guard<std::mutex> lock(s.mutex);
+        total += s.underflow;
+    }
+    return total;
 }
 
 std::uint64_t
 Histogram::overflow() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return overflow_;
+    std::uint64_t total = 0;
+    for (const Shard &s : shards_) {
+        std::lock_guard<std::mutex> lock(s.mutex);
+        total += s.overflow;
+    }
+    return total;
 }
 
 std::uint64_t
 Histogram::totalSamples() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::uint64_t total = underflow_ + overflow_;
-    for (std::uint64_t b : bins_)
+    std::uint64_t total = underflow() + overflow();
+    for (std::uint64_t b : binsSnapshot())
         total += b;
     return total;
 }
@@ -72,15 +151,9 @@ Histogram::totalSamples() const
 double
 Histogram::percentile(double p) const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return percentileLocked(p);
-}
-
-double
-Histogram::percentileLocked(double p) const
-{
+    const std::vector<std::uint64_t> bins = binsSnapshot();
     std::uint64_t n = 0;
-    for (std::uint64_t b : bins_)
+    for (std::uint64_t b : bins)
         n += b;
     if (n == 0)
         return lo_;
@@ -88,15 +161,15 @@ Histogram::percentileLocked(double p) const
     const double target =
         clamped / 100.0 * static_cast<double>(n);
     const double width =
-        (hi_ - lo_) / static_cast<double>(bins_.size());
+        (hi_ - lo_) / static_cast<double>(bins.size());
     double cum = 0.0;
-    for (std::size_t i = 0; i < bins_.size(); ++i) {
-        if (bins_[i] == 0)
+    for (std::size_t i = 0; i < bins.size(); ++i) {
+        if (bins[i] == 0)
             continue;
-        const double next = cum + static_cast<double>(bins_[i]);
+        const double next = cum + static_cast<double>(bins[i]);
         if (target <= next) {
             const double frac =
-                (target - cum) / static_cast<double>(bins_[i]);
+                (target - cum) / static_cast<double>(bins[i]);
             return lo_ + width * (static_cast<double>(i) + frac);
         }
         cum = next;
@@ -107,22 +180,26 @@ Histogram::percentileLocked(double p) const
 void
 Histogram::reset()
 {
-    std::lock_guard<std::mutex> lock(mutex_);
-    std::fill(bins_.begin(), bins_.end(), 0);
-    underflow_ = 0;
-    overflow_ = 0;
+    for (Shard &s : shards_) {
+        std::lock_guard<std::mutex> lock(s.mutex);
+        std::fill(s.lines.begin(), s.lines.end(), BinLine{});
+        s.underflow = 0;
+        s.overflow = 0;
+    }
 }
 
-/** Registry node: one kind-tagged payload plus metadata. */
+/**
+ * Registry node: its description and a payload of exactly one kind.
+ * The payload's alternative index is the node's kind.
+ */
 struct Registry::Node
 {
-    NodeKind kind;
-    std::string desc;
-    Counter counter;
-    Accumulator accumulator;
-    std::unique_ptr<Histogram> histogram;
+    using Payload =
+        std::variant<std::unique_ptr<Counter>, std::unique_ptr<Accumulator>,
+                     std::unique_ptr<Histogram>>;
 
-    explicit Node(NodeKind k) : kind(k) {}
+    std::string desc;
+    Payload payload;
 };
 
 Registry &
@@ -134,61 +211,56 @@ Registry::instance()
 
 namespace {
 
-const char *
-kindName(NodeKind kind)
-{
-    switch (kind) {
-      case NodeKind::Counter:
-        return "counter";
-      case NodeKind::Accumulator:
-        return "accumulator";
-      case NodeKind::Histogram:
-        return "histogram";
-    }
-    return "?";
-}
+/** Kind names in the order of Registry::Node::Payload's alternatives. */
+constexpr const char *kindNames[] = {"counter", "accumulator",
+                                     "histogram"};
 
 } // namespace
 
-Registry::Node &
-Registry::findOrCreate(const std::string &name, NodeKind kind,
-                       const std::string &desc)
+template <typename T, typename... Args>
+T &
+Registry::findOrCreate(const std::string &name, const std::string &desc,
+                       Args &&...args)
 {
     if (name.empty())
         fatal("stats: node name must not be empty");
+    using Slot = std::unique_ptr<T>;
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = nodes.find(name);
-    if (it == nodes.end())
-        it = nodes.emplace(name, std::make_unique<Node>(kind)).first;
+    if (it == nodes.end()) {
+        auto node = std::make_unique<Node>();
+        node->payload.template emplace<Slot>(
+            std::make_unique<T>(std::forward<Args>(args)...));
+        it = nodes.emplace(name, std::move(node)).first;
+    }
     Node &node = *it->second;
-    if (node.kind != kind)
+    Slot *slot = std::get_if<Slot>(&node.payload);
+    if (slot == nullptr)
         fatal("stats: node '", name, "' registered as ",
-              kindName(node.kind), ", requested as ", kindName(kind));
+              kindNames[node.payload.index()], ", requested as ",
+              kindNames[Node::Payload(std::in_place_type<Slot>).index()]);
     if (node.desc.empty() && !desc.empty())
         node.desc = desc;
-    return node;
+    return **slot;
 }
 
 Counter &
 Registry::counter(const std::string &name, const std::string &desc)
 {
-    return findOrCreate(name, NodeKind::Counter, desc).counter;
+    return findOrCreate<Counter>(name, desc);
 }
 
 Accumulator &
 Registry::accumulator(const std::string &name, const std::string &desc)
 {
-    return findOrCreate(name, NodeKind::Accumulator, desc).accumulator;
+    return findOrCreate<Accumulator>(name, desc);
 }
 
 Histogram &
 Registry::histogram(const std::string &name, double lo, double hi,
                     std::size_t num_bins, const std::string &desc)
 {
-    Node &node = findOrCreate(name, NodeKind::Histogram, desc);
-    if (!node.histogram)
-        node.histogram = std::make_unique<Histogram>(lo, hi, num_bins);
-    return *node.histogram;
+    return findOrCreate<Histogram>(name, desc, lo, hi, num_bins);
 }
 
 bool
@@ -204,8 +276,9 @@ Registry::counterSnapshot() const
     std::lock_guard<std::mutex> lock(mutex_);
     std::map<std::string, std::uint64_t> values;
     for (const auto &[name, node] : nodes)
-        if (node->kind == NodeKind::Counter)
-            values[name] = node->counter.value();
+        if (const auto *c = std::get_if<std::unique_ptr<Counter>>(
+                &node->payload))
+            values[name] = (*c)->value();
     return values;
 }
 
@@ -213,28 +286,35 @@ void
 Registry::reset()
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (auto &[name, node] : nodes) {
-        node->counter.reset();
-        node->accumulator.reset();
-        if (node->histogram)
-            node->histogram->reset();
-    }
+    for (auto &[name, node] : nodes)
+        std::visit([](auto &payload) { payload->reset(); },
+                   node->payload);
 }
 
 namespace {
 
+/** One callable per payload kind, for std::visit. */
+template <typename... Fs>
+struct Overloaded : Fs...
+{
+    using Fs::operator()...;
+};
+template <typename... Fs>
+Overloaded(Fs...) -> Overloaded<Fs...>;
+
 bool
 nodeIsEmpty(const Registry::Node &node)
 {
-    switch (node.kind) {
-      case NodeKind::Counter:
-        return node.counter.value() == 0;
-      case NodeKind::Accumulator:
-        return node.accumulator.count() == 0;
-      case NodeKind::Histogram:
-        return !node.histogram || node.histogram->totalSamples() == 0;
-    }
-    return true;
+    return std::visit(
+        Overloaded{
+            [](const std::unique_ptr<Counter> &c) { return c->value() == 0; },
+            [](const std::unique_ptr<Accumulator> &a) {
+                return a->count() == 0;
+            },
+            [](const std::unique_ptr<Histogram> &h) {
+                return h->totalSamples() == 0;
+            }},
+        node.payload);
 }
 
 /** Format a double compactly for JSON (round-trips via %.17g). */
@@ -260,32 +340,29 @@ Registry::dumpText(std::ostream &os) const
         if (nodeIsEmpty(*node))
             continue;
         std::ostringstream value;
-        switch (node->kind) {
-          case NodeKind::Counter:
-            value << node->counter.value();
-            break;
-          case NodeKind::Accumulator: {
-            const Accumulator &a = node->accumulator;
-            value << "n=" << a.count()
-                  << " sum=" << formatNumber(a.sum())
-                  << " mean=" << formatNumber(a.mean())
-                  << " min=" << formatNumber(a.min())
-                  << " max=" << formatNumber(a.max());
-            break;
-          }
-          case NodeKind::Histogram: {
-            const Histogram &h = *node->histogram;
-            const auto bins = h.binsSnapshot();
-            value << "n=" << h.totalSamples() << " [";
-            for (std::size_t i = 0; i < bins.size(); ++i)
-                value << (i ? " " : "") << bins[i];
-            value << "] under=" << h.underflow()
-                  << " over=" << h.overflow()
-                  << " p50=" << formatNumber(h.p50())
-                  << " p95=" << formatNumber(h.p95());
-            break;
-          }
-        }
+        std::visit(
+            Overloaded{
+                [&](const std::unique_ptr<Counter> &c) {
+                    value << c->value();
+                },
+                [&](const std::unique_ptr<Accumulator> &a) {
+                    value << "n=" << a->count()
+                          << " sum=" << formatNumber(a->sum())
+                          << " mean=" << formatNumber(a->mean())
+                          << " min=" << formatNumber(a->min())
+                          << " max=" << formatNumber(a->max());
+                },
+                [&](const std::unique_ptr<Histogram> &h) {
+                    const auto bins = h->binsSnapshot();
+                    value << "n=" << h->totalSamples() << " [";
+                    for (std::size_t i = 0; i < bins.size(); ++i)
+                        value << (i ? " " : "") << bins[i];
+                    value << "] under=" << h->underflow()
+                          << " over=" << h->overflow()
+                          << " p50=" << formatNumber(h->p50())
+                          << " p95=" << formatNumber(h->p95());
+                }},
+            node->payload);
         table.row().add(name).add(value.str()).add(node->desc);
     }
     table.render(os);
@@ -304,35 +381,30 @@ Registry::dumpJson(std::ostream &os) const
         // Names are conventionally dotted identifiers, but nothing
         // enforces that — escape so arbitrary keys stay valid JSON.
         os << "  \"" << json::escape(name) << "\": ";
-        switch (node->kind) {
-          case NodeKind::Counter:
-            os << node->counter.value();
-            break;
-          case NodeKind::Accumulator: {
-            const Accumulator &a = node->accumulator;
-            os << "{\"count\": " << a.count()
-               << ", \"sum\": " << jsonNumber(a.sum())
-               << ", \"min\": " << jsonNumber(a.min())
-               << ", \"max\": " << jsonNumber(a.max())
-               << ", \"mean\": " << jsonNumber(a.mean()) << "}";
-            break;
-          }
-          case NodeKind::Histogram: {
-            const Histogram &h = *node->histogram;
-            const auto bins = h.binsSnapshot();
-            os << "{\"lo\": " << jsonNumber(h.lo())
-               << ", \"hi\": " << jsonNumber(h.hi())
-               << ", \"underflow\": " << h.underflow()
-               << ", \"overflow\": " << h.overflow()
-               << ", \"p50\": " << jsonNumber(h.p50())
-               << ", \"p95\": " << jsonNumber(h.p95())
-               << ", \"bins\": [";
-            for (std::size_t i = 0; i < bins.size(); ++i)
-                os << (i ? ", " : "") << bins[i];
-            os << "]}";
-            break;
-          }
-        }
+        std::visit(
+            Overloaded{
+                [&](const std::unique_ptr<Counter> &c) { os << c->value(); },
+                [&](const std::unique_ptr<Accumulator> &a) {
+                    os << "{\"count\": " << a->count()
+                       << ", \"sum\": " << jsonNumber(a->sum())
+                       << ", \"min\": " << jsonNumber(a->min())
+                       << ", \"max\": " << jsonNumber(a->max())
+                       << ", \"mean\": " << jsonNumber(a->mean()) << "}";
+                },
+                [&](const std::unique_ptr<Histogram> &h) {
+                    const auto bins = h->binsSnapshot();
+                    os << "{\"lo\": " << jsonNumber(h->lo())
+                       << ", \"hi\": " << jsonNumber(h->hi())
+                       << ", \"underflow\": " << h->underflow()
+                       << ", \"overflow\": " << h->overflow()
+                       << ", \"p50\": " << jsonNumber(h->p50())
+                       << ", \"p95\": " << jsonNumber(h->p95())
+                       << ", \"bins\": [";
+                    for (std::size_t i = 0; i < bins.size(); ++i)
+                        os << (i ? ", " : "") << bins[i];
+                    os << "]}";
+                }},
+            node->payload);
     }
     os << "\n}\n";
 }

@@ -20,25 +20,35 @@
  * clean.
  *
  * Concurrency: the registry is safe to update from the util/parallel
- * worker pool. Counters are lock-free atomics (totals are exact under
- * contention); accumulators and histograms take a per-node mutex per
- * sample; the name map itself is guarded so concurrent first-use
- * registration is safe. Reads taken while writers are active see a
- * consistent per-node snapshot but no cross-node atomicity — dump
+ * worker pool. Every node holds a fixed array of detail::shardCount
+ * per-thread shards, each on its own cache line, and a thread updates
+ * only the shard of its slot (taken once per thread, round-robin).
+ * A counter update is one relaxed fetch_add on that shard; an
+ * accumulator or histogram sample takes that shard's mutex, which
+ * another thread holds only when more threads than shards share a
+ * slot. Totals stay exact under contention. The name map itself is
+ * guarded, so concurrent first-use registration is safe.
+ *
+ * Reads (value(), count/sum/min/max/mean, binsSnapshot(),
+ * counterSnapshot() and both dumps) merge the shards; reset() zeroes
+ * every shard. A read taken while writers are active sees each shard
+ * consistently but no cross-shard or cross-node atomicity — read
  * after joining workers for exact totals.
  *
- * Exact is not cheap: every update of a counter is an atomic
- * read-modify-write on one cache line that all workers share, so
- * bumping it once per element of a hot loop serializes the workers
- * on that line. A hot loop counts in a local variable and adds the
- * total once per pass (sta.cpp's propagate adds `sta.arcs.evaluated`
- * once per pass, not once per arc); the totals stay exact.
+ * Exact is cheap: an update writes a line no other worker writes, so
+ * a hot loop may bump a counter per element without serializing the
+ * workers. A local that is added once per pass is still cheaper per
+ * update, and is worth it only in loops that update millions of times
+ * per pass (sta.cpp's propagate adds `sta.arcs.evaluated` once per
+ * pass, not once per arc).
  */
 
 #ifndef OTFT_UTIL_STATS_REGISTRY_HPP
 #define OTFT_UTIL_STATS_REGISTRY_HPP
 
+#include <array>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <map>
@@ -49,6 +59,32 @@
 
 namespace otft::stats {
 
+namespace detail {
+
+/** Per-thread shards of every node (a compile-time constant). */
+inline constexpr std::size_t shardCount = 16;
+
+/** Bytes per shard alignment: one cache line on the hosts we run. */
+inline constexpr std::size_t cacheLine = 64;
+
+/** The next slot in round-robin order (called once per thread). */
+std::size_t claimShard();
+
+/** Storage behind shardSlot(); shardCount means not yet claimed. */
+inline thread_local std::size_t t_shardSlot = shardCount;
+
+/** The calling thread's shard index, claimed on its first update. */
+inline std::size_t
+shardSlot()
+{
+    std::size_t slot = t_shardSlot;
+    if (slot == shardCount) [[unlikely]]
+        slot = t_shardSlot = claimShard();
+    return slot;
+}
+
+} // namespace detail
+
 /** Monotonically increasing scalar count (lock-free, exact). */
 class Counter
 {
@@ -56,23 +92,24 @@ class Counter
     void
     operator+=(std::uint64_t n)
     {
-        value_.fetch_add(n, std::memory_order_relaxed);
+        shards_[detail::shardSlot()].value.fetch_add(
+            n, std::memory_order_relaxed);
     }
     Counter &operator++()
     {
-        value_.fetch_add(1, std::memory_order_relaxed);
+        *this += 1;
         return *this;
     }
 
-    std::uint64_t
-    value() const
-    {
-        return value_.load(std::memory_order_relaxed);
-    }
-    void reset() { value_.store(0, std::memory_order_relaxed); }
+    std::uint64_t value() const;
+    void reset();
 
   private:
-    std::atomic<std::uint64_t> value_{0};
+    struct alignas(detail::cacheLine) Shard
+    {
+        std::atomic<std::uint64_t> value{0};
+    };
+    std::array<Shard, detail::shardCount> shards_;
 };
 
 /** Running count/sum/min/max over sampled values (e.g. seconds). */
@@ -82,72 +119,76 @@ class Accumulator
     void
     sample(double v)
     {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (count_ == 0) {
-            min_ = v;
-            max_ = v;
-        } else {
-            if (v < min_)
-                min_ = v;
-            if (v > max_)
-                max_ = v;
-        }
-        ++count_;
-        sum_ += v;
+        Shard &s = shards_[detail::shardSlot()];
+        std::lock_guard<std::mutex> lock(s.mutex);
+        s.moments.add(v);
     }
 
-    std::uint64_t
-    count() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return count_;
-    }
-    double
-    sum() const
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return sum_;
-    }
+    std::uint64_t count() const { return merged().count; }
+    double sum() const { return merged().sum; }
     double
     min() const
     {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return count_ ? min_ : 0.0;
+        const Moments m = merged();
+        return m.count ? m.min : 0.0;
     }
     double
     max() const
     {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return count_ ? max_ : 0.0;
+        const Moments m = merged();
+        return m.count ? m.max : 0.0;
     }
     double
     mean() const
     {
-        std::lock_guard<std::mutex> lock(mutex_);
-        return count_ ? sum_ / static_cast<double>(count_) : 0.0;
+        const Moments m = merged();
+        return m.count ? m.sum / static_cast<double>(m.count) : 0.0;
     }
 
-    void
-    reset()
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        count_ = 0;
-        sum_ = min_ = max_ = 0.0;
-    }
+    void reset();
 
   private:
-    mutable std::mutex mutex_;
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
+    struct Moments
+    {
+        std::uint64_t count = 0;
+        double sum = 0.0;
+        double min = 0.0;
+        double max = 0.0;
+
+        void
+        add(double v)
+        {
+            if (count == 0) {
+                min = v;
+                max = v;
+            } else {
+                if (v < min)
+                    min = v;
+                if (v > max)
+                    max = v;
+            }
+            ++count;
+            sum += v;
+        }
+        void merge(const Moments &other);
+    };
+    struct alignas(detail::cacheLine) Shard
+    {
+        mutable std::mutex mutex;
+        Moments moments;
+    };
+
+    /** Every shard's moments folded in shard order. */
+    Moments merged() const;
+
+    std::array<Shard, detail::shardCount> shards_;
 };
 
 /**
- * Linear fixed-bin histogram over [lo, hi) with under/overflow.
- * sample() and the aggregate readers lock a per-histogram mutex;
- * bins() returns a reference to live storage, so read it only after
- * concurrent samplers have joined (or take binsSnapshot()).
+ * Linear fixed-bin histogram over [lo, hi) with under/overflow; a NaN
+ * sample counts as overflow. sample() locks its thread's shard; the
+ * readers merge every shard, so bins() is a merged copy like
+ * binsSnapshot().
  */
 class Histogram
 {
@@ -158,8 +199,8 @@ class Histogram
 
     double lo() const { return lo_; }
     double hi() const { return hi_; }
-    const std::vector<std::uint64_t> &bins() const { return bins_; }
-    /** Copy of the bin counts, consistent under concurrent sampling. */
+    std::vector<std::uint64_t> bins() const { return binsSnapshot(); }
+    /** Merged bin counts of every shard. */
     std::vector<std::uint64_t> binsSnapshot() const;
     std::uint64_t underflow() const;
     std::uint64_t overflow() const;
@@ -180,18 +221,27 @@ class Histogram
     void reset();
 
   private:
-    double percentileLocked(double p) const;
+    static constexpr std::size_t binsPerLine =
+        detail::cacheLine / sizeof(std::uint64_t);
 
-    mutable std::mutex mutex_;
+    /** One line of bin counts: a shard's bins fill lines of its own. */
+    struct alignas(detail::cacheLine) BinLine
+    {
+        std::array<std::uint64_t, binsPerLine> n{};
+    };
+    struct alignas(detail::cacheLine) Shard
+    {
+        mutable std::mutex mutex;
+        std::uint64_t underflow = 0;
+        std::uint64_t overflow = 0;
+        std::vector<BinLine> lines;
+    };
+
     double lo_;
     double hi_;
-    std::vector<std::uint64_t> bins_;
-    std::uint64_t underflow_ = 0;
-    std::uint64_t overflow_ = 0;
+    std::size_t numBins_;
+    std::array<Shard, detail::shardCount> shards_;
 };
-
-/** Node kinds stored in the registry. */
-enum class NodeKind { Counter, Accumulator, Histogram };
 
 /**
  * The registry: an ordered map from dotted name to node. Nodes are
@@ -245,8 +295,14 @@ class Registry
   private:
     Registry() = default;
 
-    Node &findOrCreate(const std::string &name, NodeKind kind,
-                       const std::string &desc);
+    /**
+     * The node `name` of payload kind T, created from `args` if new;
+     * fatal if `name` holds another kind. Defined and instantiated in
+     * the implementation only.
+     */
+    template <typename T, typename... Args>
+    T &findOrCreate(const std::string &name, const std::string &desc,
+                    Args &&...args);
 
     /**
      * Guards the name map (not node values: nodes are heap-allocated,

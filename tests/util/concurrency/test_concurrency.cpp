@@ -13,6 +13,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <functional>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -32,13 +33,13 @@ namespace {
 
 constexpr int kThreads = 8;
 
-/** Run fn(t) on kThreads plain std::threads and join them all. */
+/** Run fn(t) on `count` plain std::threads and join them all. */
 void
-onThreads(const std::function<void(int)> &fn)
+onThreads(const std::function<void(int)> &fn, int count = kThreads)
 {
     std::vector<std::thread> threads;
-    threads.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t)
+    threads.reserve(static_cast<std::size_t>(count));
+    for (int t = 0; t < count; ++t)
         threads.emplace_back([&fn, t] { fn(t); });
     for (auto &thread : threads)
         thread.join();
@@ -123,6 +124,101 @@ TEST(ConcurrencyStress, HistogramSampleCountExact)
         EXPECT_EQ(bins[static_cast<std::size_t>(t)],
                   static_cast<std::uint64_t>(per_thread))
             << "bin " << t;
+}
+
+/** Twice as many threads as shards, so every shard slot is shared. */
+constexpr int kShardSharingThreads =
+    2 * static_cast<int>(stats::detail::shardCount);
+
+TEST(ConcurrencyStress, ShardedTotalsExactWhenThreadsShareShards)
+{
+    stats::Counter &counter =
+        stats::counter("test.concurrency.shard_counter");
+    stats::Accumulator &acc =
+        stats::accumulator("test.concurrency.shard_accumulator");
+    stats::Histogram &hist = stats::histogram(
+        "test.concurrency.shard_histogram", 0.0, 8.0, 8);
+    counter.reset();
+    acc.reset();
+    hist.reset();
+
+    constexpr int per_thread = 5000;
+    onThreads([&](int t) {
+        for (int i = 0; i < per_thread; ++i) {
+            ++counter;
+            acc.sample(1.0);
+            hist.sample(static_cast<double>(t % 8) + 0.5);
+        }
+    }, kShardSharingThreads);
+
+    const auto total =
+        static_cast<std::uint64_t>(kShardSharingThreads) * per_thread;
+    EXPECT_EQ(counter.value(), total);
+    EXPECT_EQ(acc.count(), total);
+    EXPECT_EQ(acc.sum(), static_cast<double>(total));
+    EXPECT_EQ(hist.totalSamples(), total);
+    // Threads t, t + 8, ... share bin t % 8.
+    for (std::uint64_t count : hist.binsSnapshot())
+        EXPECT_EQ(count, total / 8);
+}
+
+TEST(ConcurrencyStress, AccumulatorMergesMinMaxSumAcrossShards)
+{
+    stats::Accumulator &acc =
+        stats::accumulator("test.concurrency.shard_moments");
+    acc.reset();
+
+    // Thread t samples the integer t + 1, so the merged extremes come
+    // from two different threads and every partial sum is exact.
+    constexpr int per_thread = 1000;
+    onThreads([&](int t) {
+        for (int i = 0; i < per_thread; ++i)
+            acc.sample(static_cast<double>(t + 1));
+    }, kShardSharingThreads);
+
+    const int n = kShardSharingThreads;
+    EXPECT_EQ(acc.count(), static_cast<std::uint64_t>(n) * per_thread);
+    EXPECT_EQ(acc.min(), 1.0);
+    EXPECT_EQ(acc.max(), static_cast<double>(n));
+    EXPECT_EQ(acc.sum(), static_cast<double>(per_thread) * n * (n + 1) / 2);
+    EXPECT_EQ(acc.mean(), static_cast<double>(n + 1) / 2);
+}
+
+TEST(ConcurrencyStress, ResetAfterBurstZeroesEveryShard)
+{
+    stats::Counter &counter =
+        stats::counter("test.concurrency.reset_counter");
+    stats::Accumulator &acc =
+        stats::accumulator("test.concurrency.reset_accumulator");
+    stats::Histogram &hist = stats::histogram(
+        "test.concurrency.reset_histogram", 0.0, 4.0, 4);
+
+    onThreads([&](int t) {
+        for (int i = 0; i < 100; ++i) {
+            ++counter;
+            acc.sample(static_cast<double>(t));
+            hist.sample(static_cast<double>(t % 6) - 1.0);
+        }
+    }, kShardSharingThreads);
+    ASSERT_GT(counter.value(), 0u);
+
+    counter.reset();
+    acc.reset();
+    hist.reset();
+    EXPECT_EQ(counter.value(), 0u);
+    EXPECT_EQ(acc.count(), 0u);
+    EXPECT_EQ(acc.sum(), 0.0);
+    EXPECT_EQ(hist.totalSamples(), 0u);
+
+    ++counter;
+    acc.sample(5.0);
+    hist.sample(1.0);
+    EXPECT_EQ(counter.value(), 1u);
+    EXPECT_EQ(acc.count(), 1u);
+    EXPECT_EQ(acc.min(), 5.0);
+    EXPECT_EQ(acc.max(), 5.0);
+    EXPECT_EQ(hist.totalSamples(), 1u);
+    EXPECT_EQ(hist.binsSnapshot()[1], 1u);
 }
 
 TEST(ConcurrencyStress, RegistryFindOrCreateRacesYieldOneNode)

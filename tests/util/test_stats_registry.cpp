@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "util/json.hpp"
@@ -86,6 +87,20 @@ TEST(StatsRegistry, HistogramBinsSamples)
     EXPECT_EQ(h.bins()[3], 0u);
     EXPECT_EQ(h.bins()[4], 1u);
     EXPECT_EQ(h.totalSamples(), 7u);
+}
+
+TEST(StatsRegistry, HistogramCountsNanAsOverflow)
+{
+    // NaN fails both range tests; it must not reach the bin-index
+    // cast, which is undefined for NaN.
+    Histogram &h = histogram("test.nan.histogram", 0.0, 4.0, 4);
+    h.reset();
+    h.sample(std::numeric_limits<double>::quiet_NaN());
+    EXPECT_EQ(h.underflow(), 0u);
+    EXPECT_EQ(h.overflow(), 1u);
+    for (std::uint64_t bin : h.bins())
+        EXPECT_EQ(bin, 0u);
+    EXPECT_EQ(h.totalSamples(), 1u);
 }
 
 TEST(StatsRegistry, HistogramPercentilesInterpolateWithinBins)
