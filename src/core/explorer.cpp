@@ -5,7 +5,6 @@
 #include "util/diag.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
-#include "util/progress.hpp"
 #include "util/result_cache.hpp"
 #include "util/stats.hpp"
 #include "util/stats_registry.hpp"
@@ -253,7 +252,6 @@ ArchExplorer::widthSweep(int fe_min, int fe_max, int be_min, int be_max)
         static_cast<std::size_t>(fe_max - fe_min + 1);
     const std::size_t n_be =
         static_cast<std::size_t>(be_max - be_min + 1);
-    progress::Reporter reporter("explorer.width_sweep", n_be * n_fe);
     std::vector<DesignPoint> flat(n_be * n_fe);
     parallel::parallelFor(n_be * n_fe, [&](std::size_t k) {
         const std::size_t slot = widthSweepSlot(k, n_fe, n_be);
@@ -261,12 +259,8 @@ ArchExplorer::widthSweep(int fe_min, int fe_max, int be_min, int be_max)
         config.fetchWidth = fe_min + static_cast<int>(slot % n_fe);
         config.aluPipes = be_min + static_cast<int>(slot / n_fe) -
                           config.memPipes - config.branchPipes;
-        const std::int64_t t0 = stats::monotonicNowNs();
         flat[slot] = evaluate(config);
-        reporter.itemDone(
-            static_cast<double>(stats::monotonicNowNs() - t0) * 1e-9);
     });
-    reporter.done();
 
     for (std::size_t row = 0; row < n_be; ++row) {
         auto first = flat.begin() +

@@ -9,7 +9,6 @@
 #include "liberty/serialize.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
-#include "util/progress.hpp"
 #include "util/result_cache.hpp"
 #include "util/stats_registry.hpp"
 #include "util/trace.hpp"
@@ -80,29 +79,6 @@ hashMeasurementContext(cache::KeyHasher &h,
     h.add(n.chord).add(n.chordRefreshRatio).add(n.singularGminBoost);
 }
 
-/**
- * Tick a progress reporter on scope exit with the scope's wall time,
- * so cache hits and fatal exits count the same as full measurements.
- */
-struct ProgressTick
-{
-    progress::Reporter *reporter;
-    std::int64_t startNs;
-
-    explicit ProgressTick(progress::Reporter *rep)
-        : reporter(rep),
-          startNs(rep != nullptr ? stats::monotonicNowNs() : 0)
-    {}
-
-    ~ProgressTick()
-    {
-        if (reporter != nullptr)
-            reporter->itemDone(
-                static_cast<double>(stats::monotonicNowNs() - startNs) *
-                1e-9);
-    }
-};
-
 } // namespace
 
 cells::BuiltCell
@@ -131,7 +107,6 @@ Characterizer::measurePoint(const std::string &name, int pin,
         "liberty.points.measured",
         "NLDM grid points measured (one transient each)");
     OTFT_TRACE_SCOPE("liberty.point.measure");
-    ProgressTick tick(progress_);
 
     // Aggregate this point's solver telemetry under its arc.
     trace::Scope diag_ctx(trace::labelled, [&] {
@@ -445,7 +420,6 @@ Characterizer::characterizeFlop() const
 
     std::vector<double> clkq_rise, q_slew_rise;
     for (double load : load_axis) {
-        ProgressTick tick(progress_);
         const auto [ck, q] = runFlop(load, 0.5e-3);
         const double v_lo = q.value.front();
         const double v_hi = q.value.back();
@@ -524,17 +498,6 @@ Characterizer::build() const
     OTFT_TRACE_SCOPE("liberty.library.build");
     CellLibrary library("organic", factory.supply().vdd);
 
-    // Progress: one item per measured grid point (per pin per cell)
-    // plus the flop clk->Q load sweep. Bisection probes are not
-    // counted — their number is data-dependent.
-    const std::size_t grid =
-        config_.slewAxis.size() * config_.loadMultipliers.size();
-    std::size_t total_points = config_.loadMultipliers.size();
-    for (const char *name : combinationalNames)
-        total_points += static_cast<std::size_t>(fanInOf(name)) * grid;
-    progress::Reporter reporter("liberty.characterize", total_points);
-    progress_ = &reporter;
-
     // One task per roster cell; inside a worker the per-arc grid maps
     // run inline, so the two levels never deadlock. Cells are
     // assembled in roster order regardless of completion order.
@@ -546,8 +509,6 @@ Characterizer::build() const
                     combinationalNames[i]);
             return characterizeFlop();
         });
-    progress_ = nullptr;
-    reporter.done();
     for (StdCell &cell : cells)
         library.addCell(std::move(cell));
 

@@ -21,10 +21,6 @@
 #include "circuit/waveform.hpp"
 #include "liberty/library.hpp"
 
-namespace otft::progress {
-class Reporter;
-}
-
 namespace otft::liberty {
 
 /** Characterization grid and solver settings. */
@@ -118,12 +114,6 @@ class Characterizer
 
     cells::CellFactory factory;
     CharacterizerConfig config_;
-    /**
-     * Progress reporter for the current build() sweep, set for the
-     * duration of build() and ticked per measured point (cache hits
-     * included — they are work items the user is waiting through).
-     */
-    mutable progress::Reporter *progress_ = nullptr;
 };
 
 /**

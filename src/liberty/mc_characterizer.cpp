@@ -6,7 +6,6 @@
 #include "device/variation.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
-#include "util/progress.hpp"
 #include "util/stats.hpp"
 #include "util/stats_registry.hpp"
 #include "util/trace.hpp"
@@ -277,8 +276,6 @@ McCharacterizer::run() const
     const std::size_t n_tasks =
         static_cast<std::size_t>(config_.samples) * n_cells;
 
-    progress::Reporter reporter("liberty.mc", n_tasks);
-
     // One task per (sample, cell) pair: maximal outer parallelism
     // with deterministic slot order. Each task characterizes through
     // its own Characterizer bound to the sampled device parameters;
@@ -295,20 +292,13 @@ McCharacterizer::run() const
                 return "mc.sample" + std::to_string(sample) + "." + name;
             });
             ++stat_cells;
-            const std::int64_t t0 = stats::monotonicNowNs();
             cells::CellFactory factory(sampleParams(sample, name),
                                        cells::CellSizing{},
                                        cells::SupplyConfig{});
             const Characterizer chr(std::move(factory), config_.grid);
-            StdCell cell = name == "dff"
-                               ? chr.characterizeFlop()
-                               : chr.characterizeCombinational(name);
-            reporter.itemDone(
-                static_cast<double>(stats::monotonicNowNs() - t0) *
-                1e-9);
-            return cell;
+            return name == "dff" ? chr.characterizeFlop()
+                                 : chr.characterizeCombinational(name);
         });
-    reporter.done();
 
     // Reduce each roster cell across samples (two-pass, in sample
     // order — deterministic at any job count).

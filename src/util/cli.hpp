@@ -24,12 +24,17 @@
  *   --mc-yield <y>        target parametric yield in (0, 1)
  *                         (default 0.99)
  *
- * Each option has one input channel, its flag, so a run is reproducible
- * from its command line. Three environment variables remain:
+ * Each option above has one input channel, its flag, so a run is
+ * reproducible from its command line. The program reads exactly four
+ * environment variables:
  *   OTFT_STATS_JSON=path  --stats-json when the flag is absent
  *   OTFT_TRACE_JSON=path  --trace-json when the flag is absent
  *   OTFT_CACHE=0          disable result-cache memoization entirely
- * (the first two let a parent process trace the runs it launches).
+ *   OTFT_LOG_LEVEL=level  silent|warn|info (or 0/1/2) gates inform()
+ *                         and warn() (read in util/logging.cpp)
+ * The first two let a parent process trace the runs it launches. The
+ * last two are the exceptions to one-flag-per-option: they have no
+ * flag, and neither changes a figure's numbers.
  *
  * --jobs must be a positive integer; 0, negative, or non-numeric
  * values are fatal. Values above the hardware concurrency are clamped

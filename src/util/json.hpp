@@ -68,7 +68,7 @@ class Value
     std::string string(const std::string &key,
                        const std::string &fallback = "") const;
 
-    /** Construction helpers (used by tests). */
+    /** Construction helpers (used by the parser). */
     static Value makeNull();
     static Value makeBool(bool b);
     static Value makeNumber(double v);

@@ -125,33 +125,4 @@ nelderMead(const Objective &objective, std::vector<double> x0,
     return result;
 }
 
-double
-goldenSection(const std::function<double(double)> &f, double lo, double hi,
-              double tol)
-{
-    if (lo > hi)
-        std::swap(lo, hi);
-    constexpr double inv_phi = 0.6180339887498949;
-    double a = lo, b = hi;
-    double c = b - (b - a) * inv_phi;
-    double d = a + (b - a) * inv_phi;
-    double fc = f(c), fd = f(d);
-    while (b - a > tol) {
-        if (fc < fd) {
-            b = d;
-            d = c;
-            fd = fc;
-            c = b - (b - a) * inv_phi;
-            fc = f(c);
-        } else {
-            a = c;
-            c = d;
-            fc = fd;
-            d = a + (b - a) * inv_phi;
-            fd = f(d);
-        }
-    }
-    return 0.5 * (a + b);
-}
-
 } // namespace otft

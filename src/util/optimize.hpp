@@ -1,8 +1,7 @@
 /**
  * @file
- * Derivative-free minimization: Nelder-Mead simplex for multi-parameter
- * fits (device model fitting, cell sizing) and golden-section search for
- * one-dimensional problems.
+ * Derivative-free minimization: the Nelder-Mead simplex for
+ * multi-parameter fits (device model fitting, cell sizing).
  */
 
 #ifndef OTFT_UTIL_OPTIMIZE_HPP
@@ -43,13 +42,6 @@ struct OptimizeResult
 OptimizeResult nelderMead(const Objective &objective,
                           std::vector<double> x0,
                           const NelderMeadOptions &options = {});
-
-/**
- * Golden-section minimization of a unimodal 1-D function on [lo, hi].
- * @return the minimizing x to within tol.
- */
-double goldenSection(const std::function<double(double)> &f, double lo,
-                     double hi, double tol = 1e-9);
 
 } // namespace otft
 

@@ -59,24 +59,6 @@ mean(std::span<const double> xs)
 }
 
 double
-stddev(std::span<const double> xs)
-{
-    const double m = mean(xs);
-    double s = 0.0;
-    for (double x : xs)
-        s += (x - m) * (x - m);
-    return std::sqrt(s / static_cast<double>(xs.size()));
-}
-
-double
-maxValue(std::span<const double> xs)
-{
-    if (xs.empty())
-        fatal("maxValue: empty input");
-    return *std::max_element(xs.begin(), xs.end());
-}
-
-double
 normalCdf(double z)
 {
     return 0.5 * std::erfc(-z / std::sqrt(2.0));

@@ -1,6 +1,6 @@
 /**
  * @file
- * Small numerical helpers shared across modules: summary statistics,
+ * Small numerical helpers shared across modules: the mean,
  * the standard normal CDF and quantile, ordinary least squares
  * regression, linear interpolation, and root bracketing on sampled
  * curves.
@@ -35,12 +35,6 @@ LineFit fitLine(std::span<const double> xs, std::span<const double> ys);
 
 /** Arithmetic mean. Requires a non-empty span. */
 double mean(std::span<const double> xs);
-
-/** Population standard deviation. Requires a non-empty span. */
-double stddev(std::span<const double> xs);
-
-/** Largest element. Requires a non-empty span. */
-double maxValue(std::span<const double> xs);
 
 /** Standard normal CDF (exact, via erfc). */
 double normalCdf(double z);

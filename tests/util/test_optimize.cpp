@@ -65,37 +65,5 @@ TEST(NelderMead, OneDimensional)
     EXPECT_NEAR(result.x[0], 3.03, 0.1);
 }
 
-TEST(GoldenSection, FindsParabolaMinimum)
-{
-    const double x = goldenSection(
-        [](double v) { return (v - 0.7) * (v - 0.7); }, -10.0, 10.0);
-    EXPECT_NEAR(x, 0.7, 1e-6);
-}
-
-TEST(GoldenSection, HandlesReversedBounds)
-{
-    const double x = goldenSection(
-        [](double v) { return std::abs(v - 2.0); }, 5.0, 0.0);
-    EXPECT_NEAR(x, 2.0, 1e-6);
-}
-
-/** Property: minimizing |x - target| recovers the target. */
-class GoldenSectionTargets : public ::testing::TestWithParam<double>
-{
-};
-
-TEST_P(GoldenSectionTargets, RecoversTarget)
-{
-    const double target = GetParam();
-    const double x = goldenSection(
-        [&](double v) { return (v - target) * (v - target); }, -100.0,
-        100.0, 1e-8);
-    EXPECT_NEAR(x, target, 1e-5);
-}
-
-INSTANTIATE_TEST_SUITE_P(Targets, GoldenSectionTargets,
-                         ::testing::Values(-50.0, -1.0, 0.0, 0.3,
-                                           17.5, 99.0));
-
 } // namespace
 } // namespace otft

@@ -59,13 +59,6 @@ TEST(Mean, SimpleValues)
     EXPECT_THROW(mean(std::vector<double>{}), FatalError);
 }
 
-TEST(Stddev, KnownDistribution)
-{
-    const std::vector<double> xs = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0,
-                                    7.0, 9.0};
-    EXPECT_NEAR(stddev(xs), 2.0, 1e-12);
-}
-
 TEST(NormalMath, CdfMatchesKnownValues)
 {
     EXPECT_DOUBLE_EQ(normalCdf(0.0), 0.5);
