@@ -68,25 +68,18 @@ runSweep(const liberty::CellLibrary &library)
     for (double ipc : sweep.points[0].ipc)
         base.push_back(ipc * f0);
 
-    int best_stage = 0;
-    double best_perf = 0.0;
     for (const auto &pt : sweep.points) {
         perf.row().add(
             static_cast<long long>(pt.config.totalStages()));
         for (std::size_t w = 0; w < pt.ipc.size(); ++w)
             perf.add(pt.ipc[w] * pt.timing.frequency / base[w], 4);
-        const double rel =
-            pt.performance / sweep.points[0].performance;
-        perf.add(rel, 4);
-        if (rel > best_perf) {
-            best_perf = rel;
-            best_stage = pt.config.totalStages();
-        }
+        perf.add(pt.performance / sweep.points[0].performance, 4);
     }
     std::printf("\n");
     perf.render(std::cout);
+    const core::DepthOptimum best = core::optimalDepth(sweep);
     std::printf("optimal depth: %d stages (%.2fx baseline "
-                "performance)\n", best_stage, best_perf);
+                "performance)\n", best.stages, best.gain);
     return sweep.points.size();
 }
 

@@ -45,18 +45,8 @@ runSweep(const liberty::CellLibrary &library)
     }
     table.render(std::cout);
 
-    // Knee: first depth where the next step gains under 5%.
-    for (std::size_t i = 0; i + 1 < points.size(); ++i) {
-        const double gain_per_stage =
-            (points[i + 1].frequency / points[i].frequency - 1.0) /
-            static_cast<double>(points[i + 1].stages -
-                                points[i].stages);
-        if (gain_per_stage < 0.02) {
-            std::printf("frequency knee: ~%d stages\n",
-                        points[i].stages);
-            break;
-        }
-    }
+    if (const auto knee = core::frequencyKnee(points))
+        std::printf("frequency knee: ~%d stages\n", *knee);
     return points.size();
 }
 

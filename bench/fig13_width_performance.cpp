@@ -32,10 +32,7 @@ runSweep(const liberty::CellLibrary &library)
     core::ArchExplorer explorer(library, config);
     const core::WidthSweep sweep = explorer.widthSweep();
 
-    double max_perf = 0.0;
-    for (const auto &row : sweep.points)
-        for (const auto &pt : row)
-            max_perf = std::max(max_perf, pt.performance);
+    const core::WidthOptimum best = core::optimalWidth(sweep);
 
     std::printf("\n== %s — normalized performance ==\n",
                 library.name().c_str());
@@ -44,7 +41,6 @@ runSweep(const liberty::CellLibrary &library)
         headers.push_back(std::to_string(fe));
     Table table(std::move(headers));
 
-    int best_be = 0, best_fe = 0;
     for (int be = sweep.beMin; be <= sweep.beMax; ++be) {
         auto &row = table.row();
         row.add(static_cast<long long>(be));
@@ -52,26 +48,18 @@ runSweep(const liberty::CellLibrary &library)
             const auto &pt =
                 sweep.points[static_cast<std::size_t>(be - sweep.beMin)]
                             [static_cast<std::size_t>(fe - sweep.feMin)];
-            const double norm = pt.performance / max_perf;
-            row.add(norm, 3);
-            if (norm >= 0.9999) {
-                best_be = be;
-                best_fe = fe;
-            }
+            row.add(pt.performance / best.maxPerformance, 3);
         }
     }
     table.render(std::cout);
     std::printf("optimum: M[%d][%d] (back-end %d, front-end %d)\n",
-                best_be, best_fe, best_be, best_fe);
+                best.backEnd, best.frontEnd, best.backEnd,
+                best.frontEnd);
 
     // Back-end sensitivity at the optimum front-end column.
-    const std::size_t fe_col =
-        static_cast<std::size_t>(best_fe - sweep.feMin);
-    const double at_be3 = sweep.points[0][fe_col].performance;
-    const double at_be7 = sweep.points.back()[fe_col].performance;
     std::printf("back-end 3 -> 7 performance change at fe=%d: "
-                "%+.1f%%\n", best_fe,
-                100.0 * (at_be7 / at_be3 - 1.0));
+                "%+.1f%%\n", best.frontEnd,
+                100.0 * core::backEndChange(sweep, best.frontEnd));
 
     std::size_t n = 0;
     for (const auto &row : sweep.points)

@@ -35,19 +35,21 @@ aluSweep(const liberty::CellLibrary &library, bool wire)
     return explorer.aluDepthSweep({1, 2, 4, 8, 12, 16, 22, 30});
 }
 
-std::vector<std::pair<int, double>>
+core::DepthSweep
 coreSweep(const liberty::CellLibrary &library, bool wire)
 {
     core::ExplorerConfig config;
     config.instructions = 1000; // frequency only
     config.sta.wireEnabled = wire;
     core::ArchExplorer explorer(library, config);
-    const auto sweep = explorer.depthSweep(15);
-    std::vector<std::pair<int, double>> out;
-    for (const auto &pt : sweep.points)
-        out.emplace_back(pt.config.totalStages(),
-                         pt.timing.frequency);
-    return out;
+    return explorer.depthSweep(15);
+}
+
+/** Frequency of a depth sweep's i-th point. */
+double
+freq(const core::DepthSweep &sweep, std::size_t i)
+{
+    return sweep.points[i].timing.frequency;
 }
 
 } // namespace
@@ -92,29 +94,28 @@ main(int argc, char **argv)
         Table table({"stages", "Si (norm)", "Si w/o wire", "Org (norm)",
                      "Org w/o wire"});
         const std::size_t n =
-            std::min(std::min(si_w.size(), si_nw.size()),
-                     std::min(org_w.size(), org_nw.size()));
+            std::min(std::min(si_w.points.size(), si_nw.points.size()),
+                     std::min(org_w.points.size(), org_nw.points.size()));
         points += n;
         for (std::size_t i = 0; i < n; ++i) {
             table.row()
-                .add(static_cast<long long>(si_w[i].first))
-                .add(si_w[i].second / si_w[0].second, 4)
-                .add(si_nw[i].second / si_w[0].second, 4)
-                .add(org_w[i].second / org_w[0].second, 4)
-                .add(org_nw[i].second / org_w[0].second, 4);
+                .add(static_cast<long long>(
+                    si_w.points[i].config.totalStages()))
+                .add(freq(si_w, i) / freq(si_w, 0), 4)
+                .add(freq(si_nw, i) / freq(si_w, 0), 4)
+                .add(freq(org_w, i) / freq(org_w, 0), 4)
+                .add(freq(org_nw, i) / freq(org_w, 0), 4);
         }
         table.render(std::cout);
 
         // The paper's 14-stage comparison.
-        for (std::size_t i = 0; i < n; ++i) {
-            if (si_w[i].first == 14) {
-                std::printf("\n14-stage frequency vs own baseline: "
-                            "silicon %.2fx (paper ~1.5x), organic "
-                            "%.2fx (paper ~2.0x)\n",
-                            si_w[i].second / si_w[0].second,
-                            org_w[i].second / org_w[0].second);
-            }
-        }
+        const auto si_14 = core::frequencyGainAt(si_w, 14);
+        const auto org_14 = core::frequencyGainAt(org_w, 14);
+        if (si_14 && org_14)
+            std::printf("\n14-stage frequency vs own baseline: "
+                        "silicon %.2fx (paper ~1.5x), organic "
+                        "%.2fx (paper ~2.0x)\n",
+                        *si_14, *org_14);
     }
 
     std::printf("\nPaper: without wire cost the amount of logic per "

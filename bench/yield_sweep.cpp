@@ -140,9 +140,7 @@ main(int argc, char **argv)
                        "perf @yield (norm)"});
     const double perf0 = depth.points[0].nominal.performance;
     const double yperf0 = depth.points[0].yieldPerformance;
-    int best_mean = 0, best_yield = 0;
-    for (std::size_t i = 0; i < depth.points.size(); ++i) {
-        const core::YieldDesignPoint &pt = depth.points[i];
+    for (const core::YieldDesignPoint &pt : depth.points) {
         depth_table.row()
             .add(static_cast<long long>(
                 pt.nominal.config.totalStages()))
@@ -150,23 +148,12 @@ main(int argc, char **argv)
             .add(formatSi(pt.yieldFrequency, "Hz"))
             .add(pt.nominal.performance / perf0, 4)
             .add(pt.yieldPerformance / yperf0, 4);
-        if (pt.nominal.performance >
-            depth.points[static_cast<std::size_t>(best_mean)]
-                .nominal.performance)
-            best_mean = static_cast<int>(i);
-        if (pt.yieldPerformance >
-            depth.points[static_cast<std::size_t>(best_yield)]
-                .yieldPerformance)
-            best_yield = static_cast<int>(i);
     }
     depth_table.render(std::cout);
+    const core::YieldDepthOptimum best = core::bestDepths(depth);
     std::printf("best depth: %d stages at the mean process, %d at "
                 "%.1f%% yield\n",
-                depth.points[static_cast<std::size_t>(best_mean)]
-                    .nominal.config.totalStages(),
-                depth.points[static_cast<std::size_t>(best_yield)]
-                    .nominal.config.totalStages(),
-                100.0 * target_yield);
+                best.atMean, best.atYield, 100.0 * target_yield);
     points += static_cast<std::int64_t>(depth.points.size());
 
     // -- 3. Width sweep corner at yield (Fig. 13 variant, organic;

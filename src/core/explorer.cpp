@@ -289,4 +289,80 @@ ArchExplorer::aluDepthSweep(const std::vector<int> &stages)
         });
 }
 
+std::size_t
+firstMaximum(const std::vector<double> &values)
+{
+    if (values.empty())
+        fatal("firstMaximum: no values");
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < values.size(); ++i)
+        if (values[i] > values[best])
+            best = i;
+    return best;
+}
+
+DepthOptimum
+optimalDepth(const DepthSweep &sweep)
+{
+    std::vector<double> performance;
+    for (const DesignPoint &pt : sweep.points)
+        performance.push_back(pt.performance);
+    const DesignPoint &best = sweep.points[firstMaximum(performance)];
+    return {best.config.totalStages(),
+            best.performance / sweep.points[0].performance};
+}
+
+std::optional<double>
+frequencyGainAt(const DepthSweep &sweep, int stages)
+{
+    for (const DesignPoint &pt : sweep.points)
+        if (pt.config.totalStages() == stages)
+            return pt.timing.frequency / sweep.points[0].timing.frequency;
+    return std::nullopt;
+}
+
+WidthOptimum
+optimalWidth(const WidthSweep &sweep)
+{
+    WidthOptimum best;
+    for (const auto &row : sweep.points)
+        for (const DesignPoint &pt : row)
+            best.maxPerformance =
+                std::max(best.maxPerformance, pt.performance);
+    for (std::size_t be = 0; be < sweep.points.size(); ++be) {
+        for (std::size_t fe = 0; fe < sweep.points[be].size(); ++fe) {
+            if (sweep.points[be][fe].performance / best.maxPerformance >=
+                0.9999) {
+                best.backEnd = sweep.beMin + static_cast<int>(be);
+                best.frontEnd = sweep.feMin + static_cast<int>(fe);
+            }
+        }
+    }
+    return best;
+}
+
+double
+backEndChange(const WidthSweep &sweep, int fe)
+{
+    if (sweep.points.empty() || fe < sweep.feMin || fe > sweep.feMax)
+        fatal("backEndChange: front-end width ", fe, " is off the grid");
+    const auto col = static_cast<std::size_t>(fe - sweep.feMin);
+    return sweep.points.back()[col].performance /
+               sweep.points.front()[col].performance -
+           1.0;
+}
+
+std::optional<int>
+frequencyKnee(const std::vector<AluPoint> &points)
+{
+    for (std::size_t i = 0; i + 1 < points.size(); ++i) {
+        const double gain_per_stage =
+            (points[i + 1].frequency / points[i].frequency - 1.0) /
+            static_cast<double>(points[i + 1].stages - points[i].stages);
+        if (gain_per_stage < 0.02)
+            return points[i].stages;
+    }
+    return std::nullopt;
+}
+
 } // namespace otft::core

@@ -18,6 +18,7 @@
 #define OTFT_CORE_EXPLORER_HPP
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -51,6 +52,38 @@ struct DepthSweep
     std::vector<std::string> workloadNames;
 };
 
+/**
+ * Index of the first strict maximum of `values`: a later value takes
+ * over only when it is strictly greater, so a tie keeps the earlier
+ * one. The depth-optimum rule of Fig. 11 and of its yield variant
+ * (bestDepths()). Fatal when `values` is empty.
+ */
+std::size_t firstMaximum(const std::vector<double> &values);
+
+/** Fig. 11 headline: the best depth of a depth sweep. */
+struct DepthOptimum
+{
+    /** Total stages of the point with the highest performance. */
+    int stages = 0;
+    /** Its performance over the first (baseline) point's. */
+    double gain = 0.0;
+};
+
+/**
+ * The optimum of a depth sweep: the first strict maximum of
+ * `performance`, so of two equal points the shallower wins. Fatal
+ * when the sweep is empty.
+ */
+DepthOptimum optimalDepth(const DepthSweep &sweep);
+
+/**
+ * Fig. 15(b) headline: the frequency of the sweep's `stages`-deep
+ * point over the first (baseline) point's; nullopt when the sweep
+ * has no point that deep.
+ */
+std::optional<double> frequencyGainAt(const DepthSweep &sweep,
+                                      int stages);
+
 /** Result of a width sweep (Fig. 13 / Fig. 14). */
 struct WidthSweep
 {
@@ -61,6 +94,31 @@ struct WidthSweep
     int beMin = 3, beMax = 7;
 };
 
+/** Fig. 13 headline: the best width of a width sweep, M[be][fe]. */
+struct WidthOptimum
+{
+    int backEnd = 0;
+    int frontEnd = 0;
+    /** The grid's highest performance, which the optimum is judged
+     *  against (and Fig. 13 normalizes by). */
+    double maxPerformance = 0.0;
+};
+
+/**
+ * The optimum of a width sweep: the last point in (be, fe) order
+ * whose performance over the grid maximum is >= 0.9999, so of points
+ * within 1e-4 of the maximum the later one wins. Fields stay 0 when
+ * no point qualifies (a grid whose maximum is 0).
+ */
+WidthOptimum optimalWidth(const WidthSweep &sweep);
+
+/**
+ * Fig. 13's back-end cost: performance at back-end width beMax over
+ * performance at beMin, minus 1, in front-end column `fe` (the
+ * paper's back-end 3 -> 7 change). Fatal when `fe` is off the grid.
+ */
+double backEndChange(const WidthSweep &sweep, int fe);
+
 /** One point of an ALU depth sweep (Fig. 12 / Fig. 15a). */
 struct AluPoint
 {
@@ -68,6 +126,14 @@ struct AluPoint
     double frequency = 0.0;
     double area = 0.0;
 };
+
+/**
+ * Fig. 12 headline: the frequency knee of an ALU depth sweep, the
+ * stage count of the first point whose step to the next point gains
+ * under 2% frequency per added stage, (f_next / f - 1) /
+ * (stages_next - stages) < 0.02; nullopt when no step does.
+ */
+std::optional<int> frequencyKnee(const std::vector<AluPoint> &points);
 
 /** Exploration controls. */
 struct ExplorerConfig

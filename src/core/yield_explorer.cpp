@@ -164,4 +164,18 @@ YieldExplorer::widthSweepAtYield(int fe_min, int fe_max, int be_min,
     return sweep;
 }
 
+YieldDepthOptimum
+bestDepths(const YieldDepthSweep &sweep)
+{
+    std::vector<double> at_mean, at_yield;
+    for (const YieldDesignPoint &pt : sweep.points) {
+        at_mean.push_back(pt.nominal.performance);
+        at_yield.push_back(pt.yieldPerformance);
+    }
+    const auto stages = [&](std::size_t i) {
+        return sweep.points[i].nominal.config.totalStages();
+    };
+    return {stages(firstMaximum(at_mean)), stages(firstMaximum(at_yield))};
+}
+
 } // namespace otft::core

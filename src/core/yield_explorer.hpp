@@ -108,6 +108,23 @@ struct YieldDepthSweep
     std::vector<YieldDesignPoint> points; // one per total stage count
 };
 
+/** The best depths of a yield depth sweep, in total stages. */
+struct YieldDepthOptimum
+{
+    /** The first strict maximum of nominal (mean-process)
+     *  performance. */
+    int atMean = 0;
+    /** The first strict maximum of performance at the target
+     *  yield. */
+    int atYield = 0;
+};
+
+/**
+ * Both optima of a yield depth sweep, each by firstMaximum(), so a
+ * tie keeps the shallower depth. Fatal when the sweep is empty.
+ */
+YieldDepthOptimum bestDepths(const YieldDepthSweep &sweep);
+
 /** Width sweep re-based at the target yield (Fig. 13 variant). */
 struct YieldWidthSweep
 {

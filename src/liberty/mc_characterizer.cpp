@@ -27,10 +27,7 @@ moments(const std::vector<double> &xs)
     Moments m;
     if (xs.empty())
         return m;
-    double sum = 0.0;
-    for (double x : xs)
-        sum += x;
-    m.mean = sum / static_cast<double>(xs.size());
+    m.mean = mean(xs);
     if (xs.size() < 2)
         return m;
     double sq = 0.0;

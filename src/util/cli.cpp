@@ -218,8 +218,9 @@ Session::Session(std::string name_in, int &argc, char **argv,
     if (traceJsonPath.empty())
         if (const char *env = std::getenv("OTFT_TRACE_JSON"))
             traceJsonPath = env;
-    // OTFT_CACHE=0 disables memoization entirely (e.g. to benchmark
-    // the uncached paths or bisect a suspected stale-entry problem).
+    // OTFT_CACHE=0 disables the result cache (e.g. to benchmark the
+    // uncached paths or bisect a suspected stale-entry problem); the
+    // in-process Memo tables are not affected.
     if (const char *env = std::getenv("OTFT_CACHE"))
         if (std::strcmp(env, "0") == 0)
             cache::ResultCache::instance().setEnabled(false);

@@ -29,7 +29,8 @@
  * environment variables:
  *   OTFT_STATS_JSON=path  --stats-json when the flag is absent
  *   OTFT_TRACE_JSON=path  --trace-json when the flag is absent
- *   OTFT_CACHE=0          disable result-cache memoization entirely
+ *   OTFT_CACHE=0          disable the result cache (ResultCache); the
+ *                         in-process Memo tables stay on
  *   OTFT_LOG_LEVEL=level  silent|warn|info (or 0/1/2) gates inform()
  *                         and warn() (read in util/logging.cpp)
  * The first two let a parent process trace the runs it launches. The

@@ -78,8 +78,11 @@ class ResultCache
     static constexpr std::size_t capacity = 65536;
 
     /**
-     * Master enable, the one off switch for every memoized layer
-     * (cli::Session maps `OTFT_CACHE=0` here). Disabled, lookup()
+     * Master enable of this cache: arc points, DC operating points,
+     * design-point timing and IPC (cli::Session maps `OTFT_CACHE=0`
+     * here). The in-process `Memo` tables (block netlists, the
+     * synthesizer's block and timing tables, the explorer's
+     * front-end streams) are not behind it. Disabled, lookup()
      * always misses and store() is a no-op (existing entries are
      * retained for re-enabling).
      */

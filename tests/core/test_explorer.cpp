@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -10,6 +12,7 @@
 #include "core/explorer.hpp"
 #include "liberty/characterizer.hpp"
 #include "liberty/silicon.hpp"
+#include "util/logging.hpp"
 #include "util/result_cache.hpp"
 
 namespace otft::core {
@@ -247,6 +250,133 @@ TEST(Explorer, AluDepthSweepHashIsBitExact)
         }
     }
     EXPECT_EQ(hash, 0x4c5066aca409a4eaull);
+}
+
+/**
+ * A design point `extra` stages deeper than the 9-stage baseline with
+ * the given performance and frequency, built by hand (no synthesis).
+ */
+DesignPoint
+handPoint(int extra, double performance, double frequency = 1.0)
+{
+    DesignPoint point;
+    point.config = arch::baselineConfig();
+    point.config.stagesIn(arch::Region::Issue) += extra;
+    point.performance = performance;
+    point.timing.frequency = frequency;
+    return point;
+}
+
+/** A depth sweep from 9 stages on, one point per performance. */
+DepthSweep
+handDepthSweep(const std::vector<double> &performance)
+{
+    DepthSweep sweep;
+    for (std::size_t i = 0; i < performance.size(); ++i)
+        sweep.points.push_back(
+            handPoint(static_cast<int>(i), performance[i]));
+    return sweep;
+}
+
+TEST(Headline, OptimalDepthIsTheFirstStrictMaximum)
+{
+    const DepthOptimum best =
+        optimalDepth(handDepthSweep({1.0, 1.5, 2.5, 2.0, 1.8}));
+    EXPECT_EQ(best.stages, 11);
+    EXPECT_EQ(best.gain, 2.5);
+
+    // A tie keeps the shallower depth; a strictly larger later point
+    // takes over.
+    EXPECT_EQ(optimalDepth(handDepthSweep({1.0, 2.0, 2.0, 1.0})).stages,
+              10);
+    EXPECT_EQ(optimalDepth(handDepthSweep(
+                               {1.0, 2.0, std::nextafter(2.0, 3.0)}))
+                  .stages,
+              11);
+    // The baseline itself can be the optimum.
+    EXPECT_EQ(optimalDepth(handDepthSweep({3.0, 2.0})).stages, 9);
+}
+
+TEST(Headline, FirstMaximumRejectsAnEmptyInput)
+{
+    EXPECT_EQ(firstMaximum({4.0, 7.0, 7.0, 1.0}), 1u);
+    EXPECT_THROW(firstMaximum({}), FatalError);
+    EXPECT_THROW(optimalDepth(DepthSweep{}), FatalError);
+}
+
+TEST(Headline, FrequencyGainAtStages)
+{
+    DepthSweep sweep;
+    for (int extra = 0; extra <= 6; ++extra)
+        sweep.points.push_back(handPoint(extra, 1.0, 100.0 + 20.0 * extra));
+    const std::optional<double> at14 = frequencyGainAt(sweep, 14);
+    ASSERT_TRUE(at14.has_value());
+    EXPECT_EQ(*at14, 200.0 / 100.0);
+
+    // A sweep that stops short of 14 stages has no 14-stage ratio.
+    sweep.points.resize(4); // 9..12 stages
+    EXPECT_FALSE(frequencyGainAt(sweep, 14).has_value());
+    EXPECT_FALSE(frequencyGainAt(DepthSweep{}, 14).has_value());
+}
+
+/** A 2 x 2 width sweep over fe 1..2, be 3..4, perf[be][fe]. */
+WidthSweep
+handWidthSweep(const std::vector<std::vector<double>> &perf)
+{
+    WidthSweep sweep;
+    sweep.feMin = 1;
+    sweep.feMax = 2;
+    sweep.beMin = 3;
+    sweep.beMax = 4;
+    for (const auto &row : perf) {
+        sweep.points.emplace_back();
+        for (double p : row)
+            sweep.points.back().push_back(handPoint(0, p));
+    }
+    return sweep;
+}
+
+TEST(Headline, OptimalWidthTakesTheLastNearTie)
+{
+    // (be 3, fe 2) is the maximum; (be 4, fe 1) is within 1e-4 of it
+    // and later in (be, fe) order, so it wins; (be 4, fe 2) is 2e-4
+    // off and does not qualify.
+    const WidthSweep sweep =
+        handWidthSweep({{1.0, 2.0}, {2.0 * (1.0 - 5e-5), 2.0 * (1.0 - 2e-4)}});
+    const WidthOptimum best = optimalWidth(sweep);
+    EXPECT_EQ(best.backEnd, 4);
+    EXPECT_EQ(best.frontEnd, 1);
+    EXPECT_EQ(best.maxPerformance, 2.0);
+
+    // With no near-tie the maximum itself is the optimum.
+    const WidthOptimum single =
+        optimalWidth(handWidthSweep({{1.0, 2.0}, {1.5, 1.0}}));
+    EXPECT_EQ(single.backEnd, 3);
+    EXPECT_EQ(single.frontEnd, 2);
+}
+
+TEST(Headline, BackEndChangeInOneColumn)
+{
+    const WidthSweep sweep = handWidthSweep({{1.0, 2.0}, {1.2, 1.5}});
+    EXPECT_EQ(backEndChange(sweep, 2), 1.5 / 2.0 - 1.0);
+    EXPECT_EQ(backEndChange(sweep, 1), 1.2 / 1.0 - 1.0);
+    EXPECT_THROW(backEndChange(sweep, 3), FatalError);
+    EXPECT_THROW(backEndChange(sweep, 0), FatalError);
+}
+
+TEST(Headline, FrequencyKneeAtTwoPercentPerStage)
+{
+    // 1 -> 2 gains 3% per stage, not a knee; 2 -> 4 gains under 1%
+    // per stage, so the knee is at 2 stages.
+    const std::vector<AluPoint> knee = {
+        {1, 1.0, 1.0}, {2, 1.03, 1.0}, {4, 1.04, 1.0}, {8, 1.5, 1.0}};
+    EXPECT_EQ(frequencyKnee(knee), std::optional<int>(2));
+
+    // Every step gains 10% per stage: no knee.
+    const std::vector<AluPoint> steady = {
+        {1, 1.0, 1.0}, {2, 1.1, 1.0}, {4, 1.1 * 1.2, 1.0}};
+    EXPECT_FALSE(frequencyKnee(steady).has_value());
+    EXPECT_FALSE(frequencyKnee({{1, 1.0, 1.0}}).has_value());
 }
 
 } // namespace

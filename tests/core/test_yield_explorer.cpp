@@ -13,6 +13,7 @@
 #include "liberty/silicon.hpp"
 #include "netlist/generators.hpp"
 #include "sta/sta.hpp"
+#include "util/logging.hpp"
 #include "util/stats.hpp"
 
 namespace otft::core {
@@ -172,6 +173,27 @@ TEST(YieldExplorer, WidthSweepShapeAndSignOff)
             EXPECT_GT(p.yieldPerformance, 0.0);
             EXPECT_LE(p.yieldPerformance, p.nominal.performance);
         }
+}
+
+TEST(YieldExplorer, BestDepthsTakeEachFirstStrictMaximum)
+{
+    // Mean-process performance peaks at 11 stages; performance at
+    // yield ties at 10 and 12 stages, and the tie keeps 10.
+    YieldDepthSweep sweep;
+    const double mean_perf[] = {1.0, 1.4, 1.6, 1.5};
+    const double yield_perf[] = {0.9, 1.2, 1.1, 1.2};
+    for (int i = 0; i < 4; ++i) {
+        YieldDesignPoint point;
+        point.nominal.config = arch::baselineConfig();
+        point.nominal.config.stagesIn(arch::Region::Issue) += i;
+        point.nominal.performance = mean_perf[i];
+        point.yieldPerformance = yield_perf[i];
+        sweep.points.push_back(point);
+    }
+    const YieldDepthOptimum best = bestDepths(sweep);
+    EXPECT_EQ(best.atMean, 11);
+    EXPECT_EQ(best.atYield, 10);
+    EXPECT_THROW(bestDepths(YieldDepthSweep{}), FatalError);
 }
 
 } // namespace

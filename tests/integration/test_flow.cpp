@@ -126,18 +126,8 @@ TEST_F(FullFlow, CoreDepthOptimumOrdering)
     const auto si_sweep = si_explorer.depthSweep(14);
     const auto org_sweep = org_explorer.depthSweep(14);
 
-    auto best_stage = [](const core::DepthSweep &sweep) {
-        int best = 0;
-        double best_perf = -1.0;
-        for (const auto &pt : sweep.points) {
-            if (pt.performance > best_perf) {
-                best_perf = pt.performance;
-                best = pt.config.totalStages();
-            }
-        }
-        return best;
-    };
-    EXPECT_GE(best_stage(org_sweep), best_stage(si_sweep));
+    EXPECT_GE(core::optimalDepth(org_sweep).stages,
+              core::optimalDepth(si_sweep).stages);
 
     const double si_gain = si_sweep.points.back().timing.frequency /
                            si_sweep.points.front().timing.frequency;
