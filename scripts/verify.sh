@@ -16,9 +16,11 @@
 #            telemetry plumbing without touching tier-1.
 #   --profile  profiler smoke lane: run one scenario under the
 #            sampling profiler, check the folded flamegraph artifact
-#            is non-empty and the otft-prof-2 footer parses, then run
-#            the profile_smoke-labelled ctest suite. Wall-clock
-#            sensitive, so opt-in rather than tier-1.
+#            is non-empty and the otft-prof-2 footer parses, check
+#            that a bench run with both the timeline and the profiler
+#            on writes a non-empty trace and folded file (needs
+#            python3), then run the profile_smoke-labelled ctest
+#            suite. Wall-clock sensitive, so opt-in rather than tier-1.
 #   --mc     Monte Carlo smoke lane: run the mc_smoke-labelled ctest
 #            suite (full-roster 16-sample statistical
 #            characterization), then run bench/mc_characterize end to
@@ -91,7 +93,7 @@ fi
 if [[ "${LANE}" == "--profile" ]]; then
     cmake --build "${BUILD_DIR}" -j "${JOBS}" \
         --target perf_suite fig06_inverter_comparison \
-        test_profile_smoke
+        fig12_alu_depth test_profile_smoke
     PROF_DIR="${BUILD_DIR}/prof_smoke"
     mkdir -p "${PROF_DIR}"
     # Suite path: one profiled scenario must leave a non-empty folded
@@ -113,6 +115,25 @@ if [[ "${LANE}" == "--profile" ]]; then
         | tee "${BENCH_LOG}"
     if ! grep -q 'otft-prof-2' "${BENCH_LOG}"; then
         echo "error: no otft-prof-2 footer section in output" >&2
+        exit 1
+    fi
+    # Combined path: one run feeds the timeline and the profiler from
+    # the same per-thread records, pool workers included. fig12 runs
+    # long enough for the 1 ms sampler (fig06 lasts ~5 ms and often
+    # takes no sample). The trace must parse as a JSON array with at
+    # least one event, and the folded file be non-empty.
+    FIG12_BIN="$(cd "${BUILD_DIR}/bench" && pwd)/fig12_alu_depth"
+    (cd "${PROF_DIR}" && "${FIG12_BIN}" --trace-json both.json \
+        --profile-folded both.folded >/dev/null)
+    if ! python3 -c 'import json, sys
+events = json.load(open(sys.argv[1]))
+sys.exit(0 if isinstance(events, list) and events else 1)' \
+        "${PROF_DIR}/both.json"; then
+        echo "error: both.json is not a non-empty JSON array" >&2
+        exit 1
+    fi
+    if [ ! -s "${PROF_DIR}/both.folded" ]; then
+        echo "error: both.folded missing or empty" >&2
         exit 1
     fi
     ctest --test-dir "${BUILD_DIR}" -L profile_smoke \

@@ -33,22 +33,28 @@ constexpr std::size_t maxLabel = 96;
 constexpr std::size_t reserveLabel = 128;
 
 /**
- * One registered thread's sampled state. The owning thread mutates
- * `frames`/`depth` under `mutex`, holding it only for one label copy
- * and taking no other lock under it; the sampler waits for it, so
- * every sample of a live thread with frames records its stack.
- * `alive` is a plain atomic readable without the lock.
+ * One thread's record, shared by the profiler and the timeline
+ * (util/trace) and registered on the thread's first frame push or
+ * timeline event. The owning thread changes `frames`/`depth` and
+ * appends `events` under `mutex`, which is innermost: no other lock
+ * is taken while it is held. The sampler waits for it, so every
+ * sample of a live thread with frames records its stack.
  */
-struct ThreadState
+struct Record
 {
     std::mutex mutex;
     std::size_t depth = 0;
     std::string frames[maxDepth];
-    std::atomic<bool> alive{true};
     /** Stack-root label; points at a string literal ("main", ...). */
     const char *name = "main";
+    /** Timeline events not yet taken by the collection. */
+    std::vector<detail::Event> events;
+    /** Registration index: the thread's timeline tid. */
+    int tid = 0;
+    /** Set when the thread exits (guarded by Impl::recordsMutex). */
+    bool exited = false;
 
-    ThreadState()
+    Record()
     {
         for (std::string &f : frames)
             f.reserve(reserveLabel);
@@ -57,9 +63,14 @@ struct ThreadState
 
 struct Impl
 {
-    /** Registered thread states (pruned of dead threads on start). */
-    std::mutex threadsMutex;
-    std::vector<std::shared_ptr<ThreadState>> threads;
+    /**
+     * Every registered record. A record is freed once its thread has
+     * exited and its events are taken, so the sampler and
+     * takeEvents() may use any record they find here.
+     */
+    std::mutex recordsMutex;
+    std::vector<std::unique_ptr<Record>> records;
+    int nextTid = 1;
 
     /** Sampler lifecycle. */
     std::thread sampler;
@@ -69,8 +80,8 @@ struct Impl
     /** Collection results (guarded by resultsMutex once stopped). */
     mutable std::mutex resultsMutex;
     std::map<std::string, std::uint64_t> stacks;
-    /** Threads seen alive by at least one sample. */
-    std::set<const ThreadState *> sampledThreads;
+    /** Tids of the threads seen alive by at least one sample. */
+    std::set<int> sampledThreads;
     std::uint64_t periodUs = 1000;
     /** Collection start, for the pool busy fractions. */
     std::int64_t startNs = 0;
@@ -84,36 +95,52 @@ impl()
     return *i;
 }
 
+/**
+ * Free the records of exited threads with no events left to take.
+ * Caller holds recordsMutex, which every writer of an exited
+ * thread's events holds too.
+ */
+void
+freeExited(Impl &i)
+{
+    std::erase_if(i.records, [](const std::unique_ptr<Record> &r) {
+        return r->exited && r->events.empty();
+    });
+}
+
 thread_local const char *t_name = "main";
 
-/**
- * The calling thread's registered state, created on first use. The
- * holder's destructor marks the state dead so the sampler (which
- * shares ownership) skips it after the thread exits.
- */
-struct StateHolder
+/** Marks the calling thread's record exited when the thread ends. */
+struct RecordHolder
 {
-    std::shared_ptr<ThreadState> state;
-    ~StateHolder()
+    Record *record = nullptr;
+    ~RecordHolder()
     {
-        if (state)
-            state->alive.store(false, std::memory_order_relaxed);
+        if (!record)
+            return;
+        Impl &i = impl();
+        std::lock_guard<std::mutex> lock(i.recordsMutex);
+        record->exited = true;
+        record = nullptr; // may be freed next
+        freeExited(i);
     }
 };
 
-ThreadState *
-threadState()
+/** The calling thread's record, registered on first use. */
+Record &
+threadRecord()
 {
-    thread_local StateHolder holder;
-    if (!holder.state) {
-        auto state = std::make_shared<ThreadState>();
-        state->name = t_name;
+    thread_local RecordHolder holder;
+    if (!holder.record) {
+        auto record = std::make_unique<Record>();
+        record->name = t_name;
         Impl &i = impl();
-        std::lock_guard<std::mutex> lock(i.threadsMutex);
-        i.threads.push_back(state);
-        holder.state = std::move(state);
+        std::lock_guard<std::mutex> lock(i.recordsMutex);
+        record->tid = i.nextTid++;
+        holder.record = record.get();
+        i.records.push_back(std::move(record));
     }
-    return holder.state.get();
+    return *holder.record;
 }
 
 /** Copy a label into a preallocated slot, sanitizing separators. */
@@ -151,25 +178,25 @@ samplerLoop(Impl &i)
         stat_queue_depth.sample(
             static_cast<double>(parallel::queueDepth()));
 
-        std::lock_guard<std::mutex> lock(i.threadsMutex);
-        // Results lock second (start() never nests them the other
-        // way): accessors may read folded()/frameTotals() while the
+        std::lock_guard<std::mutex> lock(i.recordsMutex);
+        // Results lock second (nothing nests them the other way):
+        // accessors may read folded()/frameTotals() while the
         // collection is still running.
         std::lock_guard<std::mutex> results(i.resultsMutex);
-        for (const auto &state : i.threads) {
-            if (!state->alive.load(std::memory_order_relaxed))
+        for (const auto &record : i.records) {
+            if (record->exited)
                 continue;
-            i.sampledThreads.insert(state.get());
+            i.sampledThreads.insert(record->tid);
 
-            std::unique_lock<std::mutex> frames(state->mutex);
-            const std::size_t depth = state->depth;
+            std::unique_lock<std::mutex> frames(record->mutex);
+            const std::size_t depth = record->depth;
             if (depth == 0)
                 continue; // idle thread: counted above, no stack
-            key.assign(state->name);
+            key.assign(record->name);
             const std::size_t copied = std::min(depth, maxDepth);
             for (std::size_t d = 0; d < copied; ++d) {
                 key.push_back(';');
-                key.append(state->frames[d]);
+                key.append(record->frames[d]);
             }
             if (depth > maxDepth)
                 key.append(";(deep)");
@@ -223,18 +250,6 @@ Profiler::start(std::uint64_t period_us)
         i.sampledThreads.clear();
         i.samples.store(0, std::memory_order_relaxed);
         i.periodUs = std::max<std::uint64_t>(period_us, 50);
-    }
-
-    // Drop states of threads that exited since the last collection.
-    {
-        std::lock_guard<std::mutex> lock(i.threadsMutex);
-        i.threads.erase(
-            std::remove_if(i.threads.begin(), i.threads.end(),
-                           [](const auto &s) {
-                               return !s->alive.load(
-                                   std::memory_order_relaxed);
-                           }),
-            i.threads.end());
     }
 
     // The pool accounts while g_enabled holds; its totals cover
@@ -460,20 +475,20 @@ parseFolded(std::istream &is)
 void
 pushFrame(const char *label, std::size_t len)
 {
-    ThreadState *state = threadState();
-    std::lock_guard<std::mutex> lock(state->mutex);
-    if (state->depth < maxDepth)
-        assignLabel(state->frames[state->depth], label, len);
-    ++state->depth; // deeper pushes still count (popped in pairs)
+    Record &record = threadRecord();
+    std::lock_guard<std::mutex> lock(record.mutex);
+    if (record.depth < maxDepth)
+        assignLabel(record.frames[record.depth], label, len);
+    ++record.depth; // deeper pushes still count (popped in pairs)
 }
 
 void
 popFrame()
 {
-    ThreadState *state = threadState();
-    std::lock_guard<std::mutex> lock(state->mutex);
-    if (state->depth > 0)
-        --state->depth;
+    Record &record = threadRecord();
+    std::lock_guard<std::mutex> lock(record.mutex);
+    if (record.depth > 0)
+        --record.depth;
 }
 
 void
@@ -481,5 +496,51 @@ setThreadName(const char *name)
 {
     t_name = name;
 }
+
+namespace detail {
+
+void
+appendEvent(const std::atomic<bool> &collecting, const char *name,
+            std::int64_t start_ns, std::int64_t end_ns)
+{
+    Record &record = threadRecord();
+    std::lock_guard<std::mutex> lock(record.mutex);
+    // Checked under the lock: trace::stop() clears the flag before it
+    // takes this record's events, so an event that misses the take
+    // is dropped, never kept for a later collection.
+    if (collecting.load(std::memory_order_acquire))
+        record.events.push_back({name, start_ns, end_ns, record.tid});
+}
+
+std::vector<Event>
+takeEvents()
+{
+    Impl &i = impl();
+    std::vector<Event> taken;
+    std::lock_guard<std::mutex> lock(i.recordsMutex);
+    for (const auto &record : i.records) {
+        std::lock_guard<std::mutex> events(record->mutex);
+        taken.insert(taken.end(), record->events.begin(),
+                     record->events.end());
+        record->events.clear();
+    }
+    freeExited(i);
+    return taken;
+}
+
+std::size_t
+eventCount()
+{
+    Impl &i = impl();
+    std::lock_guard<std::mutex> lock(i.recordsMutex);
+    std::size_t count = 0;
+    for (const auto &record : i.records) {
+        std::lock_guard<std::mutex> events(record->mutex);
+        count += record->events.size();
+    }
+    return count;
+}
+
+} // namespace detail
 
 } // namespace otft::prof

@@ -25,12 +25,19 @@
  * time over the collection's wall time into the stats registry. The
  * sampler thread adds one queue-depth histogram sample per period.
  *
+ * Each thread has one record, owned by this module and registered on
+ * the thread's first frame push or timeline event: its frame stack
+ * and its util/trace timeline events behind one mutex, taken last.
+ * Its registration index is the thread's timeline tid. A record is
+ * freed once its thread has exited and its events are taken; the
+ * sampler skips records of exited threads.
+ *
  * Cost model: while the profiler is *disabled* (the default), a frame
  * push is one relaxed atomic load — call sites pay nothing else.
- * While enabled, a push copies the label into preallocated per-thread
- * storage under that thread's own mutex. The sampler takes the same
- * mutex to copy the stack, so a push may wait for one stack copy, and
- * no sample is ever dropped.
+ * While enabled, a push copies the label into preallocated storage
+ * in the thread's record under the record's mutex. The sampler takes
+ * the same mutex to copy the stack, so a push may wait for one stack
+ * copy, and no sample is ever dropped.
  */
 
 #ifndef OTFT_UTIL_PROFILER_HPP
@@ -51,6 +58,28 @@ inline constexpr const char *profSchema = "otft-prof-2";
 namespace detail {
 /** Master enable; read on every frame push (relaxed). */
 extern std::atomic<bool> g_enabled;
+
+/** One complete timeline event, as buffered in a thread's record. */
+struct Event
+{
+    const char *name;
+    std::int64_t startNs;
+    std::int64_t endNs;
+    /** The recording thread's registration index. */
+    int tid;
+};
+
+/**
+ * The timeline's access to the thread records (util/trace is the one
+ * caller). appendEvent appends to the calling thread's record if
+ * `collecting` still holds under the record's mutex; takeEvents moves
+ * every record's events out, exited threads' included, and frees the
+ * records of exited threads; eventCount counts what is buffered.
+ */
+void appendEvent(const std::atomic<bool> &collecting, const char *name,
+                 std::int64_t start_ns, std::int64_t end_ns);
+std::vector<Event> takeEvents();
+std::size_t eventCount();
 } // namespace detail
 
 /** @return true while a sampling collection is running. */
@@ -163,7 +192,8 @@ pushFrame(const std::string &label)
 /**
  * Name the calling thread's stack root ("worker" for pool threads).
  * Unnamed threads sample under "main". Cheap: stores a pointer to the
- * literal; no registration happens until the thread pushes a frame.
+ * literal; no registration happens until the thread pushes a frame
+ * or records a timeline event.
  */
 void setThreadName(const char *name);
 

@@ -46,21 +46,6 @@ statEvictions()
     return c;
 }
 
-/**
- * Mark a cache decision on the Chrome timeline as an instant-like
- * zero-width slice, so hit/miss/evict bursts line up with the sweep
- * slices around them. Names must be literals: the trace ring stores
- * the pointer, not a copy.
- */
-void
-traceCacheEvent(const char *name)
-{
-    if (!trace::collecting())
-        return;
-    const std::int64_t now = stats::monotonicNowNs();
-    trace::recordEvent(name, now, now);
-}
-
 std::string
 compositeKey(const std::string &domain, std::uint64_t key)
 {
@@ -179,20 +164,20 @@ ResultCache::lookup(const std::string &domain, std::uint64_t key,
     std::lock_guard<std::mutex> lock(mutex_);
     if (!enabled_) {
         ++statMisses();
-        traceCacheEvent("cache.miss");
+        trace::recordInstant("cache.miss");
         return false;
     }
     const auto it = entries.find(compositeKey(domain, key));
     if (it == entries.end()) {
         ++statMisses();
-        traceCacheEvent("cache.miss");
+        trace::recordInstant("cache.miss");
         return false;
     }
     // Refresh LRU position.
     lru.splice(lru.begin(), lru, it->second.lruPos);
     out = it->second.values;
     ++statHits();
-    traceCacheEvent("cache.hit");
+    trace::recordInstant("cache.hit");
     return true;
 }
 
@@ -235,7 +220,7 @@ ResultCache::evictLocked()
         entries.erase(lru.back());
         lru.pop_back();
         ++statEvictions();
-        traceCacheEvent("cache.evict");
+        trace::recordInstant("cache.evict");
     }
     return evicting;
 }

@@ -32,11 +32,14 @@
  * scope without one reads no clock, allocates nothing and never calls
  * its label builder.
  *
- * Concurrency: scopes may close on any thread. Each thread buffers its
- * events privately (registered with the collector on first use) and
- * stop() merges every buffer into one Chrome stream, tagging events
- * with a per-thread tid. start()/stop() themselves should be called
- * from one thread, conventionally the cli::Session owner.
+ * Concurrency: scopes may close on any thread. Each thread appends its
+ * events to its one record, which util/profiler owns and which also
+ * holds the thread's profiler frames. stop() takes the events of
+ * every record, those of exited threads included, and merges them
+ * into one Chrome stream. An event's tid is its thread's record
+ * index, distinct per thread and stable for the process's life.
+ * start()/stop() themselves should be called from one thread,
+ * conventionally the cli::Session owner.
  */
 
 #ifndef OTFT_UTIL_TRACE_HPP
@@ -74,7 +77,9 @@ void recordEvent(const char *name, std::int64_t start_ns,
 
 /**
  * Record a zero-width marker on the timeline (profiler start/stop,
- * phase boundaries). No-op unless a collection is active.
+ * cache decisions). No-op, reading no clock, unless a collection is
+ * active. `name` must be a string literal: the event keeps the
+ * pointer, not a copy.
  */
 void recordInstant(const char *name);
 
