@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "circuit/dump.hpp"
+#include "util/diag.hpp"
 #include "util/logging.hpp"
 #include "util/stats_registry.hpp"
 #include "util/trace.hpp"
@@ -273,15 +275,7 @@ Mna::assemble(const Solution &x, double time, double source_scale,
 
 bool
 Mna::solveNewton(Solution &x, double time, double source_scale, double dt,
-                 const Solution *x_prev)
-{
-    return solveNewton(x, time, source_scale, dt, x_prev, nullptr);
-}
-
-bool
-Mna::solveNewton(Solution &x, double time, double source_scale, double dt,
-                 const Solution *x_prev,
-                 std::vector<diag::IterationSample> *full_trace)
+                 const Solution *x_prev, std::vector<IterationSample> *log)
 {
     if (x.size() != unknowns)
         fatal("Mna::solveNewton: bad solution vector size");
@@ -311,9 +305,6 @@ Mna::solveNewton(Solution &x, double time, double source_scale, double dt,
     stat_solves.add();
     trace::Scope scope("mna.solve_newton", &stat_time);
 
-    diag::SolveProbe probe;
-    const bool observing = probe.active() || full_trace != nullptr;
-
     // Tallied in plain locals and published once, when the solve
     // closes.
     std::uint64_t iterations = 0;
@@ -330,11 +321,18 @@ Mna::solveNewton(Solution &x, double time, double source_scale, double dt,
         return converged;
     };
 
-    // Forensics dumps need the iterate the solve *started* from; copy
-    // it up front only when a failure here would actually dump.
+    // Forensics dumps need the iterate the solve *started* from and
+    // its iterations; keep them only when a failure here would dump.
+    const bool dumps = diag::Collector::instance().dumpsEnabled();
     Solution x0;
-    if (probe.wantsDump())
+    if (dumps) {
         x0 = x;
+        if (log == nullptr) {
+            dumpLog_.clear();
+            log = &dumpLog_;
+        }
+    }
+    const std::size_t log_start = log != nullptr ? log->size() : 0;
 
     Matrix &jac = jac_;
     LuFactors &lu = lu_;
@@ -363,13 +361,14 @@ Mna::solveNewton(Solution &x, double time, double source_scale, double dt,
     // On failure, register the forensics artifact (a no-op unless
     // --diag-dir is configured and the dump cap allows it).
     const auto dump_failure = [&](const char *reason) {
-        if (!probe.wantsDump())
+        if (!dumps)
             return;
-        const diag::SolveKind kind = dt > 0.0
-                                         ? diag::SolveKind::TransientStep
-                                         : diag::SolveKind::Dc;
-        dump::writeFailureDump(ckt, cfg, x0, kind, time, source_scale,
-                               dt, x_prev, reason, probe.trace());
+        const dump::SolveKind kind = dt > 0.0
+                                         ? dump::SolveKind::TransientStep
+                                         : dump::SolveKind::Dc;
+        dump::writeFailureDump(
+            ckt, cfg, x0, kind, time, source_scale, dt, x_prev, reason,
+            std::span<const IterationSample>(*log).subspan(log_start));
     };
 
     double prev_update = 0.0;
@@ -392,9 +391,9 @@ Mna::solveNewton(Solution &x, double time, double source_scale, double dt,
         }
 
         // Residual inf-norm at the iterate (observability only; the
-        // O(n) scan is skipped entirely on unobserved solves).
+        // O(n) scan is skipped entirely on unlogged solves).
         double residual_norm = 0.0;
-        if (observing)
+        if (log != nullptr)
             for (std::size_t i = 0; i < unknowns; ++i)
                 residual_norm =
                     std::max(residual_norm, std::abs(residual[i]));
@@ -414,13 +413,8 @@ Mna::solveNewton(Solution &x, double time, double source_scale, double dt,
                 max_update = std::max(max_update, std::abs(step));
         }
 
-        if (observing) {
-            probe.iteration(iter, residual_norm, max_update,
-                            chord_iter);
-            if (full_trace != nullptr)
-                full_trace->push_back(
-                    {iter, residual_norm, max_update, chord_iter});
-        }
+        if (log != nullptr)
+            log->push_back({iter, residual_norm, max_update, chord_iter});
 
         if (max_update < cfg.tolerance) {
             stat_iter_hist.sample(static_cast<double>(iter + 1));

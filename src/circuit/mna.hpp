@@ -17,7 +17,6 @@
 
 #include "circuit/circuit.hpp"
 #include "circuit/linear_solver.hpp"
-#include "util/diag.hpp"
 
 namespace otft::circuit {
 
@@ -58,14 +57,27 @@ struct NewtonConfig
 /** A solution vector (node voltages + source branch currents). */
 using Solution = std::vector<double>;
 
+/** One recorded Newton iteration. */
+struct IterationSample
+{
+    /** 0-based iteration index within the solve. */
+    int iteration = 0;
+    /** Inf-norm of the residual F(x) at the iterate. */
+    double residualNorm = 0.0;
+    /** Inf-norm of the clamped voltage update applied. */
+    double maxUpdate = 0.0;
+    /** True when the iteration reused a frozen (chord) Jacobian. */
+    bool chord = false;
+};
+
 /**
  * The assembled MNA problem for one circuit.
  *
  * An Mna owns its Newton workspace (Jacobian, LU factors, residual and
  * update vectors), sized once at construction and reused by every
- * solveNewton() call, so a solve allocates nothing. solveNewton() is
- * therefore non-const, and one Mna serves one thread at a time: each
- * DC or transient analysis builds its own.
+ * solveNewton() call, so a solve with failure dumps off allocates
+ * nothing. solveNewton() is therefore non-const, and one Mna serves
+ * one thread at a time: each DC or transient analysis builds its own.
  */
 class Mna
 {
@@ -88,21 +100,20 @@ class Mna
      *        (DC analysis)
      * @param x_prev previous-timestep solution for companion models;
      *        required when dt > 0
+     * @param log when non-null, every iteration's residual/update
+     *        norms and chord decision are appended to it (diag_replay
+     *        prints a dumped solve's complete history from it). The
+     *        iteration sequence is unchanged; the log only observes.
      * @return true on convergence
-     */
-    bool solveNewton(Solution &x, double time, double source_scale,
-                     double dt, const Solution *x_prev);
-
-    /**
-     * As above, additionally appending every iteration's
-     * residual/update norms and chord decision to `full_trace` (when
-     * non-null). Unlike the diag::SolveProbe ring, this keeps every
-     * iteration: diag_replay prints a dumped solve's complete history
-     * from it. The iteration sequence is unchanged; it only observes.
+     *
+     * A solve records its iterations only when `log` is given or
+     * failure dumps are on (`--diag-dir`); in the latter case into a
+     * workspace vector, and a failure writes the log's tail to a dump
+     * (circuit/dump). Otherwise it computes no residual norm.
      */
     bool solveNewton(Solution &x, double time, double source_scale,
                      double dt, const Solution *x_prev,
-                     std::vector<diag::IterationSample> *full_trace);
+                     std::vector<IterationSample> *log = nullptr);
 
     /** Voltage of a node in a solution. */
     double nodeVoltage(const Solution &x, NodeId node) const;
@@ -145,6 +156,8 @@ class Mna
     std::vector<double> residual_;
     /** The update J^-1 * residual of one iteration. */
     std::vector<double> delta_;
+    /** The iteration log of a solve that may dump on failure. */
+    std::vector<IterationSample> dumpLog_;
 };
 
 } // namespace otft::circuit

@@ -283,7 +283,7 @@ TransientAnalysis::runAdaptive(const TransientConfig &config, Mna &mna,
             // LTE budget exhausted: a reject/shrink loop that never
             // advances. Leave a forensics artifact before bailing.
             dump::writeFailureDump(
-                ckt, config.newton, x, diag::SolveKind::TransientStep,
+                ckt, config.newton, x, dump::SolveKind::TransientStep,
                 t, 1.0, h, have_history ? &x_before : nullptr,
                 "transient_lte_budget", {});
             fatal("TransientAnalysis: adaptive stepping stalled at t = ",
