@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "util/diag.hpp"
 #include "util/logging.hpp"
 #include "util/parallel.hpp"
 #include "util/result_cache.hpp"
@@ -98,12 +97,6 @@ ArchExplorer::ArchExplorer(const liberty::CellLibrary &library,
       workloads(workload::paperWorkloads()),
       libraryHash(library.contentHash())
 {
-    // The workload RNG seed determines every IPC number; stamping it
-    // into the diagnostics attributes makes forensics dumps and the
-    // --diag-json report self-describing for replay.
-    if (diag::enabled())
-        diag::Collector::instance().setAttribute(
-            "explorer.seed", static_cast<double>(config_.seed));
 }
 
 arch::FrontEndStream &
