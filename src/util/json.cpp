@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <istream>
@@ -456,6 +457,16 @@ parse(const std::string &text)
     if (parser.peek() >= 0)
         fatal("json: trailing content after document");
     return v;
+}
+
+std::string
+number(double v)
+{
+    if (!std::isfinite(v))
+        return "0";
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
 }
 
 std::string

@@ -6,7 +6,7 @@
  * persisted result cache all parse through it. Full JSON is accepted
  * (null/bool/number/string/array/object, string escapes, nesting);
  * writing stays with the producers, which stream their own documents
- * for stable field order.
+ * for stable field order through escape() and number().
  */
 
 #ifndef OTFT_UTIL_JSON_HPP
@@ -103,6 +103,12 @@ Value parse(const std::string &text);
 
 /** Escape a string for embedding in emitted JSON (no quotes added). */
 std::string escape(const std::string &s);
+
+/**
+ * Format a double as a JSON number that round-trips (%.17g). JSON
+ * has no NaN or infinity, so a non-finite value is written as 0.
+ */
+std::string number(double v);
 
 } // namespace otft::json
 

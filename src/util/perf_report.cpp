@@ -224,22 +224,6 @@ ScenarioSuite::run(const SuiteOptions &options) const
 // Report serialization.
 // ---------------------------------------------------------------------
 
-namespace {
-
-/** Format a double for JSON output (round-trips, never NaN/Inf). */
-std::string
-num(double v)
-{
-    if (!std::isfinite(v))
-        return "0";
-    std::ostringstream oss;
-    oss.precision(17);
-    oss << v;
-    return oss.str();
-}
-
-} // namespace
-
 void
 writeReport(const BenchReport &report, std::ostream &os)
 {
@@ -276,15 +260,15 @@ writeReport(const BenchReport &report, std::ostream &os)
            << json::escape(s.description) << "\",\n";
         os << "      \"points\": " << s.points << ",\n";
         os << "      \"reps\": " << s.timing.reps << ",\n";
-        os << "      \"wall_s\": {\"min\": " << num(s.timing.minS)
-           << ", \"median\": " << num(s.timing.medianS)
-           << ", \"mad\": " << num(s.timing.madS)
-           << ", \"p95\": " << num(s.timing.p95S)
-           << ", \"mean\": " << num(s.timing.meanS)
-           << ", \"total\": " << num(s.timing.totalS) << "},\n";
+        os << "      \"wall_s\": {\"min\": " << json::number(s.timing.minS)
+           << ", \"median\": " << json::number(s.timing.medianS)
+           << ", \"mad\": " << json::number(s.timing.madS)
+           << ", \"p95\": " << json::number(s.timing.p95S)
+           << ", \"mean\": " << json::number(s.timing.meanS)
+           << ", \"total\": " << json::number(s.timing.totalS) << "},\n";
         os << "      \"samples_s\": [";
         for (std::size_t i = 0; i < s.samplesS.size(); ++i)
-            os << (i ? ", " : "") << num(s.samplesS[i]);
+            os << (i ? ", " : "") << json::number(s.samplesS[i]);
         os << "],\n";
         os << "      \"counters\": {";
         bool first_counter = true;
@@ -292,7 +276,7 @@ writeReport(const BenchReport &report, std::ostream &os)
             os << (first_counter ? "" : ", ");
             first_counter = false;
             os << "\"" << json::escape(name)
-               << "\": " << num(value);
+               << "\": " << json::number(value);
         }
         os << "}\n";
         os << "    }";

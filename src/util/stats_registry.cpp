@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <ostream>
 #include <sstream>
 #include <variant>
@@ -317,18 +316,6 @@ nodeIsEmpty(const Registry::Node &node)
         node.payload);
 }
 
-/** Format a double compactly for JSON (round-trips via %.17g). */
-std::string
-jsonNumber(double v)
-{
-    if (!std::isfinite(v))
-        return "0";
-    std::ostringstream oss;
-    oss.precision(17);
-    oss << v;
-    return oss.str();
-}
-
 } // namespace
 
 void
@@ -386,19 +373,19 @@ Registry::dumpJson(std::ostream &os) const
                 [&](const std::unique_ptr<Counter> &c) { os << c->value(); },
                 [&](const std::unique_ptr<Accumulator> &a) {
                     os << "{\"count\": " << a->count()
-                       << ", \"sum\": " << jsonNumber(a->sum())
-                       << ", \"min\": " << jsonNumber(a->min())
-                       << ", \"max\": " << jsonNumber(a->max())
-                       << ", \"mean\": " << jsonNumber(a->mean()) << "}";
+                       << ", \"sum\": " << json::number(a->sum())
+                       << ", \"min\": " << json::number(a->min())
+                       << ", \"max\": " << json::number(a->max())
+                       << ", \"mean\": " << json::number(a->mean()) << "}";
                 },
                 [&](const std::unique_ptr<Histogram> &h) {
                     const auto bins = h->binsSnapshot();
-                    os << "{\"lo\": " << jsonNumber(h->lo())
-                       << ", \"hi\": " << jsonNumber(h->hi())
+                    os << "{\"lo\": " << json::number(h->lo())
+                       << ", \"hi\": " << json::number(h->hi())
                        << ", \"underflow\": " << h->underflow()
                        << ", \"overflow\": " << h->overflow()
-                       << ", \"p50\": " << jsonNumber(h->p50())
-                       << ", \"p95\": " << jsonNumber(h->p95())
+                       << ", \"p50\": " << json::number(h->p50())
+                       << ", \"p95\": " << json::number(h->p95())
                        << ", \"bins\": [";
                     for (std::size_t i = 0; i < bins.size(); ++i)
                         os << (i ? ", " : "") << bins[i];

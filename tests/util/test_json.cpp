@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -55,6 +56,28 @@ TEST(Json, EscapeProducesParseableStrings)
     const std::string raw = "a\"b\\c\nd\te";
     const Value v = parse("\"" + escape(raw) + "\"");
     EXPECT_EQ(v.asString(), raw);
+}
+
+TEST(Json, NumberRoundTripsEveryFiniteDouble)
+{
+    const double subnormal = std::numeric_limits<double>::denorm_min();
+    EXPECT_EQ(number(subnormal), "4.9406564584124654e-324");
+    EXPECT_EQ(parse(number(subnormal)).asNumber(), subnormal);
+    EXPECT_EQ(number(0.1), "0.10000000000000001");
+    EXPECT_EQ(parse(number(0.1)).asNumber(), 0.1);
+    EXPECT_EQ(number(1e21), "1e+21");
+    EXPECT_EQ(number(42.0), "42");
+
+    // -0.0 keeps its sign through the round trip.
+    EXPECT_EQ(number(-0.0), "-0");
+    EXPECT_TRUE(std::signbit(parse(number(-0.0)).asNumber()));
+}
+
+TEST(Json, NumberWritesNonFiniteAsZero)
+{
+    EXPECT_EQ(number(std::numeric_limits<double>::quiet_NaN()), "0");
+    EXPECT_EQ(number(std::numeric_limits<double>::infinity()), "0");
+    EXPECT_EQ(number(-std::numeric_limits<double>::infinity()), "0");
 }
 
 TEST(Json, MissingMembersUseFallbacks)
