@@ -15,12 +15,13 @@
 #            `diag_replay --check-diag`. Catches bit-rot in the
 #            telemetry plumbing without touching tier-1.
 #   --profile  profiler smoke lane: run one scenario under the
-#            sampling profiler, check the folded flamegraph artifact
-#            is non-empty and the otft-prof-2 footer parses, check
-#            that a bench run with both the timeline and the profiler
-#            on writes a non-empty trace and folded file (needs
-#            python3), then run the profile_smoke-labelled ctest
-#            suite. Wall-clock sensitive, so opt-in rather than tier-1.
+#            sampling profiler and check the folded flamegraph artifact
+#            is non-empty; run one bench with both the timeline and the
+#            profiler on and check it writes a non-empty trace and
+#            folded file and a footer whose otft-prof-2 section counts
+#            at least one sample (needs python3); then run the
+#            profile_smoke-labelled ctest suite. Wall-clock sensitive,
+#            so opt-in rather than tier-1.
 #   --mc     Monte Carlo smoke lane: run the mc_smoke-labelled ctest
 #            suite (full-roster 16-sample statistical
 #            characterization), then run bench/mc_characterize end to
@@ -92,8 +93,7 @@ fi
 
 if [[ "${LANE}" == "--profile" ]]; then
     cmake --build "${BUILD_DIR}" -j "${JOBS}" \
-        --target perf_suite fig06_inverter_comparison \
-        fig12_alu_depth test_profile_smoke
+        --target perf_suite fig12_alu_depth test_profile_smoke
     PROF_DIR="${BUILD_DIR}/prof_smoke"
     mkdir -p "${PROF_DIR}"
     # Suite path: one profiled scenario must leave a non-empty folded
@@ -107,24 +107,26 @@ if [[ "${LANE}" == "--profile" ]]; then
         echo "error: ${FOLDED} missing or empty" >&2
         exit 1
     fi
-    # Session path: a footered bench run with --profile-folded must
-    # carry the otft-prof-2 profile section in its footer line.
-    BENCH_LOG="${PROF_DIR}/fig06.out"
-    "${BUILD_DIR}/bench/fig06_inverter_comparison" \
-        --profile-folded "${PROF_DIR}/fig06.folded" \
-        | tee "${BENCH_LOG}"
-    if ! grep -q 'otft-prof-2' "${BENCH_LOG}"; then
-        echo "error: no otft-prof-2 footer section in output" >&2
-        exit 1
-    fi
-    # Combined path: one run feeds the timeline and the profiler from
-    # the same per-thread records, pool workers included. fig12 runs
-    # long enough for the 1 ms sampler (fig06 lasts ~5 ms and often
-    # takes no sample). The trace must parse as a JSON array with at
-    # least one event, and the folded file be non-empty.
+    # Session and combined path: one run feeds the timeline and the
+    # profiler from the same per-thread records, pool workers
+    # included. fig12 runs long enough for the 1 ms sampler. The trace
+    # must parse as a JSON array with at least one event, the folded
+    # file be non-empty, and the footer line carry an otft-prof-2
+    # section with at least one sample.
     FIG12_BIN="$(cd "${BUILD_DIR}/bench" && pwd)/fig12_alu_depth"
     (cd "${PROF_DIR}" && "${FIG12_BIN}" --trace-json both.json \
-        --profile-folded both.folded >/dev/null)
+        --profile-folded both.folded >both.out)
+    if ! python3 -c 'import json, sys
+footers = [json.loads(line) for line in open(sys.argv[1])
+           if line.startswith("{\"bench\"")]
+profile = footers[-1].get("profile", {}) if footers else {}
+sys.exit(0 if profile.get("schema") == "otft-prof-2"
+         and profile.get("samples", 0) >= 1 else 1)' \
+        "${PROF_DIR}/both.out"; then
+        echo "error: fig12 footer has no otft-prof-2 section with" \
+            "samples >= 1" >&2
+        exit 1
+    fi
     if ! python3 -c 'import json, sys
 events = json.load(open(sys.argv[1]))
 sys.exit(0 if isinstance(events, list) and events else 1)' \
