@@ -565,11 +565,9 @@ makeDnttLibrary(double mobility_scale)
 }
 
 CellLibrary
-cachedDnttLibrary(const std::string &path, double mobility_scale)
+cachedDnttLibrary(const std::string &path)
 {
-    return loadOrBuild(path, [mobility_scale] {
-        return makeDnttLibrary(mobility_scale);
-    });
+    return loadOrBuild(path, [] { return makeDnttLibrary(); });
 }
 
 } // namespace otft::liberty

@@ -148,10 +148,12 @@ CellLibrary cachedOrganicLibrary(
  */
 CellLibrary makeDnttLibrary(double mobility_scale = 10.0);
 
-/** Cached variant of makeDnttLibrary. */
+/**
+ * Cached variant of makeDnttLibrary() at its default 10x mobility,
+ * the only library the cache file holds.
+ */
 CellLibrary cachedDnttLibrary(
-    const std::string &path = "organic_dntt.lib",
-    double mobility_scale = 10.0);
+    const std::string &path = "organic_dntt.lib");
 
 } // namespace otft::liberty
 

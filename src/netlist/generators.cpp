@@ -458,10 +458,4 @@ busNot(NetBuilder &b, const Bus &a)
     return out;
 }
 
-Bus
-fanout(GateId g, int width)
-{
-    return Bus(static_cast<std::size_t>(width), g);
-}
-
 } // namespace otft::netlist

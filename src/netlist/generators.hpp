@@ -109,9 +109,6 @@ Bus busOr(NetBuilder &b, const Bus &a, const Bus &y);
 Bus busXor(NetBuilder &b, const Bus &a, const Bus &y);
 Bus busNot(NetBuilder &b, const Bus &a);
 
-/** Replicate a single signal into a bus. */
-Bus fanout(GateId g, int width);
-
 } // namespace otft::netlist
 
 #endif // OTFT_NETLIST_GENERATORS_HPP
