@@ -80,40 +80,20 @@ TransientAnalysis::TransientAnalysis(Circuit &circuit)
 }
 
 TransientResult
-TransientAnalysis::run(const TransientConfig &config) const
+TransientAnalysis::run(const TransientConfig &config,
+                       const TransientStop &stop) const
 {
+    static const diag::Counter stat_runs("circuit.transient.runs",
+                                         "transient analyses executed");
     if (config.tStop <= 0.0 || config.dt <= 0.0)
         fatal("TransientAnalysis: tStop and dt must be positive");
 
     // Initial condition: DC operating point with sources at t = 0.
-    DcAnalysis dc(ckt, config.newton);
-    return integrate(config, dc.operatingPoint(), {});
-}
+    Solution x = DcAnalysis(ckt, config.newton).operatingPoint();
 
-TransientResult
-TransientAnalysis::run(const TransientConfig &config,
-                       const Solution &initial,
-                       const TransientStop &stop) const
-{
-    if (config.tStop <= 0.0 || config.dt <= 0.0)
-        fatal("TransientAnalysis: tStop and dt must be positive");
-    return integrate(config, initial, stop);
-}
-
-TransientResult
-TransientAnalysis::integrate(const TransientConfig &config, Solution x,
-                             const TransientStop &stop) const
-{
-    static const diag::Counter stat_runs("circuit.transient.runs",
-                                         "transient analyses executed");
     OTFT_TRACE_SCOPE("circuit.transient.run");
     stat_runs.add();
-
     Mna mna(ckt, config.newton);
-    if (x.size() != mna.numUnknowns())
-        fatal("TransientAnalysis: initial state has ", x.size(),
-              " unknowns, circuit needs ", mna.numUnknowns());
-
     if (config.fixedStep)
         return runFixed(config, mna, std::move(x), stop);
     return runAdaptive(config, mna, std::move(x), stop);

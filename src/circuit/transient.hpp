@@ -117,26 +117,16 @@ class TransientAnalysis
     explicit TransientAnalysis(Circuit &circuit);
 
     /**
-     * Run from a DC operating point at t = 0 to config.tStop.
-     * Throws FatalError if any step fails to converge after step-size
-     * reduction.
-     */
-    TransientResult run(const TransientConfig &config) const;
-
-    /**
-     * Run with an explicit initial state (the converged t = 0
-     * operating point, e.g. a memoized one), skipping the DC solve.
-     * The caller must supply a solution of the right size. A `stop`
-     * predicate, if given, ends the run at the first recorded point it
-     * accepts; the result is then a prefix of the full run.
+     * Run from the DC operating point at t = 0 (solved here, with
+     * config.newton) to config.tStop. A `stop` predicate, if given,
+     * ends the run at the first recorded point it accepts; the result
+     * is then a prefix of the full run. Throws FatalError if any step
+     * fails to converge after step-size reduction.
      */
     TransientResult run(const TransientConfig &config,
-                        const Solution &initial,
                         const TransientStop &stop = {}) const;
 
   private:
-    TransientResult integrate(const TransientConfig &config, Solution x,
-                              const TransientStop &stop) const;
     TransientResult runFixed(const TransientConfig &config, Mna &mna,
                              Solution x, const TransientStop &stop) const;
     TransientResult runAdaptive(const TransientConfig &config, Mna &mna,

@@ -166,23 +166,6 @@ Characterizer::measurePoint(const std::string &name, int pin,
         circuit::Pwl::points({0.0, t1, t1 + t_edge, t2, t2 + t_edge},
                              {0.0, 0.0, vdd, vdd, 0.0}));
 
-    // The t = 0 operating point is shared by every slew at the same
-    // (cell, pin, load), so memoize it too. The cached state is used
-    // verbatim as the initial condition — exactly the bits the cold
-    // DC solve produced.
-    cache::KeyHasher dc_key;
-    dc_key.add("dcop-v3").add(name).add(pin).add(load_cap);
-    hashMeasurementContext(dc_key, factory, config_, config);
-    const std::size_t n_unknowns =
-        cell.ckt.numNodes() - 1 + cell.ckt.voltageSources().size();
-    circuit::Solution x0;
-    if (!(cache::lookup("circuit.dcop", dc_key.digest(), x0) &&
-          x0.size() == n_unknowns)) {
-        circuit::DcAnalysis dc(cell.ckt, config.newton);
-        x0 = dc.operatingPoint();
-        cache::store("circuit.dcop", dc_key.digest(), x0);
-    }
-
     // Every value the point reads, from a run or from a prefix of one;
     // a crossing the traces do not (yet) hold reads as -1.
     const auto measure = [&](const circuit::Trace &in,
@@ -252,7 +235,7 @@ Characterizer::measurePoint(const std::string &name, int pin,
     };
 
     const circuit::TransientResult result =
-        circuit::TransientAnalysis(cell.ckt).run(config, x0, stop);
+        circuit::TransientAnalysis(cell.ckt).run(config, stop);
     point = measure(result.node(in_node), result.node(cell.out));
     if (!complete(point)) {
         fatal("Characterizer: cell ", name, " pin ", pin,

@@ -85,8 +85,8 @@ class Characterizer
     };
     /**
      * Measure one (pin, slew, load) point: a cache probe, then on a
-     * miss the t = 0 operating point (itself memoized per load) and
-     * one transient. Hits in the process-wide result cache are used
+     * miss one transient (which solves its own t = 0 operating
+     * point). Hits in the process-wide result cache are used
      * verbatim as results, so output is bit-identical with the cache
      * cold, warm, or disabled (`ResultCache::setEnabled(false)`).
      */

@@ -19,7 +19,7 @@ namespace otft::cache {
 namespace {
 
 /** Schema tag of the persisted cache file. */
-constexpr const char *cacheSchema = "otft-result-cache-1";
+constexpr const char *cacheSchema = "otft-result-cache-2";
 constexpr const char *cacheFileName = "result_cache.json";
 
 stats::Counter &
@@ -319,7 +319,6 @@ ResultCache::flush()
     }
     os << "{\"schema\": \"" << cacheSchema << "\", \"entries\": {";
     std::size_t written = 0;
-    char buffer[40];
     for (const auto &[composite, entry] : entries) {
         // Non-finite payloads have no JSON spelling; keep them
         // in-memory only rather than corrupting the file.
@@ -330,13 +329,10 @@ ResultCache::flush()
             continue;
         os << (written++ ? ", " : "") << "\"" << json::escape(composite)
            << "\": [";
-        for (std::size_t i = 0; i < entry.values.size(); ++i) {
-            // %.17g round-trips binary64 exactly, preserving the
-            // bit-identical determinism contract across persistence.
-            std::snprintf(buffer, sizeof(buffer), "%.17g",
-                          entry.values[i]);
-            os << (i ? ", " : "") << buffer;
-        }
+        // json::number round-trips binary64 exactly, preserving the
+        // bit-identical determinism contract across persistence.
+        for (std::size_t i = 0; i < entry.values.size(); ++i)
+            os << (i ? ", " : "") << json::number(entry.values[i]);
         os << "]";
     }
     os << "}}\n";

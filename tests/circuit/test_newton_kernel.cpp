@@ -2,8 +2,7 @@
  * @file
  * Unit tests for the Newton kernel reuse layer: the split
  * factor/solve LU, chord iteration correctness, the slow-convergence
- * Jacobian refresh, singular-Jacobian recovery, and warm-started
- * transients.
+ * Jacobian refresh and singular-Jacobian recovery.
  */
 
 #include <bit>
@@ -14,9 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "circuit/dc.hpp"
-#include "circuit/transient.hpp"
 #include "device/pentacene.hpp"
-#include "util/logging.hpp"
 #include "util/stats_registry.hpp"
 
 namespace otft::circuit {
@@ -301,56 +298,6 @@ TEST(ChordNewton, ReusedWorkspaceMatchesFreshSolver)
     const Solution x3 = solve(x2, 2.6e-5, 2e-5, &x2, false);
     const Solution x4 = solve(x3, 1e-3, 0.0, nullptr, true);
     (void)solve(x4, 1.01e-3, 1e-5, &x4, false);
-}
-
-TEST(ChordNewton, WarmStartedTransientIsBitIdentical)
-{
-    // run(config) computes the t = 0 operating point internally; the
-    // warm-start overload receives the identical solution, so the two
-    // trajectories must match bit for bit.
-    const auto build = [] {
-        Circuit ckt;
-        const NodeId in = ckt.addNode("in");
-        const NodeId out = ckt.addNode("out");
-        ckt.addVoltageSource(in, Circuit::ground,
-                             Pwl::pulse(0.0, 1.0, 2e-4, 1e-5, 6e-4));
-        ckt.addResistor(in, out, 1e4);
-        ckt.addCapacitor(out, Circuit::ground, 1e-8);
-        ckt.addFet(device::makePentaceneGolden(), out, out,
-                   Circuit::ground);
-        return ckt;
-    };
-
-    TransientConfig config;
-    config.dt = 5e-6;
-    config.tStop = 1.5e-3;
-
-    Circuit cold_ckt = build();
-    const auto cold = TransientAnalysis(cold_ckt).run(config);
-
-    Circuit warm_ckt = build();
-    const Solution x0 =
-        DcAnalysis(warm_ckt, config.newton).operatingPoint();
-    const auto warm = TransientAnalysis(warm_ckt).run(config, x0);
-
-    ASSERT_EQ(cold.time().size(), warm.time().size());
-    for (std::size_t k = 0; k < cold.time().size(); ++k)
-        ASSERT_EQ(cold.time()[k], warm.time()[k]);
-    const auto cold_v = cold.node(1);
-    const auto warm_v = warm.node(1);
-    for (std::size_t k = 0; k < cold_v.value.size(); ++k)
-        ASSERT_EQ(cold_v.value[k], warm_v.value[k]) << "sample " << k;
-}
-
-TEST(ChordNewton, WarmStartRejectsWrongSize)
-{
-    Circuit ckt = diodeCircuit();
-    TransientConfig config;
-    config.dt = 1e-5;
-    config.tStop = 1e-4;
-    Solution wrong(99, 0.0);
-    EXPECT_THROW(TransientAnalysis(ckt).run(config, wrong),
-                 FatalError);
 }
 
 } // namespace

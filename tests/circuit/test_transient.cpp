@@ -140,19 +140,18 @@ TEST(Transient, StopPredicateEndsFixedRunOnAPrefix)
     config.dt = 5e-6;
     config.tStop = 3e-3;
     config.fixedStep = true;
-    const Solution x0 = DcAnalysis(ckt, config.newton).operatingPoint();
-    const auto full = TransientAnalysis(ckt).run(config, x0);
+    const auto full = TransientAnalysis(ckt).run(config);
 
     // The predicate sees every recorded time, in order.
     std::vector<double> seen;
     const auto half = TransientAnalysis(ckt).run(
-        config, x0, [&](double t, const std::vector<double> &v) {
+        config, [&](double t, const std::vector<double> &v) {
             seen.push_back(t);
             EXPECT_EQ(v[static_cast<std::size_t>(Circuit::ground)], 0.0);
             return v[static_cast<std::size_t>(out)] >= 0.5;
         });
     const auto never = TransientAnalysis(ckt).run(
-        config, x0, [](double, const std::vector<double> &) {
+        config, [](double, const std::vector<double> &) {
             return false;
         });
 

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -123,10 +124,21 @@ TEST(CacheDeterminism, NldmColdAndWarmRunsAreByteIdentical)
     cache.clear();
     const liberty::CharacterizerConfig mini = miniGrid();
 
+    stats::Counter &measured = stats::counter("liberty.points.measured");
+    stats::Counter &misses = stats::counter("cache.misses");
+
+    // The cache holds what a later lookup can hit: one arc point per
+    // (pin, slew, load) of the single-pin inverter, nothing else.
     const std::string cold = characterizeInv(mini, 1);
-    ASSERT_GT(cache.size(), 0u)
-        << "cold run should have populated the cache";
+    EXPECT_EQ(cache.size(),
+              mini.slewAxis.size() * mini.loadMultipliers.size());
+
+    // The warm run measures nothing and misses nothing.
+    const std::uint64_t measured0 = measured.value();
+    const std::uint64_t misses0 = misses.value();
     const std::string warm = characterizeInv(mini, 1);
+    EXPECT_EQ(measured.value(), measured0);
+    EXPECT_EQ(misses.value(), misses0);
 
     EXPECT_FALSE(cold.empty());
     EXPECT_EQ(cold, warm);

@@ -261,12 +261,14 @@ TEST_F(ResultCacheTest, CorruptCacheFilesAreIgnoredNotFatal)
         "not json at all",                        // garbage
         "[1, 2, 3]",                              // wrong top type
         "{\"schema\": \"something-else\"}",       // wrong schema
-        "{\"schema\": \"otft-result-cache-1\", "
+        "{\"schema\": \"otft-result-cache-2\", "
         "\"entries\": {\"d:0\": [1.0, ",          // truncated entry
-        "{\"schema\": \"otft-result-cache-1\", "
+        "{\"schema\": \"otft-result-cache-2\", "
         "\"entries\": {\"d:0\": \"oops\"}}",      // non-array payload
-        "{\"schema\": \"otft-result-cache-1\", "
+        "{\"schema\": \"otft-result-cache-2\", "
         "\"entries\": {\"d:0\": [true, null]}}",  // non-numeric items
+        "{\"schema\": \"otft-result-cache-1\", "   // previous schema
+        "\"entries\": {\"d:0000000000000001\": [1.5]}}",
     };
     auto &c = ResultCache::instance();
     for (const char *text : variants) {
@@ -293,7 +295,7 @@ TEST_F(ResultCacheTest, MalformedEntriesSkippedGoodOnesKept)
     std::filesystem::create_directories(dir);
     {
         std::ofstream os(dir + "/result_cache.json");
-        os << "{\"schema\": \"otft-result-cache-1\", \"entries\": {"
+        os << "{\"schema\": \"otft-result-cache-2\", \"entries\": {"
            << "\"d:0000000000000001\": [1.5], "
            << "\"d:0000000000000002\": \"bad\", "
            << "\"d:0000000000000003\": [3.5, 4.5]}}";
@@ -321,7 +323,7 @@ writeFile(const std::string &path, const std::string &text)
 std::string
 cacheFileText(const std::string &members)
 {
-    return "{\"schema\": \"otft-result-cache-1\", \"entries\": {" +
+    return "{\"schema\": \"otft-result-cache-2\", \"entries\": {" +
            members + "}}\n";
 }
 
@@ -445,6 +447,8 @@ TEST_F(ResultCacheTest, NextFlushRepairsACorruptOrPartlyMalformedFile)
     for (const std::string &text :
          {std::string("{"), std::string("not json at all"),
           std::string("{\"schema\": \"something-else\"}"),
+          std::string("{\"schema\": \"otft-result-cache-1\", "
+                      "\"entries\": {\"d:0000000000000001\": [1.5]}}\n"),
           cacheFileText("\"d:0000000000000001\": [1.5], "
                         "\"d:0000000000000002\": \"bad\""),
           cacheFileText("\"d:0000000000000001\": [1.5], "
