@@ -13,6 +13,9 @@
  *
  *     <prefix>_mean.lib  <prefix>_slow.lib  <prefix>_fast.lib
  *
+ * The prefix names only the files: the libraries inside are always
+ * organic_mc_mean, organic_mc_slow and organic_mc_fast.
+ *
  * The serialized output is bit-identical for a fixed --mc-seed at any
  * --jobs count — `--check` re-validates files from a previous run
  * (finite tables, monotone slow >= mean >= fast) so CI can assert the
@@ -82,7 +85,6 @@ main(int argc, char **argv)
     liberty::McConfig config;
     config.samples = session.mcSamples();
     config.seed = session.mcSeed();
-    config.baseName = prefix;
     std::printf("Monte Carlo characterization: %d samples, seed %llu, "
                 "%.1f-sigma corners\n\n",
                 config.samples,

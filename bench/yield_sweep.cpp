@@ -58,7 +58,6 @@ organicStatLibrary(const cli::Session &session)
     liberty::McConfig config;
     config.samples = session.mcSamples();
     config.seed = session.mcSeed();
-    config.baseName = prefix;
     std::printf("characterizing %d Monte Carlo samples (seed %llu)\n",
                 config.samples,
                 static_cast<unsigned long long>(config.seed));

@@ -276,10 +276,12 @@ McCharacterizer::run() const
     // One task per (sample, cell) pair: maximal outer parallelism
     // with deterministic slot order. Each task characterizes through
     // its own Characterizer bound to the sampled device parameters;
-    // the per-arc transients memoize in the result cache under keys
-    // that include those parameters, so a re-run with the same seed
-    // is a pure cache replay. Inside a worker the per-arc grid maps
-    // run inline, so the two levels never deadlock.
+    // the combinational arc points memoize in the result cache under
+    // keys that include those parameters, so a same-seed re-run in
+    // the same process, or with a shared --cache-dir, replays them.
+    // The flop transients and the leakage DC solves are not cached
+    // and always re-run. Inside a worker the per-arc grid maps run
+    // inline, so the two levels never deadlock.
     auto flat = parallel::orderedMap<StdCell>(
         n_tasks, [&](std::size_t k) {
             const int sample = static_cast<int>(k / n_cells);
@@ -300,9 +302,9 @@ McCharacterizer::run() const
     // Reduce each roster cell across samples (two-pass, in sample
     // order — deterministic at any job count).
     const double vdd = cells::SupplyConfig{}.vdd;
-    StatLibrary stat{CellLibrary(config_.baseName + "_mean", vdd),
-                     CellLibrary(config_.baseName + "_slow", vdd),
-                     CellLibrary(config_.baseName + "_fast", vdd),
+    StatLibrary stat{CellLibrary("organic_mc_mean", vdd),
+                     CellLibrary("organic_mc_slow", vdd),
+                     CellLibrary("organic_mc_fast", vdd),
                      {},
                      config_.samples,
                      config_.seed};

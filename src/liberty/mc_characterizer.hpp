@@ -58,8 +58,6 @@ struct McConfig
     /** Cells to characterize (subset for tests; "dff" = the flop). */
     std::vector<std::string> roster = {"inv",  "nand2", "nand3",
                                        "nor2", "nor3",  "dff"};
-    /** Base name; corners get "_mean" / "_slow" / "_fast" suffixes. */
-    std::string baseName = "organic_mc";
 
     /** Nominal grid with the MC settling margin applied. */
     static CharacterizerConfig mcDefaultGrid();

@@ -88,7 +88,6 @@ TEST(McCharacterizer, StatLibraryValidatesAndSerializesBitExact)
     config.roster = {"inv", "nand2"};
     config.grid.slewAxis = {8e-6, 32e-6};
     config.grid.loadMultipliers = {1.0, 4.0};
-    config.baseName = "mc_test";
     const StatLibrary stat = McCharacterizer(config).run();
 
     ASSERT_TRUE(validateStatLibrary(stat.mean, stat.slow, stat.fast)
