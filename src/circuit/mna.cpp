@@ -322,11 +322,11 @@ Mna::solveNewton(Solution &x, double time, double source_scale, double dt,
     };
 
     // Forensics dumps need the iterate the solve *started* from and
-    // its iterations; keep them only when a failure here would dump.
+    // its iterations; keep them, in the workspace, only when a
+    // failure here would dump.
     const bool dumps = diag::Collector::instance().dumpsEnabled();
-    Solution x0;
     if (dumps) {
-        x0 = x;
+        dumpStart_.assign(x.begin(), x.end());
         if (log == nullptr) {
             dumpLog_.clear();
             log = &dumpLog_;
@@ -367,7 +367,7 @@ Mna::solveNewton(Solution &x, double time, double source_scale, double dt,
                                          ? dump::SolveKind::TransientStep
                                          : dump::SolveKind::Dc;
         dump::writeFailureDump(
-            ckt, cfg, x0, kind, time, source_scale, dt, x_prev, reason,
+            ckt, cfg, dumpStart_, kind, time, source_scale, dt, x_prev, reason,
             std::span<const IterationSample>(*log).subspan(log_start));
     };
 

@@ -156,6 +156,8 @@ class Mna
     std::vector<double> residual_;
     /** The update J^-1 * residual of one iteration. */
     std::vector<double> delta_;
+    /** The start iterate of a solve that may dump on failure. */
+    Solution dumpStart_;
     /** The iteration log of a solve that may dump on failure. */
     std::vector<IterationSample> dumpLog_;
 };
