@@ -36,7 +36,8 @@
 # Two builds are compared separately, against a build of the parent
 # commit: scripts/figure_diff.sh <base-build> <new-build> diffs the
 # stdout of every figure and extension binary and cmps every .lib they
-# write, so a refactor moves no printed number, and
+# write, so a refactor moves no printed number (and requires the same
+# outputs from the new build with one --cache-dir, cold and warm), and
 # scripts/bench.sh compare <base-build> <new-build> times them.
 set -euo pipefail
 
